@@ -24,14 +24,17 @@ Quick start::
         model.observe(record)
 """
 
-from repro.core import (
-    AdaptiveMatrixFactorization,
-    AMFConfig,
-    StreamTrainer,
-    TrainReport,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__ = lazy_exports(
+    __name__,
+    dict.fromkeys(
+        ("AdaptiveMatrixFactorization", "AMFConfig", "StreamTrainer", "TrainReport"),
+        "repro.core",
+    ),
+)
 
 __all__ = [
     "AdaptiveMatrixFactorization",

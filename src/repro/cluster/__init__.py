@@ -18,14 +18,20 @@ from ``GET /cluster/placement`` and talk to shards directly, and an
 operator drains or rebalances by POSTing a table with a higher version.
 """
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.migration import MigrationCoordinator
-from repro.cluster.placement import (
-    PlacementTable,
-    ShardSpec,
-    rendezvous_score,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ClusterClient": "repro.cluster.client",
+        "MigrationCoordinator": "repro.cluster.migration",
+        "PlacementTable": "repro.cluster.placement",
+        "ShardSpec": "repro.cluster.placement",
+        "rendezvous_score": "repro.cluster.placement",
+        "ClusterRouter": "repro.cluster.router",
+        "MigrationConflict": "repro.cluster.router",
+    },
 )
-from repro.cluster.router import ClusterRouter, MigrationConflict
 
 __all__ = [
     "ClusterClient",

@@ -5,7 +5,11 @@ Data plane: observations and predictions are routed to the owning shard
 through ordinary :class:`~repro.server.client.PredictionClient` instances
 — one per shard, carrying the shard's full replica set, so fenced 409
 replies from a shard's standby redirect *inside* the shard client exactly
-as they do for a direct caller, without tripping any breaker.
+as they do for a direct caller, without tripping any breaker.  Observes,
+observe batches, batch predictions and credence reads travel as frames
+on the shard clients' pooled binary connections (JSON/HTTP when a shard
+offers no binary port), and one ranking's reads are all written before
+any reply is awaited.
 
 Control plane: ``GET /cluster/placement`` serves the current table so
 clients can learn ownership and talk to shards directly; ``POST`` with a
@@ -154,7 +158,6 @@ class ClusterRouter:
             handler_timeout = max(30.0, 2.0 * timeout * (shard_retries + 1))
         self.handler_timeout = float(handler_timeout)
         self._client_kwargs = dict(client_kwargs or {})
-        self._client_kwargs.setdefault("transport", "json")
         self._lock = threading.Lock()  # placement + client-map swaps
         self._clients: dict[str, PredictionClient] = {}
         self._placement: "PlacementTable | None" = None
@@ -526,10 +529,7 @@ class ClusterRouter:
         if not isinstance(user_id, int) or user_id < 0:
             raise _BadRequest("field 'user_id' must be a non-negative integer")
         shard, client = self._route("user", user_id, write=True)
-        body = self._call(
-            shard,
-            lambda: client._request("POST", "/observations", payload, write=True),
-        )
+        body = self._call(shard, lambda: client.report_observation_detailed(payload))
         body["shard"] = shard.name
         return body
 
@@ -578,10 +578,7 @@ class ClusterRouter:
             try:
                 body = self._call(
                     shard,
-                    lambda c=client, s=sub: c._request(
-                        "POST", "/observations/batch", {"observations": s},
-                        write=True,
-                    ),
+                    lambda c=client, s=sub: c.report_observations_detailed(s),
                 )
             except _ShardUnavailable as exc:
                 rejected.extend(
@@ -627,7 +624,37 @@ class ClusterRouter:
         body["shard"] = shard.name
         return body
 
-    def _credence_for(self, service_ids: list[int]) -> tuple[dict, list[str]]:
+    def _credence_homes(self, service_ids: list[int]) -> list:
+        """``(shard, ids)`` per home shard of ``service_ids``.  Routing
+        comes before any frame is written, so an entity inside a
+        migration window refuses the request with nothing in flight."""
+        homes: dict[str, tuple[object, list[int]]] = {}
+        for service_id in service_ids:
+            shard, _ = self._route("service", service_id)
+            homes.setdefault(shard.name, (shard, []))[1].append(service_id)
+        return [homes[name] for name in sorted(homes)]
+
+    def _begin_credence(self, homes: list, after: "dict | None" = None) -> list:
+        """Ask each home shard for its services' credence without waiting
+        for the answers; :meth:`_gather_credence` collects them.
+
+        ``after`` maps a shard name to a read already begun on that
+        shard's client — the credence frame follows it down the same
+        connection.
+        """
+        after = after or {}
+        return [
+            (
+                shard,
+                ids,
+                self.shard_client(shard.name).begin_credence(
+                    ids, after.get(shard.name)
+                ),
+            )
+            for shard, ids in homes
+        ]
+
+    def _gather_credence(self, pending: list) -> tuple[dict, list[str]]:
         """Authoritative credence per service from its home shard.
 
         Returns ``(credence, unreachable_shards)`` — a dead home shard
@@ -635,20 +662,15 @@ class ClusterRouter:
         instead of failing it; the prediction itself came from the live
         user shard.
         """
-        homes: dict[str, tuple[object, list[int]]] = {}
-        for service_id in service_ids:
-            shard, _ = self._route("service", service_id)
-            homes.setdefault(shard.name, (shard, []))[1].append(service_id)
         credence: dict[str, float] = {}
         unreachable: list[str] = []
-        for name, (shard, ids) in sorted(homes.items()):
-            client = self.shard_client(name)
+        for shard, ids, call in pending:
             try:
-                values = self._call(shard, lambda c=client, i=ids: c.credence(i))
+                values = self._call(shard, call.result)
             except _ShardUnavailable:
-                unreachable.append(name)
+                unreachable.append(shard.name)
                 continue
-            credence.update({str(sid): value for sid, value in values.items()})
+            credence.update(zip(map(str, ids), values))
         return credence, unreachable
 
     def _handle_prediction_batch(self, payload: dict) -> dict:
@@ -663,20 +685,24 @@ class ClusterRouter:
         except (TypeError, ValueError) as exc:
             raise _BadRequest("service_ids must be integers") from exc
         shard, client = self._route("user", user_id)
-        body = self._call(
-            shard,
-            lambda: client._request(
-                "POST",
-                "/predictions/batch",
-                {"user_id": user_id, "service_ids": service_ids},
-                idempotent=True,
-            ),
-        )
-        credence, unreachable = self._credence_for(
-            list(dict.fromkeys(service_ids))
-        )
-        body["shard"] = shard.name
-        body["credence"] = credence
+        # Scatter, then gather: the user's shard predicts while the home
+        # shards look up credence, so the ranking waits for the slowest
+        # shard rather than for each in turn.
+        homes = self._credence_homes(list(dict.fromkeys(service_ids)))
+        predict = client.begin_predict_batch(user_id, service_ids)
+        pending = self._begin_credence(homes, {shard.name: predict})
+        try:
+            values, sources, _ = self._call(shard, predict.result)
+        finally:
+            credence, unreachable = self._gather_credence(pending)
+        keys = [str(service_id) for service_id in service_ids]
+        body = {
+            "user_id": user_id,
+            "predictions": dict(zip(keys, values)),
+            "sources": dict(zip(keys, sources)),
+            "shard": shard.name,
+            "credence": credence,
+        }
         if unreachable:
             body["credence_partial"] = unreachable
         body["placement_version"] = self.placement.version
@@ -725,8 +751,10 @@ class ClusterRouter:
             ) from exc
         if not service_ids:
             raise _BadRequest("service_ids must be non-empty")
-        credence, unreachable = self._credence_for(
-            list(dict.fromkeys(service_ids))
+        credence, unreachable = self._gather_credence(
+            self._begin_credence(
+                self._credence_homes(list(dict.fromkeys(service_ids)))
+            )
         )
         body = {"credence": credence, "placement_version": self.placement.version}
         if unreachable:

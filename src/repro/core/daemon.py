@@ -473,9 +473,11 @@ class TrainerSupervisor:
             if self._stop.wait(backoff):
                 return
             self._seen_crashes = self.trainer.crash_count
-            self.trainer.start()
+            # Count first: a reader that sees the trainer running again
+            # must already see the restart that made it so.
             self._restarts += 1
             _BACKGROUND_RESTARTS.inc()
+            self.trainer.start()
             last_restart = time.monotonic()
             backoff = min(backoff * 2.0, self.backoff_max)
 

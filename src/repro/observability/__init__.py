@@ -21,7 +21,7 @@ renders.  Recording is cheap enough to stay on by default;
 :func:`set_enabled` exists so benchmarks can quantify the overhead.
 """
 
-from repro.observability.drift import StreamAccuracyMonitor
+from repro._lazy import lazy_exports
 from repro.observability.registry import (
     Counter,
     Gauge,
@@ -33,6 +33,11 @@ from repro.observability.registry import (
     set_enabled,
 )
 from repro.observability.timing import time_block, timed
+
+# The drift monitor is the one export that needs numpy.
+__getattr__ = lazy_exports(
+    __name__, {"StreamAccuracyMonitor": "repro.observability.drift"}
+)
 
 __all__ = [
     "Counter",

@@ -9,23 +9,30 @@ survive crashes (:mod:`repro.server.wal`), and the primary/standby
 replication layer that lets the *deployment* survive node failures
 (:mod:`repro.server.replication`)."""
 
-from repro.server.app import PredictionServer
-from repro.server.binary import BinaryConnection, BinaryServerError, ProtocolError
-from repro.server.client import (
-    DeadlineExceeded,
-    PredictionClient,
-    PredictionServiceError,
-    RetryableServiceError,
-    TerminalServiceError,
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "PredictionServer": "repro.server.app",
+        "BinaryConnection": "repro.server.binary",
+        "BinaryServerError": "repro.server.binary",
+        "ProtocolError": "repro.server.binary",
+        "DeadlineExceeded": "repro.server.client",
+        "PredictionClient": "repro.server.client",
+        "PredictionServiceError": "repro.server.client",
+        "RetryableServiceError": "repro.server.client",
+        "TerminalServiceError": "repro.server.client",
+        "EpochStore": "repro.server.replication",
+        "FencedWrite": "repro.server.replication",
+        "HttpReplicaLink": "repro.server.replication",
+        "ReplicationConfig": "repro.server.replication",
+        "StandbyReplicator": "repro.server.replication",
+        "CheckpointStore": "repro.server.wal",
+        "WalAppendError": "repro.server.wal",
+        "WriteAheadLog": "repro.server.wal",
+    },
 )
-from repro.server.replication import (
-    EpochStore,
-    FencedWrite,
-    HttpReplicaLink,
-    ReplicationConfig,
-    StandbyReplicator,
-)
-from repro.server.wal import CheckpointStore, WalAppendError, WriteAheadLog
 
 __all__ = [
     "PredictionServer",

@@ -1671,14 +1671,19 @@ class PredictionServer:
             raise _BadRequest(
                 "query must include service_ids as comma-separated integers"
             ) from exc
+        values = self._credence(service_ids)
+        return {"credence": {str(sid): v for sid, v in zip(service_ids, values)}}
+
+    def _credence(self, service_ids: list[int]) -> list[float]:
+        """Credence per id, in order: the shared core of ``GET /credence``
+        and the binary ``CREDENCE`` opcode."""
         if not service_ids:
             raise _BadRequest("service_ids must be non-empty")
         if min(service_ids) < 0:
             raise _BadRequest("ids must be non-negative")
-        credence = self.model.with_model(
-            lambda m: {str(sid): m.service_credence(sid) for sid in service_ids}
+        return self.model.with_model(
+            lambda m: [m.service_credence(sid) for sid in service_ids]
         )
-        return {"credence": credence}
 
     # -- binary transport backend ---------------------------------------------
     def _binary_error(self, exc: Exception) -> tuple[int, dict]:
@@ -1719,16 +1724,15 @@ class PredictionServer:
         codes = [SOURCE_CODES.get(source, SOURCE_UNKNOWN) for source in sources]
         return 200, (values, codes)
 
-    def _binary_observe(
-        self,
+    @staticmethod
+    def _observation_payload(
         timestamp: float,
         user_id: int,
         service_id: int,
         value: float,
         key: "str | None",
-    ):
-        """``OBSERVE`` opcode backend: same ingest pipeline (validation,
-        fencing, admission, WAL, gate) as ``POST /observations``."""
+    ) -> dict:
+        """A decoded binary record as the JSON handlers take it."""
         payload = {
             "timestamp": timestamp,
             "user_id": user_id,
@@ -1737,8 +1741,30 @@ class PredictionServer:
         }
         if key is not None:
             payload["idempotency_key"] = key
+        return payload
+
+    def _binary_observe(self, *record):
+        """``OBSERVE`` opcode backend: same ingest pipeline (validation,
+        fencing, admission, WAL, gate) as ``POST /observations``."""
         try:
-            return 200, self._handle_observation(payload)
+            return 200, self._handle_observation(self._observation_payload(*record))
+        except Exception as exc:  # noqa: BLE001 — the binary error boundary
+            return self._binary_error(exc)
+
+    def _binary_observe_batch(self, records: list[tuple]):
+        """``OBSERVE_BATCH`` opcode backend: ``POST /observations/batch``
+        over the same handler, so per-record outcomes match."""
+        try:
+            return 200, self._handle_observation_batch(
+                {"observations": [self._observation_payload(*r) for r in records]}
+            )
+        except Exception as exc:  # noqa: BLE001 — the binary error boundary
+            return self._binary_error(exc)
+
+    def _binary_credence(self, service_ids: list[int]):
+        """``CREDENCE`` opcode backend: (200, values) or (status, error body)."""
+        try:
+            return 200, self._credence(service_ids)
         except Exception as exc:  # noqa: BLE001 — the binary error boundary
             return self._binary_error(exc)
 

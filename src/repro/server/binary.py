@@ -30,6 +30,16 @@ Request bodies (all integers fixed-width, predictions float64):
   service_id, value, key length, then the UTF-8 idempotency key (empty =
   no key).  Response: ``struct('!dB')`` sample_error (NaN when the gate
   withheld it) + action code (:data:`ACTION_CODES`).
+* ``CREDENCE (0x04)`` — ``struct('!I')`` count, then ``count`` int64
+  service ids.  Response: ``struct('!I')`` count, then ``count`` float64
+  credence values in request order (``GET /credence`` as a frame; the
+  cluster router asks each service's home shard this way).
+* ``OBSERVE_BATCH (0x05)`` — ``struct('!I')`` count, then ``count``
+  records, each laid out like an ``OBSERVE`` body.  Response:
+  ``struct('!III')`` accepted, error count, rejected count; then the
+  float64 sample errors; then per rejected record ``struct('!II')`` index
+  and message length followed by the UTF-8 message — the fields of the
+  ``POST /observations/batch`` reply.
 * ``ERROR (0x7F)`` response — ``struct('!H')`` status (the HTTP status the
   JSON API would have returned: 400, 409, 413, 429, 503, 507, 500...)
   followed by the UTF-8 JSON error body, so binary clients get the same
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import select
 import socket
 import struct
 import threading
@@ -58,6 +69,8 @@ PROTOCOL_VERSION = 1
 OP_PING = 0x01
 OP_PREDICT_BATCH = 0x02
 OP_OBSERVE = 0x03
+OP_CREDENCE = 0x04
+OP_OBSERVE_BATCH = 0x05
 OP_ERROR = 0x7F
 RESPONSE_FLAG = 0x80
 
@@ -66,6 +79,9 @@ _PREDICT_REQ_HEAD = struct.Struct("!qI")
 _PREDICT_RESP_HEAD = struct.Struct("!I")
 _OBSERVE_REQ = struct.Struct("!dqqdH")
 _OBSERVE_RESP = struct.Struct("!dB")
+_COUNT = struct.Struct("!I")
+_BATCH_RESP_HEAD = struct.Struct("!III")
+_REJECTED_HEAD = struct.Struct("!II")
 _ERROR_HEAD = struct.Struct("!H")
 
 #: Bound on a single frame body; a length prefix beyond this is a protocol
@@ -223,7 +239,7 @@ def unpack_predict_response(body: bytes) -> tuple[list[float], list[int]]:
     return predictions, codes
 
 
-def pack_observe_request(
+def _pack_observe_record(
     timestamp: float,
     user_id: int,
     service_id: int,
@@ -233,19 +249,163 @@ def pack_observe_request(
     encoded = key.encode("utf-8") if key else b""
     if len(encoded) > 0xFFFF:
         raise ProtocolError("idempotency key exceeds 65535 bytes")
-    body = _OBSERVE_REQ.pack(timestamp, user_id, service_id, value, len(encoded))
-    return pack_frame(OP_OBSERVE, body + encoded)
+    return (
+        _OBSERVE_REQ.pack(timestamp, user_id, service_id, value, len(encoded))
+        + encoded
+    )
+
+
+def _unpack_observe_record(
+    body: bytes, offset: int, what: str
+) -> "tuple[tuple[float, int, int, float, str | None], int]":
+    """One observation record starting at ``offset``; also returns where
+    it ends."""
+    end = offset + _OBSERVE_REQ.size
+    if len(body) < end:
+        raise ProtocolError(f"truncated {what} body")
+    timestamp, user_id, service_id, value, key_length = _OBSERVE_REQ.unpack_from(
+        body, offset
+    )
+    if len(body) < end + key_length:
+        raise ProtocolError(f"truncated {what} body")
+    key = body[end : end + key_length].decode("utf-8") if key_length else None
+    return (timestamp, user_id, service_id, value, key), end + key_length
+
+
+def pack_observe_request(
+    timestamp: float,
+    user_id: int,
+    service_id: int,
+    value: float,
+    key: "str | None" = None,
+) -> bytes:
+    return pack_frame(
+        OP_OBSERVE, _pack_observe_record(timestamp, user_id, service_id, value, key)
+    )
 
 
 def unpack_observe_request(body: bytes) -> tuple[float, int, int, float, "str | None"]:
-    if len(body) < _OBSERVE_REQ.size:
-        raise ProtocolError("truncated OBSERVE body")
-    timestamp, user_id, service_id, value, key_length = _OBSERVE_REQ.unpack_from(body)
-    expected = _OBSERVE_REQ.size + key_length
+    record, end = _unpack_observe_record(body, 0, "OBSERVE")
+    if end != len(body):
+        raise ProtocolError(f"OBSERVE body of {len(body)} bytes, expected {end}")
+    return record
+
+
+def unpack_observe_response(body: bytes) -> dict:
+    """The ``POST /observations`` reply the frame carries."""
+    if len(body) != _OBSERVE_RESP.size:
+        raise ProtocolError("truncated OBSERVE response")
+    error, action = _OBSERVE_RESP.unpack(body)
+    return {
+        "sample_error": None if math.isnan(error) else error,
+        "action": ACTION_NAMES.get(action, "unknown"),
+    }
+
+
+def pack_observe_batch_request(records) -> bytes:
+    """``records``: ``(timestamp, user_id, service_id, value, key)`` tuples."""
+    body = _COUNT.pack(len(records)) + b"".join(
+        _pack_observe_record(*record) for record in records
+    )
+    return pack_frame(OP_OBSERVE_BATCH, body)
+
+
+def unpack_observe_batch_request(body: bytes) -> list[tuple]:
+    if len(body) < _COUNT.size:
+        raise ProtocolError("truncated OBSERVE_BATCH body")
+    (count,) = _COUNT.unpack_from(body)
+    if count * _OBSERVE_REQ.size > len(body):
+        # Refuse before looping: the count is the peer's word alone.
+        raise ProtocolError(
+            f"OBSERVE_BATCH declares {count} records in {len(body)} bytes"
+        )
+    records = []
+    offset = _COUNT.size
+    for _ in range(count):
+        record, offset = _unpack_observe_record(body, offset, "OBSERVE_BATCH")
+        records.append(record)
+    if offset != len(body):
+        raise ProtocolError(
+            f"OBSERVE_BATCH body of {len(body)} bytes, expected {offset}"
+        )
+    return records
+
+
+def pack_observe_batch_response(
+    accepted: int, sample_errors, rejected: "list[tuple[int, str]]"
+) -> bytes:
+    """``rejected``: ``(index, message)`` per refused record."""
+    parts = [
+        _BATCH_RESP_HEAD.pack(accepted, len(sample_errors), len(rejected)),
+        struct.pack(f"!{len(sample_errors)}d", *sample_errors),
+    ]
+    for index, message in rejected:
+        encoded = message.encode("utf-8")
+        parts.append(_REJECTED_HEAD.pack(index, len(encoded)) + encoded)
+    return pack_frame(OP_OBSERVE_BATCH | RESPONSE_FLAG, b"".join(parts))
+
+
+def unpack_observe_batch_response(body: bytes) -> dict:
+    """The ``POST /observations/batch`` reply the frame carries."""
+    if len(body) < _BATCH_RESP_HEAD.size:
+        raise ProtocolError("truncated OBSERVE_BATCH response")
+    accepted, error_count, rejected_count = _BATCH_RESP_HEAD.unpack_from(body)
+    offset = _BATCH_RESP_HEAD.size
+    if offset + 8 * error_count + _REJECTED_HEAD.size * rejected_count > len(body):
+        raise ProtocolError(
+            f"OBSERVE_BATCH response declares {error_count} errors and "
+            f"{rejected_count} rejections in {len(body)} bytes"
+        )
+    sample_errors = list(struct.unpack_from(f"!{error_count}d", body, offset))
+    offset += 8 * error_count
+    rejected = []
+    for _ in range(rejected_count):
+        if len(body) < offset + _REJECTED_HEAD.size:
+            raise ProtocolError("truncated OBSERVE_BATCH response")
+        index, length = _REJECTED_HEAD.unpack_from(body, offset)
+        offset += _REJECTED_HEAD.size
+        if len(body) < offset + length:
+            raise ProtocolError("truncated OBSERVE_BATCH response")
+        rejected.append(
+            {"index": index, "error": body[offset : offset + length].decode("utf-8")}
+        )
+        offset += length
+    if offset != len(body):
+        raise ProtocolError(
+            f"OBSERVE_BATCH response of {len(body)} bytes, expected {offset}"
+        )
+    return {"accepted": accepted, "rejected": rejected, "sample_errors": sample_errors}
+
+
+def pack_credence_request(service_ids) -> bytes:
+    body = _COUNT.pack(len(service_ids)) + struct.pack(
+        f"!{len(service_ids)}q", *service_ids
+    )
+    return pack_frame(OP_CREDENCE, body)
+
+
+def unpack_credence_request(body: bytes) -> list[int]:
+    return list(_unpack_counted(body, "q", "CREDENCE body"))
+
+
+def pack_credence_response(values) -> bytes:
+    body = _COUNT.pack(len(values)) + struct.pack(f"!{len(values)}d", *values)
+    return pack_frame(OP_CREDENCE | RESPONSE_FLAG, body)
+
+
+def unpack_credence_response(body: bytes) -> list[float]:
+    return list(_unpack_counted(body, "d", "CREDENCE response"))
+
+
+def _unpack_counted(body: bytes, code: str, what: str) -> tuple:
+    """A uint32 count followed by exactly that many 8-byte values."""
+    if len(body) < _COUNT.size:
+        raise ProtocolError(f"truncated {what}")
+    (count,) = _COUNT.unpack_from(body)
+    expected = _COUNT.size + 8 * count
     if len(body) != expected:
-        raise ProtocolError(f"OBSERVE body of {len(body)} bytes, expected {expected}")
-    key = body[_OBSERVE_REQ.size :].decode("utf-8") if key_length else None
-    return timestamp, user_id, service_id, value, key
+        raise ProtocolError(f"{what} of {len(body)} bytes, expected {expected}")
+    return struct.unpack_from(f"!{count}{code}", body, _COUNT.size)
 
 
 def pack_error(status: int, payload: dict) -> bytes:
@@ -322,6 +482,12 @@ class BinaryTransportServer:
         if listener is not None:
             self._listener = None
             try:
+                # close() alone leaves a thread blocked in accept() asleep
+                # on Linux; shutting the listening socket down wakes it.
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 listener.close()
             except OSError:
                 pass
@@ -337,9 +503,11 @@ class BinaryTransportServer:
                 conn.close()
             except OSError:
                 pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
+        thread, self._accept_thread = self._accept_thread, None
+        if thread is not None:
+            thread.join(timeout=5.0)
+            if thread.is_alive():
+                raise RuntimeError("binary transport accept thread did not stop")
 
     def _accept_loop(self) -> None:
         listener = self._listener
@@ -426,6 +594,13 @@ class BinaryTransportServer:
 
     def _handle(self, opcode: int, body: bytes) -> bytes:
         TRANSPORT_BINARY_REQUESTS.inc()
+        limit = self._backend.max_body_bytes
+        if len(body) > limit:
+            # The server's request-size bound holds on either encoding.
+            return pack_error(
+                413,
+                {"error": f"body of {len(body)} bytes exceeds limit of {limit}"},
+            )
         if opcode == OP_PING:
             return pack_frame(OP_PING | RESPONSE_FLAG)
         if opcode == OP_PREDICT_BATCH:
@@ -452,6 +627,24 @@ class BinaryTransportServer:
                     float("nan") if error is None else float(error), action
                 ),
             )
+        if opcode == OP_CREDENCE:
+            status, payload = self._backend._binary_credence(
+                unpack_credence_request(body)
+            )
+            if status != 200:
+                return pack_error(status, payload)
+            return pack_credence_response(payload)
+        if opcode == OP_OBSERVE_BATCH:
+            status, payload = self._backend._binary_observe_batch(
+                unpack_observe_batch_request(body)
+            )
+            if status != 200:
+                return pack_error(status, payload)
+            return pack_observe_batch_response(
+                payload["accepted"],
+                payload["sample_errors"],
+                [(item["index"], item["error"]) for item in payload["rejected"]],
+            )
         raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
 
 
@@ -469,6 +662,10 @@ class BinaryConnection:
 
         with BinaryConnection(("127.0.0.1", 9201)) as conn:
             values, sources = conn.predict_batch(3, [0, 1, 2])
+
+    :meth:`send` and :meth:`receive` split a round trip so several frames
+    can be on the wire at once: the server answers a connection's frames
+    in order, and a ticket names which reply a caller is owed.
     """
 
     def __init__(self, address: tuple[str, int], timeout: float = 10.0) -> None:
@@ -476,6 +673,13 @@ class BinaryConnection:
         self._timeout = timeout
         self._lock = threading.Lock()
         self._sock: "socket.socket | None" = None
+        # Tickets are (epoch, n): the n-th frame written to the epoch-th
+        # socket.  Dropping the socket starts a new epoch, so a reply owed
+        # by the old one can never be read off its successor.
+        self._epoch = 0
+        self._sent = 0
+        self._received = 0
+        self._replies: dict[int, tuple[int, bytes]] = {}
 
     def connect(self) -> None:
         with self._lock:
@@ -488,14 +692,22 @@ class BinaryConnection:
             self._sock = sock
         return self._sock
 
+    def _drop_locked(self) -> None:
+        """Forget the socket and every reply it still owed, so the next
+        send reconnects from a clean frame boundary."""
+        sock, self._sock = self._sock, None
+        self._epoch += 1
+        self._sent = self._received = 0
+        self._replies.clear()
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
+
     def close(self) -> None:
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            self._drop_locked()
 
     def __enter__(self) -> "BinaryConnection":
         self.connect()
@@ -504,35 +716,69 @@ class BinaryConnection:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _roundtrip(self, frame: bytes, expected_opcode: int) -> bytes:
-        """Send one frame, read one response; drop the socket on any error
-        so the next call reconnects from a clean frame boundary."""
+    @property
+    def outstanding(self) -> int:
+        """Frames sent whose replies nobody has collected yet."""
+        with self._lock:
+            return self._sent - self._received + len(self._replies)
+
+    def peer_closed(self) -> bool:
+        """Whether an idle connection's peer has hung up (EOF or reset is
+        waiting to be read) — a frame written now would be lost."""
+        with self._lock:
+            if self._sock is None:
+                return True
+            readable, _, _ = select.select([self._sock], [], [], 0)
+            return bool(readable)
+
+    def send(self, frame: bytes) -> tuple[int, int]:
+        """Write one frame; returns the ticket :meth:`receive` takes."""
         with self._lock:
             sock = self._ensure_locked()
             try:
                 sock.sendall(frame)
-                response = read_frame(sock)
-            except (OSError, ProtocolError):
-                self._sock = None
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            except OSError:
+                self._drop_locked()
                 raise
-            if response is None:
-                self._sock = None
+            self._sent += 1
+            return self._epoch, self._sent
+
+    def receive(
+        self,
+        ticket: tuple[int, int],
+        expected_opcode: int,
+        timeout: "float | None" = None,
+    ) -> bytes:
+        """Body of the reply to the frame ``ticket`` names, reading (and
+        keeping for their owners) any earlier replies still on the wire."""
+        epoch, number = ticket
+        with self._lock:
+            if epoch != self._epoch:
+                raise ConnectionError("connection dropped with the reply outstanding")
+            sock = self._sock
+            if timeout is not None and timeout != sock.gettimeout():
+                sock.settimeout(timeout)
+            while self._received < number:
                 try:
-                    sock.close()
-                except OSError:
-                    pass
-                raise ConnectionError("server closed the connection")
-        opcode, body = response
+                    response = read_frame(sock)
+                except (OSError, ProtocolError):
+                    self._drop_locked()
+                    raise
+                if response is None:
+                    self._drop_locked()
+                    raise ConnectionError("server closed the connection")
+                self._received += 1
+                self._replies[self._received] = response
+            opcode, body = self._replies.pop(number)
         if opcode == OP_ERROR:
             raise BinaryServerError(*unpack_error(body))
         if opcode != expected_opcode:
             self.close()
             raise ProtocolError(f"unexpected response opcode 0x{opcode:02x}")
         return body
+
+    def _roundtrip(self, frame: bytes, expected_opcode: int) -> bytes:
+        return self.receive(self.send(frame), expected_opcode)
 
     def ping(self) -> bool:
         self._roundtrip(pack_frame(OP_PING), OP_PING | RESPONSE_FLAG)
@@ -566,10 +812,4 @@ class BinaryConnection:
             pack_observe_request(timestamp, user_id, service_id, value, key),
             OP_OBSERVE | RESPONSE_FLAG,
         )
-        if len(body) != _OBSERVE_RESP.size:
-            raise ProtocolError("truncated OBSERVE response")
-        error, action = _OBSERVE_RESP.unpack(body)
-        return {
-            "sample_error": None if math.isnan(error) else error,
-            "action": ACTION_NAMES.get(action, "unknown"),
-        }
+        return unpack_observe_response(body)

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 import threading
 import time
 import urllib.error
@@ -71,12 +72,172 @@ import urllib.request
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 
-from repro.server.binary import BinaryConnection, BinaryServerError, ProtocolError
+from repro.server.binary import (
+    OP_CREDENCE,
+    OP_OBSERVE,
+    OP_OBSERVE_BATCH,
+    OP_PREDICT_BATCH,
+    RESPONSE_FLAG,
+    SOURCE_NAMES,
+    BinaryConnection,
+    BinaryServerError,
+    ProtocolError,
+    pack_credence_request,
+    pack_observe_batch_request,
+    pack_observe_request,
+    pack_predict_request,
+    unpack_credence_response,
+    unpack_observe_batch_response,
+    unpack_observe_response,
+    unpack_predict_response,
+)
 
 #: 409 ``code`` values that guarantee the server applied no state change,
 #: making an immediate re-route of the same request safe (fencing replies
 #: from repro.server.replication).
 _FENCED_CODES = ("not_primary", "stale_epoch")
+
+#: Idle binary connections kept per endpoint.  Callers beyond this many at
+#: once still get a connection each; the surplus is closed on return.
+_POOL_IDLE_MAX = 8
+
+#: What coercing or packing a payload's fields can raise when the wire
+#: types cannot carry them.
+_UNFRAMEABLE = (
+    AttributeError,
+    KeyError,
+    TypeError,
+    ValueError,
+    OverflowError,
+    struct.error,
+    ProtocolError,
+)
+
+
+class _Frame:
+    """The binary encoding of one call: the request frame (``None`` when
+    the request cannot be framed — it then travels as JSON), the reply
+    opcode it expects, and how each transport's reply becomes the call's
+    result, so a caller sees one shape whichever transport answered."""
+
+    __slots__ = ("data", "reply_opcode", "from_binary", "from_json")
+
+    def __init__(self, pack, opcode, from_binary, from_json=None) -> None:
+        try:
+            self.data = pack()
+        except _UNFRAMEABLE:
+            self.data = None
+        self.reply_opcode = opcode | RESPONSE_FLAG
+        self.from_binary = from_binary
+        self.from_json = from_json
+
+
+class _InFlight:
+    """A frame written to endpoint ``index`` whose reply is still owed."""
+
+    __slots__ = ("index", "conn", "ticket")
+
+    def __init__(self, index, conn, ticket) -> None:
+        self.index = index
+        self.conn = conn
+        self.ticket = ticket
+
+
+class PendingReply:
+    """A read begun with ``PredictionClient.begin_*``: its frame may already
+    be on the wire, so the shard works while the caller starts other
+    calls.  :meth:`result` (call it exactly once) finishes the request
+    with the client's usual retry, failover and fallback behaviour."""
+
+    __slots__ = ("_client", "_request", "_inflight")
+
+    def __init__(self, client, request, inflight) -> None:
+        self._client = client
+        self._request = request
+        self._inflight = inflight
+
+    def result(self):
+        inflight, self._inflight = self._inflight, None
+        return self._client._request(**self._request, inflight=inflight)
+
+
+def _wire_record(payload: dict) -> tuple:
+    """An ``/observations`` payload as the ``OBSERVE`` record fields,
+    coerced the way the server's JSON validation coerces them.  Raises
+    (:data:`_UNFRAMEABLE`) when the frame could not say what the payload
+    says — the JSON route then carries it and words the refusal."""
+    key = payload.get("idempotency_key")
+    if key is not None and not (isinstance(key, str) and key):
+        raise ValueError("only the JSON route validates this key")
+    return (
+        float(payload["timestamp"]),
+        int(payload["user_id"]),
+        int(payload["service_id"]),
+        float(payload["value"]),
+        key,
+    )
+
+
+def _observe_frame(payload: dict) -> _Frame:
+    return _Frame(
+        lambda: pack_observe_request(*_wire_record(payload)),
+        OP_OBSERVE,
+        unpack_observe_response,
+    )
+
+
+def _observe_batch_frame(observations: list) -> _Frame:
+    return _Frame(
+        lambda: pack_observe_batch_request(
+            [_wire_record(payload) for payload in observations]
+        ),
+        OP_OBSERVE_BATCH,
+        unpack_observe_batch_response,
+    )
+
+
+def _expect_count(values: list, ids: list) -> list:
+    if len(values) != len(ids):
+        raise ProtocolError(
+            f"server answered {len(values)} values for {len(ids)} ids"
+        )
+    return values
+
+
+def _predict_frame(user_id: int, service_ids: "list[int]") -> _Frame:
+    """Result shape: ``(values, sources, transport)``, aligned with
+    ``service_ids``."""
+
+    def from_binary(body: bytes):
+        values, codes = unpack_predict_response(body)
+        sources = [SOURCE_NAMES.get(code, "unknown") for code in codes]
+        return _expect_count(values, service_ids), sources, "binary"
+
+    def from_json(body: dict):
+        predictions = body["predictions"]
+        sources = body.get("sources", {})
+        return (
+            [float(predictions[str(s)]) for s in service_ids],
+            [sources.get(str(s)) for s in service_ids],
+            "json",
+        )
+
+    return _Frame(
+        lambda: pack_predict_request(user_id, service_ids),
+        OP_PREDICT_BATCH,
+        from_binary,
+        from_json,
+    )
+
+
+def _credence_frame(service_ids: "list[int]") -> _Frame:
+    """Result shape: credence values aligned with ``service_ids``."""
+    return _Frame(
+        lambda: pack_credence_request(service_ids),
+        OP_CREDENCE,
+        lambda body: _expect_count(unpack_credence_response(body), service_ids),
+        lambda body: [float(body["credence"][str(s)]) for s in service_ids],
+    )
 
 
 def _retry_after_hint(exc: "urllib.error.HTTPError", body) -> "float | None":
@@ -154,14 +315,17 @@ class PredictionClient:
                      endpoint's circuit breaker.
         breaker_cooldown:  seconds an open breaker diverts traffic away
                      from an endpoint before it is probed again.
-        transport:   serving transport for :meth:`predict_candidates` —
-                     ``"auto"`` (default) uses the persistent binary
-                     connection when the server offers one and silently
-                     falls back to JSON/HTTP on any transport-level
-                     failure; ``"binary"`` requires it (transport failures
-                     raise); ``"json"`` never touches the binary port.
-                     Server *answers* (including errors) never trigger a
-                     fallback — both transports hit the same backend.
+        transport:   how the data-plane calls travel (observations,
+                     observation batches, candidate predictions, credence;
+                     everything else is always JSON/HTTP) — ``"auto"``
+                     (default) uses pooled persistent binary connections
+                     when the server offers them and falls back to
+                     JSON/HTTP on a transport-level failure that cannot
+                     have applied anything; ``"binary"`` requires them
+                     (transport failures raise); ``"json"`` never touches
+                     the binary port.  Server *answers* (including errors)
+                     never trigger a fallback — both transports hit the
+                     same backend.
         binary_address: ``(host, port)`` of the server's binary listener;
                      ``None`` (default) discovers it from ``/status``.
     """
@@ -224,13 +388,20 @@ class PredictionClient:
         self._primary: "int | None" = None
         self._failures = [0] * len(self._bases)
         self._open_until = [0.0] * len(self._bases)
-        # Binary-transport state: one persistent connection, lazily opened
-        # (and lazily re-discovered after it drops).
+        # Binary-transport state, per endpoint and guarded by _binary_lock:
+        # the listener's address (learned from /status, forgotten when a
+        # connection fails), a free list of idle persistent connections,
+        # and when ``auto`` may next probe after a failure.
         self.transport = transport
         self._binary_address = binary_address
         self._binary_lock = threading.Lock()
-        self._binary_conn: "BinaryConnection | None" = None
-        self._binary_retry_at = 0.0
+        self._binary_addresses: "list[tuple[str, int] | None]" = [None] * len(
+            self._bases
+        )
+        self._binary_idle: "list[list[BinaryConnection]]" = [
+            [] for _ in self._bases
+        ]
+        self._binary_retry_at = [0.0] * len(self._bases)
 
     @property
     def endpoints(self) -> "list[str]":
@@ -303,18 +474,9 @@ class PredictionClient:
                 body = json.loads(exc.read())
             except Exception:
                 body = None
-            detail = body.get("error", "") if isinstance(body, dict) else ""
-            message = f"{method} {path} failed with HTTP {exc.code}: {detail}"
-            kind = (
-                RetryableServiceError
-                if exc.code >= 500 or exc.code == 429
-                else TerminalServiceError
-            )
-            error = kind(message)
-            error.status = exc.code
-            error.body = body
-            error.retry_after = _retry_after_hint(exc, body)
-            raise error from exc
+            raise self._service_error(
+                method, path, exc.code, body, _retry_after_hint(exc, body)
+            ) from exc
         except urllib.error.URLError as exc:
             raise RetryableServiceError(
                 f"cannot reach prediction service at {base}: {exc.reason}"
@@ -333,7 +495,16 @@ class PredictionClient:
         raw: bool = False,
         write: bool = False,
         deadline: "float | None" = None,
+        binary: "_Frame | None" = None,
+        inflight: "_InFlight | None" = None,
     ) -> "dict | str":
+        """One logical request: attempts, failover, backoff, deadline.
+
+        ``binary`` gives the call a second encoding (and shapes the
+        result, see :class:`_Frame`); ``inflight`` is that frame already
+        written by :meth:`_begin`, so the first attempt only collects the
+        reply.
+        """
         if idempotent is None:
             idempotent = method == "GET"
         if deadline is None:
@@ -355,10 +526,12 @@ class PredictionClient:
                         f"{method} {path}: deadline of {deadline}s exhausted"
                     ) from last_error
                 timeout = min(timeout, remaining)
-            index = self._pick_endpoint(write)
+            sent, inflight = inflight, None
+            index = sent.index if sent is not None else self._pick_endpoint(write)
             try:
-                result = self._request_once(
-                    method, path, payload, raw=raw, index=index, timeout=timeout
+                result = self._attempt(
+                    index, timeout, (method, path, payload, raw), idempotent,
+                    binary, sent,
                 )
             except TerminalServiceError as exc:
                 body = getattr(exc, "body", None)
@@ -460,16 +633,24 @@ class PredictionClient:
         }
         if idempotency_key is not None:
             payload["idempotency_key"] = idempotency_key
-        body = self._request(
+        error = self.report_observation_detailed(payload, deadline)["sample_error"]
+        return float(error) if error is not None else float("nan")
+
+    def report_observation_detailed(
+        self, observation: dict, deadline: "float | None" = None
+    ) -> dict:
+        """Upload one sample given as the ``POST /observations`` payload;
+        returns the reply, ``{sample_error, action}``.  Retried only when
+        the payload carries an ``idempotency_key``."""
+        return self._request(
             "POST",
             "/observations",
-            payload,
-            idempotent=idempotency_key is not None,
+            observation,
+            idempotent=observation.get("idempotency_key") is not None,
             write=True,
             deadline=deadline,
+            binary=_observe_frame(observation),
         )
-        error = body.get("sample_error")
-        return float(error) if error is not None else float("nan")
 
     def report_observations(self, observations: "list[dict]") -> int:
         """Upload many samples; returns how many were accepted.
@@ -487,6 +668,7 @@ class PredictionClient:
             "/observations/batch",
             {"observations": observations},
             write=True,
+            binary=_observe_batch_frame(observations),
         )
 
     def predict(self, user_id: int, service_id: int) -> float:
@@ -503,45 +685,178 @@ class PredictionClient:
         return self._request("GET", f"/predictions?{query}")
 
     # -- binary transport -----------------------------------------------------
-    def _discover_binary_address(self) -> tuple[str, int]:
+    def _binary_usable(self, index: int) -> bool:
+        """Whether to try endpoint ``index``'s binary port now: always when
+        it is required, and in ``auto`` unless a recent failure is still
+        cooling down."""
+        return self.transport == "binary" or (
+            self.transport == "auto"
+            and time.monotonic() >= self._binary_retry_at[index]
+        )
+
+    def _attempt(self, index, timeout, http, idempotent, binary, sent):
+        """One attempt at endpoint ``index``: over a pooled binary
+        connection when the call has a frame and ``transport`` allows,
+        over JSON/HTTP (``http`` = method, path, payload, raw) otherwise —
+        or after a binary failure, unless the frame was written and
+        re-sending it could apply a write twice."""
+        method, path, payload, raw = http
+        framed = binary is not None and binary.data is not None
+        if framed and (sent is not None or self._binary_usable(index)):
+            try:
+                if sent is None:
+                    sent = self._binary_send(index, binary, timeout)
+                return self._binary_receive(sent, binary, timeout)
+            except BinaryServerError as exc:
+                # The server *answered*; JSON would answer identically,
+                # so surface it instead of falling back.
+                raise self._service_error(
+                    method, path, exc.status, exc.payload,
+                    exc.payload.get("retry_after"),
+                ) from exc
+            except (OSError, ProtocolError) as exc:
+                self._binary_failed(index)
+                if self.transport == "binary" or (sent is not None and not idempotent):
+                    raise RetryableServiceError(
+                        f"binary transport to {self._bases[index]} failed: {exc}"
+                    ) from exc
+        result = self._request_once(
+            method, path, payload, raw=raw, index=index, timeout=timeout
+        )
+        if binary is not None and binary.from_json is not None:
+            result = binary.from_json(result)
+        return result
+
+    @staticmethod
+    def _service_error(method, path, status, body, retry_after):
+        """The typed error for a server answer of ``status``, whichever
+        transport carried it."""
+        detail = body.get("error", "") if isinstance(body, dict) else ""
+        kind = (
+            RetryableServiceError
+            if status >= 500 or status == 429
+            else TerminalServiceError
+        )
+        error = kind(f"{method} {path} failed with HTTP {status}: {detail}")
+        error.status = status
+        error.body = body
+        error.retry_after = retry_after
+        return error
+
+    def _binary_checkout(self, index: int, timeout: float) -> BinaryConnection:
+        """A connection to endpoint ``index``'s binary listener that is
+        this caller's alone until :meth:`_binary_checkin`: an idle pooled
+        one whose peer is still there, else a new one (nobody ever waits
+        for a connection, so holding two cannot deadlock)."""
+        with self._binary_lock:
+            idle = self._binary_idle[index]
+            while idle:
+                conn = idle.pop()
+                if not conn.peer_closed():
+                    return conn
+                # The server went away, and may be back on another port.
+                conn.close()
+                self._binary_addresses[index] = None
+            address = self._binary_addresses[index]
+        if address is None:
+            address = self._discover_binary_address(index, timeout)
+        conn = BinaryConnection(address, timeout=self.timeout)
+        conn.connect()
+        with self._binary_lock:
+            self._binary_addresses[index] = address
+        return conn
+
+    def _discover_binary_address(self, index: int, timeout: float) -> tuple[str, int]:
         if self._binary_address is not None:
             return self._binary_address
-        status = self._request("GET", "/status")
+        try:
+            status = self._request_once("GET", "/status", index=index, timeout=timeout)
+        except PredictionServiceError as exc:
+            if getattr(exc, "status", None) is None:
+                raise  # the endpoint itself is unreachable
+            raise ConnectionError(f"cannot discover a binary transport: {exc}") from exc
         advertised = (status.get("transport") or {}).get("binary_address")
         if not advertised:
             raise ConnectionError("server does not advertise a binary transport")
         return advertised[0], int(advertised[1])
 
-    def _binary_connection(self) -> BinaryConnection:
-        """The persistent binary connection, opening (and discovering the
-        address) on first use or after a drop."""
+    def _binary_checkin(self, index: int, conn: BinaryConnection) -> None:
+        if conn.outstanding:
+            return  # a pipelined reply is still owed; its reader returns it
         with self._binary_lock:
-            if self._binary_conn is not None:
-                return self._binary_conn
-        address = self._discover_binary_address()
-        conn = BinaryConnection(address, timeout=self.timeout)
-        conn.connect()
-        with self._binary_lock:
-            if self._binary_conn is None:
-                self._binary_conn = conn
-                return conn
-        conn.close()  # lost the race; use the one another thread opened
-        return self._binary_conn
+            if len(self._binary_idle[index]) < _POOL_IDLE_MAX:
+                self._binary_idle[index].append(conn)
+                return
+        conn.close()
 
-    def _drop_binary_connection(self) -> None:
+    def _binary_failed(self, index: int) -> None:
+        """A connection to endpoint ``index`` failed: its siblings go to
+        the same process, so drop them all, re-discover the address next
+        time (a restarted server listens on a new ephemeral port), and
+        hold ``auto`` off the binary port for a cooldown."""
         with self._binary_lock:
-            conn = self._binary_conn
-            self._binary_conn = None
-            self._binary_retry_at = time.monotonic() + self.breaker_cooldown
-        if conn is not None:
+            idle, self._binary_idle[index] = self._binary_idle[index], []
+            self._binary_addresses[index] = None
+            self._binary_retry_at[index] = time.monotonic() + self.breaker_cooldown
+        for conn in idle:
             conn.close()
 
+    def _binary_send(
+        self,
+        index: int,
+        binary: _Frame,
+        timeout: float,
+        after: "_InFlight | None" = None,
+    ) -> _InFlight:
+        """Write ``binary``'s frame to endpoint ``index`` — behind
+        ``after``'s frame on its connection when that goes to the same
+        endpoint, so the two pipeline."""
+        if after is not None and after.index == index:
+            conn = after.conn
+        else:
+            conn = self._binary_checkout(index, timeout)
+        return _InFlight(index, conn, conn.send(binary.data))
+
+    def _binary_receive(self, sent: _InFlight, binary: _Frame, timeout: float):
+        try:
+            body = sent.conn.receive(sent.ticket, binary.reply_opcode, timeout)
+            result = binary.from_binary(body)
+        except BinaryServerError:
+            self._binary_checkin(sent.index, sent.conn)
+            raise
+        except (OSError, ProtocolError):
+            sent.conn.close()
+            raise
+        self._binary_checkin(sent.index, sent.conn)
+        return result
+
+    def _begin(self, binary: _Frame, after: "PendingReply | None", **request):
+        """Start an idempotent read: write its frame now if the binary
+        transport is usable, and leave everything else — the reply, and
+        any failure — to :meth:`PendingReply.result`."""
+        inflight = None
+        index = self._pick_endpoint(write=False)
+        if binary.data is not None and self._binary_usable(index):
+            try:
+                inflight = self._binary_send(
+                    index,
+                    binary,
+                    self.timeout,
+                    after._inflight if after is not None else None,
+                )
+            except (OSError, PredictionServiceError):
+                self._binary_failed(index)
+        return PendingReply(
+            self, dict(request, idempotent=True, binary=binary), inflight
+        )
+
     def close(self) -> None:
-        """Release the persistent binary connection (JSON needs no cleanup)."""
+        """Release the pooled binary connections (JSON needs no cleanup)."""
         with self._binary_lock:
-            conn = self._binary_conn
-            self._binary_conn = None
-        if conn is not None:
+            idle = [conn for conns in self._binary_idle for conn in conns]
+            for conns in self._binary_idle:
+                conns.clear()
+        for conn in idle:
             conn.close()
 
     def __enter__(self) -> "PredictionClient":
@@ -550,29 +865,13 @@ class PredictionClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @staticmethod
-    def _binary_server_error(exc: BinaryServerError) -> PredictionServiceError:
-        kind = (
-            RetryableServiceError
-            if exc.status >= 500 or exc.status == 429
-            else TerminalServiceError
-        )
-        error = kind(
-            f"PREDICT_BATCH failed with HTTP {exc.status}: "
-            f"{exc.payload.get('error', '')}"
-        )
-        error.status = exc.status
-        error.body = exc.payload
-        error.retry_after = exc.payload.get("retry_after")
-        return error
-
     def predict_candidates(
         self, user_id: int, service_ids: "list[int]"
     ) -> dict[int, float]:
         """Predicted QoS for a candidate pool, keyed by service id.
 
         One batched round trip for the whole pool (duplicate ids are
-        deduplicated before hitting the wire), over the persistent binary
+        deduplicated before hitting the wire), over a persistent binary
         connection when the transport allows it — see the constructor's
         ``transport`` parameter.
         """
@@ -585,48 +884,47 @@ class PredictionClient:
         sources, transport}`` — per-service fallback-chain provenance plus
         which transport actually answered."""
         unique_ids = list(dict.fromkeys(int(s) for s in service_ids))
-        if self.transport != "json":
-            may_probe = (
-                self.transport == "binary"
-                or time.monotonic() >= self._binary_retry_at
-            )
-            if may_probe:
-                try:
-                    conn = self._binary_connection()
-                    values, sources = conn.predict_batch(user_id, unique_ids)
-                except BinaryServerError as exc:
-                    # The server *answered*; JSON would answer identically,
-                    # so surface it instead of falling back.
-                    raise self._binary_server_error(exc) from exc
-                except (OSError, ProtocolError, PredictionServiceError) as exc:
-                    self._drop_binary_connection()
-                    if self.transport == "binary":
-                        if isinstance(exc, PredictionServiceError):
-                            raise
-                        raise RetryableServiceError(
-                            f"binary transport unavailable: {exc}"
-                        ) from exc
-                else:
-                    return {
-                        "user_id": user_id,
-                        "predictions": {
-                            sid: float(v) for sid, v in zip(unique_ids, values)
-                        },
-                        "sources": dict(zip(unique_ids, sources)),
-                        "transport": "binary",
-                    }
-        body = self._request(
-            "POST",
-            "/predictions/batch",
-            {"user_id": user_id, "service_ids": unique_ids},
-            idempotent=True,  # predictions don't mutate the model
-        )
+        values, sources, transport = self.begin_predict_batch(
+            user_id, unique_ids
+        ).result()
         return {
             "user_id": user_id,
-            "predictions": {int(k): float(v) for k, v in body["predictions"].items()},
-            "sources": {int(k): v for k, v in body.get("sources", {}).items()},
-            "transport": "json",
+            "predictions": dict(zip(unique_ids, values)),
+            "sources": dict(zip(unique_ids, sources)),
+            "transport": transport,
         }
+
+    def begin_predict_batch(
+        self,
+        user_id: int,
+        service_ids: "list[int]",
+        after: "PendingReply | None" = None,
+    ) -> PendingReply:
+        """Start ``POST /predictions/batch`` for ``service_ids`` exactly
+        as given; the result is ``(values, sources, transport)`` aligned
+        with them.  ``after`` is a read begun earlier on this client whose
+        connection this frame should follow (one connection, two frames
+        in flight)."""
+        return self._begin(
+            _predict_frame(user_id, service_ids),
+            after,
+            method="POST",
+            path="/predictions/batch",
+            payload={"user_id": user_id, "service_ids": service_ids},
+        )
+
+    def begin_credence(
+        self, service_ids: "list[int]", after: "PendingReply | None" = None
+    ) -> PendingReply:
+        """Start ``GET /credence``; the result is the credence values
+        aligned with ``service_ids``.  ``after`` as in
+        :meth:`begin_predict_batch`."""
+        return self._begin(
+            _credence_frame(service_ids),
+            after,
+            method="GET",
+            path="/credence?service_ids=" + ",".join(str(s) for s in service_ids),
+        )
 
     def credence(self, service_ids: "list[int]") -> dict[int, float]:
         """Per-service EMA relative error (credence), keyed by service id.
@@ -636,11 +934,7 @@ class PredictionClient:
         authoritative credence from each service's home shard.
         """
         unique_ids = list(dict.fromkeys(int(s) for s in service_ids))
-        query = urllib.parse.urlencode(
-            {"service_ids": ",".join(str(s) for s in unique_ids)}
-        )
-        body = self._request("GET", f"/credence?{query}")
-        return {int(k): float(v) for k, v in body["credence"].items()}
+        return dict(zip(unique_ids, self.begin_credence(unique_ids).result()))
 
     def status(self) -> dict:
         """Server-side model statistics."""

@@ -11,6 +11,7 @@ auto/binary/json transport semantics.
 import math
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -18,20 +19,31 @@ import pytest
 from repro.server.app import PredictionServer
 from repro.server.binary import (
     MAX_FRAME_BYTES,
+    OP_CREDENCE,
     OP_ERROR,
+    OP_OBSERVE_BATCH,
     OP_PING,
     OP_PREDICT_BATCH,
     RESPONSE_FLAG,
+    TRANSPORT_BINARY_REQUESTS,
     BinaryConnection,
     BinaryServerError,
     ProtocolError,
+    pack_credence_request,
+    pack_credence_response,
     pack_error,
     pack_frame,
+    pack_observe_batch_request,
+    pack_observe_batch_response,
     pack_observe_request,
     pack_predict_request,
     pack_predict_response,
     read_frame,
+    unpack_credence_request,
+    unpack_credence_response,
     unpack_error,
+    unpack_observe_batch_request,
+    unpack_observe_batch_response,
     unpack_observe_request,
     unpack_predict_request,
     unpack_predict_response,
@@ -41,6 +53,12 @@ from repro.server.client import (
     RetryableServiceError,
     TerminalServiceError,
 )
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def _warm(client, n=80, users=4, services=6):
@@ -105,6 +123,92 @@ class TestWireFormat:
         user_header = struct.pack("!qI", 1, 5)  # claims 5 ids, carries 1
         with pytest.raises(ProtocolError):
             unpack_predict_request(user_header + struct.pack("!q", 9))
+
+    def test_credence_roundtrip(self):
+        opcode, body = self._unframe(pack_credence_request([7, 0, 2**40]))
+        assert opcode == OP_CREDENCE
+        assert unpack_credence_request(body) == [7, 0, 2**40]
+        values = [1.0, 0.1 + 0.2, 1e-300]
+        opcode, body = self._unframe(pack_credence_response(values))
+        assert opcode == OP_CREDENCE | RESPONSE_FLAG
+        # float64 on the wire: bit-for-bit, not "close".
+        assert unpack_credence_response(body) == values
+
+    def test_observe_batch_roundtrip(self):
+        records = [
+            (1.5, 3, 4, 0.25, None),
+            (2.5, 2**40, 0, 0.1 + 0.2, "collector-7:42"),
+            (3.5, 0, 9, 7.0, "k\u00e9y"),
+        ]
+        opcode, body = self._unframe(pack_observe_batch_request(records))
+        assert opcode == OP_OBSERVE_BATCH
+        assert unpack_observe_batch_request(body) == records
+        rejected = [(1, "field 'value' must be finite, got nan"), (4, "\u00e9")]
+        opcode, body = self._unframe(
+            pack_observe_batch_response(3, [0.5, 0.1 + 0.2], rejected)
+        )
+        assert opcode == OP_OBSERVE_BATCH | RESPONSE_FLAG
+        assert unpack_observe_batch_response(body) == {
+            "accepted": 3,
+            "sample_errors": [0.5, 0.1 + 0.2],
+            "rejected": [
+                {"index": index, "error": error} for index, error in rejected
+            ],
+        }
+        empty = self._unframe(pack_observe_batch_response(0, [], []))[1]
+        assert unpack_observe_batch_response(empty) == {
+            "accepted": 0, "sample_errors": [], "rejected": []
+        }
+
+    def test_new_opcodes_reject_truncated_bodies(self):
+        for unpack in (
+            unpack_credence_request,
+            unpack_credence_response,
+            unpack_observe_batch_request,
+            unpack_observe_batch_response,
+        ):
+            with pytest.raises(ProtocolError, match="truncated"):
+                unpack(b"\x00")
+        # A record cut off mid-key, and a rejection cut off mid-message.
+        whole = pack_observe_batch_request([(1.0, 1, 2, 3.0, "abcdef")])[8:]
+        with pytest.raises(ProtocolError, match="truncated"):
+            unpack_observe_batch_request(whole[:-2])
+        whole = pack_observe_batch_response(0, [], [(0, "refused")])[8:]
+        with pytest.raises(ProtocolError, match="truncated"):
+            unpack_observe_batch_response(whole[:-2])
+
+    def test_new_opcodes_reject_counts_that_disagree_with_the_body(self):
+        one_id = struct.pack("!q", 9)
+        with pytest.raises(ProtocolError):  # claims 5 ids, carries 1
+            unpack_credence_request(struct.pack("!I", 5) + one_id)
+        with pytest.raises(ProtocolError):  # claims 0, carries 1
+            unpack_credence_response(struct.pack("!I", 0) + one_id)
+        record = pack_observe_batch_request([(1.0, 1, 2, 3.0, None)])[12:]
+        with pytest.raises(ProtocolError):  # claims 3 records, carries 1
+            unpack_observe_batch_request(struct.pack("!I", 3) + record)
+        with pytest.raises(ProtocolError):  # claims 1, carries 2
+            unpack_observe_batch_request(struct.pack("!I", 1) + record + record)
+        # A count only a hostile peer would send is refused before any
+        # per-record work, not looped over.
+        with pytest.raises(ProtocolError, match="declares"):
+            unpack_observe_batch_request(struct.pack("!I", 0xFFFFFFFF) + record)
+        with pytest.raises(ProtocolError, match="declares"):
+            unpack_observe_batch_response(
+                struct.pack("!III", 0, 0xFFFFFFFF, 0xFFFFFFFF)
+            )
+        with pytest.raises(ProtocolError):  # trailing bytes
+            unpack_observe_batch_response(
+                pack_observe_batch_response(1, [0.5], [])[8:] + b"\x00"
+            )
+
+    def test_new_opcodes_refuse_to_pack_an_oversized_frame(self):
+        too_many = range(MAX_FRAME_BYTES // 8 + 1)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            pack_credence_request(too_many)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            pack_observe_batch_request(
+                [(1.0, 1, 2, 3.0, "k" * 0xFFFF)] * (MAX_FRAME_BYTES // 0xFFFF + 1)
+            )
 
     @staticmethod
     def _unframe(frame: bytes) -> tuple[int, bytes]:
@@ -176,6 +280,40 @@ class TestBinaryServer:
                 assert exc_info.value.status == 400
                 # The connection survives server-side rejections.
                 assert conn.ping()
+
+    def test_credence_and_observe_batch_answer_like_the_json_routes(self):
+        batch = [
+            {"timestamp": 100.0, "user_id": 1, "service_id": 2, "value": 0.75},
+            {"timestamp": 101.0, "user_id": 1, "service_id": 3, "value": -1.0},
+            {"timestamp": 102.0, "user_id": 2, "service_id": 2, "value": 1.25,
+             "idempotency_key": "b:1"},
+            {"timestamp": 102.0, "user_id": 2, "service_id": 2, "value": 1.25,
+             "idempotency_key": "b:1"},
+        ]
+        replies = {}
+        for transport in ("json", "binary"):
+            # Twin servers, same seed: the same requests must read the same.
+            with PredictionServer(rng=0, background_replay=False) as server:
+                client = PredictionClient(server.address, transport=transport)
+                _warm(client, n=40)
+                framed = TRANSPORT_BINARY_REQUESTS.value
+                replies[transport] = (
+                    client.report_observations_detailed(batch),
+                    client.credence([0, 2, 3, 999]),
+                )
+                assert (TRANSPORT_BINARY_REQUESTS.value - framed) == (
+                    2 if transport == "binary" else 0
+                )
+                for ids in ([], [-1]):
+                    with pytest.raises(TerminalServiceError, match="400"):
+                        client.credence(ids)
+                client.close()
+        assert replies["binary"] == replies["json"]
+        batch_reply, credence = replies["binary"]
+        assert batch_reply["accepted"] == 3
+        assert [item["index"] for item in batch_reply["rejected"]] == [1]
+        assert len(batch_reply["sample_errors"]) == 2  # the duplicate has none
+        assert credence[999] == 1.0  # unknown id: init_error, nothing registered
 
     def test_unknown_opcode_gets_error_frame_and_close(self):
         with PredictionServer(rng=0, background_replay=False) as server:
@@ -262,10 +400,15 @@ class TestClientTransports:
     def test_json_transport_never_uses_binary(self):
         with PredictionServer(rng=0, background_replay=False) as server:
             client = PredictionClient(server.address, transport="json")
+            framed = TRANSPORT_BINARY_REQUESTS.value
             _warm(client, n=20)
+            client.report_observations_detailed(
+                [{"timestamp": 99.0, "user_id": 0, "service_id": 1, "value": 0.7}]
+            )
             result = client.predict_candidates_detailed(0, [0, 1])
             assert result["transport"] == "json"
-            assert client._binary_conn is None
+            client.credence([0, 1])
+            assert TRANSPORT_BINARY_REQUESTS.value == framed
             client.close()
 
     def test_invalid_transport_rejected(self):
@@ -305,6 +448,141 @@ class TestClientTransports:
                 "json"
             )
             client.close()
+
+
+class _DropReplyProxy:
+    """A TCP hop in front of a binary listener that forwards each frame,
+    waits for the server's reply — so the request *was* applied — and then
+    hangs up on the client without relaying it: the mid-round-trip
+    disconnect that makes a write ambiguous."""
+
+    def __init__(self, upstream: tuple) -> None:
+        self._upstream = upstream
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self.frames_forwarded = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn, socket.create_connection(self._upstream) as upstream:
+                frame = read_frame(conn)
+                if frame is not None:
+                    upstream.sendall(pack_frame(*frame))
+                    read_frame(upstream)
+                    self.frames_forwarded += 1
+
+    def close(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+        self._thread.join(timeout=5.0)
+        assert not self._thread.is_alive()
+
+
+class TestAmbiguousWrites:
+    """The write contract on the binary hop: a frame that was written and
+    never answered may have been applied, so it is re-sent only with an
+    idempotency key."""
+
+    def test_unkeyed_observe_is_not_resent_and_keyed_is_applied_once(self):
+        with PredictionServer(rng=0, background_replay=False) as server:
+            proxy = _DropReplyProxy(server.binary_address)
+            try:
+                unkeyed = PredictionClient(
+                    server.address, retries=3, binary_address=proxy.address
+                )
+                with pytest.raises(RetryableServiceError) as excinfo:
+                    unkeyed.report_observation(0, 0, 0.5, 1.0)
+                assert getattr(excinfo.value, "status", None) is None
+                # Applied by the one frame that got through; never re-sent
+                # on either transport.
+                assert proxy.frames_forwarded == 1
+                assert server.model.updates_applied == 1
+                unkeyed.close()
+
+                keyed = PredictionClient(
+                    server.address,
+                    retries=3,
+                    backoff=0.001,
+                    binary_address=proxy.address,
+                )
+                error = keyed.report_observation(
+                    0, 1, 0.5, 2.0, idempotency_key="m:1"
+                )
+                # Re-sent (over JSON, in the same attempt) and acknowledged
+                # by the dedup ledger instead of being applied again.
+                assert math.isnan(error)
+                assert proxy.frames_forwarded == 2
+                assert server.model.updates_applied == 2
+                keyed.close()
+            finally:
+                proxy.close()
+
+    def test_reads_fall_back_to_json_in_the_same_attempt(self):
+        with PredictionServer(rng=0, background_replay=False) as server:
+            proxy = _DropReplyProxy(server.binary_address)
+            try:
+                client = PredictionClient(
+                    server.address, retries=0, binary_address=proxy.address
+                )
+                _warm(PredictionClient(server.address, transport="json"), n=20)
+                result = client.predict_candidates_detailed(0, [0, 1])
+                assert result["transport"] == "json"
+                # The HTTP endpoint answered: nothing for the breaker.
+                assert client._failures == [0]
+                client.close()
+            finally:
+                proxy.close()
+
+
+class TestPooledConnections:
+    def test_pipelined_frames_share_a_connection_and_match_their_tickets(self):
+        with PredictionServer(rng=0, background_replay=False) as server:
+            client = PredictionClient(server.address)
+            _warm(client)
+            expected_values = client.predict_candidates(1, [0, 1, 2])
+            expected_credence = client.credence([3, 4])
+            predict = client.begin_predict_batch(1, [0, 1, 2])
+            credence = client.begin_credence([3, 4], after=predict)
+            assert credence._inflight.conn is predict._inflight.conn
+            assert predict._inflight.conn.outstanding == 2
+            # Collected out of order: each reader still gets its own reply.
+            assert credence.result() == [expected_credence[s] for s in (3, 4)]
+            values, sources, transport = predict.result()
+            assert values == [expected_values[s] for s in (0, 1, 2)]
+            assert (sources, transport) == (["model"] * 3, "binary")
+            # ... and the connection went back to the pool exactly once.
+            assert len(client._binary_idle[0]) == 1
+            client.close()
+            assert client._binary_idle == [[]]
+
+    def test_stale_pooled_connection_is_replaced_before_anything_is_written(
+        self, tmp_path
+    ):
+        """A restarted server listens on a new ephemeral binary port; the
+        client must notice the dead pooled connection *before* writing an
+        unkeyed observe to it, and find the new port through /status."""
+        port = _free_port()
+        kwargs = dict(
+            rng=0, background_replay=False, port=port, data_dir=str(tmp_path)
+        )
+        client = PredictionClient(("127.0.0.1", port), retries=0)
+        with PredictionServer(**kwargs) as server:
+            client.report_observation(0, 0, 0.5, 1.0)
+            first = server.binary_address
+            assert client._binary_addresses == [first]
+        with PredictionServer(**kwargs) as server:
+            framed = TRANSPORT_BINARY_REQUESTS.value
+            client.report_observation(0, 1, 0.5, 2.0)  # unkeyed, not retried
+            assert client._binary_addresses == [server.binary_address]
+            assert TRANSPORT_BINARY_REQUESTS.value == framed + 1
+            assert server.model.updates_applied == 2
+        client.close()
 
 
 class TestTransportMetrics:

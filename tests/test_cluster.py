@@ -3,7 +3,13 @@ the version-stamped placement table, router fan-out/merge, and error
 containment — a dead shard answers as a structured 503 and a standby's
 fenced 409 redirects inside the router, so neither trips a breaker."""
 
+import contextlib
+import os
+import random
 import socket
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -21,6 +27,9 @@ from repro.server import (
     RetryableServiceError,
     TerminalServiceError,
 )
+from repro.core.serialization import archive_digest
+from repro.server.binary import TRANSPORT_BINARY_REQUESTS
+from repro.server.wal import CheckpointStore
 from repro.simulation.faults import check_metrics_exposition
 
 SERVER_ARGS = dict(rng=0, background_replay=False)
@@ -40,6 +49,31 @@ def specs(names):
 
 def owners(table, kind="user", n=N_KEYS):
     return {k: table.owner_of(kind, k).name for k in range(n)}
+
+
+def test_a_router_process_imports_neither_numpy_nor_sqlite3():
+    """The router only moves bytes: importing it must not pay for the
+    model's numeric stack or the spill store (package re-exports are lazy)."""
+    import repro
+
+    probe = (
+        "import sys\n"
+        "from repro.cluster import ClusterRouter, PlacementTable, ShardSpec\n"
+        "loaded = [m for m in ('numpy', 'sqlite3', 'repro.server.app') "
+        "if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import repro.cluster, repro.server, repro.observability\n"
+        "for package in (repro, repro.cluster, repro.server, repro.observability):\n"
+        "    for name in package.__all__:\n"
+        "        getattr(package, name)\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestRendezvous:
@@ -389,9 +423,13 @@ class TestRouterErrorContainment:
         client = PredictionClient(
             router.address, retries=0, breaker_threshold=1
         )
+        framed = TRANSPORT_BINARY_REQUESTS.value
         try:
             for k in range(5):
                 client.report_observation(k, k % 3, 0.4, float(k))
+            # Every write went over the binary hop: the fenced frame to
+            # the standby, then one frame each to the primary.
+            assert TRANSPORT_BINARY_REQUESTS.value - framed == 6
             assert float(client.predict(0, 0)) > 0.0
             shard_client = router.shard_client("pair")
             # The fenced 409 redirect must not have counted as a failure
@@ -407,3 +445,271 @@ class TestRouterErrorContainment:
             router.stop()
             standby.stop()
             primary.stop()
+
+
+@contextlib.contextmanager
+def routed_pair(root, client_kwargs=None):
+    """Two durable shards behind a router; yields ``(servers, ask)``
+    where ``ask(method, path, payload)`` is one raw JSON request to the
+    router."""
+    servers = [
+        PredictionServer(data_dir=os.path.join(root, name), **SERVER_ARGS)
+        for name in ("s0", "s1")
+    ]
+    for server in servers:
+        server.start()
+    table = PlacementTable(
+        [
+            ShardSpec(name=f"s{k}", addresses=(server.address,))
+            for k, server in enumerate(servers)
+        ]
+    )
+    router = ClusterRouter(table, client_kwargs=client_kwargs)
+    router.start()
+    caller = PredictionClient(router.address, retries=0, transport="json")
+
+    def ask(method, path, payload=None):
+        try:
+            return caller._request(method, path, payload, idempotent=False)
+        except (RetryableServiceError, TerminalServiceError) as exc:
+            return {"status": exc.status, "body": exc.body}
+
+    try:
+        yield servers, ask
+    finally:
+        router.stop()
+        for server in servers:
+            if server._httpd is not None:
+                server.stop()
+
+
+def seeded_requests(seed=7, count=160):
+    """A mixed stream: keyed and unkeyed observes, a resend, batches with
+    a refused record, rankings with duplicate ids, credence reads, and
+    payloads only the shard's validation can word a refusal for."""
+    rng = random.Random(seed)
+    requests = []
+    for step in range(count):
+        user, service = rng.randrange(12), rng.randrange(20)
+        observation = {
+            "timestamp": float(step),
+            "user_id": user,
+            "service_id": service,
+            "value": round(rng.uniform(0.1, 4.0), 6),
+        }
+        kind = step % 8
+        if kind == 3:
+            observation["idempotency_key"] = f"m:{step}"
+            requests.append(("POST", "/observations", observation))
+            requests.append(("POST", "/observations", observation))  # resend
+        elif kind == 4:
+            batch = [
+                dict(observation, user_id=rng.randrange(12), timestamp=step + 0.1 * k)
+                for k in range(5)
+            ]
+            batch[2]["value"] = -1.0
+            requests.append(("POST", "/observations/batch", {"observations": batch}))
+        elif kind == 5:
+            ids = [rng.randrange(20) for _ in range(6)] + [service, service]
+            requests.append(
+                ("POST", "/predictions/batch", {"user_id": user, "service_ids": ids})
+            )
+        elif kind == 6:
+            ids = rng.sample(range(24), 8)
+            requests.append(
+                ("POST", "/rank/candidates",
+                 {"user_id": user, "service_ids": ids, "k": 3, "prefer": "max"})
+            )
+        elif kind == 7:
+            ids = ",".join(str(rng.randrange(24)) for _ in range(4))
+            requests.append(("GET", f"/credence?service_ids={ids}", None))
+        else:
+            requests.append(("POST", "/observations", observation))
+    requests += [
+        ("POST", "/observations",
+         {"timestamp": "soon", "user_id": 1, "service_id": 1, "value": 1.0}),
+        ("POST", "/observations",
+         {"timestamp": 1e9, "user_id": 1, "service_id": 1, "value": float("nan")}),
+        ("POST", "/observations",
+         {"timestamp": 1e9, "user_id": 1, "service_id": 1, "value": 1.0,
+          "idempotency_key": ""}),
+        ("POST", "/observations",
+         {"timestamp": 1e9, "user_id": 1, "service_id": "2", "value": "0.5"}),
+        ("POST", "/predictions/batch", {"user_id": 1, "service_ids": [3, -4]}),
+        ("GET", "/credence?service_ids=-1", None),
+    ]
+    return requests
+
+
+class TestBinaryHop:
+    """The router's data plane on pooled binary connections: same replies,
+    same shard state, same failure contract as the JSON hop."""
+
+    def test_same_stream_same_replies_same_checkpoints_as_the_json_hop(
+        self, tmp_path
+    ):
+        outcomes = {}
+        for hop, client_kwargs in (("json", {"transport": "json"}), ("default", None)):
+            root = str(tmp_path / hop)
+            framed = TRANSPORT_BINARY_REQUESTS.value
+            with routed_pair(root, client_kwargs) as (servers, ask):
+                replies = [ask(*request) for request in seeded_requests()]
+                for server in servers:
+                    server.stop()  # graceful: writes the final checkpoint
+            outcomes[hop] = {
+                "replies": replies,
+                "digests": [
+                    archive_digest(CheckpointStore(os.path.join(root, name)).path)
+                    for name in ("s0", "s1")
+                ],
+                "framed": TRANSPORT_BINARY_REQUESTS.value - framed,
+            }
+        assert outcomes["default"]["replies"] == outcomes["json"]["replies"]
+        assert outcomes["default"]["digests"] == outcomes["json"]["digests"]
+        assert outcomes["json"]["framed"] == 0
+        # At least one frame per routed data-plane request (a ranking
+        # sends one per shard it touches).
+        assert outcomes["default"]["framed"] >= len(seeded_requests()) - 4
+        # The tail of the stream: refused by the shard's own validation on
+        # either hop, except the string-typed fields JSON coerces.
+        statuses = [
+            reply.get("status") for reply in outcomes["default"]["replies"][-6:]
+        ]
+        assert statuses == [400, 400, 400, None, 400, 400]
+
+    def test_dead_home_shard_degrades_a_ranking_to_credence_partial(self):
+        live = PredictionServer(**SERVER_ARGS)
+        live.start()
+        table = PlacementTable(
+            [
+                ShardSpec(name="live", addresses=(live.address,)),
+                ShardSpec(name="dead", addresses=(("127.0.0.1", free_port()),)),
+            ]
+        )
+        router = ClusterRouter(table)
+        router.start()
+        client = ClusterClient(router.address, retries=0)
+        try:
+            user = next(
+                u for u in range(500) if table.owner_of("user", u).name == "live"
+            )
+            ids = list(range(12))
+            homes = {s: table.owner_of("service", s).name for s in ids}
+            assert set(homes.values()) == {"live", "dead"}
+            for service in ids:
+                client.report_observation(user, service, 0.5, float(service))
+            detail = client.predict_candidates_detailed(user, ids)
+            assert set(detail["predictions"]) == set(ids)
+            assert detail["credence_partial"] == ["dead"]
+            assert set(detail["credence"]) == {
+                s for s in ids if homes[s] == "live"
+            }
+            assert router.shard_client("live")._binary_idle[0]  # it was framed
+        finally:
+            client.close()
+            router.stop()
+            live.stop()
+
+    def test_restarted_shard_on_a_new_binary_port_is_reached_again(self, tmp_path):
+        port = free_port()
+        kwargs = dict(port=port, data_dir=str(tmp_path / "s0"), **SERVER_ARGS)
+        server = PredictionServer(**kwargs)
+        server.start()
+        table = PlacementTable(
+            [ShardSpec(name="s0", addresses=(("127.0.0.1", port),))]
+        )
+        router = ClusterRouter(table)
+        router.start()
+        client = ClusterClient(router.address, retries=0)
+        try:
+            for k in range(6):
+                client.report_observation(k, k % 3, 0.5, float(k))
+            shard_client = router.shard_client("s0")
+            assert shard_client._binary_addresses == [server.binary_address]
+            server.stop()
+            with pytest.raises(RetryableServiceError) as excinfo:
+                client.report_observation(0, 0, 0.5, 10.0)
+            assert excinfo.value.body["code"] == "shard_unavailable"
+            server = PredictionServer(**kwargs)
+            server.start()
+            framed = TRANSPORT_BINARY_REQUESTS.value
+            # Unkeyed, unretried, through the same router: served again.
+            client.report_observation(0, 0, 0.5, 11.0)
+            assert client.predict_candidates(0, [0, 1, 2])
+            assert shard_client._binary_addresses == [server.binary_address]
+            assert TRANSPORT_BINARY_REQUESTS.value - framed == 3
+            assert server.model.updates_applied == 7
+        finally:
+            client.close()
+            router.stop()
+            server.stop()
+
+    def test_eight_threads_of_mixed_requests_each_get_their_own_reply(self, fleet):
+        servers, table, router, client = fleet
+        users, services = range(8), list(range(40))
+        for step in range(400):
+            client.report_observation(
+                step % 8, step % 40, 0.2 + 0.01 * (step % 37), float(step)
+            )
+        # Reads name warmed entities only and writes name others, so every
+        # read has one right answer however the threads interleave.
+        wanted = {}
+        for user in users:
+            ids = services[user : user + 12]
+            detail = client.predict_candidates_detailed(user, ids)
+            wanted[user] = (ids, detail["predictions"], detail["credence"])
+        failures: list = []
+
+        def worker(user: int) -> None:
+            own = ClusterClient(router.address, retries=0, timeout=30.0)
+            ids, predictions, credence = wanted[user]
+            try:
+                for step in range(200):
+                    kind = step % 4
+                    if kind == 0:
+                        own.report_observation(
+                            100 + user, 100 + step, 0.5, 1000.0 + step
+                        )
+                    elif kind == 1:
+                        reply = own.report_observations_detailed(
+                            [
+                                {"timestamp": 2000.0 + step, "user_id": 200 + user,
+                                 "service_id": 200 + k, "value": 0.25 * (k + 1)}
+                                for k in range(3)
+                            ]
+                        )
+                        assert reply["accepted"] == 3 and not reply["rejected"]
+                    elif kind == 2:
+                        detail = own.predict_candidates_detailed(user, ids)
+                        assert detail["predictions"] == pytest.approx(
+                            predictions, rel=1e-9
+                        )
+                        assert detail["credence"] == credence
+                        assert detail["shard"] == table.owner_of("user", user).name
+                    else:
+                        assert own.credence(ids[:5]) == {
+                            s: credence[s] for s in ids[:5]
+                        }
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                failures.append((user, exc))
+            finally:
+                own.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=worker, args=(u,)) for u in users]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        # Connections were pooled, not opened per request, and none leaked
+        # out of the pool: at most one per concurrent caller, all idle.
+        for name in table.names:
+            idle = router.shard_client(name)._binary_idle[0]
+            assert 1 <= len(idle) <= 8
+            assert all(conn.outstanding == 0 for conn in idle)

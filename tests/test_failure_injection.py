@@ -426,7 +426,11 @@ class _FlakyUpstream:
 
 class TestClientResilience:
     def _client(self, address, **overrides):
-        defaults = dict(retries=3, backoff=0.01, backoff_max=0.05, jitter=0.0)
+        # The fake upstreams speak HTTP only and count requests, so keep
+        # the client's binary discovery (a GET /status) out of the tally.
+        defaults = dict(
+            retries=3, backoff=0.01, backoff_max=0.05, jitter=0.0, transport="json"
+        )
         defaults.update(overrides)
         return PredictionClient(address, **defaults)
 
