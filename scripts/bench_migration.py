@@ -26,8 +26,8 @@ Writes pause during the migration window (reads do not); the stream
 resumes — through the new 4-shard table — once the rebalance commits.
 
 Results append to ``BENCH_cluster.json`` as ``{"drill": "migration"}``
-records, discriminated from the throughput-scaling records by
-``bench_cluster.validate_record`` / ``validate_bench.py``.
+records; ``validate_record`` here is their one schema, which
+``validate_bench.py`` applies to the whole file.
 
 Usage::
 
@@ -350,10 +350,11 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.validate:
-        import bench_cluster
+        import validate_bench
 
-        bench_cluster.validate_file(args.output or RESULTS_PATH)
-        return 0
+        return validate_bench.validate_file(
+            args.output or RESULTS_PATH, validate_record
+        )
 
     if args.smoke:
         args.n_users = min(args.n_users, 16)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import AdaptiveMatrixFactorization, AMFConfig, ParallelReplayEngine
+from repro.core import AdaptiveMatrixFactorization, AMFConfig
 from repro.datasets.schema import QoSRecord
 from repro.observability import set_enabled
 
@@ -68,57 +68,6 @@ def measure_steps_per_sec(kernel: str, seconds: float) -> float:
         steps += BATCH
     elapsed = time.perf_counter() - started
     return steps / elapsed
-
-
-def measure_parallel(worker_counts: list[int], seconds: float) -> dict:
-    """Parallel-engine steps/sec per worker count, plus a parity check.
-
-    The speedup column is only meaningful on a machine with that many
-    cores — ``cpu_count`` is recorded so a reader can tell a contended
-    single-core box (where the barrier overhead *costs* throughput) from a
-    true multi-core run.  The parity flag is hardware-independent: the
-    trained factors, credence trackers, and RNG stream must equal the
-    single-core vectorized kernel's bit for bit.
-    """
-    import multiprocessing
-    import os
-
-    rates: dict[str, float] = {}
-    for n_workers in worker_counts:
-        model = _warm_model("vectorized")
-        with ParallelReplayEngine(model, n_workers=n_workers) as engine:
-            engine.replay_many(now=0.0, count=BATCH)  # warmup
-            steps = 0
-            started = time.perf_counter()
-            while time.perf_counter() - started < seconds:
-                engine.replay_many(now=0.0, count=BATCH)
-                steps += BATCH
-            elapsed = time.perf_counter() - started
-        rates[str(n_workers)] = steps / elapsed
-
-    # Bit-exact parity: same seed, same draws, factors must be identical.
-    reference = _warm_model("vectorized")
-    candidate = _warm_model("vectorized")
-    with ParallelReplayEngine(candidate, n_workers=max(worker_counts)):
-        for __ in range(3):
-            reference.replay_many(now=0.0, count=BATCH)
-            candidate.replay_many(now=0.0, count=BATCH, kernel="parallel")
-    parity = bool(
-        np.array_equal(
-            reference._user_factors.view(), candidate._user_factors.view()
-        )
-        and np.array_equal(
-            reference._service_factors.view(), candidate._service_factors.view()
-        )
-        and reference._rng.bit_generator.state
-        == candidate._rng.bit_generator.state
-    )
-    return {
-        "steps_per_sec": {k: round(v, 1) for k, v in rates.items()},
-        "bit_exact_parity": parity,
-        "cpu_count": os.cpu_count(),
-        "start_method": multiprocessing.get_start_method(),
-    }
 
 
 def measure_metrics_overhead(seconds: float) -> dict:
@@ -172,14 +121,6 @@ def main() -> None:
         "--seconds", type=float, default=2.0, help="measurement window per kernel"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        default="1,2,4",
-        help=(
-            "comma-separated worker counts for the parallel engine "
-            "(empty string skips the parallel measurement)"
-        ),
-    )
     parser.add_argument("--note", default="", help="free-form label for the record")
     parser.add_argument(
         "--output", type=Path, default=RESULTS_PATH, help="result file to append to"
@@ -191,8 +132,6 @@ def main() -> None:
         for kernel in ("scalar", "vectorized")
     }
     metrics_overhead = measure_metrics_overhead(args.seconds)
-    worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
-    parallel = measure_parallel(worker_counts, args.seconds) if worker_counts else None
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "revision": git_revision(),
@@ -206,7 +145,6 @@ def main() -> None:
         "steps_per_sec": {k: round(v, 1) for k, v in rates.items()},
         "speedup_vectorized": round(rates["vectorized"] / rates["scalar"], 2),
         "metrics_overhead": metrics_overhead,
-        "parallel": parallel,
         "note": args.note,
     }
     append_record(record, args.output)
@@ -214,13 +152,6 @@ def main() -> None:
     for kernel, rate in rates.items():
         print(f"{kernel:>10}: {rate:>12,.0f} replay steps/sec")
     print(f"   speedup: {record['speedup_vectorized']:.2f}x (vectorized / scalar)")
-    if parallel is not None:
-        for n_workers, rate in parallel["steps_per_sec"].items():
-            print(f"parallel x{n_workers}: {rate:>12,.0f} replay steps/sec")
-        print(
-            f"    parity: {'bit-exact' if parallel['bit_exact_parity'] else 'DRIFT'}"
-            f" (cpu_count={parallel['cpu_count']})"
-        )
     print(
         f"   metrics: {metrics_overhead['overhead_percent']:+.2f}% overhead "
         f"(on {metrics_overhead['vectorized_on']:,.0f} / "

@@ -17,11 +17,10 @@ robustness records are validated natively here.  ``BENCH_robustness.json``
 interleaves two record shapes — the poison-level sweep from
 ``bench_robustness.py`` and failover drills appended by
 ``chaos_check.py --bench-out`` — discriminated by the ``"drill"`` key.
-``BENCH_cluster.json`` likewise interleaves the fleet-scaling sweep from
-``bench_cluster.py`` with live-migration records from
-``bench_migration.py`` (``"drill": "migration"``); its delegated
-validator dispatches between them.  Missing files are skipped by default (benches are grown one PR at a
-time); ``--strict`` turns a missing file into a failure.
+``BENCH_cluster.json`` holds the live-migration records of
+``bench_migration.py`` (``"drill": "migration"``).  Missing files are
+skipped by default (benches are grown one PR at a time); ``--strict``
+turns a missing file into a failure.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(SCRIPTS_DIR))
 
-import bench_cluster  # noqa: E402
 import bench_lifecycle  # noqa: E402
+import bench_migration  # noqa: E402
 import bench_serving  # noqa: E402
 
 
@@ -130,7 +129,7 @@ def validate_robustness_record(record: dict) -> list[str]:
 
 
 SUITES = {
-    "cluster": (REPO_ROOT / "BENCH_cluster.json", bench_cluster.validate_record),
+    "cluster": (REPO_ROOT / "BENCH_cluster.json", bench_migration.validate_record),
     "replay": (REPO_ROOT / "BENCH_replay.json", validate_replay_record),
     "robustness": (
         REPO_ROOT / "BENCH_robustness.json",

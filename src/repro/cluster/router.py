@@ -43,8 +43,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro.cluster.placement import PlacementTable
 from repro.observability import get_registry, parse_prometheus_text
@@ -52,6 +50,7 @@ from repro.server.client import (
     PredictionClient,
     PredictionServiceError,
 )
+from repro.server.http import BadRequest, HttpListener, ServiceError
 
 _METRICS = get_registry()
 _ROUTER_REQUESTS = _METRICS.counter(
@@ -80,34 +79,43 @@ _MIGRATION_BLOCKED = _METRICS.counter(
 )
 
 
-class _BadRequest(ValueError):
-    pass
+class _ShardUnavailable(ServiceError):
+    """A structured answer, not a transport failure: the router is
+    healthy, one shard is not.  The retry hint invites the caller back
+    after the shard's supervisor has had a chance to act."""
 
+    status = 503
+    code = "shard_unavailable"
 
-class _ShardUnavailable(RuntimeError):
     def __init__(self, shard: str, cause: Exception) -> None:
-        super().__init__(f"shard {shard!r} unavailable: {cause}")
+        super().__init__(
+            f"shard {shard!r} unavailable: {cause}", shard=shard, retry_after=1.0
+        )
         self.shard = shard
 
 
-class _EntityMigrating(RuntimeError):
+class _EntityMigrating(ServiceError):
     """The entity is inside a migration window; the caller should retry
     shortly — the commit window per batch is a handful of shard calls."""
 
+    status = 503
+    code = "entity_migrating"
+
     def __init__(self, kind: str, ext_id: int, retry_after: float = 0.25) -> None:
-        super().__init__(f"{kind} {ext_id} is migrating; retry shortly")
-        self.kind = kind
-        self.ext_id = ext_id
+        super().__init__(
+            f"{kind} {ext_id} is migrating; retry shortly",
+            entity=[kind, ext_id],
+            retry_after=retry_after,
+        )
         self.retry_after = retry_after
 
 
-class MigrationConflict(RuntimeError):
-    """A migration cannot start (one is already active, or the target
-    table is not strictly newer than the installed one)."""
+class MigrationConflict(ServiceError):
+    """A placement change cannot proceed: a migration is already active
+    (``migration_active``), or the new table is not strictly newer than
+    the installed one (``stale_placement``)."""
 
-    def __init__(self, message: str, code: str) -> None:
-        super().__init__(message)
-        self.code = code
+    status = 409
 
 
 class ClusterRouter:
@@ -187,8 +195,7 @@ class ClusterRouter:
             # start().
             for kind, ext_id, dest in self._resume_state.get("overrides", ()):
                 self._overrides[(str(kind), int(ext_id))] = str(dest)
-        self._httpd = None
-        self._thread = None
+        self._httpd: "HttpListener | None" = None
 
     # -- persistence ----------------------------------------------------------
     @property
@@ -264,9 +271,11 @@ class ClusterRouter:
     def update_placement(self, table: PlacementTable) -> None:
         """Install a new table; the version must strictly increase."""
         if table.version <= self._placement.version:
-            raise _BadRequest(
+            raise MigrationConflict(
                 f"placement version {table.version} is not newer than "
-                f"{self._placement.version}"
+                f"{self._placement.version}",
+                code="stale_placement",
+                version=self._placement.version,
             )
         self._install(table)
 
@@ -322,12 +331,14 @@ class ClusterRouter:
                 raise MigrationConflict(
                     f"migration {self._migration.mid!r} is already active",
                     code="migration_active",
+                    version=self.placement.version,
                 )
             if target.version <= self.placement.version:
                 raise MigrationConflict(
                     f"target version {target.version} is not newer than "
                     f"installed version {self.placement.version}",
                     code="stale_placement",
+                    version=self.placement.version,
                 )
             self._ensure_shards(target)
             coordinator = MigrationCoordinator(
@@ -449,18 +460,21 @@ class ClusterRouter:
     def address(self) -> tuple[str, int]:
         if self._httpd is None:
             raise RuntimeError("router is not running")
-        return self._httpd.server_address[0], self._httpd.server_address[1]
+        return self._httpd.address
 
     def start(self) -> None:
         if self._httpd is not None:
             return
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._port), self._make_handler()
+        self._httpd = HttpListener(
+            (self._host, self._port),
+            self._routes(),
+            name="qos-cluster-router",
+            max_body_bytes=self.max_body_bytes,
+            timeout=self.handler_timeout,
+            on_request=lambda path: _ROUTER_REQUESTS.labels(
+                route=path.lstrip("/")
+            ).inc(),
         )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="qos-cluster-router", daemon=True
-        )
-        self._thread.start()
         if self._resume_state is not None:
             state, self._resume_state = self._resume_state, None
             self.start_migration(
@@ -480,12 +494,8 @@ class ClusterRouter:
             if threading.current_thread() is not coordinator._thread:
                 coordinator.join(timeout=5.0)
         if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+            listener, self._httpd = self._httpd, None
+            listener.stop()
         with self._lock:
             clients = list(self._clients.values())
         for client in clients:
@@ -527,7 +537,7 @@ class ClusterRouter:
     def _handle_observation(self, payload: dict) -> dict:
         user_id = payload.get("user_id")
         if not isinstance(user_id, int) or user_id < 0:
-            raise _BadRequest("field 'user_id' must be a non-negative integer")
+            raise BadRequest("field 'user_id' must be a non-negative integer")
         shard, client = self._route("user", user_id, write=True)
         body = self._call(shard, lambda: client.report_observation_detailed(payload))
         body["shard"] = shard.name
@@ -536,7 +546,7 @@ class ClusterRouter:
     def _handle_observation_batch(self, payload: dict) -> dict:
         observations = payload.get("observations")
         if not isinstance(observations, list):
-            raise _BadRequest("field 'observations' must be a list")
+            raise BadRequest("field 'observations' must be a list")
         # Split by owner, preserving each record's original index so the
         # merged reply reads exactly like a single shard's.
         groups: dict[str, tuple[object, list[tuple[int, dict]]]] = {}
@@ -614,7 +624,7 @@ class ClusterRouter:
             user_id = int(query["user_id"][0])
             service_id = int(query["service_id"][0])
         except (KeyError, ValueError, IndexError) as exc:
-            raise _BadRequest(
+            raise BadRequest(
                 "query must include integer user_id and service_id"
             ) from exc
         shard, client = self._route("user", user_id)
@@ -676,14 +686,14 @@ class ClusterRouter:
     def _handle_prediction_batch(self, payload: dict) -> dict:
         user_id = payload.get("user_id")
         if not isinstance(user_id, int) or user_id < 0:
-            raise _BadRequest("field 'user_id' must be a non-negative integer")
+            raise BadRequest("field 'user_id' must be a non-negative integer")
         raw_ids = payload.get("service_ids")
         if not isinstance(raw_ids, list) or not raw_ids:
-            raise _BadRequest("field 'service_ids' must be a non-empty list")
+            raise BadRequest("field 'service_ids' must be a non-empty list")
         try:
             service_ids = [int(raw) for raw in raw_ids]
         except (TypeError, ValueError) as exc:
-            raise _BadRequest("service_ids must be integers") from exc
+            raise BadRequest("service_ids must be integers") from exc
         shard, client = self._route("user", user_id)
         # Scatter, then gather: the user's shard predicts while the home
         # shards look up credence, so the ranking waits for the slowest
@@ -714,10 +724,10 @@ class ClusterRouter:
         body = self._handle_prediction_batch(payload)
         prefer = payload.get("prefer", "min")
         if prefer not in ("min", "max"):
-            raise _BadRequest("field 'prefer' must be 'min' or 'max'")
+            raise BadRequest("field 'prefer' must be 'min' or 'max'")
         k = payload.get("k")
         if k is not None and (not isinstance(k, int) or k < 1):
-            raise _BadRequest("field 'k' must be a positive integer")
+            raise BadRequest("field 'k' must be a positive integer")
         entries = [
             {
                 "service_id": int(service_id),
@@ -746,11 +756,11 @@ class ClusterRouter:
             raw = query["service_ids"][0]
             service_ids = [int(part) for part in raw.split(",") if part != ""]
         except (KeyError, IndexError, ValueError) as exc:
-            raise _BadRequest(
+            raise BadRequest(
                 "query must include service_ids as comma-separated integers"
             ) from exc
         if not service_ids:
-            raise _BadRequest("service_ids must be non-empty")
+            raise BadRequest("service_ids must be non-empty")
         credence, unreachable = self._gather_credence(
             self._begin_credence(
                 self._credence_homes(list(dict.fromkeys(service_ids)))
@@ -861,229 +871,55 @@ class ClusterRouter:
                     lines.append(f"{sample_name} {value}")
         return "\n".join(lines) + "\n"
 
-    # -- HTTP plumbing --------------------------------------------------------
-    def _make_handler(self):
-        router = self
+    # -- control plane --------------------------------------------------------
+    @staticmethod
+    def _parse_table(raw) -> PlacementTable:
+        try:
+            return PlacementTable.from_dict(raw)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from exc
 
-        class Handler(BaseHTTPRequestHandler):
-            # Socket timeout for slow callers, derived from the router's
-            # configured shard deadlines instead of a hardcoded constant
-            # so drain-path reads honor the operator's budget.
-            timeout = router.handler_timeout
+    def _handle_placement(self, payload: dict) -> dict:
+        table = self._parse_table(payload)
+        active = self.migration
+        if active is not None and active.active:
+            # A bare table swap would race the coordinator's overrides —
+            # rebalance through /migration/start while one is running.
+            raise MigrationConflict(
+                "a live migration is active; placement changes must go "
+                "through it",
+                code="migration_active",
+                mid=active.mid,
+            )
+        self.update_placement(table)
+        return self.placement.to_dict()
 
-            def log_message(self, format, *args):  # noqa: A002 (stdlib API)
-                pass
+    def _handle_migration_start(self, payload: dict) -> dict:
+        raw_target = payload.get("target")
+        if not isinstance(raw_target, dict):
+            raise BadRequest("field 'target' must be a placement table object")
+        table = self._parse_table(raw_target)
+        batch_entities = payload.get("batch_entities", 64)
+        if not isinstance(batch_entities, int) or batch_entities < 1:
+            raise BadRequest("field 'batch_entities' must be a positive integer")
+        coordinator = self.start_migration(table, batch_entities=batch_entities)
+        return {"mid": coordinator.mid, "target_version": table.version}
 
-            def _send(
-                self, status, body, content_type="application/json", headers=None
-            ):
-                data = (
-                    body.encode("utf-8")
-                    if isinstance(body, str)
-                    else json.dumps(body).encode()
-                )
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                if headers:
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
-
-            def _read_json(self) -> dict:
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                except ValueError as exc:
-                    raise _BadRequest("invalid Content-Length header") from exc
-                if length > router.max_body_bytes:
-                    raise _BadRequest(
-                        f"body of {length} bytes exceeds limit of "
-                        f"{router.max_body_bytes}"
-                    )
-                raw = self.rfile.read(length) if length else b"{}"
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise _BadRequest(f"invalid JSON body: {exc}") from exc
-                if not isinstance(payload, dict):
-                    raise _BadRequest("JSON body must be an object")
-                return payload
-
-            def _dispatch(self, route_name, route):
-                _ROUTER_REQUESTS.labels(route=route_name).inc()
-                try:
-                    try:
-                        status, body = route()
-                        self._send(status, body)
-                    except _BadRequest as exc:
-                        self._send(400, {"error": str(exc)})
-                    except _EntityMigrating as exc:
-                        # The entity is inside a migration commit window;
-                        # this clears in a handful of shard calls, so the
-                        # structured 503 invites an immediate short retry.
-                        self._send(
-                            503,
-                            {
-                                "error": str(exc),
-                                "code": "entity_migrating",
-                                "entity": [exc.kind, exc.ext_id],
-                                "retry_after": exc.retry_after,
-                            },
-                            headers={"Retry-After": "1"},
-                        )
-                    except _ShardUnavailable as exc:
-                        # A structured answer, not a transport failure:
-                        # the router is healthy, one shard is not.  The
-                        # Retry-After invites the caller back after the
-                        # shard's supervisor has had a chance to act.
-                        self._send(
-                            503,
-                            {
-                                "error": str(exc),
-                                "code": "shard_unavailable",
-                                "shard": exc.shard,
-                                "retry_after": 1.0,
-                            },
-                        )
-                    except PredictionServiceError as exc:
-                        # A shard *answered* with an error the shard
-                        # client could not absorb (fenced 409 on a
-                        # single-endpoint shard, 4xx validation, shed
-                        # 429/503...): pass it through verbatim.
-                        status = getattr(exc, "status", None) or 502
-                        body = getattr(exc, "body", None)
-                        if not isinstance(body, dict):
-                            body = {"error": str(exc)}
-                        self._send(status, body)
-                    except Exception as exc:  # noqa: BLE001 — error boundary
-                        self._send(
-                            500,
-                            {
-                                "error": "internal error: "
-                                f"{type(exc).__name__}: {exc}"
-                            },
-                        )
-                except OSError:
-                    pass  # client hung up; nothing left to tell it
-
-            def do_GET(self):
-                parsed = urlparse(self.path)
-                if parsed.path == "/metrics":
-                    _ROUTER_REQUESTS.labels(route="metrics").inc()
-                    try:
-                        try:
-                            text = router._handle_metrics()
-                        except Exception as exc:  # noqa: BLE001
-                            self._send(
-                                500,
-                                {
-                                    "error": "internal error: "
-                                    f"{type(exc).__name__}: {exc}"
-                                },
-                            )
-                            return
-                        self._send(
-                            200,
-                            text,
-                            content_type=(
-                                "text/plain; version=0.0.4; charset=utf-8"
-                            ),
-                        )
-                    except OSError:
-                        pass
-                    return
-
-                def route():
-                    if parsed.path == "/cluster/placement":
-                        return 200, router.placement.to_dict()
-                    if parsed.path == "/migration/status":
-                        return 200, router.migration_status()
-                    if parsed.path == "/predictions":
-                        return 200, router._handle_prediction(
-                            parse_qs(parsed.query)
-                        )
-                    if parsed.path == "/credence":
-                        return 200, router._handle_credence(
-                            parse_qs(parsed.query)
-                        )
-                    if parsed.path == "/health":
-                        return router._handle_health()
-                    if parsed.path == "/status":
-                        return 200, router._handle_status()
-                    return 404, {"error": f"unknown path {parsed.path}"}
-
-                self._dispatch(parsed.path.lstrip("/"), route)
-
-            def do_POST(self):
-                parsed = urlparse(self.path)
-
-                def route():
-                    payload = self._read_json()
-                    if parsed.path == "/observations":
-                        return 200, router._handle_observation(payload)
-                    if parsed.path == "/observations/batch":
-                        return 200, router._handle_observation_batch(payload)
-                    if parsed.path == "/predictions/batch":
-                        return 200, router._handle_prediction_batch(payload)
-                    if parsed.path == "/rank/candidates":
-                        return 200, router._handle_rank(payload)
-                    if parsed.path == "/cluster/placement":
-                        try:
-                            table = PlacementTable.from_dict(payload)
-                        except ValueError as exc:
-                            raise _BadRequest(str(exc)) from exc
-                        active = router.migration
-                        if active is not None and active.active:
-                            # A bare table swap would race the
-                            # coordinator's overrides — rebalance through
-                            # /migration/start while one is running.
-                            return 409, {
-                                "error": "a live migration is active; "
-                                "placement changes must go through it",
-                                "code": "migration_active",
-                                "mid": active.mid,
-                            }
-                        try:
-                            router.update_placement(table)
-                        except _BadRequest as exc:
-                            return 409, {
-                                "error": str(exc),
-                                "code": "stale_placement",
-                                "version": router.placement.version,
-                            }
-                        return 200, router.placement.to_dict()
-                    if parsed.path == "/migration/start":
-                        raw_target = payload.get("target")
-                        if not isinstance(raw_target, dict):
-                            raise _BadRequest(
-                                "field 'target' must be a placement table object"
-                            )
-                        try:
-                            table = PlacementTable.from_dict(raw_target)
-                        except ValueError as exc:
-                            raise _BadRequest(str(exc)) from exc
-                        batch_entities = payload.get("batch_entities", 64)
-                        if not isinstance(batch_entities, int) or batch_entities < 1:
-                            raise _BadRequest(
-                                "field 'batch_entities' must be a positive integer"
-                            )
-                        try:
-                            coordinator = router.start_migration(
-                                table, batch_entities=batch_entities
-                            )
-                        except MigrationConflict as exc:
-                            return 409, {
-                                "error": str(exc),
-                                "code": exc.code,
-                                "version": router.placement.version,
-                            }
-                        return 200, {
-                            "mid": coordinator.mid,
-                            "target_version": table.version,
-                        }
-                    return 404, {"error": f"unknown path {parsed.path}"}
-
-                self._dispatch(parsed.path.lstrip("/"), route)
-
-        return Handler
+    def _routes(self) -> dict:
+        """The router's HTTP surface
+        (:class:`~repro.server.http.HttpListener` routes)."""
+        return {
+            ("GET", "/cluster/placement"): lambda query: self.placement.to_dict(),
+            ("GET", "/migration/status"): lambda query: self.migration_status(),
+            ("GET", "/predictions"): self._handle_prediction,
+            ("GET", "/credence"): self._handle_credence,
+            ("GET", "/health"): lambda query: self._handle_health(),
+            ("GET", "/status"): lambda query: self._handle_status(),
+            ("GET", "/metrics"): lambda query: self._handle_metrics(),
+            ("POST", "/observations"): self._handle_observation,
+            ("POST", "/observations/batch"): self._handle_observation_batch,
+            ("POST", "/predictions/batch"): self._handle_prediction_batch,
+            ("POST", "/rank/candidates"): self._handle_rank,
+            ("POST", "/cluster/placement"): self._handle_placement,
+            ("POST", "/migration/start"): self._handle_migration_start,
+        }

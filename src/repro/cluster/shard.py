@@ -48,13 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fsync", action="store_true", help="disable WAL fsync (benchmarks only)"
     )
     parser.add_argument(
-        "--fsync-delay",
-        type=float,
-        default=0.0,
-        help="seconds of simulated disk commit latency added per WAL fsync "
-        "(scaling benchmarks on hardware whose fsync is near-free); 0 disables",
-    )
-    parser.add_argument(
         "--background-replay",
         action="store_true",
         help="enable the background replay trainer (off by default in shards "
@@ -105,7 +98,6 @@ def main(argv=None) -> int:
         data_dir=args.data_dir,
         checkpoint_interval=args.checkpoint_interval,
         wal_fsync=not args.no_fsync,
-        wal_fsync_delay=args.fsync_delay,
         background_replay=args.background_replay,
         binary_port=binary_port,
         lifecycle=lifecycle,
@@ -130,7 +122,6 @@ def main(argv=None) -> int:
                     else None
                 ),
                 "durable": server.durable,
-                "fsync_delay": args.fsync_delay,
                 "lifecycle": lifecycle is not None,
             }
         ),

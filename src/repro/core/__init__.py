@@ -15,7 +15,6 @@ from repro.core.transform import (
 from repro.core.weights import AdaptiveWeights
 from repro.core.kernel import iter_conflict_free_blocks, partition_conflict_free
 from repro.core.amf import AdaptiveMatrixFactorization
-from repro.core.parallel import ParallelReplayEngine
 from repro.core.online import PredictionCache, StreamTrainer, TrainReport
 from repro.core.serialization import load_model, save_model
 from repro.core.daemon import BackgroundTrainer, ConcurrentModel, TrainerSupervisor
@@ -31,7 +30,6 @@ __all__ = [
     "partition_conflict_free",
     "iter_conflict_free_blocks",
     "AdaptiveMatrixFactorization",
-    "ParallelReplayEngine",
     "PredictionCache",
     "StreamTrainer",
     "TrainReport",

@@ -78,7 +78,7 @@ _KERNEL_HANDLES = {
         _REPLAY_BATCHES.labels(kernel=kernel),
         _REPLAY_BATCH_SECONDS.labels(kernel=kernel),
     )
-    for kernel in ("scalar", "vectorized", "parallel")
+    for kernel in ("scalar", "vectorized")
 }
 _REPLAY_BLOCK_WIDTH = _METRICS.histogram(
     "qos_amf_replay_block_width",
@@ -419,9 +419,6 @@ class AdaptiveMatrixFactorization:
         )
         self._store = _SampleStore()
         self._updates_applied = 0
-        # Attached by repro.core.parallel.ParallelReplayEngine; enables the
-        # "parallel" replay kernel (process-local, never serialized).
-        self._parallel_engine = None
         # Cache the transform constants: the per-sample hot loop normalizes
         # scalars inline instead of going through the (array-general)
         # QoSNormalizer, which would rebuild its Box-Cox bounds on each call.
@@ -613,31 +610,21 @@ class AdaptiveMatrixFactorization:
 
         ``kernel`` overrides ``config.kernel`` for this call: ``"scalar"``
         executes the sequential reference loop, ``"vectorized"`` the
-        conflict-free block kernel, and ``"parallel"`` the multi-process
-        engine (requires an attached
-        :class:`repro.core.parallel.ParallelReplayEngine`; bit-exact with
-        ``"vectorized"``).  All kernels consume the same uniform draws, so
-        when no sample expires mid-batch they replay the same sample
-        sequence; the batched kernels resolve expiry against the
+        conflict-free block kernel.  Both consume the same uniform draws,
+        so when no sample expires mid-batch they replay the same sample
+        sequence; the vectorized kernel resolves expiry against the
         pre-batch store rather than interleaved with the updates.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         kernel = self.config.kernel if kernel is None else kernel
-        if kernel not in ("scalar", "vectorized", "parallel"):
+        if kernel not in ("scalar", "vectorized"):
             raise ValueError(
-                f"kernel must be 'scalar', 'vectorized' or 'parallel', got {kernel!r}"
+                f"kernel must be 'scalar' or 'vectorized', got {kernel!r}"
             )
         started = time.perf_counter()
         if kernel == "vectorized":
             result = self._replay_many_vectorized(now, count)
-        elif kernel == "parallel":
-            if self._parallel_engine is None:
-                raise RuntimeError(
-                    "kernel 'parallel' requires an attached ParallelReplayEngine "
-                    "(see repro.core.parallel)"
-                )
-            result = self._parallel_engine._replay_batch(now, count)
         else:
             result = self._replay_many_scalar(now, count)
         steps, expired, batches, seconds = _KERNEL_HANDLES[kernel]
@@ -680,17 +667,15 @@ class AdaptiveMatrixFactorization:
     def _draw_replay_batch(
         self, now: float, count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], int]:
-        """Draw, expire, and schedule one replay batch (shared kernel front).
+        """Draw, expire, and schedule one replay batch.
 
-        Everything the batched kernels do *before* executing blocks: consume
-        ``count`` uniforms from the model RNG, gather the drawn samples,
-        discard the expired ones, partition into conflict-free blocks, and
-        permute so each block is one contiguous slice.  Returns
+        Everything the vectorized kernel does *before* executing blocks:
+        consume ``count`` uniforms from the model RNG, gather the drawn
+        samples, discard the expired ones, partition into conflict-free
+        blocks, and permute so each block is one contiguous slice.  Returns
         ``(users, services, r, boundaries, expired)`` where ``boundaries``
         lists each block's exclusive stop index (empty when nothing
-        applied).  Both the in-process vectorized kernel and the
-        multi-process engine run from this exact schedule, which is what
-        makes them bit-exact with each other.
+        applied).
         """
         store = self._store
         uniforms = self._rng.random(count)  # same RNG consumption as scalar

@@ -252,11 +252,8 @@ class BackgroundTrainer:
                       full blocks to fuse), small enough to keep arrival
                       latency low.
         idle_sleep:   seconds to sleep when the store is empty.
-        kernel:       replay kernel override ("scalar", "vectorized" or
-                      "parallel" — the latter requires a
-                      :class:`~repro.core.parallel.ParallelReplayEngine`
-                      attached to the model); ``None`` (default) uses the
-                      model's ``config.kernel``.
+        kernel:       replay kernel override ("scalar" or "vectorized");
+                      ``None`` (default) uses the model's ``config.kernel``.
     """
 
     def __init__(
@@ -270,9 +267,9 @@ class BackgroundTrainer:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         check_positive("idle_sleep", idle_sleep)
-        if kernel is not None and kernel not in ("scalar", "vectorized", "parallel"):
+        if kernel is not None and kernel not in ("scalar", "vectorized"):
             raise ValueError(
-                f"kernel must be 'scalar', 'vectorized' or 'parallel', got {kernel!r}"
+                f"kernel must be 'scalar' or 'vectorized', got {kernel!r}"
             )
         self.model = model
         self.clock = clock if clock is not None else (lambda: model.latest_timestamp)

@@ -70,7 +70,7 @@ class PredictionCache:
     """Version-stamped LRU cache for (user, service) predictions.
 
     Every SGD write site — scalar online updates, vectorized block
-    scatter-writes, parallel-engine copy-out, and row reinitialisation
+    scatter-writes, and row reinitialisation
     (``forget_user``/``forget_service``) — bumps a per-row version counter
     on the factor matrices.  A cache entry stores the prediction together
     with the (user_version, service_version) pair it was computed under;
@@ -289,12 +289,9 @@ class StreamTrainer:
                       the plateau detector occasionally mistakes the saddle
                       for convergence and returns an underfit model.
         max_epochs:   hard cap on replay epochs per :meth:`process` call.
-        kernel:       replay kernel override ("scalar", "vectorized" or
-                      "parallel") passed to every :meth:`replay_many` call;
-                      ``None`` (default) uses the model's ``config.kernel``.
-                      "parallel" requires a
-                      :class:`~repro.core.parallel.ParallelReplayEngine`
-                      attached to the model.
+        kernel:       replay kernel override ("scalar" or "vectorized")
+                      passed to every :meth:`replay_many` call; ``None``
+                      (default) uses the model's ``config.kernel``.
         gate:         optional :class:`repro.robustness.SanitizerGate`;
                       when set, :meth:`consume` routes every arrival
                       through it, so outliers are clipped or quarantined
@@ -320,9 +317,9 @@ class StreamTrainer:
             raise ValueError(
                 f"max_epochs ({max_epochs}) must be >= min_epochs ({min_epochs})"
             )
-        if kernel is not None and kernel not in ("scalar", "vectorized", "parallel"):
+        if kernel is not None and kernel not in ("scalar", "vectorized"):
             raise ValueError(
-                f"kernel must be 'scalar', 'vectorized' or 'parallel', got {kernel!r}"
+                f"kernel must be 'scalar' or 'vectorized', got {kernel!r}"
             )
         self.model = model
         self.tolerance = tolerance

@@ -563,15 +563,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
             events.append((kind, ext_id, payload))
         return events, self.observe(record)
 
-    def replay_many(self, now, count, kernel=None):
-        effective = self.config.kernel if kernel is None else kernel
-        if effective == "parallel":
-            raise RuntimeError(
-                "the parallel replay kernel snapshots flat factor arrays and "
-                "is not supported on a tiered model (slots move under it)"
-            )
-        return super().replay_many(now, count, kernel=kernel)
-
     # ------------------------------------------------------------------
     # Demotion
     # ------------------------------------------------------------------

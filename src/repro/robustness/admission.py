@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 
 from repro.observability import get_registry
+from repro.server.http import ServiceError
 
 _METRICS = get_registry()
 _SHED = _METRICS.counter(
@@ -51,14 +52,15 @@ _QUEUE_DEPTH = _METRICS.gauge(
 )
 
 
-class ShedRequest(Exception):
-    """Base for admission-control refusals; carries a retry hint."""
+class ShedRequest(ServiceError):
+    """Base for admission-control refusals; carries a retry hint (in the
+    body and, rounded up to whole seconds, the ``Retry-After`` header)."""
 
     status = 503
 
     def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
         self.retry_after = max(float(retry_after), 0.0)
+        super().__init__(message, retry_after=self.retry_after)
 
 
 class RateLimited(ShedRequest):

@@ -89,8 +89,6 @@ import math
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.amf import AdaptiveMatrixFactorization
 from repro.core.config import AMFConfig
@@ -113,7 +111,6 @@ from repro.robustness import (
     GateConfig,
     RateLimited,
     SanitizerGate,
-    ShedRequest,
     StaleObservation,
     TimestampPolicy,
     apply_observation,
@@ -125,6 +122,7 @@ from repro.server.binary import (
     BinaryTransportServer,
     set_transport_mode,
 )
+from repro.server.http import BadRequest, HttpListener, ServiceError
 from repro.server.replication import (
     FencedWrite,
     ReplicationConfig,
@@ -155,9 +153,6 @@ _PREDICTION_EXPECTED_ERROR = _METRICS.histogram(
 )
 _OBSERVATIONS_REJECTED = _METRICS.counter(
     "qos_observations_rejected_total", "Observations rejected by validation"
-)
-_INTERNAL_ERRORS = _METRICS.counter(
-    "qos_server_internal_errors_total", "Requests that hit the HTTP 500 boundary"
 )
 _BATCH_SIZE = _METRICS.histogram(
     "qos_predict_batch_size",
@@ -192,23 +187,7 @@ _MIGRATION_DELETES = _METRICS.counter(
 _MIGRATION_EVENTS = ("migration_in", "migration_out")
 
 
-class _BadRequest(Exception):
-    """Client error with a message safe to echo back.
-
-    ``code`` (optional) is a stable machine-readable discriminator included
-    in the JSON body, so clients can branch without parsing prose.
-    """
-
-    def __init__(self, message: str, code: "str | None" = None) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class _PayloadTooLarge(Exception):
-    """Request body exceeds the configured limit (HTTP 413)."""
-
-
-class _StorageUnavailable(Exception):
+class _StorageUnavailable(ServiceError):
     """Durable ingest is impossible (WAL append failed) — HTTP 507.
 
     The server stays up in read-only degraded mode: predictions (and all
@@ -216,14 +195,17 @@ class _StorageUnavailable(Exception):
     until an operator frees disk and restarts the process.
     """
 
+    status = 507
+    code = "insufficient_storage"
+
 
 def _require(payload: dict, field: str, kind):
     if field not in payload:
-        raise _BadRequest(f"missing field {field!r}")
+        raise BadRequest(f"missing field {field!r}")
     try:
         return kind(payload[field])
     except (TypeError, ValueError) as exc:
-        raise _BadRequest(f"field {field!r} must be {kind.__name__}") from exc
+        raise BadRequest(f"field {field!r} must be {kind.__name__}") from exc
 
 
 def _require_observation(payload: dict) -> QoSRecord:
@@ -236,16 +218,16 @@ def _require_observation(payload: dict) -> QoSRecord:
     timestamp = _require(payload, "timestamp", float)
     value = _require(payload, "value", float)
     if not math.isfinite(timestamp):
-        raise _BadRequest(
+        raise BadRequest(
             f"field 'timestamp' must be finite, got {timestamp}",
             code="invalid_timestamp",
         )
     if not math.isfinite(value):
-        raise _BadRequest(
+        raise BadRequest(
             f"field 'value' must be finite, got {value}", code="invalid_value"
         )
     if value < 0:
-        raise _BadRequest(
+        raise BadRequest(
             f"field 'value' must be non-negative, got {value}",
             code="invalid_value",
         )
@@ -257,7 +239,7 @@ def _require_observation(payload: dict) -> QoSRecord:
             value=value,
         )
     except ValueError as exc:
-        raise _BadRequest(str(exc)) from exc
+        raise BadRequest(str(exc)) from exc
 
 
 class _HeldLock:
@@ -293,7 +275,7 @@ def _idempotency_key(payload: dict) -> "str | None":
     if key is None:
         return None
     if not isinstance(key, str) or not key or len(key) > 256:
-        raise _BadRequest(
+        raise BadRequest(
             "field 'idempotency_key' must be a non-empty string of at most "
             "256 characters",
             code="invalid_idempotency_key",
@@ -408,7 +390,6 @@ class PredictionServer:
         data_dir: "str | None" = None,
         checkpoint_interval: int = 1000,
         wal_fsync: bool = True,
-        wal_fsync_delay: float = 0.0,
         supervise: bool = True,
         max_body_bytes: int = 1 << 20,
         gate: "GateConfig | bool | None" = None,
@@ -445,9 +426,7 @@ class PredictionServer:
             restored = self._checkpoints.load_full(rng=None)
             if restored is not None:
                 model, applied_seq, checkpoint_extra = restored
-            self._wal = WriteAheadLog(
-                data_dir, fsync=wal_fsync, fsync_delay=wal_fsync_delay
-            )
+            self._wal = WriteAheadLog(data_dir, fsync=wal_fsync)
         if model is None:
             model = AdaptiveMatrixFactorization(config, rng=rng)
 
@@ -657,8 +636,7 @@ class PredictionServer:
         )
         self._host = host
         self._port = port
-        self._httpd: "ThreadingHTTPServer | None" = None
-        self._thread: "threading.Thread | None" = None
+        self._httpd: "HttpListener | None" = None
         self._binary = (
             BinaryTransportServer(self, host=host, port=binary_port)
             if binary_port is not None
@@ -683,8 +661,8 @@ class PredictionServer:
             )
         # Ingest lock: keeps WAL-append order identical to model-apply order
         # across handler threads (recovery replays in WAL order).  Stats
-        # lock: ThreadingHTTPServer handlers increment counters from many
-        # threads; unprotected += is a lost-update race.
+        # lock: handler threads increment counters concurrently;
+        # unprotected += is a lost-update race.
         self._ingest_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._observations_handled = 0
@@ -707,7 +685,7 @@ class PredictionServer:
         """(host, port) actually bound; valid after :meth:`start`."""
         if self._httpd is None:
             raise RuntimeError("server is not running")
-        return self._httpd.server_address[0], self._httpd.server_address[1]
+        return self._httpd.address
 
     @property
     def durable(self) -> bool:
@@ -724,12 +702,15 @@ class PredictionServer:
     def start(self) -> None:
         if self._httpd is not None:
             return
-        handler = self._make_handler()
-        self._httpd = ThreadingHTTPServer((self._host, self._port), handler)
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="qos-prediction-http", daemon=True
+        self._httpd = HttpListener(
+            (self._host, self._port),
+            self._routes(),
+            name="qos-prediction-http",
+            max_body_bytes=self.max_body_bytes,
+            timeout=30.0,
+            on_request=lambda path: TRANSPORT_JSON_REQUESTS.inc(),
+            on_internal_error=self._note_internal_error,
         )
-        self._thread.start()
         if self._binary is not None:
             self._binary.start()
         set_transport_mode(True, self._binary is not None)
@@ -784,12 +765,8 @@ class PredictionServer:
         elif self.trainer is not None and self.trainer.running:
             self.trainer.stop()
         if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+            listener, self._httpd = self._httpd, None
+            listener.stop()
 
     def __enter__(self) -> "PredictionServer":
         self.start()
@@ -1015,16 +992,16 @@ class PredictionServer:
     def _handle_replication_wal(self, query: dict) -> dict:
         """Ship committed WAL records to a pulling standby."""
         if self._wal is None:
-            raise _BadRequest("this server is not durable; nothing to ship")
+            raise BadRequest("this server is not durable; nothing to ship")
         try:
             after_seq = int(query.get("after_seq", ["0"])[0])
             limit = int(query.get("limit", ["512"])[0])
         except (ValueError, IndexError) as exc:
-            raise _BadRequest(
+            raise BadRequest(
                 "after_seq and limit must be integers"
             ) from exc
         if after_seq < 0 or limit < 1:
-            raise _BadRequest("after_seq must be >= 0 and limit >= 1")
+            raise BadRequest("after_seq must be >= 0 and limit >= 1")
         batch = self._wal.read_committed_entries(
             after_seq=after_seq, limit=min(limit, 4096)
         )
@@ -1048,7 +1025,7 @@ class PredictionServer:
         try:
             record = _require_observation(payload)
             key = _idempotency_key(payload)
-        except _BadRequest:
+        except BadRequest:
             with self._stats_lock:
                 self._observations_rejected += 1
             _OBSERVATIONS_REJECTED.inc()
@@ -1095,7 +1072,7 @@ class PredictionServer:
                 with self._stats_lock:
                     self._observations_rejected += 1
                 _OBSERVATIONS_REJECTED.inc()
-                raise _BadRequest(str(exc), code=f"{exc.reason}_timestamp") from exc
+                raise BadRequest(str(exc), code=f"{exc.reason}_timestamp") from exc
         if not replicated and self._tiered is not None:
             # Revive any spilled party *before* logging the observation: the
             # revive event (payload included) must precede the observation
@@ -1284,7 +1261,7 @@ class PredictionServer:
 
     def _require_tiered(self) -> None:
         if self._tiered is None:
-            raise _BadRequest(
+            raise BadRequest(
                 "entity migration requires lifecycle tiering; start the "
                 "server with lifecycle= enabled",
                 code="migration_unsupported",
@@ -1294,7 +1271,7 @@ class PredictionServer:
     def _parse_entity_list(payload: dict) -> "list[tuple[str, int]]":
         entities = payload.get("entities")
         if not isinstance(entities, list) or not entities:
-            raise _BadRequest("field 'entities' must be a non-empty list")
+            raise BadRequest("field 'entities' must be a non-empty list")
         parsed: "list[tuple[str, int]]" = []
         for entry in entities:
             try:
@@ -1302,18 +1279,18 @@ class PredictionServer:
                 kind = str(kind)
                 ext_id = int(ext_id)
             except (TypeError, ValueError) as exc:
-                raise _BadRequest(
+                raise BadRequest(
                     "entities must be [kind, id] pairs"
                 ) from exc
             if kind not in ("user", "service") or ext_id < 0:
-                raise _BadRequest(f"bad entity {entry!r}")
+                raise BadRequest(f"bad entity {entry!r}")
             parsed.append((kind, ext_id))
         return parsed
 
     @staticmethod
     def _parse_entity_payloads(entities) -> list:
         if not isinstance(entities, list) or not entities:
-            raise _BadRequest("field 'entities' must be a non-empty list")
+            raise BadRequest("field 'entities' must be a non-empty list")
         items: list = []
         for entry in entities:
             try:
@@ -1321,7 +1298,7 @@ class PredictionServer:
                 kind = str(kind)
                 ext_id = int(ext_id)
             except (TypeError, ValueError) as exc:
-                raise _BadRequest(
+                raise BadRequest(
                     "entities must be [kind, id, payload] triples"
                 ) from exc
             if (
@@ -1331,7 +1308,7 @@ class PredictionServer:
                 or "row" not in payload
                 or "err" not in payload
             ):
-                raise _BadRequest(f"bad entity payload for {kind} {ext_id}")
+                raise BadRequest(f"bad entity payload for {kind} {ext_id}")
             items.append([kind, ext_id, payload])
         return items
 
@@ -1390,14 +1367,14 @@ class PredictionServer:
         self._refuse_if_degraded()
         mid = payload.get("mid")
         if not isinstance(mid, str) or not mid or len(mid) > 256:
-            raise _BadRequest(
+            raise BadRequest(
                 "field 'mid' must be a non-empty string of at most 256 "
                 "characters",
                 code="invalid_migration",
             )
         seq = _require(payload, "seq", int)
         if seq < 1:
-            raise _BadRequest("field 'seq' must be >= 1")
+            raise BadRequest("field 'seq' must be >= 1")
         items = self._parse_entity_payloads(payload.get("entities"))
         with self._acquire_ingest_lock():
             if seq <= self._migration_applied.get(mid, 0):
@@ -1508,7 +1485,7 @@ class PredictionServer:
         self._refuse_if_degraded()
         observations = payload.get("observations")
         if not isinstance(observations, list):
-            raise _BadRequest("field 'observations' must be a list")
+            raise BadRequest("field 'observations' must be a list")
         # Admission is charged once for the whole batch (cost = item count):
         # a batch is one queue occupant but len(observations) tokens.
         if self.admission is not None and observations:
@@ -1531,7 +1508,7 @@ class PredictionServer:
                     record, key = self._parse_observation(entry)
                     with self._acquire_ingest_lock():
                         result = self._ingest_one(record, key)
-                except _BadRequest as exc:
+                except BadRequest as exc:
                     rejected.append({"index": index, "error": str(exc)})
                 else:
                     accepted += 1
@@ -1577,11 +1554,11 @@ class PredictionServer:
             user_id = int(query["user_id"][0])
             service_id = int(query["service_id"][0])
         except (KeyError, ValueError, IndexError) as exc:
-            raise _BadRequest(
+            raise BadRequest(
                 "query must include integer user_id and service_id"
             ) from exc
         if user_id < 0 or service_id < 0:
-            raise _BadRequest("ids must be non-negative")
+            raise BadRequest("ids must be non-negative")
         response = {"user_id": user_id, "service_id": service_id}
         response.update(self._predict_one(user_id, service_id))
         return response
@@ -1638,15 +1615,15 @@ class PredictionServer:
         user_id = _require(payload, "user_id", int)
         raw_ids = payload.get("service_ids")
         if not isinstance(raw_ids, list) or not raw_ids:
-            raise _BadRequest("field 'service_ids' must be a non-empty list")
+            raise BadRequest("field 'service_ids' must be a non-empty list")
         service_ids: list[int] = []
         for raw in raw_ids:
             try:
                 service_id = int(raw)
             except (TypeError, ValueError) as exc:
-                raise _BadRequest("service_ids must be integers") from exc
+                raise BadRequest("service_ids must be integers") from exc
             if user_id < 0 or service_id < 0:
-                raise _BadRequest("ids must be non-negative")
+                raise BadRequest("ids must be non-negative")
             service_ids.append(service_id)
         values, sources = self._predict_batch(user_id, service_ids)
         predictions = {}
@@ -1668,7 +1645,7 @@ class PredictionServer:
             raw = query["service_ids"][0]
             service_ids = [int(part) for part in raw.split(",") if part != ""]
         except (KeyError, IndexError, ValueError) as exc:
-            raise _BadRequest(
+            raise BadRequest(
                 "query must include service_ids as comma-separated integers"
             ) from exc
         values = self._credence(service_ids)
@@ -1678,51 +1655,27 @@ class PredictionServer:
         """Credence per id, in order: the shared core of ``GET /credence``
         and the binary ``CREDENCE`` opcode."""
         if not service_ids:
-            raise _BadRequest("service_ids must be non-empty")
+            raise BadRequest("service_ids must be non-empty")
         if min(service_ids) < 0:
-            raise _BadRequest("ids must be non-negative")
+            raise BadRequest("ids must be non-negative")
         return self.model.with_model(
             lambda m: [m.service_credence(sid) for sid in service_ids]
         )
 
     # -- binary transport backend ---------------------------------------------
-    def _binary_error(self, exc: Exception) -> tuple[int, dict]:
-        """Map a handler exception to (status, body) — the same statuses and
-        structured bodies ``_dispatch`` puts on the HTTP transport."""
-        if isinstance(exc, _BadRequest):
-            body = {"error": str(exc)}
-            if exc.code is not None:
-                body["code"] = exc.code
-            return 400, body
-        if isinstance(exc, _PayloadTooLarge):
-            return 413, {"error": str(exc)}
-        if isinstance(exc, FencedWrite):
-            body = {"error": str(exc), "code": exc.code, "epoch": exc.epoch}
-            if exc.cluster_epoch is not None:
-                body["cluster_epoch"] = exc.cluster_epoch
-            return 409, body
-        if isinstance(exc, _StorageUnavailable):
-            return 507, {"error": str(exc), "code": "insufficient_storage"}
-        if isinstance(exc, ShedRequest):
-            return exc.status, {"error": str(exc), "retry_after": exc.retry_after}
+    def _note_internal_error(self) -> None:
+        """A request on either transport hit the 500 boundary."""
         with self._stats_lock:
             self._internal_errors += 1
-        _INTERNAL_ERRORS.inc()
-        return 500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
 
     def _binary_predict_batch(self, user_id: int, service_ids: list[int]):
-        """``PREDICT_BATCH`` opcode backend: (200, (values, source codes))
-        or (status, error body)."""
-        try:
-            if not service_ids:
-                raise _BadRequest("service_ids must be non-empty")
-            if user_id < 0 or min(service_ids) < 0:
-                raise _BadRequest("ids must be non-negative")
-            values, sources = self._predict_batch(user_id, service_ids)
-        except Exception as exc:  # noqa: BLE001 — the binary error boundary
-            return self._binary_error(exc)
-        codes = [SOURCE_CODES.get(source, SOURCE_UNKNOWN) for source in sources]
-        return 200, (values, codes)
+        """``PREDICT_BATCH`` opcode backend: (values, source codes)."""
+        if not service_ids:
+            raise BadRequest("service_ids must be non-empty")
+        if user_id < 0 or min(service_ids) < 0:
+            raise BadRequest("ids must be non-negative")
+        values, sources = self._predict_batch(user_id, service_ids)
+        return values, [SOURCE_CODES.get(source, SOURCE_UNKNOWN) for source in sources]
 
     @staticmethod
     def _observation_payload(
@@ -1743,30 +1696,17 @@ class PredictionServer:
             payload["idempotency_key"] = key
         return payload
 
-    def _binary_observe(self, *record):
+    def _binary_observe(self, *record) -> dict:
         """``OBSERVE`` opcode backend: same ingest pipeline (validation,
         fencing, admission, WAL, gate) as ``POST /observations``."""
-        try:
-            return 200, self._handle_observation(self._observation_payload(*record))
-        except Exception as exc:  # noqa: BLE001 — the binary error boundary
-            return self._binary_error(exc)
+        return self._handle_observation(self._observation_payload(*record))
 
-    def _binary_observe_batch(self, records: list[tuple]):
+    def _binary_observe_batch(self, records: list[tuple]) -> dict:
         """``OBSERVE_BATCH`` opcode backend: ``POST /observations/batch``
         over the same handler, so per-record outcomes match."""
-        try:
-            return 200, self._handle_observation_batch(
-                {"observations": [self._observation_payload(*r) for r in records]}
-            )
-        except Exception as exc:  # noqa: BLE001 — the binary error boundary
-            return self._binary_error(exc)
-
-    def _binary_credence(self, service_ids: list[int]):
-        """``CREDENCE`` opcode backend: (200, values) or (status, error body)."""
-        try:
-            return 200, self._credence(service_ids)
-        except Exception as exc:  # noqa: BLE001 — the binary error boundary
-            return self._binary_error(exc)
+        return self._handle_observation_batch(
+            {"observations": [self._observation_payload(*r) for r in records]}
+        )
 
     def _handle_status(self) -> dict:
         with self._stats_lock:
@@ -1889,191 +1829,35 @@ class PredictionServer:
         }
         return (200 if ready else 503), body
 
-    def _make_handler(self):
-        server = self
+    def _handle_replication_status(self) -> dict:
+        status = self._replication_status()
+        if status is None:
+            return {
+                "role": self.role,
+                "epoch": self.epoch,
+                "fenced": False,
+                "replicated": False,
+            }
+        return status
 
-        class Handler(BaseHTTPRequestHandler):
-            # Bound the damage a stalled or half-open client can do.
-            timeout = 30.0
-
-            # Silence per-request stderr logging.
-            def log_message(self, format, *args):  # noqa: A002 (stdlib API)
-                pass
-
-            def _send(
-                self, status: int, body: dict, headers: "dict | None" = None
-            ) -> None:
-                data = json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                if headers:
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
-
-            def _read_json(self) -> dict:
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                except ValueError as exc:
-                    raise _BadRequest("invalid Content-Length header") from exc
-                if length > server.max_body_bytes:
-                    raise _PayloadTooLarge(
-                        f"body of {length} bytes exceeds limit of "
-                        f"{server.max_body_bytes}"
-                    )
-                raw = self.rfile.read(length) if length else b"{}"
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise _BadRequest(f"invalid JSON body: {exc}") from exc
-                if not isinstance(payload, dict):
-                    raise _BadRequest("JSON body must be an object")
-                return payload
-
-            def _dispatch(self, route) -> None:
-                """Run a route; every outcome is a JSON response.
-
-                Unexpected exceptions become a 500 with the error class —
-                never a dropped connection mid-request.  Failures writing
-                the response itself (client already gone) are swallowed.
-                """
-                TRANSPORT_JSON_REQUESTS.inc()
-                try:
-                    try:
-                        status, body = route()
-                        self._send(status, body)
-                    except _BadRequest as exc:
-                        body = {"error": str(exc)}
-                        if exc.code is not None:
-                            body["code"] = exc.code
-                        self._send(400, body)
-                    except _PayloadTooLarge as exc:
-                        self._send(413, {"error": str(exc)})
-                    except FencedWrite as exc:
-                        # Fencing: a structured, terminal refusal — the
-                        # client must re-route to the current primary.
-                        body = {
-                            "error": str(exc),
-                            "code": exc.code,
-                            "epoch": exc.epoch,
-                        }
-                        if exc.cluster_epoch is not None:
-                            body["cluster_epoch"] = exc.cluster_epoch
-                        self._send(409, body)
-                    except _StorageUnavailable as exc:
-                        self._send(
-                            507,
-                            {"error": str(exc), "code": "insufficient_storage"},
-                        )
-                    except ShedRequest as exc:
-                        # Load shedding: 429 (rate limit) / 503 (overload or
-                        # deadline) with a machine-usable retry hint in both
-                        # the header (integer seconds, rounded up) and body.
-                        self._send(
-                            exc.status,
-                            {"error": str(exc), "retry_after": exc.retry_after},
-                            headers={
-                                "Retry-After": str(
-                                    max(1, math.ceil(exc.retry_after))
-                                )
-                            },
-                        )
-                    except Exception as exc:  # noqa: BLE001 — the 500 boundary
-                        with server._stats_lock:
-                            server._internal_errors += 1
-                        _INTERNAL_ERRORS.inc()
-                        self._send(
-                            500,
-                            {"error": f"internal error: {type(exc).__name__}: {exc}"},
-                        )
-                except OSError:
-                    pass  # client hung up; nothing left to tell it
-
-            def do_GET(self):
-                parsed = urlparse(self.path)
-                if parsed.path == "/metrics":
-                    # Prometheus exposition is text, not JSON, so it gets
-                    # its own send path outside _dispatch; render failures
-                    # still fall back to the JSON 500 boundary.
-                    try:
-                        try:
-                            data = server.metrics.render().encode("utf-8")
-                        except Exception as exc:  # noqa: BLE001
-                            with server._stats_lock:
-                                server._internal_errors += 1
-                            _INTERNAL_ERRORS.inc()
-                            self._send(
-                                500,
-                                {
-                                    "error": "internal error: "
-                                    f"{type(exc).__name__}: {exc}"
-                                },
-                            )
-                            return
-                        self.send_response(200)
-                        self.send_header(
-                            "Content-Type",
-                            "text/plain; version=0.0.4; charset=utf-8",
-                        )
-                        self.send_header("Content-Length", str(len(data)))
-                        self.end_headers()
-                        self.wfile.write(data)
-                    except OSError:
-                        pass  # client hung up; nothing left to tell it
-                    return
-
-                def route():
-                    if parsed.path == "/predictions":
-                        return 200, server._handle_prediction(parse_qs(parsed.query))
-                    if parsed.path == "/status":
-                        return 200, server._handle_status()
-                    if parsed.path == "/health":
-                        return server._handle_health()
-                    if parsed.path == "/credence":
-                        return 200, server._handle_credence(parse_qs(parsed.query))
-                    if parsed.path == "/migration/entities":
-                        return 200, server._handle_migration_entities()
-                    if parsed.path == "/replication/wal":
-                        return 200, server._handle_replication_wal(
-                            parse_qs(parsed.query)
-                        )
-                    if parsed.path == "/replication/status":
-                        status = server._replication_status()
-                        if status is None:
-                            return 200, {
-                                "role": server.role,
-                                "epoch": server.epoch,
-                                "fenced": False,
-                                "replicated": False,
-                            }
-                        return 200, status
-                    return 404, {"error": f"unknown path {parsed.path}"}
-
-                self._dispatch(route)
-
-            def do_POST(self):
-                parsed = urlparse(self.path)
-
-                def route():
-                    payload = self._read_json()
-                    if parsed.path == "/observations":
-                        return 200, server._handle_observation(payload)
-                    if parsed.path == "/observations/batch":
-                        return 200, server._handle_observation_batch(payload)
-                    if parsed.path == "/predictions/batch":
-                        return 200, server._handle_prediction_batch(payload)
-                    if parsed.path == "/migration/export":
-                        return 200, server._handle_migration_export(payload)
-                    if parsed.path == "/migration/import":
-                        return 200, server._handle_migration_import(payload)
-                    if parsed.path == "/migration/delete":
-                        return 200, server._handle_migration_delete(payload)
-                    if parsed.path == "/migration/probe":
-                        return 200, server._handle_migration_probe(payload)
-                    return 404, {"error": f"unknown path {parsed.path}"}
-
-                self._dispatch(route)
-
-        return Handler
+    def _routes(self) -> dict:
+        """The JSON/HTTP surface (:class:`~repro.server.http.HttpListener`
+        routes): ``q`` is a GET's parsed query, ``b`` a POST's JSON
+        object.  Each entry looks its handler up on ``self`` per request."""
+        return {
+            ("GET", "/predictions"): lambda q: self._handle_prediction(q),
+            ("GET", "/status"): lambda q: self._handle_status(),
+            ("GET", "/health"): lambda q: self._handle_health(),
+            ("GET", "/metrics"): lambda q: self.metrics.render(),
+            ("GET", "/credence"): lambda q: self._handle_credence(q),
+            ("GET", "/migration/entities"): lambda q: self._handle_migration_entities(),
+            ("GET", "/replication/wal"): lambda q: self._handle_replication_wal(q),
+            ("GET", "/replication/status"): lambda q: self._handle_replication_status(),
+            ("POST", "/observations"): lambda b: self._handle_observation(b),
+            ("POST", "/observations/batch"): lambda b: self._handle_observation_batch(b),
+            ("POST", "/predictions/batch"): lambda b: self._handle_prediction_batch(b),
+            ("POST", "/migration/export"): lambda b: self._handle_migration_export(b),
+            ("POST", "/migration/import"): lambda b: self._handle_migration_import(b),
+            ("POST", "/migration/delete"): lambda b: self._handle_migration_delete(b),
+            ("POST", "/migration/probe"): lambda b: self._handle_migration_probe(b),
+        }

@@ -49,7 +49,7 @@ The transport is an accelerator, not a second API: every request is
 answered by the *same* server methods as the HTTP routes, so fencing,
 admission control, degraded mode, and the fallback chain behave
 identically on both transports.  Stdlib-only (``socket`` + ``struct``);
-one daemon thread per connection, mirroring ``ThreadingHTTPServer``.
+one daemon thread per connection, like the HTTP listener.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import struct
 import threading
 
 from repro.observability import get_registry
+from repro.server.http import BadRequest, PayloadTooLarge, error_reply
 
 MAGIC = b"QP"
 PROTOCOL_VERSION = 1
@@ -437,10 +438,12 @@ class BinaryTransportServer:
     """TCP listener speaking the frame protocol above.
 
     ``backend`` is the owning :class:`~repro.server.app.PredictionServer`;
-    every decoded request is answered through its ``_binary_*`` methods so
-    both transports share one behavior (fallback chain, fencing, admission,
-    degraded mode).  One daemon thread accepts; one daemon thread per
-    connection serves until the peer hangs up.
+    every decoded request is answered by the methods behind its JSON
+    routes, and every refusal goes through the same
+    :func:`~repro.server.http.error_reply`, so both transports share one
+    behavior (fallback chain, fencing, admission, degraded mode) and one
+    set of statuses and bodies.  One daemon thread accepts; one daemon
+    thread per connection serves until the peer hangs up.
     """
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -529,6 +532,14 @@ class BinaryTransportServer:
                 daemon=True,
             ).start()
 
+    def _refuse(self, conn: socket.socket, exc: Exception) -> None:
+        """Answer ``exc`` as an error frame; a peer that is gone is fine."""
+        status, body, __ = error_reply(exc, self._backend._note_internal_error)
+        try:
+            conn.sendall(pack_error(status, body))
+        except OSError:
+            pass
+
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
             while not self._stopping.is_set():
@@ -541,26 +552,18 @@ class BinaryTransportServer:
                     # API's request-too-large behavior.
                     try:
                         _drain_exact(conn, exc.length)
-                        conn.sendall(
-                            pack_error(
-                                413,
-                                {
-                                    "error": str(exc),
-                                    "max_frame_bytes": MAX_FRAME_BYTES,
-                                },
-                            )
-                        )
                     except (OSError, ConnectionError):
                         return
+                    self._refuse(
+                        conn,
+                        PayloadTooLarge(str(exc), max_frame_bytes=MAX_FRAME_BYTES),
+                    )
                     continue
                 except ProtocolError as exc:
                     # Framing is gone — answer once, then drop the
                     # connection (resync inside a corrupt stream is
                     # guesswork).
-                    try:
-                        conn.sendall(pack_error(400, {"error": str(exc)}))
-                    except OSError:
-                        pass
+                    self._refuse(conn, BadRequest(str(exc)))
                     return
                 except OSError:
                     return
@@ -570,16 +573,11 @@ class BinaryTransportServer:
                 try:
                     response = self._handle(opcode, body)
                 except ProtocolError as exc:
-                    try:
-                        conn.sendall(pack_error(400, {"error": str(exc)}))
-                    except OSError:
-                        pass
+                    self._refuse(conn, BadRequest(str(exc)))
                     return
                 except Exception as exc:  # noqa: BLE001 — keep the conn alive
-                    response = pack_error(
-                        500,
-                        {"error": f"internal error: {type(exc).__name__}: {exc}"},
-                    )
+                    self._refuse(conn, exc)
+                    continue
                 try:
                     conn.sendall(response)
                 except OSError:
@@ -594,31 +592,21 @@ class BinaryTransportServer:
 
     def _handle(self, opcode: int, body: bytes) -> bytes:
         TRANSPORT_BINARY_REQUESTS.inc()
-        limit = self._backend.max_body_bytes
-        if len(body) > limit:
+        backend = self._backend
+        if len(body) > backend.max_body_bytes:
             # The server's request-size bound holds on either encoding.
-            return pack_error(
-                413,
-                {"error": f"body of {len(body)} bytes exceeds limit of {limit}"},
+            raise PayloadTooLarge(
+                f"body of {len(body)} bytes exceeds limit of "
+                f"{backend.max_body_bytes}"
             )
         if opcode == OP_PING:
             return pack_frame(OP_PING | RESPONSE_FLAG)
         if opcode == OP_PREDICT_BATCH:
-            user_id, service_ids = unpack_predict_request(body)
-            status, payload = self._backend._binary_predict_batch(
-                user_id, service_ids
+            return pack_predict_response(
+                *backend._binary_predict_batch(*unpack_predict_request(body))
             )
-            if status != 200:
-                return pack_error(status, payload)
-            predictions, source_codes = payload
-            return pack_predict_response(predictions, source_codes)
         if opcode == OP_OBSERVE:
-            timestamp, user_id, service_id, value, key = unpack_observe_request(body)
-            status, payload = self._backend._binary_observe(
-                timestamp, user_id, service_id, value, key
-            )
-            if status != 200:
-                return pack_error(status, payload)
+            payload = backend._binary_observe(*unpack_observe_request(body))
             error = payload.get("sample_error")
             action = ACTION_CODES.get(payload.get("action"), ACTION_UNKNOWN)
             return pack_frame(
@@ -628,18 +616,13 @@ class BinaryTransportServer:
                 ),
             )
         if opcode == OP_CREDENCE:
-            status, payload = self._backend._binary_credence(
-                unpack_credence_request(body)
+            return pack_credence_response(
+                backend._credence(unpack_credence_request(body))
             )
-            if status != 200:
-                return pack_error(status, payload)
-            return pack_credence_response(payload)
         if opcode == OP_OBSERVE_BATCH:
-            status, payload = self._backend._binary_observe_batch(
+            payload = backend._binary_observe_batch(
                 unpack_observe_batch_request(body)
             )
-            if status != 200:
-                return pack_error(status, payload)
             return pack_observe_batch_response(
                 payload["accepted"],
                 payload["sample_errors"],

@@ -91,6 +91,7 @@ from repro.server.binary import (
     unpack_observe_response,
     unpack_predict_response,
 )
+from repro.server.http import ServiceError
 
 #: 409 ``code`` values that guarantee the server applied no state change,
 #: making an immediate re-route of the same request safe (fencing replies
@@ -273,8 +274,21 @@ def _retry_after_hint(exc: "urllib.error.HTTPError", body) -> "float | None":
     return None
 
 
-class PredictionServiceError(RuntimeError):
-    """Raised when the server rejects a request or is unreachable."""
+class PredictionServiceError(ServiceError, RuntimeError):
+    """Raised when the server rejects a request or is unreachable.
+
+    ``status`` and ``body`` are the server's answer (``None`` when there
+    was none: refused, reset, timed out).  Raised inside another server's
+    handler — the router relaying a shard's refusal — the answer passes
+    through verbatim.
+    """
+
+    status = None
+    body = None
+
+    def reply(self) -> "tuple[int, dict]":
+        body = self.body if isinstance(self.body, dict) else {"error": str(self)}
+        return self.status or 502, body
 
 
 class RetryableServiceError(PredictionServiceError):

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 from repro.datasets.schema import QoSRecord
 from repro.observability import get_registry
+from repro.server.http import ServiceError
 
 # Replication observability.  Registered at import time (app.py imports
 # this module), so every server process renders the families even at zero
@@ -82,13 +83,16 @@ _STALE_EPOCH = _METRICS.counter(
 )
 
 
-class FencedWrite(Exception):
+class FencedWrite(ServiceError):
     """A write refused by fencing: this node must not mutate the model.
 
-    ``code`` is the structured discriminator the server returns in the
-    409 body: ``"stale_epoch"`` (a deposed primary behind the cluster
-    epoch) or ``"not_primary"`` (a standby that never was one).
+    A structured, terminal 409 — the client must re-route to the current
+    primary.  ``code`` is the discriminator in the body: ``"stale_epoch"``
+    (a deposed primary behind the cluster epoch) or ``"not_primary"`` (a
+    standby that never was one).
     """
+
+    status = 409
 
     def __init__(
         self,
@@ -97,8 +101,10 @@ class FencedWrite(Exception):
         epoch: int,
         cluster_epoch: "int | None" = None,
     ) -> None:
-        super().__init__(message)
-        self.code = code
+        fields = {"epoch": epoch}
+        if cluster_epoch is not None:
+            fields["cluster_epoch"] = cluster_epoch
+        super().__init__(message, code, **fields)
         self.epoch = epoch
         self.cluster_epoch = cluster_epoch
 

@@ -105,15 +105,6 @@ class WriteAheadLog:
                              of any single file.
         fsync:               fsync after every append (the durability
                              guarantee); disable only for tests/benchmarks.
-        fsync_delay:         extra seconds slept after each fsync — a
-                             *simulation knob* modeling production disk
-                             commit latency (spinning media or networked
-                             block storage, typically 1–10 ms) on test
-                             hardware whose fsync is near-free.  Scaling
-                             benchmarks use it to make ingest honestly
-                             disk-bound; it is recorded in any bench
-                             output that enables it.  0.0 (default) in
-                             production.
     """
 
     def __init__(
@@ -121,18 +112,14 @@ class WriteAheadLog:
         directory: str,
         segment_max_records: int = 4096,
         fsync: bool = True,
-        fsync_delay: float = 0.0,
     ) -> None:
         if segment_max_records < 1:
             raise ValueError(
                 f"segment_max_records must be >= 1, got {segment_max_records}"
             )
-        if fsync_delay < 0:
-            raise ValueError(f"fsync_delay must be >= 0, got {fsync_delay}")
         self.directory = str(directory)
         self.segment_max_records = segment_max_records
         self.fsync = fsync
-        self.fsync_delay = float(fsync_delay)
         self._lock = threading.Lock()
         self._handle = None
         self._closed = False
@@ -304,8 +291,6 @@ class WriteAheadLog:
             if self.fsync:
                 fsync_started = time.perf_counter()
                 os.fsync(self._handle.fileno())
-                if self.fsync_delay:
-                    time.sleep(self.fsync_delay)
                 _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
         except OSError as exc:
             # A failed write may have left a partial line in the active

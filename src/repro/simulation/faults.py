@@ -92,8 +92,6 @@ CORE_METRIC_FAMILIES: tuple[str, ...] = (
     "qos_predict_cache_evictions_total",
     "qos_predict_cache_size",
     "qos_predict_batch_size",
-    "qos_replay_worker_steps_total",
-    "qos_replay_parallel_scalar_steps_total",
     "qos_transport_requests_total",
     "qos_transport_mode",
     "qos_lifecycle_resident_bytes",

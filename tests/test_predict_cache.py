@@ -5,8 +5,7 @@ detected by comparing the per-row version stamps the SGD write sites bump;
 the explicit ``invalidate_user``/``invalidate_service`` hooks exist only
 for hot/cold tiering transitions, where slot recycling makes version
 stamps insufficient.  These tests drive every write site (scalar online
-updates, vectorized replay scatter, parallel-engine copy-out, row
-reinitialisation) plus the two restart-shaped paths (checkpoint restore,
+updates, vectorized replay scatter, row reinitialisation) plus the two restart-shaped paths (checkpoint restore,
 standby catch-up) and assert the served values always match a cache-free
 recomputation — and that the eviction counter/size gauge stay truthful
 under demote/revive churn.
@@ -19,7 +18,6 @@ from repro.core import (
     AdaptiveMatrixFactorization,
     AMFConfig,
     ConcurrentModel,
-    ParallelReplayEngine,
     PredictionCache,
 )
 from repro.datasets.schema import QoSRecord
@@ -102,18 +100,6 @@ class TestVersionStamps:
         after = [model.user_version(u) for u in range(model.n_users)]
         assert sum(after) == sum(before) + applied
 
-    def test_parallel_replay_bumps_touched_rows(self):
-        model = AdaptiveMatrixFactorization(
-            AMFConfig.for_response_time(kernel="vectorized"), rng=0
-        )
-        _feed(model, n=300)
-        before = sum(model.user_version(u) for u in range(model.n_users))
-        with ParallelReplayEngine(model, n_workers=2):
-            applied, __, __ = model.replay_many(300.0, 200, kernel="parallel")
-        after = sum(model.user_version(u) for u in range(model.n_users))
-        assert applied == 200
-        assert after == before + applied
-
     def test_forget_bumps_versions(self):
         model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=0)
         _feed(model, n=100)
@@ -160,10 +146,6 @@ class TestBatchPathAgainstCache:
         self._batch_equals_per_pair(cm, cache, 0, ids)
         # Vectorized replay.
         model.replay_many(301.0, 150)
-        self._batch_equals_per_pair(cm, cache, 0, ids)
-        # Parallel replay.
-        with ParallelReplayEngine(model, n_workers=2):
-            model.replay_many(301.0, 150, kernel="parallel")
         self._batch_equals_per_pair(cm, cache, 0, ids)
         # Row reinitialisation.
         model.forget_user(0)
