@@ -6,6 +6,14 @@ to the router's address — the router's structured error bodies (including
 statuses, so the inherited breaker/retry machinery treats a dead *shard*
 as a server answer, never as a router transport failure.
 
+Single observations and candidate rankings — the calls Section III's
+loop makes per invocation — travel as frames on pooled persistent
+connections to the router's binary listener, under the inherited
+``transport`` rules (``"auto"`` by default; ``transport="json"`` pins
+JSON/HTTP).  Calls whose replies carry per-item codes and shard lists no
+frame has (batches, credence, rank, placement, migration, fleet views)
+are always JSON.
+
 The client also caches the fleet's placement table
 (``GET /cluster/placement``) so callers can learn ownership — e.g. to
 partition a load generator by home shard, or to talk to a shard directly
@@ -15,19 +23,79 @@ during a drain.  The cache refreshes on demand and whenever a response's
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 
 from repro.cluster.placement import PlacementTable
-from repro.server.client import PredictionClient, PredictionServiceError
+from repro.server.binary import (
+    OP_PREDICT_ROUTED,
+    pack_predict_request,
+    source_names,
+    unpack_routed_response,
+)
+from repro.server.client import (
+    PredictionClient,
+    PredictionServiceError,
+    _expect_count,
+    _Frame,
+)
+
+
+def _routed_predict_frame(user_id: int, service_ids: "list[int]") -> _Frame:
+    """``POST /predictions/batch`` on the router in both encodings; either
+    reply becomes the dict :meth:`ClusterClient.predict_candidates_detailed`
+    returns.  ``service_ids`` must be unique."""
+
+    def from_binary(body: bytes) -> dict:
+        values, codes, credence, version, shard, partial = unpack_routed_response(
+            body
+        )
+        _expect_count(values, service_ids)
+        return {
+            "user_id": user_id,
+            "predictions": dict(zip(service_ids, values)),
+            "sources": dict(zip(service_ids, source_names(codes))),
+            "credence": {
+                s: value
+                for s, value in zip(service_ids, credence)
+                if not math.isnan(value)
+            },
+            "credence_partial": partial,
+            "shard": shard,
+            "placement_version": version,
+        }
+
+    def from_json(body: dict) -> dict:
+        return {
+            "user_id": user_id,
+            "predictions": {
+                int(k): float(v) for k, v in body["predictions"].items()
+            },
+            "sources": {int(k): v for k, v in body.get("sources", {}).items()},
+            "credence": {
+                int(k): float(v) for k, v in body.get("credence", {}).items()
+            },
+            "credence_partial": body.get("credence_partial", []),
+            "shard": body.get("shard"),
+            "placement_version": body.get("placement_version"),
+        }
+
+    return _Frame(
+        lambda: pack_predict_request(user_id, service_ids, OP_PREDICT_ROUTED),
+        OP_PREDICT_ROUTED,
+        from_binary,
+        from_json,
+    )
 
 
 class ClusterClient:
     """Fleet client bound to one cluster-router address.
 
     Keyword arguments are forwarded to the underlying
-    :class:`PredictionClient` (timeouts, retries, breaker tuning...).
+    :class:`PredictionClient` (timeouts, retries, breaker tuning,
+    ``transport``...).
 
     ``refresh_backoff`` / ``refresh_backoff_max`` bound the jittered
     exponential backoff applied when placement refreshes keep failing
@@ -44,7 +112,6 @@ class ClusterClient:
         refresh_backoff_max: float = 5.0,
         **client_kwargs,
     ) -> None:
-        client_kwargs.setdefault("transport", "json")
         self._router = PredictionClient(router_address, **client_kwargs)
         self._lock = threading.Lock()
         self._placement: "PlacementTable | None" = None
@@ -148,7 +215,12 @@ class ClusterClient:
         )
 
     def report_observations_detailed(self, observations: "list[dict]") -> dict:
-        body = self._router.report_observations_detailed(observations)
+        """Per-record outcomes with the router's ``code`` / ``shard`` on
+        each rejection and the ``shards`` that took part — more than the
+        ``OBSERVE_BATCH`` frame carries, so always JSON."""
+        body = self._router._request(
+            "POST", "/observations/batch", {"observations": observations}, write=True
+        )
         self._note_version(body.get("placement_version"))
         return body
 
@@ -164,27 +236,17 @@ class ClusterClient:
         """Batch predictions plus merged per-service credence from each
         service's home shard (``credence`` map; ``credence_partial``
         lists home shards that could not be reached)."""
+        user_id = int(user_id)
         unique_ids = list(dict.fromkeys(int(s) for s in service_ids))
-        body = self._router._request(
+        detail = self._router._request(
             "POST",
             "/predictions/batch",
-            {"user_id": int(user_id), "service_ids": unique_ids},
+            {"user_id": user_id, "service_ids": unique_ids},
             idempotent=True,
+            binary=_routed_predict_frame(user_id, unique_ids),
         )
-        self._note_version(body.get("placement_version"))
-        return {
-            "user_id": int(user_id),
-            "predictions": {
-                int(k): float(v) for k, v in body["predictions"].items()
-            },
-            "sources": {int(k): v for k, v in body.get("sources", {}).items()},
-            "credence": {
-                int(k): float(v) for k, v in body.get("credence", {}).items()
-            },
-            "credence_partial": body.get("credence_partial", []),
-            "shard": body.get("shard"),
-            "placement_version": body.get("placement_version"),
-        }
+        self._note_version(detail["placement_version"])
+        return detail
 
     def rank_candidates(
         self,

@@ -1,4 +1,4 @@
-"""The cluster router: one HTTP front door for a sharded fleet.
+"""The cluster router: one front door for a sharded fleet.
 
 Data plane: observations and predictions are routed to the owning shard
 (rendezvous placement over the version-stamped :class:`PlacementTable`)
@@ -9,7 +9,10 @@ as they do for a direct caller, without tripping any breaker.  Observes,
 observe batches, batch predictions and credence reads travel as frames
 on the shard clients' pooled binary connections (JSON/HTTP when a shard
 offers no binary port), and one ranking's reads are all written before
-any reply is awaited.
+any reply is awaited.  Callers reach the router the same two ways they
+reach a shard: its JSON/HTTP listener, and a binary listener (advertised
+in ``/status``) that answers a shard's opcodes plus ``PREDICT_ROUTED`` —
+a ranking with everything ``POST /predictions/batch`` says here.
 
 Control plane: ``GET /cluster/placement`` serves the current table so
 clients can learn ownership and talk to shards directly; ``POST`` with a
@@ -46,6 +49,15 @@ import threading
 
 from repro.cluster.placement import PlacementTable
 from repro.observability import get_registry, parse_prometheus_text
+from repro.server.binary import (
+    OP_CREDENCE,
+    OP_OBSERVE,
+    OP_OBSERVE_BATCH,
+    OP_PING,
+    OP_PREDICT_BATCH,
+    OP_PREDICT_ROUTED,
+    BinaryTransportServer,
+)
 from repro.server.client import (
     PredictionClient,
     PredictionServiceError,
@@ -77,6 +89,18 @@ _MIGRATION_BLOCKED = _METRICS.counter(
     "qos_cluster_migration_blocked_total",
     "requests answered 503 entity_migrating during a migration window",
 )
+
+#: A frame counts in ``qos_router_requests_total`` under the label of the
+#: JSON route it stands for.
+_FRAME_ROUTES = {
+    OP_PING: "ping",
+    OP_OBSERVE: "observations",
+    OP_OBSERVE_BATCH: "observations/batch",
+    OP_PREDICT_BATCH: "predictions/batch",
+    OP_PREDICT_ROUTED: "predictions/batch",
+    OP_CREDENCE: "credence",
+}
+_NAN = float("nan")
 
 
 class _ShardUnavailable(ServiceError):
@@ -124,6 +148,9 @@ class ClusterRouter:
     Args:
         placement:    initial :class:`PlacementTable`.
         host, port:   bind address (port 0 picks an ephemeral port).
+        binary_port:  port of the binary listener on the same host (0, the
+                      default, picks an ephemeral one; ``/status``
+                      advertises whichever was bound).
         timeout:      per-attempt timeout of each shard client.
         shard_retries: idempotent-retry budget of each shard client
                       (writes are never retried without a key, same
@@ -150,6 +177,7 @@ class ClusterRouter:
         placement: PlacementTable,
         host: str = "127.0.0.1",
         port: int = 0,
+        binary_port: int = 0,
         timeout: float = 5.0,
         shard_retries: int = 0,
         max_body_bytes: int = 1 << 20,
@@ -196,6 +224,12 @@ class ClusterRouter:
             for kind, ext_id, dest in self._resume_state.get("overrides", ()):
                 self._overrides[(str(kind), int(ext_id))] = str(dest)
         self._httpd: "HttpListener | None" = None
+        self._binary = BinaryTransportServer(
+            (host, binary_port),
+            self._frames(),
+            max_body_bytes=max_body_bytes,
+            on_request=self._count_frame,
+        )
 
     # -- persistence ----------------------------------------------------------
     @property
@@ -462,19 +496,31 @@ class ClusterRouter:
             raise RuntimeError("router is not running")
         return self._httpd.address
 
+    @property
+    def binary_address(self) -> "tuple[str, int] | None":
+        """(host, port) of the binary listener; ``None`` unless running."""
+        return self._binary.address if self._binary.running else None
+
     def start(self) -> None:
         if self._httpd is not None:
             return
-        self._httpd = HttpListener(
-            (self._host, self._port),
-            self._routes(),
-            name="qos-cluster-router",
-            max_body_bytes=self.max_body_bytes,
-            timeout=self.handler_timeout,
-            on_request=lambda path: _ROUTER_REQUESTS.labels(
-                route=path.lstrip("/")
-            ).inc(),
-        )
+        # The binary listener first, so the first /status already
+        # advertises it.
+        self._binary.start()
+        try:
+            self._httpd = HttpListener(
+                (self._host, self._port),
+                self._routes(),
+                name="qos-cluster-router",
+                max_body_bytes=self.max_body_bytes,
+                timeout=self.handler_timeout,
+                on_request=lambda path: _ROUTER_REQUESTS.labels(
+                    route=path.lstrip("/")
+                ).inc(),
+            )
+        except BaseException:
+            self._binary.stop()
+            raise
         if self._resume_state is not None:
             state, self._resume_state = self._resume_state, None
             self.start_migration(
@@ -496,6 +542,7 @@ class ClusterRouter:
         if self._httpd is not None:
             listener, self._httpd = self._httpd, None
             listener.stop()
+        self._binary.stop()
         with self._lock:
             clients = list(self._clients.values())
         for client in clients:
@@ -503,7 +550,7 @@ class ClusterRouter:
 
     def kill(self) -> None:
         """Crash simulation for the chaos drill: abort the coordinator
-        mid-action and drop the HTTP front end without any graceful
+        mid-action and drop both front ends without any graceful
         persistence — identical to SIGKILL as far as the journal is
         concerned (whatever was last atomically persisted is what a
         successor router sees)."""
@@ -664,7 +711,7 @@ class ClusterRouter:
             for shard, ids in homes
         ]
 
-    def _gather_credence(self, pending: list) -> tuple[dict, list[str]]:
+    def _gather_credence(self, pending: list) -> "tuple[dict[int, float], list[str]]":
         """Authoritative credence per service from its home shard.
 
         Returns ``(credence, unreachable_shards)`` — a dead home shard
@@ -672,7 +719,7 @@ class ClusterRouter:
         instead of failing it; the prediction itself came from the live
         user shard.
         """
-        credence: dict[str, float] = {}
+        credence: dict[int, float] = {}
         unreachable: list[str] = []
         for shard, ids, call in pending:
             try:
@@ -680,14 +727,17 @@ class ClusterRouter:
             except _ShardUnavailable:
                 unreachable.append(shard.name)
                 continue
-            credence.update(zip(map(str, ids), values))
+            credence.update(zip(ids, values))
         return credence, unreachable
 
-    def _handle_prediction_batch(self, payload: dict) -> dict:
-        user_id = payload.get("user_id")
+    def _predict_batch(self, user_id, raw_ids):
+        """One routed ranking: the shared core of ``POST
+        /predictions/batch`` and the ``PREDICT_BATCH`` / ``PREDICT_ROUTED``
+        opcodes.  Returns ``(service_ids, values, sources, credence,
+        unreachable, shard_name)`` — the first three aligned, ``credence``
+        keyed by service id, ``unreachable`` as :meth:`_gather_credence`."""
         if not isinstance(user_id, int) or user_id < 0:
             raise BadRequest("field 'user_id' must be a non-negative integer")
-        raw_ids = payload.get("service_ids")
         if not isinstance(raw_ids, list) or not raw_ids:
             raise BadRequest("field 'service_ids' must be a non-empty list")
         try:
@@ -705,13 +755,20 @@ class ClusterRouter:
             values, sources, _ = self._call(shard, predict.result)
         finally:
             credence, unreachable = self._gather_credence(pending)
+        return service_ids, values, sources, credence, unreachable, shard.name
+
+    def _handle_prediction_batch(self, payload: dict) -> dict:
+        user_id = payload.get("user_id")
+        service_ids, values, sources, credence, unreachable, shard = (
+            self._predict_batch(user_id, payload.get("service_ids"))
+        )
         keys = [str(service_id) for service_id in service_ids]
         body = {
             "user_id": user_id,
             "predictions": dict(zip(keys, values)),
             "sources": dict(zip(keys, sources)),
-            "shard": shard.name,
-            "credence": credence,
+            "shard": shard,
+            "credence": {str(s): value for s, value in credence.items()},
         }
         if unreachable:
             body["credence_partial"] = unreachable
@@ -751,6 +808,17 @@ class ClusterRouter:
             "placement_version": body["placement_version"],
         }
 
+    def _credence(self, service_ids: list[int]) -> "tuple[dict[int, float], list[str]]":
+        """Credence of ``service_ids`` from their home shards: the shared
+        core of ``GET /credence`` and the ``CREDENCE`` opcode."""
+        if not service_ids:
+            raise BadRequest("service_ids must be non-empty")
+        return self._gather_credence(
+            self._begin_credence(
+                self._credence_homes(list(dict.fromkeys(service_ids)))
+            )
+        )
+
     def _handle_credence(self, query: dict) -> dict:
         try:
             raw = query["service_ids"][0]
@@ -759,17 +827,59 @@ class ClusterRouter:
             raise BadRequest(
                 "query must include service_ids as comma-separated integers"
             ) from exc
-        if not service_ids:
-            raise BadRequest("service_ids must be non-empty")
-        credence, unreachable = self._gather_credence(
-            self._begin_credence(
-                self._credence_homes(list(dict.fromkeys(service_ids)))
-            )
-        )
-        body = {"credence": credence, "placement_version": self.placement.version}
+        credence, unreachable = self._credence(service_ids)
+        body = {
+            "credence": {str(s): value for s, value in credence.items()},
+            "placement_version": self.placement.version,
+        }
         if unreachable:
             body["credence_partial"] = unreachable
         return body
+
+    # -- binary front end -----------------------------------------------------
+    @staticmethod
+    def _count_frame(opcode: int) -> None:
+        route = _FRAME_ROUTES.get(opcode)
+        if route is not None:
+            _ROUTER_REQUESTS.labels(route=route).inc()
+
+    def _frame_predict_batch(self, user_id: int, service_ids: list[int]):
+        """``PREDICT_BATCH`` as a shard answers it: ``(values, sources)``."""
+        _, values, sources, *_ = self._predict_batch(user_id, service_ids)
+        return values, sources
+
+    def _frame_predict_routed(self, user_id: int, service_ids: list[int]):
+        """``PREDICT_ROUTED``: the ranking plus what only the router knows
+        — credence per id (NaN where its home shard was unreachable), the
+        placement version, the answering shard, the unreachable shards."""
+        service_ids, values, sources, credence, unreachable, shard = (
+            self._predict_batch(user_id, service_ids)
+        )
+        return (
+            values,
+            sources,
+            [credence.get(service_id, _NAN) for service_id in service_ids],
+            self.placement.version,
+            shard,
+            unreachable,
+        )
+
+    def _frame_credence(self, service_ids: list[int]) -> list[float]:
+        credence, _ = self._credence(service_ids)
+        return [credence.get(service_id, _NAN) for service_id in service_ids]
+
+    def _frames(self) -> dict:
+        """The router's binary surface
+        (:class:`~repro.server.binary.BinaryTransportServer` handlers): a
+        shard's opcodes with a shard's meaning, answered by the methods
+        behind the JSON routes, plus ``PREDICT_ROUTED``."""
+        return {
+            OP_OBSERVE: self._handle_observation,
+            OP_OBSERVE_BATCH: self._handle_observation_batch,
+            OP_PREDICT_BATCH: self._frame_predict_batch,
+            OP_PREDICT_ROUTED: self._frame_predict_routed,
+            OP_CREDENCE: self._frame_credence,
+        }
 
     # -- fleet views ----------------------------------------------------------
     def _fanout(self, fn) -> dict:
@@ -829,9 +939,15 @@ class ClusterRouter:
             else:
                 result["reachable"] = True
                 shards[name] = result
+        binary_address = self.binary_address
         return {
             "placement": self.placement.to_dict(),
             "shards": shards,
+            "transport": {
+                "binary_address": (
+                    list(binary_address) if binary_address is not None else None
+                ),
+            },
         }
 
     def _handle_metrics(self) -> str:

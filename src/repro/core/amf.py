@@ -158,9 +158,8 @@ class _GrowableFactors:
     def set_row(self, row_id: int, values) -> None:
         """Overwrite a row with an exact vector (entity revival from spill).
 
-        Unlike :meth:`reinitialize` this consumes no randomness; the version
-        counter still advances so prediction-cache entries stamped against
-        the row's previous occupant can never be served.
+        Unlike :meth:`reinitialize` this consumes no randomness; it is a
+        write like any other, so the version counter advances.
         """
         self.ensure(row_id)
         self._rows[row_id] = np.asarray(values, dtype=float)

@@ -76,6 +76,9 @@ class PredictionCache:
     with the (user_version, service_version) pair it was computed under;
     a lookup whose stamps no longer match is a *stale* miss, so a stale
     value is never served, without any write-path invalidation hooks.
+    That includes hot/cold tiering, where an entity leaves its factor slot
+    and comes back to another: :class:`~repro.lifecycle.TieredAMF` starts
+    every slot occupancy at a version no other occupancy can reach.
 
     The cache holds derived, process-local state: it is never serialized,
     so a model restored from a checkpoint (whose version counters restart
@@ -88,14 +91,9 @@ class PredictionCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[int, int], tuple[float, int, int]] = (
-            OrderedDict()
-        )
-        # Secondary key-set indexes so per-entity invalidation (hot/cold
-        # tiering demotes and revives an entity's whole row/column of
-        # entries) is O(entity's entries), not O(cache).
-        self._by_user: dict[int, set[tuple[int, int]]] = {}
-        self._by_service: dict[int, set[tuple[int, int]]] = {}
+        # Keyed by one int, ``user_id << 64 | service_id``: a tuple of two
+        # costs ~80 more bytes on every entry.
+        self._entries: OrderedDict[int, tuple[float, int, int]] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -105,20 +103,6 @@ class PredictionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _unindex(self, key: tuple[int, int]) -> None:
-        """Drop ``key`` from both secondary indexes (entry already removed)."""
-        user_id, service_id = key
-        keys = self._by_user.get(user_id)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_user[user_id]
-        keys = self._by_service.get(service_id)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_service[service_id]
-
     def get(
         self,
         user_id: int,
@@ -127,7 +111,7 @@ class PredictionCache:
         service_version: int,
     ) -> float | None:
         """The cached prediction, or ``None`` on a cold or stale miss."""
-        key = (user_id, service_id)
+        key = (user_id << 64) | service_id
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -142,7 +126,6 @@ class PredictionCache:
                 # The factors moved under this entry; drop it so the slot
                 # doesn't pin a dead value in the LRU order.
                 del self._entries[key]
-                self._unindex(key)
                 self.misses += 1
                 _CACHE_MISS_STALE.inc()
                 return None
@@ -159,68 +142,18 @@ class PredictionCache:
         user_version: int,
         service_version: int,
     ) -> None:
-        key = (user_id, service_id)
+        key = (user_id << 64) | service_id
         with self._lock:
             self._entries[key] = (value, user_version, service_version)
             self._entries.move_to_end(key)
-            self._by_user.setdefault(user_id, set()).add(key)
-            self._by_service.setdefault(service_id, set()).add(key)
             while len(self._entries) > self.capacity:
-                evicted_key, __ = self._entries.popitem(last=False)
-                self._unindex(evicted_key)
+                self._entries.popitem(last=False)
                 self.evictions += 1
                 _CACHE_EVICTIONS.inc()
-
-    def invalidate_user(self, user_id: int) -> int:
-        """Drop every entry involving ``user_id``; returns the count dropped.
-
-        The explicit invalidation hook for entity lifecycle transitions:
-        version stamps alone cannot protect across a demote/revive cycle,
-        because a recycled factor *slot* restarts its version counter on a
-        different entity and could coincide with a stale stamp.  Dropped
-        entries count as evictions (they were pushed out by a write-side
-        event, not by a failed lookup).
-        """
-        with self._lock:
-            keys = self._by_user.pop(user_id, None)
-            if not keys:
-                return 0
-            for key in keys:
-                del self._entries[key]
-                service_keys = self._by_service.get(key[1])
-                if service_keys is not None:
-                    service_keys.discard(key)
-                    if not service_keys:
-                        del self._by_service[key[1]]
-            dropped = len(keys)
-            self.evictions += dropped
-            _CACHE_EVICTIONS.inc(dropped)
-            return dropped
-
-    def invalidate_service(self, service_id: int) -> int:
-        """Drop every entry involving ``service_id`` (see
-        :meth:`invalidate_user`)."""
-        with self._lock:
-            keys = self._by_service.pop(service_id, None)
-            if not keys:
-                return 0
-            for key in keys:
-                del self._entries[key]
-                user_keys = self._by_user.get(key[0])
-                if user_keys is not None:
-                    user_keys.discard(key)
-                    if not user_keys:
-                        del self._by_user[key[0]]
-            dropped = len(keys)
-            self.evictions += dropped
-            _CACHE_EVICTIONS.inc(dropped)
-            return dropped
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._by_user.clear()
-            self._by_service.clear()
 
     def stats(self) -> dict:
         with self._lock:

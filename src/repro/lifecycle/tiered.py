@@ -208,8 +208,8 @@ class TieredAMF(AdaptiveMatrixFactorization):
     inherited internal (factors, weights, sample store, replay kernels,
     serialization arrays) speaks *slots*.  ``hooks`` (set by the server) is
     the bridge to state keyed by external ids outside the model — sanitizer
-    gate statistics and the prediction cache — exported/imported on
-    demote/revive; see ``repro.server.app._LifecycleHooks``.
+    gate statistics — exported/imported on demote/revive; see
+    ``repro.server.app._LifecycleHooks``.
     """
 
     def __init__(
@@ -255,6 +255,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
     # ------------------------------------------------------------------
     def _init_lifecycle_state(self, state: "dict | None") -> None:
         lc = self.lifecycle
+        self._occupancies = 0  # see _occupancy_stamp
         if state is None:
             n_u = len(self._user_factors)
             n_s = len(self._service_factors)
@@ -420,8 +421,22 @@ class TieredAMF(AdaptiveMatrixFactorization):
     def n_spilled_services(self) -> int:
         return len(self._spilled_services)
 
+    def _occupancy_stamp(self) -> int:
+        """A version no other occupancy of any slot can reach: a model-wide
+        occupancy counter in the high 32 bits, the occupant's write bumps
+        below.  Prediction-cache entries are keyed by external id and
+        stamped with slot versions, so an entity that leaves a slot and
+        comes back (to any slot) must never meet one of its old stamps —
+        this is what makes the stamps alone sufficient.  Process-local like
+        the cache itself: never serialized, restarts from zero with it.
+        """
+        self._occupancies += 1
+        return self._occupancies << 32
+
     def _alloc_user_slot(self, fresh: bool) -> int:
-        """Pop a recycled slot or grow by one.
+        """Give a slot its next occupant: pop a recycled slot or grow by
+        one.  The one place an occupancy begins — fresh, revived or
+        imported — so the one place its version stamp is set.
 
         ``fresh=True`` (a genuinely new entity) reinitializes a recycled
         slot's factor row with one RNG draw — the same single draw a grown
@@ -433,12 +448,13 @@ class TieredAMF(AdaptiveMatrixFactorization):
             slot = self._u_free.pop()
             if fresh:
                 self._user_factors.reinitialize(slot)
-            return slot
-        slot = len(self._u_ext_of)
-        self._u_ext_of.append(-1)
-        self._u_touch.append(0)
-        self._user_factors.ensure(slot)
-        self.weights.register_user(slot)
+        else:
+            slot = len(self._u_ext_of)
+            self._u_ext_of.append(-1)
+            self._u_touch.append(0)
+            self._user_factors.ensure(slot)
+            self.weights.register_user(slot)
+        self._user_factors._versions[slot] = self._occupancy_stamp()
         return slot
 
     def _alloc_service_slot(self, fresh: bool) -> int:
@@ -446,12 +462,13 @@ class TieredAMF(AdaptiveMatrixFactorization):
             slot = self._s_free.pop()
             if fresh:
                 self._service_factors.reinitialize(slot)
-            return slot
-        slot = len(self._s_ext_of)
-        self._s_ext_of.append(-1)
-        self._s_touch.append(0)
-        self._service_factors.ensure(slot)
-        self.weights.register_service(slot)
+        else:
+            slot = len(self._s_ext_of)
+            self._s_ext_of.append(-1)
+            self._s_touch.append(0)
+            self._service_factors.ensure(slot)
+            self.weights.register_service(slot)
+        self._service_factors._versions[slot] = self._occupancy_stamp()
         return slot
 
     def ensure_user(self, user_id: int) -> None:
@@ -690,8 +707,8 @@ class TieredAMF(AdaptiveMatrixFactorization):
     def apply_revive(self, kind: str, ext_id: int, payload: dict) -> None:
         """Restore a spilled entity from ``payload`` (WAL-replayable).
 
-        Restores the factor row exactly (version bumped — a recycled slot
-        must never satisfy a cache stamp from its previous occupant), the
+        Restores the factor row exactly (into a slot stamped for this
+        occupancy alone, so no cache stamp from an earlier one matches), the
         EMA error, and every retained sample whose peer is currently hot;
         samples against cold peers are dropped (re-warming tradeoff: they
         re-enter via fresh observations).  Deletes the spill row, keeping

@@ -116,8 +116,10 @@ from repro.robustness import (
     apply_observation,
 )
 from repro.server.binary import (
-    SOURCE_CODES,
-    SOURCE_UNKNOWN,
+    OP_CREDENCE,
+    OP_OBSERVE,
+    OP_OBSERVE_BATCH,
+    OP_PREDICT_BATCH,
     TRANSPORT_JSON_REQUESTS,
     BinaryTransportServer,
     set_transport_mode,
@@ -287,12 +289,13 @@ class _LifecycleHooks:
     """Bridge between the tiered model and server state keyed by external ids.
 
     Demoting an entity must take its sanitizer-gate statistics with it (they
-    ride the spill payload and come back on revival) and drop any cached
-    predictions for it — a recycled slot's version counter could otherwise
-    coincide with a stale cache stamp.  Called by :class:`TieredAMF` with the
-    model lock held; the gate is only ever mutated under the ingest lock
-    (observe, revive, and replay all hold it), so gate order — and therefore
-    ``gate.state_dict()`` — stays deterministic.
+    ride the spill payload and come back on revival).  The prediction cache
+    needs no hook: a slot's version stamp is unique to one occupancy, so
+    entries stamped under an earlier occupant simply read as stale.  Called
+    by :class:`TieredAMF` with the model lock held; the gate is only ever
+    mutated under the ingest lock (observe, revive, and replay all hold it),
+    so gate order — and therefore ``gate.state_dict()`` — stays
+    deterministic.
     """
 
     __slots__ = ("_server",)
@@ -301,19 +304,15 @@ class _LifecycleHooks:
         self._server = server
 
     def export_user(self, user_id: int) -> "list | None":
-        if self._server._predict_cache is not None:
-            self._server._predict_cache.invalidate_user(user_id)
         gate = self._server.gate
         return gate.export_user(user_id) if gate is not None else None
 
     def export_service(self, service_id: int) -> "list | None":
-        if self._server._predict_cache is not None:
-            self._server._predict_cache.invalidate_service(service_id)
         gate = self._server.gate
         return gate.export_service(service_id) if gate is not None else None
 
     def peek_user(self, user_id: int) -> "list | None":
-        """Non-destructive gate read for migration export (no cache touch)."""
+        """Non-destructive gate read for migration export."""
         gate = self._server.gate
         return gate.peek_user(user_id) if gate is not None else None
 
@@ -322,14 +321,10 @@ class _LifecycleHooks:
         return gate.peek_service(service_id) if gate is not None else None
 
     def import_user(self, user_id: int, entry: "list | None") -> None:
-        if self._server._predict_cache is not None:
-            self._server._predict_cache.invalidate_user(user_id)
         if self._server.gate is not None and entry is not None:
             self._server.gate.import_user(user_id, entry)
 
     def import_service(self, service_id: int, entry: "list | None") -> None:
-        if self._server._predict_cache is not None:
-            self._server._predict_cache.invalidate_service(service_id)
         if self._server.gate is not None and entry is not None:
             self._server.gate.import_service(service_id, entry)
 
@@ -638,7 +633,12 @@ class PredictionServer:
         self._port = port
         self._httpd: "HttpListener | None" = None
         self._binary = (
-            BinaryTransportServer(self, host=host, port=binary_port)
+            BinaryTransportServer(
+                (host, binary_port),
+                self._frames(),
+                max_body_bytes=self.max_body_bytes,
+                on_internal_error=self._note_internal_error,
+            )
             if binary_port is not None
             else None
         )
@@ -1662,51 +1662,33 @@ class PredictionServer:
             lambda m: [m.service_credence(sid) for sid in service_ids]
         )
 
-    # -- binary transport backend ---------------------------------------------
+    # -- binary transport ------------------------------------------------------
     def _note_internal_error(self) -> None:
         """A request on either transport hit the 500 boundary."""
         with self._stats_lock:
             self._internal_errors += 1
 
-    def _binary_predict_batch(self, user_id: int, service_ids: list[int]):
-        """``PREDICT_BATCH`` opcode backend: (values, source codes)."""
+    def _frame_predict_batch(self, user_id: int, service_ids: list[int]):
+        """``PREDICT_BATCH`` opcode: the fused batch predict, as aligned
+        ``(values, sources)``."""
         if not service_ids:
             raise BadRequest("service_ids must be non-empty")
         if user_id < 0 or min(service_ids) < 0:
             raise BadRequest("ids must be non-negative")
-        values, sources = self._predict_batch(user_id, service_ids)
-        return values, [SOURCE_CODES.get(source, SOURCE_UNKNOWN) for source in sources]
+        return self._predict_batch(user_id, service_ids)
 
-    @staticmethod
-    def _observation_payload(
-        timestamp: float,
-        user_id: int,
-        service_id: int,
-        value: float,
-        key: "str | None",
-    ) -> dict:
-        """A decoded binary record as the JSON handlers take it."""
-        payload = {
-            "timestamp": timestamp,
-            "user_id": user_id,
-            "service_id": service_id,
-            "value": value,
+    def _frames(self) -> dict:
+        """The binary surface
+        (:class:`~repro.server.binary.BinaryTransportServer` handlers):
+        each opcode is answered by the method behind the JSON route of the
+        same meaning — same validation, fencing, admission, WAL and gate —
+        looked up on ``self`` per request, like :meth:`_routes`."""
+        return {
+            OP_PREDICT_BATCH: lambda u, ids: self._frame_predict_batch(u, ids),
+            OP_OBSERVE: lambda b: self._handle_observation(b),
+            OP_OBSERVE_BATCH: lambda b: self._handle_observation_batch(b),
+            OP_CREDENCE: lambda ids: self._credence(ids),
         }
-        if key is not None:
-            payload["idempotency_key"] = key
-        return payload
-
-    def _binary_observe(self, *record) -> dict:
-        """``OBSERVE`` opcode backend: same ingest pipeline (validation,
-        fencing, admission, WAL, gate) as ``POST /observations``."""
-        return self._handle_observation(self._observation_payload(*record))
-
-    def _binary_observe_batch(self, records: list[tuple]) -> dict:
-        """``OBSERVE_BATCH`` opcode backend: ``POST /observations/batch``
-        over the same handler, so per-record outcomes match."""
-        return self._handle_observation_batch(
-            {"observations": [self._observation_payload(*r) for r in records]}
-        )
 
     def _handle_status(self) -> dict:
         with self._stats_lock:

@@ -40,16 +40,26 @@ Request bodies (all integers fixed-width, predictions float64):
   float64 sample errors; then per rejected record ``struct('!II')`` index
   and message length followed by the UTF-8 message — the fields of the
   ``POST /observations/batch`` reply.
+* ``PREDICT_ROUTED (0x06)`` — request body as ``PREDICT_BATCH``.  Response:
+  ``struct('!I')`` count, ``count`` float64 predictions, ``count`` uint8
+  source codes, ``count`` float64 credence values (NaN = not available),
+  ``struct('!I')`` placement version, then length-prefixed UTF-8 names
+  (``struct('!H')`` each): the shard that answered, a count, and that
+  many shards whose credence could not be read — what the cluster
+  router's ``POST /predictions/batch`` says beyond a single shard's.
+  Only the router answers it.
 * ``ERROR (0x7F)`` response — ``struct('!H')`` status (the HTTP status the
   JSON API would have returned: 400, 409, 413, 429, 503, 507, 500...)
   followed by the UTF-8 JSON error body, so binary clients get the same
   structured refusals (fencing codes, retry hints) as HTTP clients.
 
-The transport is an accelerator, not a second API: every request is
-answered by the *same* server methods as the HTTP routes, so fencing,
-admission control, degraded mode, and the fallback chain behave
-identically on both transports.  Stdlib-only (``socket`` + ``struct``);
-one daemon thread per connection, like the HTTP listener.
+The transport is an accelerator, not a second API: the listener is handed
+an ``{opcode: callable}`` table by the server that owns it (a shard or the
+cluster router), and each callable is the method behind the HTTP route of
+the same meaning, so fencing, admission control, degraded mode, and the
+fallback chain behave identically on both transports.  Stdlib-only
+(``socket`` + ``struct``); one daemon thread per connection, like the HTTP
+listener.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ OP_PREDICT_BATCH = 0x02
 OP_OBSERVE = 0x03
 OP_CREDENCE = 0x04
 OP_OBSERVE_BATCH = 0x05
+OP_PREDICT_ROUTED = 0x06
 OP_ERROR = 0x7F
 RESPONSE_FLAG = 0x80
 
@@ -84,6 +95,7 @@ _COUNT = struct.Struct("!I")
 _BATCH_RESP_HEAD = struct.Struct("!III")
 _REJECTED_HEAD = struct.Struct("!II")
 _ERROR_HEAD = struct.Struct("!H")
+_NAME_HEAD = struct.Struct("!H")
 
 #: Bound on a single frame body; a length prefix beyond this is a protocol
 #: violation (or garbage), not a request worth buffering.
@@ -100,6 +112,12 @@ SOURCE_CODES = {
 }
 SOURCE_NAMES = {code: name for name, code in SOURCE_CODES.items()}
 SOURCE_UNKNOWN = 255
+
+
+def source_names(codes) -> list[str]:
+    """Decoded source codes; one this build does not know reads ``"unknown"``."""
+    return [SOURCE_NAMES.get(code, "unknown") for code in codes]
+
 
 ACTION_CODES = {
     "admit": 0,
@@ -195,10 +213,14 @@ def read_frame(sock: socket.socket) -> "tuple[int, bytes] | None":
     return opcode, body
 
 
-def pack_predict_request(user_id: int, service_ids) -> bytes:
+def pack_predict_request(
+    user_id: int, service_ids, opcode: int = OP_PREDICT_BATCH
+) -> bytes:
+    """``opcode``: ``OP_PREDICT_BATCH`` or ``OP_PREDICT_ROUTED`` — the two
+    share a request layout."""
     body = _PREDICT_REQ_HEAD.pack(user_id, len(service_ids))
     body += struct.pack(f"!{len(service_ids)}q", *service_ids)
-    return pack_frame(OP_PREDICT_BATCH, body)
+    return pack_frame(opcode, body)
 
 
 def unpack_predict_request(body: bytes) -> tuple[int, list[int]]:
@@ -238,6 +260,82 @@ def unpack_predict_response(body: bytes) -> tuple[list[float], list[int]]:
     predictions = list(struct.unpack_from(f"!{count}d", body, _PREDICT_RESP_HEAD.size))
     codes = list(body[_PREDICT_RESP_HEAD.size + 8 * count :])
     return predictions, codes
+
+
+def _pack_name(name: str) -> bytes:
+    encoded = name.encode("utf-8")
+    return _NAME_HEAD.pack(len(encoded)) + encoded
+
+
+def _unpack_name(body: bytes, offset: int, what: str) -> "tuple[str, int]":
+    end = offset + _NAME_HEAD.size
+    if len(body) < end:
+        raise ProtocolError(f"truncated {what}")
+    (length,) = _NAME_HEAD.unpack_from(body, offset)
+    if len(body) < end + length:
+        raise ProtocolError(f"truncated {what}")
+    return body[end : end + length].decode("utf-8"), end + length
+
+
+def pack_routed_response(
+    predictions,
+    source_codes,
+    credence,
+    placement_version: int,
+    shard: str,
+    credence_partial,
+) -> bytes:
+    """``credence``: one value per prediction, NaN where the service's
+    home shard (one of ``credence_partial``) could not be asked."""
+    count = len(predictions)
+    if len(source_codes) != count or len(credence) != count:
+        raise ProtocolError("PREDICT_ROUTED columns differ in length")
+    parts = [
+        _COUNT.pack(count),
+        struct.pack(f"!{count}d", *predictions),
+        bytes(source_codes),
+        struct.pack(f"!{count}d", *credence),
+        _COUNT.pack(placement_version),
+        _pack_name(shard),
+        _NAME_HEAD.pack(len(credence_partial)),
+    ]
+    parts += [_pack_name(name) for name in credence_partial]
+    return pack_frame(OP_PREDICT_ROUTED | RESPONSE_FLAG, b"".join(parts))
+
+
+def unpack_routed_response(
+    body: bytes,
+) -> "tuple[list[float], list[int], list[float], int, str, list[str]]":
+    """``(predictions, source_codes, credence, placement_version, shard,
+    credence_partial)``."""
+    what = "PREDICT_ROUTED response"
+    if len(body) < _COUNT.size:
+        raise ProtocolError(f"truncated {what}")
+    (count,) = _COUNT.unpack_from(body)
+    offset = _COUNT.size
+    if len(body) < offset + 17 * count + _COUNT.size:
+        raise ProtocolError(
+            f"{what} declares {count} predictions in {len(body)} bytes"
+        )
+    predictions = list(struct.unpack_from(f"!{count}d", body, offset))
+    offset += 8 * count
+    codes = list(body[offset : offset + count])
+    offset += count
+    credence = list(struct.unpack_from(f"!{count}d", body, offset))
+    offset += 8 * count
+    (placement_version,) = _COUNT.unpack_from(body, offset)
+    shard, offset = _unpack_name(body, offset + _COUNT.size, what)
+    if len(body) < offset + _NAME_HEAD.size:
+        raise ProtocolError(f"truncated {what}")
+    (partial_count,) = _NAME_HEAD.unpack_from(body, offset)
+    offset += _NAME_HEAD.size
+    credence_partial = []
+    for _ in range(partial_count):
+        name, offset = _unpack_name(body, offset, what)
+        credence_partial.append(name)
+    if offset != len(body):
+        raise ProtocolError(f"{what} of {len(body)} bytes, expected {offset}")
+    return predictions, codes, credence, placement_version, shard, credence_partial
 
 
 def _pack_observe_record(
@@ -434,22 +532,112 @@ class BinaryServerError(Exception):
         self.payload = payload
 
 
+def observation_payload(
+    timestamp: float,
+    user_id: int,
+    service_id: int,
+    value: float,
+    key: "str | None",
+) -> dict:
+    """A decoded observation record as the ``POST /observations`` payload."""
+    payload = {
+        "timestamp": timestamp,
+        "user_id": user_id,
+        "service_id": service_id,
+        "value": value,
+    }
+    if key is not None:
+        payload["idempotency_key"] = key
+    return payload
+
+
+def _source_codes(sources) -> list[int]:
+    return [SOURCE_CODES.get(source, SOURCE_UNKNOWN) for source in sources]
+
+
+def _pack_observe_response(payload: dict) -> bytes:
+    error = payload.get("sample_error")
+    action = ACTION_CODES.get(payload.get("action"), ACTION_UNKNOWN)
+    return pack_frame(
+        OP_OBSERVE | RESPONSE_FLAG,
+        _OBSERVE_RESP.pack(float("nan") if error is None else float(error), action),
+    )
+
+
+#: opcode -> (request body -> the handler's arguments, the handler's result
+#: -> the reply frame).  Observations reach their handler as the JSON
+#: routes' payloads; predictions leave theirs as aligned lists with the
+#: fallback-chain sources still spelled out.
+_CODECS = {
+    OP_PREDICT_BATCH: (
+        unpack_predict_request,
+        lambda result: pack_predict_response(result[0], _source_codes(result[1])),
+    ),
+    OP_OBSERVE: (
+        lambda body: (observation_payload(*unpack_observe_request(body)),),
+        _pack_observe_response,
+    ),
+    OP_CREDENCE: (
+        lambda body: (unpack_credence_request(body),),
+        pack_credence_response,
+    ),
+    OP_OBSERVE_BATCH: (
+        lambda body: (
+            {
+                "observations": [
+                    observation_payload(*record)
+                    for record in unpack_observe_batch_request(body)
+                ]
+            },
+        ),
+        lambda payload: pack_observe_batch_response(
+            payload["accepted"],
+            payload["sample_errors"],
+            [(item["index"], item["error"]) for item in payload["rejected"]],
+        ),
+    ),
+    OP_PREDICT_ROUTED: (
+        unpack_predict_request,
+        lambda result: pack_routed_response(
+            result[0], _source_codes(result[1]), *result[2:]
+        ),
+    ),
+}
+
+
 class BinaryTransportServer:
     """TCP listener speaking the frame protocol above.
 
-    ``backend`` is the owning :class:`~repro.server.app.PredictionServer`;
-    every decoded request is answered by the methods behind its JSON
-    routes, and every refusal goes through the same
-    :func:`~repro.server.http.error_reply`, so both transports share one
-    behavior (fallback chain, fencing, admission, degraded mode) and one
-    set of statuses and bodies.  One daemon thread accepts; one daemon
-    thread per connection serves until the peer hangs up.
+    Args:
+        address:  ``(host, port)`` to bind (port 0 picks an ephemeral one).
+        handlers: ``{opcode: callable}`` — what this server answers besides
+                  ``PING``.  A handler is called with the decoded request
+                  (see :data:`_CODECS`) and returns what the reply packs;
+                  it refuses by raising, and every refusal goes through
+                  :func:`~repro.server.http.error_reply`, so both
+                  transports share one set of statuses and bodies.
+        max_body_bytes: frame bodies beyond this are a 413, like a POST
+                  body on the owner's HTTP listener.
+        on_request: called with the opcode of every frame (counters).
+        on_internal_error: see :func:`~repro.server.http.error_reply`.
+
+    One daemon thread accepts; one daemon thread per connection serves
+    until the peer hangs up.
     """
 
-    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._backend = backend
-        self._host = host
-        self._port = port
+    def __init__(
+        self,
+        address: "tuple[str, int]",
+        handlers: dict,
+        max_body_bytes: int,
+        on_request=None,
+        on_internal_error=None,
+    ) -> None:
+        self.handlers = handlers
+        self.max_body_bytes = max_body_bytes
+        self.on_request = on_request
+        self.on_internal_error = on_internal_error
+        self._address = address
         self._listener: "socket.socket | None" = None
         self._accept_thread: "threading.Thread | None" = None
         self._stopping = threading.Event()
@@ -471,7 +659,7 @@ class BinaryTransportServer:
             return
         self._stopping.clear()
         listener = socket.create_server(
-            (self._host, self._port), backlog=128, reuse_port=False
+            self._address, backlog=128, reuse_port=False
         )
         self._listener = listener
         self._accept_thread = threading.Thread(
@@ -534,7 +722,7 @@ class BinaryTransportServer:
 
     def _refuse(self, conn: socket.socket, exc: Exception) -> None:
         """Answer ``exc`` as an error frame; a peer that is gone is fine."""
-        status, body, __ = error_reply(exc, self._backend._note_internal_error)
+        status, body, __ = error_reply(exc, self.on_internal_error)
         try:
             conn.sendall(pack_error(status, body))
         except OSError:
@@ -592,43 +780,21 @@ class BinaryTransportServer:
 
     def _handle(self, opcode: int, body: bytes) -> bytes:
         TRANSPORT_BINARY_REQUESTS.inc()
-        backend = self._backend
-        if len(body) > backend.max_body_bytes:
+        if self.on_request is not None:
+            self.on_request(opcode)
+        if len(body) > self.max_body_bytes:
             # The server's request-size bound holds on either encoding.
             raise PayloadTooLarge(
                 f"body of {len(body)} bytes exceeds limit of "
-                f"{backend.max_body_bytes}"
+                f"{self.max_body_bytes}"
             )
         if opcode == OP_PING:
             return pack_frame(OP_PING | RESPONSE_FLAG)
-        if opcode == OP_PREDICT_BATCH:
-            return pack_predict_response(
-                *backend._binary_predict_batch(*unpack_predict_request(body))
-            )
-        if opcode == OP_OBSERVE:
-            payload = backend._binary_observe(*unpack_observe_request(body))
-            error = payload.get("sample_error")
-            action = ACTION_CODES.get(payload.get("action"), ACTION_UNKNOWN)
-            return pack_frame(
-                OP_OBSERVE | RESPONSE_FLAG,
-                _OBSERVE_RESP.pack(
-                    float("nan") if error is None else float(error), action
-                ),
-            )
-        if opcode == OP_CREDENCE:
-            return pack_credence_response(
-                backend._credence(unpack_credence_request(body))
-            )
-        if opcode == OP_OBSERVE_BATCH:
-            payload = backend._binary_observe_batch(
-                unpack_observe_batch_request(body)
-            )
-            return pack_observe_batch_response(
-                payload["accepted"],
-                payload["sample_errors"],
-                [(item["index"], item["error"]) for item in payload["rejected"]],
-            )
-        raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
+        handler = self.handlers.get(opcode)
+        if handler is None:
+            raise ProtocolError(f"unknown opcode 0x{opcode:02x}")
+        unpack, pack = _CODECS[opcode]
+        return pack(handler(*unpack(body)))
 
 
 def set_transport_mode(json_enabled: bool, binary_enabled: bool) -> None:
@@ -780,8 +946,7 @@ class BinaryConnection:
                 f"server answered {len(predictions)} predictions for "
                 f"{len(service_ids)} ids"
             )
-        sources = [SOURCE_NAMES.get(code, "unknown") for code in codes]
-        return predictions, sources
+        return predictions, source_names(codes)
 
     def observe(
         self,

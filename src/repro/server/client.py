@@ -78,7 +78,6 @@ from repro.server.binary import (
     OP_OBSERVE_BATCH,
     OP_PREDICT_BATCH,
     RESPONSE_FLAG,
-    SOURCE_NAMES,
     BinaryConnection,
     BinaryServerError,
     ProtocolError,
@@ -86,6 +85,7 @@ from repro.server.binary import (
     pack_observe_batch_request,
     pack_observe_request,
     pack_predict_request,
+    source_names,
     unpack_credence_response,
     unpack_observe_batch_response,
     unpack_observe_response,
@@ -211,8 +211,7 @@ def _predict_frame(user_id: int, service_ids: "list[int]") -> _Frame:
 
     def from_binary(body: bytes):
         values, codes = unpack_predict_response(body)
-        sources = [SOURCE_NAMES.get(code, "unknown") for code in codes]
-        return _expect_count(values, service_ids), sources, "binary"
+        return _expect_count(values, service_ids), source_names(codes), "binary"
 
     def from_json(body: dict):
         predictions = body["predictions"]

@@ -1416,6 +1416,7 @@ def run_shard_kill(
     from repro.cluster.router import ClusterRouter
     from repro.core.serialization import archive_digest
     from repro.server.app import PredictionServer
+    from repro.server.binary import TRANSPORT_BINARY_REQUESTS
     from repro.server.client import (
         PredictionClient,
         RetryableServiceError,
@@ -1454,6 +1455,9 @@ def run_shard_kill(
     router = ClusterRouter(table)
     router.start()
     client = PredictionClient(router.address, retries=0)
+    # The shards here listen on JSON only, so every frame counted from now
+    # on was answered by the router's binary listener.
+    framed = TRANSPORT_BINARY_REQUESTS.value
 
     # The victim is whichever shard owns the record at the kill point, so
     # the outage is guaranteed to intersect live traffic.
@@ -1554,6 +1558,14 @@ def run_shard_kill(
     health = client._request("GET", "/health")
     if health.get("status") != "ok":
         mismatches.append(f"fleet health after recovery: {health.get('status')}")
+
+    detail["router_binary_frames"] = int(TRANSPORT_BINARY_REQUESTS.value - framed)
+    if detail["router_binary_frames"] < len(records):
+        mismatches.append(
+            "the drill is meant to run over the default client-to-router "
+            f"hop, but the router answered {detail['router_binary_frames']} "
+            f"frames for {len(records)} observations"
+        )
 
     snapshots = {name: _snapshot(servers[name]) for name in names}
     for name in names:

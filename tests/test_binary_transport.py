@@ -24,6 +24,7 @@ from repro.server.binary import (
     OP_OBSERVE_BATCH,
     OP_PING,
     OP_PREDICT_BATCH,
+    OP_PREDICT_ROUTED,
     RESPONSE_FLAG,
     TRANSPORT_BINARY_REQUESTS,
     BinaryConnection,
@@ -38,6 +39,7 @@ from repro.server.binary import (
     pack_observe_request,
     pack_predict_request,
     pack_predict_response,
+    pack_routed_response,
     read_frame,
     unpack_credence_request,
     unpack_credence_response,
@@ -47,6 +49,7 @@ from repro.server.binary import (
     unpack_observe_request,
     unpack_predict_request,
     unpack_predict_response,
+    unpack_routed_response,
 )
 from repro.server.client import (
     PredictionClient,
@@ -200,6 +203,38 @@ class TestWireFormat:
             unpack_observe_batch_response(
                 pack_observe_batch_response(1, [0.5], [])[8:] + b"\x00"
             )
+
+    def test_routed_predict_roundtrip(self):
+        opcode, body = self._unframe(
+            pack_predict_request(7, [3, 2**40], OP_PREDICT_ROUTED)
+        )
+        assert opcode == OP_PREDICT_ROUTED
+        assert unpack_predict_request(body) == (7, [3, 2**40])
+        nan = float("nan")
+        opcode, body = self._unframe(
+            pack_routed_response(
+                [0.1 + 0.2, 1e-300], [0, 5], [0.5, nan], 2**31, "sh\u00e9", ["b", "c"]
+            )
+        )
+        assert opcode == OP_PREDICT_ROUTED | RESPONSE_FLAG
+        values, codes, credence, version, shard, partial = unpack_routed_response(body)
+        assert (values, codes) == ([0.1 + 0.2, 1e-300], [0, 5])
+        assert credence[0] == 0.5 and math.isnan(credence[1])
+        assert (version, shard, partial) == (2**31, "sh\u00e9", ["b", "c"])
+        empty = self._unframe(pack_routed_response([], [], [], 1, "s0", []))[1]
+        assert unpack_routed_response(empty) == ([], [], [], 1, "s0", [])
+
+    def test_routed_predict_response_refuses_what_does_not_add_up(self):
+        with pytest.raises(ProtocolError, match="differ in length"):
+            pack_routed_response([1.0], [0, 0], [1.0], 1, "s0", [])
+        whole = pack_routed_response([1.0, 2.0], [0, 0], [0.5, 0.5], 3, "s0", ["dead"])[8:]
+        for cut in (1, 4, 20, len(whole) - 7, len(whole) - 2):
+            with pytest.raises(ProtocolError, match="truncated|declares"):
+                unpack_routed_response(whole[:cut])
+        with pytest.raises(ProtocolError, match="expected"):  # trailing bytes
+            unpack_routed_response(whole + b"\x00")
+        with pytest.raises(ProtocolError, match="declares"):  # a hostile count
+            unpack_routed_response(struct.pack("!I", 0xFFFFFFFF) + whole[4:])
 
     def test_new_opcodes_refuse_to_pack_an_oversized_frame(self):
         too_many = range(MAX_FRAME_BYTES // 8 + 1)

@@ -427,9 +427,10 @@ class TestRouterErrorContainment:
         try:
             for k in range(5):
                 client.report_observation(k, k % 3, 0.4, float(k))
-            # Every write went over the binary hop: the fenced frame to
-            # the standby, then one frame each to the primary.
-            assert TRANSPORT_BINARY_REQUESTS.value - framed == 6
+            # Every write went over the binary hops: five frames to the
+            # router, then the fenced frame to the standby and one frame
+            # each to the primary.
+            assert TRANSPORT_BINARY_REQUESTS.value - framed == 5 + 6
             assert float(client.predict(0, 0)) > 0.0
             shard_client = router.shard_client("pair")
             # The fenced 409 redirect must not have counted as a failure
@@ -448,10 +449,8 @@ class TestRouterErrorContainment:
 
 
 @contextlib.contextmanager
-def routed_pair(root, client_kwargs=None):
-    """Two durable shards behind a router; yields ``(servers, ask)``
-    where ``ask(method, path, payload)`` is one raw JSON request to the
-    router."""
+def durable_pair(root, client_kwargs=None):
+    """Two durable shards behind a router; yields ``(servers, router)``."""
     servers = [
         PredictionServer(data_dir=os.path.join(root, name), **SERVER_ARGS)
         for name in ("s0", "s1")
@@ -466,21 +465,30 @@ def routed_pair(root, client_kwargs=None):
     )
     router = ClusterRouter(table, client_kwargs=client_kwargs)
     router.start()
-    caller = PredictionClient(router.address, retries=0, transport="json")
-
-    def ask(method, path, payload=None):
-        try:
-            return caller._request(method, path, payload, idempotent=False)
-        except (RetryableServiceError, TerminalServiceError) as exc:
-            return {"status": exc.status, "body": exc.body}
-
     try:
-        yield servers, ask
+        yield servers, router
     finally:
         router.stop()
         for server in servers:
             if server._httpd is not None:
                 server.stop()
+
+
+@contextlib.contextmanager
+def routed_pair(root, client_kwargs=None):
+    """:func:`durable_pair`, yielding ``(servers, ask)`` where
+    ``ask(method, path, payload)`` is one raw JSON request to the
+    router."""
+    with durable_pair(root, client_kwargs) as (servers, router):
+        caller = PredictionClient(router.address, retries=0, transport="json")
+
+        def ask(method, path, payload=None):
+            try:
+                return caller._request(method, path, payload, idempotent=False)
+            except (RetryableServiceError, TerminalServiceError) as exc:
+                return {"status": exc.status, "body": exc.body}
+
+        yield servers, ask
 
 
 def seeded_requests(seed=7, count=160):
@@ -605,6 +613,9 @@ class TestBinaryHop:
                 s for s in ids if homes[s] == "live"
             }
             assert router.shard_client("live")._binary_idle[0]  # it was framed
+            assert client._router._binary_idle[0]  # ... as a PREDICT_ROUTED reply
+            with ClusterClient(router.address, retries=0, transport="json") as pinned:
+                assert pinned.predict_candidates_detailed(user, ids) == detail
         finally:
             client.close()
             router.stop()
@@ -637,7 +648,8 @@ class TestBinaryHop:
             client.report_observation(0, 0, 0.5, 11.0)
             assert client.predict_candidates(0, [0, 1, 2])
             assert shard_client._binary_addresses == [server.binary_address]
-            assert TRANSPORT_BINARY_REQUESTS.value - framed == 3
+            # Two frames to the router; observe, predict and credence on.
+            assert TRANSPORT_BINARY_REQUESTS.value - framed == 2 + 3
             assert server.model.updates_applied == 7
         finally:
             client.close()
@@ -690,6 +702,8 @@ class TestBinaryHop:
                         assert own.credence(ids[:5]) == {
                             s: credence[s] for s in ids[:5]
                         }
+                # Its observes and rankings shared one connection to the router.
+                assert len(own._router._binary_idle[0]) == 1
             except BaseException as exc:  # noqa: BLE001 — reported below
                 failures.append((user, exc))
             finally:
@@ -713,3 +727,195 @@ class TestBinaryHop:
             idle = router.shard_client(name)._binary_idle[0]
             assert 1 <= len(idle) <= 8
             assert all(conn.outstanding == 0 for conn in idle)
+
+
+def client_stream(client, seed=11, count=120):
+    """A mixed stream through a :class:`ClusterClient`'s own methods; each
+    reply (or refusal) as the caller would see it."""
+    rng = random.Random(seed)
+    replies = []
+
+    def call(fn, *args, **kwargs):
+        try:
+            reply = fn(*args, **kwargs)
+            # A deduplicated observe reports NaN, which equals nothing.
+            replies.append("nan" if reply != reply else reply)
+        except (RetryableServiceError, TerminalServiceError) as exc:
+            replies.append({"status": exc.status, "body": exc.body})
+
+    for step in range(count):
+        user, service = rng.randrange(12), rng.randrange(20)
+        value = round(rng.uniform(0.1, 4.0), 6)
+        kind = step % 6
+        if kind == 2:
+            call(client.report_observation, user, service, value, float(step),
+                 idempotency_key=f"c:{step}")
+            call(client.report_observation, user, service, value, float(step),
+                 idempotency_key=f"c:{step}")  # resend: deduplicated
+        elif kind == 3:
+            ids = [rng.randrange(20) for _ in range(6)] + [service, service]
+            call(client.predict_candidates_detailed, user, ids)
+        elif kind == 4:
+            batch = [
+                {"timestamp": step + 0.1 * k, "user_id": rng.randrange(12),
+                 "service_id": service, "value": value}
+                for k in range(4)
+            ]
+            batch[1]["value"] = -1.0
+            call(client.report_observations_detailed, batch)
+        elif kind == 5:
+            call(client.rank_candidates, user, rng.sample(range(24), 8), k=3)
+            call(client.credence, rng.sample(range(24), 4))
+        else:
+            call(client.report_observation, user, service, value, float(step))
+    call(client.report_observation, 1, 1, -1.0, 1e9)  # the shard's 400
+    call(client.predict_candidates_detailed, 1, [3, -4])
+    call(client.predict_candidates_detailed, -1, [3])  # the router's 400
+    return replies
+
+
+def router_frames() -> float:
+    """Frames the router has counted under its JSON routes' labels."""
+    from repro.observability import get_registry
+
+    counter = get_registry().counter(
+        "qos_router_requests_total", labelnames=("route",)
+    )
+    return sum(
+        counter.labels(route=route).value
+        for route in ("observations", "predictions/batch")
+    )
+
+
+class TestBinaryFrontDoor:
+    """The client-to-router hop as frames: same replies, same shard state,
+    same failure contract as JSON to the same router."""
+
+    def test_same_stream_same_replies_same_checkpoints_as_the_json_client(
+        self, tmp_path
+    ):
+        outcomes = {}
+        for hop, kwargs in (("json", {"transport": "json"}), ("default", {})):
+            root = str(tmp_path / hop)
+            with durable_pair(root) as (servers, router):
+                client = ClusterClient(router.address, retries=0, **kwargs)
+                before = router_frames()
+                replies = client_stream(client)
+                counted = router_frames() - before
+                learned = client._router._binary_addresses[0]
+                client.close()
+                for server in servers:
+                    server.stop()
+            outcomes[hop] = {
+                "replies": replies,
+                "digests": [
+                    archive_digest(CheckpointStore(os.path.join(root, name)).path)
+                    for name in ("s0", "s1")
+                ],
+                "learned": learned,
+                "counted": counted,
+            }
+        assert outcomes["default"]["replies"] == outcomes["json"]["replies"]
+        assert outcomes["default"]["digests"] == outcomes["json"]["digests"]
+        assert outcomes["json"]["learned"] is None  # never asked
+        assert outcomes["default"]["learned"] is not None
+        # A frame counts under the label of the JSON route it stands for.
+        assert outcomes["default"]["counted"] == outcomes["json"]["counted"]
+        statuses = [
+            reply.get("status") for reply in outcomes["default"]["replies"][-3:]
+        ]
+        assert statuses == [400, 400, 400]
+
+    def test_a_newer_placement_version_on_a_frame_refreshes_the_cached_table(
+        self, fleet
+    ):
+        servers, table, router, client = fleet
+        assert client.placement().version == table.version
+        # Installed behind the client's back, so only a reply can tell it.
+        router.update_placement(table.draining_shard("s2"))
+        detail = client.predict_candidates_detailed(0, [0, 1, 2])
+        assert client._router._binary_idle[0]  # the reply was a frame
+        assert detail["placement_version"] == table.version + 1
+        assert client.placement().version == table.version + 1
+        assert client.placement().shard("s2").draining
+
+    def test_restarted_router_on_a_new_binary_port_is_reached_again(self):
+        with PredictionServer(**SERVER_ARGS) as server:
+            table = PlacementTable([ShardSpec(name="s0", addresses=(server.address,))])
+            port = free_port()
+            router = ClusterRouter(table, port=port)
+            router.start()
+            client = ClusterClient(router.address, retries=0)
+            try:
+                client.report_observation(0, 0, 0.5, 0.0)
+                assert client._router._binary_addresses == [router.binary_address]
+                router.stop()
+                with pytest.raises(RetryableServiceError) as excinfo:
+                    client.report_observation(0, 0, 0.5, 1.0)
+                assert excinfo.value.status is None  # nobody answered
+                router = ClusterRouter(table, port=port)
+                router.start()
+                # Unkeyed and unretried: the stale pooled connection is
+                # noticed before anything is written to it.
+                client.report_observation(0, 0, 0.5, 2.0)
+                assert client.predict_candidates(0, [0, 1])
+                assert client._router._binary_addresses == [router.binary_address]
+                assert server.model.updates_applied == 2
+            finally:
+                client.close()
+                router.stop()
+
+    def test_discovery_succeeds_with_every_shard_down(self):
+        table = PlacementTable(
+            [
+                ShardSpec(name=name, addresses=(("127.0.0.1", free_port()),))
+                for name in ("a", "b")
+            ]
+        )
+        with ClusterRouter(table, timeout=2.0) as router:
+            with ClusterClient(router.address, retries=0, transport="binary") as client:
+                with pytest.raises(RetryableServiceError) as excinfo:
+                    client.report_observation(0, 0, 0.5, 0.0)
+                assert excinfo.value.status == 503
+                assert excinfo.value.body["code"] == "shard_unavailable"
+                assert client._router._binary_addresses == [router.binary_address]
+                assert client._router._failures == [0]  # an answer, not a failure
+
+    def test_stop_leaves_no_binary_connection_serving(self, fleet):
+        servers, table, router, client = fleet
+        client.report_observation(0, 0, 0.5, 0.0)
+        address = router.binary_address
+        (pooled,) = client._router._binary_idle[0]
+        assert not pooled.peer_closed()
+        router.stop()
+        assert router.binary_address is None
+        assert pooled.peer_closed()
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=2.0).close()
+
+    def test_transport_kwarg_still_pins_the_hop(self, fleet):
+        servers, table, router, client = fleet
+        with ClusterClient(router.address, retries=0, transport="json") as pinned:
+            pinned.report_observation(0, 0, 0.5, 0.0)
+            assert pinned.predict_candidates(0, [0, 1])
+            assert pinned._router._binary_addresses == [None]  # never asked
+            assert not router._binary._connections  # nobody connected
+        # "binary" means binary: a router with no listener to offer is an
+        # error, not a reason to fall back.
+        router._binary.stop()
+        status = client.status()
+        assert status["transport"] == {"binary_address": None}
+        with ClusterClient(router.address, retries=0, transport="binary") as strict:
+            with pytest.raises(RetryableServiceError, match="binary transport"):
+                strict.predict_candidates(0, [0, 1])
+        with ClusterClient(router.address, retries=0) as auto:
+            assert auto.predict_candidates(0, [0, 1])  # falls back to JSON
+
+    def test_status_advertises_nothing_before_start(self):
+        table = PlacementTable(
+            [ShardSpec(name="a", addresses=(("127.0.0.1", free_port()),))]
+        )
+        router = ClusterRouter(table, timeout=2.0)
+        assert router.binary_address is None
+        assert router._handle_status()["transport"] == {"binary_address": None}
+        router.stop()  # never started: nothing to tear down

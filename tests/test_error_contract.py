@@ -31,10 +31,12 @@ from repro.server.binary import (
     OP_CREDENCE,
     OP_OBSERVE,
     OP_PREDICT_BATCH,
+    OP_PREDICT_ROUTED,
     RESPONSE_FLAG,
     BinaryConnection,
     BinaryServerError,
     pack_credence_request,
+    pack_frame,
     pack_observe_request,
     pack_predict_request,
 )
@@ -300,6 +302,8 @@ def router_shard_unavailable(tmp_path):
         yield dict(
             json=(router.address, "POST", "/observations",
                   {**OBSERVATION, "user_id": user_id}),
+            binary=(router.binary_address,
+                    pack_observe_request(1.0, user_id, 0, 1.0), OP_OBSERVE),
             status=503,
             body={
                 "error": re.compile(r"shard 'ghost' unavailable: .+"),
@@ -317,6 +321,9 @@ def router_entity_migrating(tmp_path):
         router._block_entities([("user", 5)], reads=True)
         yield dict(
             json=(router.address, "GET", "/predictions?user_id=5&service_id=7", None),
+            binary=(router.binary_address,
+                    pack_predict_request(5, [7], OP_PREDICT_ROUTED),
+                    OP_PREDICT_ROUTED),
             status=503,
             body={
                 "error": "user 5 is migrating; retry shortly",
@@ -396,6 +403,8 @@ def router_passes_shard_refusal_through(tmp_path):
         yield dict(
             json=(router.address, "POST", "/observations",
                   {**OBSERVATION, "value": -1.0}),
+            binary=(router.binary_address, pack_observe_request(1.0, 0, 0, -1.0),
+                    OP_OBSERVE),
             status=400,
             body={
                 "error": "field 'value' must be non-negative, got -1.0",
@@ -405,10 +414,26 @@ def router_passes_shard_refusal_through(tmp_path):
 
 
 @contextlib.contextmanager
+def router_passes_fenced_write_through(tmp_path):
+    """A shard that is only a standby: nowhere to redirect the 409 to."""
+    with fenced_not_primary(tmp_path) as fenced:
+        standby = fenced["json"][0]
+        table = PlacementTable([ShardSpec(name="pair", addresses=(standby,))])
+        with ClusterRouter(table, timeout=2.0) as router:
+            yield dict(
+                fenced,
+                json=(router.address, "POST", "/observations", OBSERVATION),
+                binary=(router.binary_address, OBSERVE_FRAME, OP_OBSERVE),
+            )
+
+
+@contextlib.contextmanager
 def router_bad_request(tmp_path):
     with routed() as (router, table):
         yield dict(
             json=(router.address, "POST", "/observations", {"user_id": "seven"}),
+            binary=(router.binary_address, pack_observe_request(1.0, -7, 0, 1.0),
+                    OP_OBSERVE),
             status=400,
             body={"error": "field 'user_id' must be a non-negative integer"},
         )
@@ -420,6 +445,8 @@ def router_payload_too_large(tmp_path):
         yield dict(
             json=(router.address, "POST", "/observations",
                   {**OBSERVATION, "idempotency_key": "k" * 100}),
+            binary=(router.binary_address,
+                    pack_observe_request(1.0, 0, 0, 1.0, "k" * 100), OP_OBSERVE),
             status=413,
             body={"error": re.compile(r"body of \d+ bytes exceeds limit of 64")},
         )
@@ -429,8 +456,12 @@ def router_payload_too_large(tmp_path):
 def router_internal_error(tmp_path):
     with routed() as (router, table):
         router._handle_status = lambda: 1 / 0
+        router._predict_batch = lambda user_id, service_ids: 1 / 0
         yield dict(
             json=(router.address, "GET", "/status", None),
+            binary=(router.binary_address,
+                    pack_predict_request(0, [1], OP_PREDICT_ROUTED),
+                    OP_PREDICT_ROUTED),
             status=500,
             body={"error": "internal error: ZeroDivisionError: division by zero"},
             counts_internal_error=True,
@@ -454,6 +485,7 @@ CASES = [
     router_placement_mid_migration,
     router_second_migration,
     router_passes_shard_refusal_through,
+    router_passes_fenced_write_through,
     router_bad_request,
     router_payload_too_large,
     router_internal_error,
@@ -506,7 +538,36 @@ def test_a_500_inside_the_frame_codec_is_counted():
         assert status["internal_errors"] == 1
 
 
+def test_an_unknown_opcode_is_a_400_on_shard_and_router():
+    """Including the router's own opcode sent to a shard."""
+    with routed() as (router, table):
+        shard = router.shard_client("live").status()["transport"]["binary_address"]
+        for address, frame in (
+            (router.binary_address, pack_frame(0x55)),
+            (tuple(shard), pack_frame(0x55)),
+            (tuple(shard), pack_predict_request(0, [1], OP_PREDICT_ROUTED)),
+        ):
+            opcode = frame[3]
+            assert binary_call(address, frame, opcode) == (
+                400, {"error": f"unknown opcode 0x{opcode:02x}"}
+            )
+
+
 # -- structural guards -----------------------------------------------------------
+
+
+def test_the_frame_listener_names_no_method_of_its_owner():
+    """``server/binary.py`` is handed a table, like ``HttpListener``: it
+    reads no ``_binary_*`` / ``_credence*`` attribute off anything."""
+    source = (REPO / "src" / "repro" / "server" / "binary.py").read_text()
+    reads = [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith(("_binary_", "_credence"))
+    ]
+    assert reads == []
+
 
 
 def test_one_module_owns_the_http_server_classes():

@@ -1,18 +1,23 @@
 """Prediction-cache correctness: a stale entry must never be served.
 
 Staleness in the cache (:class:`repro.core.online.PredictionCache`) is
-detected by comparing the per-row version stamps the SGD write sites bump;
-the explicit ``invalidate_user``/``invalidate_service`` hooks exist only
-for hot/cold tiering transitions, where slot recycling makes version
-stamps insufficient.  These tests drive every write site (scalar online
-updates, vectorized replay scatter, row reinitialisation) plus the two restart-shaped paths (checkpoint restore,
-standby catch-up) and assert the served values always match a cache-free
-recomputation — and that the eviction counter/size gauge stay truthful
-under demote/revive churn.
+detected by comparing the per-row version stamps the SGD write sites bump
+— and nothing else: under hot/cold tiering an entity leaves its factor
+slot and comes back to another, so :class:`repro.lifecycle.TieredAMF`
+starts every slot occupancy at a version no other occupancy can reach.
+These tests drive every write site (scalar online updates, vectorized
+replay scatter, row reinitialisation), the two restart-shaped paths
+(checkpoint restore, standby catch-up) and random interleavings of the
+lifecycle transitions, and assert the served values always match a
+cache-free recomputation — and that the eviction counter/size gauge stay
+truthful under demote/revive churn.
 """
 
 import numpy as np
 import pytest
+from hypothesis import seed, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.core import (
     AdaptiveMatrixFactorization,
@@ -349,51 +354,172 @@ class TestEvictionMetricsUnderChurn:
         registry = get_registry()
         evictions = registry.counter("qos_predict_cache_evictions_total")
         size_gauge = registry.gauge("qos_predict_cache_size")
+        ids = list(range(8))
         with PredictionServer(
             rng=0,
             background_replay=False,
-            predict_cache_size=256,
+            predict_cache_size=48,
             lifecycle=LifecycleConfig(hot_users=8, hot_services=8),
         ) as server:
             client = PredictionClient(server.address, transport="json")
+            cache = server._predict_cache
+
+            def served_equals_uncached(user_id):
+                served = client.predict_candidates(user_id, ids)
+                uncached, __ = server.model.predict_batch_known(user_id, ids)
+                assert [served[s] for s in ids] == uncached
+                return served
+
             # Fill the hot tier exactly, then cache predictions for the
             # oldest users.
             for k in range(64):
                 client.report_observation(
                     k % 8, k // 8, value=1.0 + (k % 5), timestamp=float(k)
                 )
-            for u in range(4):
-                client.predict_candidates(u, list(range(8)))
-            cache = server._predict_cache
-            assert len(cache) > 0
+            first = {u: served_equals_uncached(u) for u in range(4)}
+            assert len(cache) == 32
             assert size_gauge.value == float(len(cache))
-            assert 0 in cache._by_user
             before = evictions.value
 
-            # Churn: new users overflow the hot tier; demotions must
-            # invalidate the demoted users' cached predictions.
+            # Churn: new users overflow the hot tier and demote the oldest;
+            # every observation also moves a service row, so what the
+            # demoted users left in the cache is dead weight for the LRU
+            # bound (48) to push out as the newcomers' predictions arrive.
             for k in range(32):
                 client.report_observation(
                     100 + k, k % 8, value=2.0, timestamp=float(100 + k)
                 )
-            status = server._lifecycle_status()
-            assert status["demoted_users"] > 0
-            assert 0 not in cache._by_user  # user 0's entries dropped
+                served_equals_uncached(100 + k)
+            assert server._lifecycle_status()["demoted_users"] > 0
+            assert not server.model.with_model(lambda m: m.knows_user(0))
             churn_evictions = evictions.value - before
             assert churn_evictions >= 1
             assert cache.stats()["evictions"] >= churn_evictions
+            assert len(cache) <= 48
             assert size_gauge.value == float(len(cache))
 
-            # Revive-on-read brings user 0 back hot; the revive itself
-            # invalidates (a no-op here — entries are already gone), and
-            # fresh predictions re-enter the cache and the gauge follows.
-            detailed = client.predict_candidates_detailed(0, list(range(8)))
-            assert server.model.with_model(lambda m: m.knows_user(0))
-            assert server._lifecycle_status()["revived_users"] > 0
-            assert any(
-                source == "model" for source in detailed["sources"].values()
-            )
-            client.predict_candidates(0, list(range(8)))
-            assert 0 in cache._by_user
+            # Revive-on-read brings the demoted users back hot, into slots
+            # other users held in between: what is served must be the
+            # revived factors' answer, not anything stamped before.
+            for u in range(4):
+                revived = served_equals_uncached(u)
+                assert revived != first[u]  # the service rows have moved
+                assert served_equals_uncached(u) == revived  # now from cache
+            assert server._lifecycle_status()["revived_users"] >= 4
             assert size_gauge.value == float(len(cache))
             client.close()
+
+    def test_an_entity_back_at_an_old_version_number_is_not_served_stale(self):
+        """The collision per-slot ``+= 1`` counters allow: user 0 is cached
+        at write-count 3, forgotten, and re-created in the slot user 1 left
+        at write-count 1 — reinitialise + observe make that 3 again."""
+        from repro.lifecycle import LifecycleConfig, TieredAMF
+
+        model = TieredAMF(
+            AMFConfig.for_response_time(),
+            rng=0,
+            lifecycle=LifecycleConfig(hot_users=4, hot_services=4),
+        )
+        cm, cache = ConcurrentModel(model), PredictionCache()
+
+        def observe(user_id, service_id, k):
+            model.observe(
+                QoSRecord(timestamp=float(k), user_id=user_id,
+                          service_id=service_id, value=1.0 + k)
+            )
+
+        observe(2, 1, 0)  # service 1 exists and is never written again
+        for k in range(3):
+            observe(0, 0, 1 + k)
+        observe(1, 0, 4)
+        cached, __ = cm.predict_batch_known(0, [1], cache)
+        assert cm.predict_batch_known(0, [1], cache) == (cached, 1)
+        model.forget_user(0)
+        model.forget_user(1)
+        observe(0, 0, 5)  # user 0 again: a fresh row in user 1's old slot
+        fresh, __ = cm.predict_batch_known(0, [1], None)
+        assert fresh != cached
+        assert cm.predict_batch_known(0, [1], cache) == (fresh, 0)
+
+
+@seed(5)
+class StampContractMachine(RuleBasedStateMachine):
+    """Version stamps alone keep the cache honest under tiering: after any
+    interleaving of observe / demote (capacity pressure) / revive /
+    forget / export-import / remove + re-create over a two-slot hot tier,
+    a cached batch read equals the cache-free one, value for value."""
+
+    USERS = st.integers(0, 2)
+    SERVICES = st.integers(0, 2)
+    KINDS = st.sampled_from(["user", "service"])
+    #: Who reads after a step: one drawn user, or (None) all of them.  Only
+    #: a reader's entries are looked up and so refreshed; everyone else's
+    #: stay as stamped, whatever happens next.
+    READERS = st.one_of(st.none(), USERS)
+    ALL_SERVICES = list(range(3))
+
+    def __init__(self):
+        super().__init__()
+        from repro.lifecycle import LifecycleConfig, TieredAMF
+
+        self.model = TieredAMF(
+            AMFConfig.for_response_time(),
+            rng=0,
+            lifecycle=LifecycleConfig(hot_users=2, hot_services=2),
+        )
+        self.cm = ConcurrentModel(self.model)
+        self.cache = PredictionCache(capacity=8)  # of 9 pairs
+        self.clock = 0.0
+
+    def check(self, reader):
+        for user in range(3) if reader is None else [reader]:
+            cached, __ = self.cm.predict_batch_known(
+                user, self.ALL_SERVICES, self.cache
+            )
+            uncached, __ = self.cm.predict_batch_known(user, self.ALL_SERVICES)
+            assert cached == uncached
+
+    @rule(user=USERS, service=SERVICES, value=st.floats(0.1, 10.0), reader=READERS)
+    def observe(self, user, service, value, reader):
+        self.clock += 1.0
+        self.model.observe_reviving(
+            QoSRecord(timestamp=self.clock, user_id=user, service_id=service,
+                      value=value)
+        )
+        self.check(reader)
+
+    @rule(kind=KINDS, ext=USERS, reader=READERS)
+    def revive(self, kind, ext, reader):
+        user, service = (ext, None) if kind == "user" else (None, ext)
+        for pending in self.model.pending_revivals(user, service):
+            self.model.apply_revive(*pending, self.model.revive_payload(*pending))
+        self.check(reader)
+
+    @rule(kind=KINDS, ext=USERS, remove=st.booleans(), reader=READERS)
+    def forget(self, kind, ext, remove, reader):
+        if remove:
+            self.model.remove_entity(kind, ext)
+        elif kind == "user":
+            self.model.forget_user(ext)
+        else:
+            self.model.forget_service(ext)
+        self.check(reader)
+
+    @rule(kind=KINDS, ext=USERS, reader=READERS)
+    def export_then_import(self, kind, ext, reader):
+        try:
+            payload = self.model.export_payload(kind, ext)
+        except KeyError:
+            return
+        self.model.import_entities([(kind, ext, payload)])
+        self.check(reader)
+
+
+TestStampContract = StampContractMachine.TestCase
+# Seeded: every run walks the same interleavings, and a harmful collision
+# needs several small counters to coincide — this seed reaches one within
+# its first examples when ``TieredAMF._occupancy_stamp`` is taken out and a
+# slot's version is merely bumped as its occupant changes.
+TestStampContract.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None
+)
