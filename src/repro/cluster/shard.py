@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rng", type=int, default=0)
     parser.add_argument("--checkpoint-interval", type=int, default=1000)
     parser.add_argument(
-        "--no-fsync", action="store_true", help="disable WAL fsync (benchmarks only)"
-    )
-    parser.add_argument(
         "--background-replay",
         action="store_true",
         help="enable the background replay trainer (off by default in shards "
@@ -97,7 +94,6 @@ def main(argv=None) -> int:
         port=args.port,
         data_dir=args.data_dir,
         checkpoint_interval=args.checkpoint_interval,
-        wal_fsync=not args.no_fsync,
         background_replay=args.background_replay,
         binary_port=binary_port,
         lifecycle=lifecycle,

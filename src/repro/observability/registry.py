@@ -24,8 +24,9 @@ is the matching strict parser, used by tests and the chaos drill to fail
 on malformed output.
 
 Instrumentation is designed to stay on in production; :func:`set_enabled`
-exists so the benchmark harness can measure its overhead (recorded in
-``BENCH_replay.json``; the budget is < 5% of replay throughput).
+exists so a harness can measure its overhead (the budget is < 5% of replay
+throughput; the benchmark reports the traced share of a request as
+``bench.trace_overhead_share``).
 """
 
 from __future__ import annotations

@@ -384,7 +384,6 @@ class PredictionServer:
         background_replay: bool = True,
         data_dir: "str | None" = None,
         checkpoint_interval: int = 1000,
-        wal_fsync: bool = True,
         supervise: bool = True,
         max_body_bytes: int = 1 << 20,
         gate: "GateConfig | bool | None" = None,
@@ -421,7 +420,7 @@ class PredictionServer:
             restored = self._checkpoints.load_full(rng=None)
             if restored is not None:
                 model, applied_seq, checkpoint_extra = restored
-            self._wal = WriteAheadLog(data_dir, fsync=wal_fsync)
+            self._wal = WriteAheadLog(data_dir)
         if model is None:
             model = AdaptiveMatrixFactorization(config, rng=rng)
 

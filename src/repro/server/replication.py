@@ -33,7 +33,7 @@ Design points:
 
 The wiring lives in :class:`~repro.server.app.PredictionServer`
 (``replication=ReplicationConfig(...)``); the chaos drill in
-:func:`repro.simulation.faults.run_failover`.
+:func:`repro.simulation.drills.run_failover`.
 """
 
 from __future__ import annotations

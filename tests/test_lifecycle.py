@@ -115,8 +115,8 @@ class TestTieredModel:
         Fresh slot allocation draws exactly one init vector and revival
         draws zero, so RNG consumption aligns 1:1 with entity
         first-touches regardless of tiering — the property that makes
-        the bounded-vs-unbounded MAE comparison in
-        ``scripts/bench_lifecycle.py`` an equality, not a tolerance.
+        the bounded-vs-unbounded error-stream comparison of the
+        ``memory-cap`` drill an equality, not a tolerance.
         """
         records = stream(600, n_users=100, n_services=50)
         bounded = tiered(hot_users=8, hot_services=8)
@@ -258,7 +258,7 @@ class TestServerLifecycle:
                 client.close()
 
     def test_crash_recovery_bit_exact_with_spilled_entities(self):
-        from repro.simulation.faults import run_crash_recovery
+        from repro.simulation import run_crash_recovery
 
         records = stream(300, seed=2, n_users=60, n_services=30)
         with tempfile.TemporaryDirectory() as root:
@@ -285,7 +285,7 @@ class TestServerLifecycle:
         """End-to-end degradation: tighten to the floor, shed cold reads
         with 429 + Retry-After, keep hot predictions answering, recover
         bit-exact after a kill."""
-        from repro.simulation.faults import run_memory_pressure
+        from repro.simulation import run_memory_pressure
 
         records = stream(240, seed=3, n_users=60, n_services=24)
         with tempfile.TemporaryDirectory() as data_dir:

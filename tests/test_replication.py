@@ -20,11 +20,7 @@ from repro.server import (
     TerminalServiceError,
 )
 from repro.server.replication import HttpReplicaLink
-from repro.simulation.faults import (
-    FaultyReplicaLink,
-    LinkFaultConfig,
-    run_failover,
-)
+from repro.simulation import FaultyReplicaLink, LinkFaultConfig, run_failover
 
 SERVER_ARGS = dict(rng=0, background_replay=False, checkpoint_interval=20)
 

@@ -7,8 +7,8 @@ Four layers:
   crash-recovery prerequisite);
 * dedup ledger + timestamp policy semantics;
 * accuracy — a gated :class:`StreamTrainer` on a tail-corrupted stream
-  beats the ungated model against clean ground truth (the
-  ``scripts/bench_robustness.py`` claim, at test scale);
+  beats the ungated model against clean ground truth, and costs nothing
+  on a clean one;
 * server boundary over HTTP — NaN/±inf/negative values bounce with a
   structured 400 in both observation handlers, idempotency keys
   deduplicate, and the timestamp policy rejects with machine-readable
