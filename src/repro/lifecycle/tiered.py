@@ -84,10 +84,6 @@ _LC_REVIVALS = _METRICS.counter(
     "Entities revived from the spill store into the hot tier, by kind",
     labelnames=("kind",),
 )
-_LC_COLD_SHED = _METRICS.counter(
-    "qos_lifecycle_cold_reads_shed_total",
-    "Cold-entity revive reads shed with 429 under critical memory pressure",
-)
 _LC_PRESSURE_LEVEL = _METRICS.gauge(
     "qos_lifecycle_pressure_level",
     "Memory-pressure level (0 ok, 1 tighten, 2 critical)",
@@ -201,15 +197,96 @@ class LifecycleConfig:
             )
 
 
+class _TierSide:
+    """One entity kind's half of the tier.
+
+    Eqs. 10-17 treat users and services identically, and so does tiering:
+    everything :class:`TieredAMF` keeps *per kind* lives here — the ext<->
+    slot maps, touch ticks, free list, spilled set and hot capacity, the
+    slot-space factor and EMA-error arrays, the sample store's index and
+    drop for this kind, and the metric handles — so each lifecycle
+    operation is written once over a side.  ``peer`` is the other side
+    (whose slots a retained sample's far end lives in).
+    """
+
+    def __init__(
+        self, kind: str, factors, errors, store, capacity: int, state: "dict | None"
+    ) -> None:
+        self.kind = kind  # "user" | "service": the spill-row and event kind
+        self.plural = kind + "s"  # counter and checkpoint-key suffix
+        self.factors = factors
+        self.errors = errors
+        self.peer: "_TierSide" = self
+        self._store = store
+        self._is_user = kind == "user"
+        self.drop_samples = store.drop_user if self._is_user else store.drop_service
+        hot_gauge, spilled_gauge, self.demotions, self.revivals = _LC_HANDLES[kind]
+        if state is None:
+            # Over a flat model: the identity mapping of the rows that exist.
+            rows, free, spilled = [(ext, ext, 0) for ext in range(len(factors))], (), ()
+        else:
+            rows, free = state[self.plural], state[f"{kind[0]}_free"]
+            spilled = state[f"spilled_{self.plural}"]
+            capacity = state[f"hot_{self.plural}"]
+        # The containers below are never rebound: TieredAMF aliases them.
+        self.capacity = int(capacity)
+        self.slot_of = {int(ext): int(slot) for ext, slot, __ in rows}
+        self.free = [int(slot) for slot in free]
+        self.spilled = {int(ext) for ext in spilled}
+        n = len(self.slot_of) + len(self.free)
+        self.ext_of = [-1] * n
+        self.touch = [0] * n
+        for ext, slot, touch in rows:
+            self.ext_of[int(slot)] = int(ext)
+            self.touch[int(slot)] = int(touch)
+        hot_gauge.set_function(lambda: float(len(self.slot_of)))
+        spilled_gauge.set_function(lambda: float(len(self.spilled)))
+
+    def peer_slots(self, slot: int):
+        """Peer-side slots sharing a retained sample with ``slot``.  Looked
+        up per call: the store rebuilds its index dicts when it purges."""
+        index = self._store._user_index if self._is_user else self._store._service_index
+        return index.get(slot, ())
+
+    def pair(self, own: int, peer: int) -> tuple[int, int]:
+        """An (own, peer) pair of slots or ids as ``(user, service)`` — the
+        sample store's key order."""
+        return (own, peer) if self._is_user else (peer, own)
+
+    def holds(self, ext: int) -> bool:
+        """Hot or spilled: this model has the entity's state."""
+        return ext in self.slot_of or ext in self.spilled
+
+    def error_of(self, ext: int) -> float:
+        """EMA error by external id — a pure read: an id that is not hot
+        (unknown or spilled) reports the initial, maximal error."""
+        slot = self.slot_of.get(ext)
+        return self.errors._init_error if slot is None else self.errors.get(slot)
+
+    def version_of(self, ext: int) -> int:
+        """Write-version of the entity's factor row; 0 when it is not hot."""
+        slot = self.slot_of.get(ext)
+        return 0 if slot is None else self.factors.version(slot)
+
+    def rows(self) -> list:
+        """``[ext, slot, touch]`` per hot entity, by ascending ext id."""
+        return [
+            [ext, slot, self.touch[slot]] for ext, slot in sorted(self.slot_of.items())
+        ]
+
+
 class TieredAMF(AdaptiveMatrixFactorization):
     """AMF with external-id -> slot indirection and hot/cold tiering.
 
     The public prediction/observation API speaks *external* ids; every
     inherited internal (factors, weights, sample store, replay kernels,
-    serialization arrays) speaks *slots*.  ``hooks`` (set by the server) is
-    the bridge to state keyed by external ids outside the model — sanitizer
-    gate statistics — exported/imported on demote/revive; see
-    ``repro.server.app._LifecycleHooks``.
+    serialization arrays) speaks *slots*.  ``gate`` (set by the server to
+    its :class:`~repro.robustness.SanitizerGate`, else ``None``) is the one
+    piece of state keyed by external ids that lives outside the model: an
+    entity's gate statistics ride its spill payload out on demotion and
+    back in on revival.  The gate is only ever mutated under the server's
+    ingest lock (observe, revive, migration and replay all hold it), so its
+    order — and therefore ``gate.state_dict()`` — stays deterministic.
     """
 
     def __init__(
@@ -221,10 +298,9 @@ class TieredAMF(AdaptiveMatrixFactorization):
         spill: "SpillStore | None" = None,
     ) -> None:
         super().__init__(config, rng=rng)
-        self.lifecycle = lifecycle if lifecycle is not None else LifecycleConfig()
-        self._spill = spill if spill is not None else SpillStore(":memory:")
-        self.hooks = None
-        self._init_lifecycle_state(None)
+        self._adopt_tiering(
+            lifecycle, spill if spill is not None else SpillStore(":memory:"), None
+        )
 
     @classmethod
     def from_model(
@@ -244,58 +320,42 @@ class TieredAMF(AdaptiveMatrixFactorization):
         """
         tiered = cls.__new__(cls)
         tiered.__dict__.update(model.__dict__)
-        tiered.lifecycle = lifecycle if lifecycle is not None else LifecycleConfig()
-        tiered._spill = spill
-        tiered.hooks = None
-        tiered._init_lifecycle_state(state)
+        tiered._adopt_tiering(lifecycle, spill, state)
         return tiered
 
     # ------------------------------------------------------------------
     # Lifecycle state
     # ------------------------------------------------------------------
-    def _init_lifecycle_state(self, state: "dict | None") -> None:
-        lc = self.lifecycle
+    def _adopt_tiering(
+        self,
+        lifecycle: "LifecycleConfig | None",
+        spill: SpillStore,
+        state: "dict | None",
+    ) -> None:
+        self.lifecycle = lc = lifecycle if lifecycle is not None else LifecycleConfig()
+        self._spill = spill
+        self.gate = None
         self._occupancies = 0  # see _occupancy_stamp
+        users = _TierSide(
+            "user", self._user_factors, self.weights._user_errors, self._store,
+            lc.hot_users, state,
+        )
+        services = _TierSide(
+            "service", self._service_factors, self.weights._service_errors,
+            self._store, lc.hot_services, state,
+        )
+        users.peer, services.peer = services, users
+        self._users, self._services = users, services
+        self._sides = {"user": users, "service": services}
+        # Aliases the per-request paths below (and tests) read directly.
+        self._u_slot_of, self._s_slot_of = users.slot_of, services.slot_of
+        self._spilled_users, self._spilled_services = users.spilled, services.spilled
         if state is None:
-            n_u = len(self._user_factors)
-            n_s = len(self._service_factors)
-            self._u_slot_of = {ext: ext for ext in range(n_u)}
-            self._s_slot_of = {ext: ext for ext in range(n_s)}
-            self._u_ext_of = list(range(n_u))
-            self._s_ext_of = list(range(n_s))
-            self._u_touch = [0] * n_u
-            self._s_touch = [0] * n_s
-            self._u_free: list[int] = []
-            self._s_free: list[int] = []
-            self._spilled_users: set[int] = set()
-            self._spilled_services: set[int] = set()
             self._tick = 0
-            self._hot_users = lc.hot_users
-            self._hot_services = lc.hot_services
             self._pressure_level = "ok"
             self.counters = dict(_DEFAULT_COUNTERS)
         else:
-            self._u_slot_of = {int(e): int(p) for e, p, __ in state["users"]}
-            self._s_slot_of = {int(e): int(p) for e, p, __ in state["services"]}
-            self._u_free = [int(p) for p in state["u_free"]]
-            self._s_free = [int(p) for p in state["s_free"]]
-            n_u = len(self._u_slot_of) + len(self._u_free)
-            n_s = len(self._s_slot_of) + len(self._s_free)
-            self._u_ext_of = [-1] * n_u
-            self._s_ext_of = [-1] * n_s
-            self._u_touch = [0] * n_u
-            self._s_touch = [0] * n_s
-            for ext, slot, touch in state["users"]:
-                self._u_ext_of[int(slot)] = int(ext)
-                self._u_touch[int(slot)] = int(touch)
-            for ext, slot, touch in state["services"]:
-                self._s_ext_of[int(slot)] = int(ext)
-                self._s_touch[int(slot)] = int(touch)
-            self._spilled_users = {int(e) for e in state["spilled_users"]}
-            self._spilled_services = {int(e) for e in state["spilled_services"]}
             self._tick = int(state["tick"])
-            self._hot_users = int(state["hot_users"])
-            self._hot_services = int(state["hot_services"])
             self._pressure_level = str(state.get("pressure_level", "ok"))
             self.counters = {
                 key: int(value) for key, value in state["counters"].items()
@@ -304,23 +364,25 @@ class TieredAMF(AdaptiveMatrixFactorization):
             # default it so increments never KeyError after an upgrade.
             for key, value in _DEFAULT_COUNTERS.items():
                 self.counters.setdefault(key, value)
-        hot_u, spill_u, __, __ = _LC_HANDLES["user"]
-        hot_s, spill_s, __, __ = _LC_HANDLES["service"]
-        hot_u.set_function(lambda: float(len(self._u_slot_of)))
-        hot_s.set_function(lambda: float(len(self._s_slot_of)))
-        spill_u.set_function(lambda: float(len(self._spilled_users)))
-        spill_s.set_function(lambda: float(len(self._spilled_services)))
         _LC_RESIDENT.set_function(self.resident_bytes)
         _LC_PRESSURE_LEVEL.set(PRESSURE_LEVELS.index(self._pressure_level))
-        if state is None and (
-            len(self._u_slot_of) > self._hot_users
-            or len(self._s_slot_of) > self._hot_services
+        if state is None and any(
+            len(side.slot_of) > side.capacity for side in (users, services)
         ):
             # Flat-checkpoint upgrade: adopt rows then demote overflow.  The
             # tick must advance first — demotion spares entities touched at
             # the current tick, and at tick 0 every adopted row qualifies.
             self._tick += 1
             self._enforce_capacity()
+
+    @property
+    def _hot_users(self) -> int:
+        """Current hot capacity for users (pressure events shrink it)."""
+        return self._users.capacity
+
+    @property
+    def _hot_services(self) -> int:
+        return self._services.capacity
 
     def lifecycle_state(self) -> dict:
         """JSON-exact snapshot for ``extra["lifecycle"]`` in checkpoints.
@@ -330,35 +392,31 @@ class TieredAMF(AdaptiveMatrixFactorization):
         checkpoint archives — the recovery digest oracle covers tier
         assignment too.
         """
+        users, services = self._users, self._services
         return {
-            "hot_users": self._hot_users,
-            "hot_services": self._hot_services,
+            "hot_users": users.capacity,
+            "hot_services": services.capacity,
             "tick": self._tick,
-            "users": [
-                [ext, slot, self._u_touch[slot]]
-                for ext, slot in sorted(self._u_slot_of.items())
-            ],
-            "services": [
-                [ext, slot, self._s_touch[slot]]
-                for ext, slot in sorted(self._s_slot_of.items())
-            ],
-            "u_free": list(self._u_free),
-            "s_free": list(self._s_free),
-            "spilled_users": sorted(self._spilled_users),
-            "spilled_services": sorted(self._spilled_services),
+            "users": users.rows(),
+            "services": services.rows(),
+            "u_free": list(users.free),
+            "s_free": list(services.free),
+            "spilled_users": sorted(users.spilled),
+            "spilled_services": sorted(services.spilled),
             "pressure_level": self._pressure_level,
             "counters": dict(self.counters),
         }
 
     def lifecycle_status(self) -> dict:
         """Operator-facing snapshot for the server's ``/status`` payload."""
+        users, services = self._users, self._services
         return {
-            "hot_users": len(self._u_slot_of),
-            "hot_services": len(self._s_slot_of),
-            "spilled_users": len(self._spilled_users),
-            "spilled_services": len(self._spilled_services),
-            "capacity_users": self._hot_users,
-            "capacity_services": self._hot_services,
+            "hot_users": len(users.slot_of),
+            "hot_services": len(services.slot_of),
+            "spilled_users": len(users.spilled),
+            "spilled_services": len(services.spilled),
+            "capacity_users": users.capacity,
+            "capacity_services": services.capacity,
             "resident_bytes": self.resident_bytes(),
             "pressure_level": self._pressure_level,
             "spill_path": self._spill.path,
@@ -374,18 +432,16 @@ class TieredAMF(AdaptiveMatrixFactorization):
         population, which is what a demotion controller needs; it is not an
         RSS measurement.
         """
-        arrays = (
-            self._user_factors._rows.nbytes
-            + self._user_factors._versions.nbytes
-            + self._service_factors._rows.nbytes
-            + self._service_factors._versions.nbytes
-            + self.weights._user_errors._values.nbytes
-            + self.weights._service_errors._values.nbytes
-            + self._store._users.nbytes * 5  # five parallel columns, same dtype size
-        )
+        sides = (self._users, self._services)
+        arrays = sum(
+            side.factors._rows.nbytes
+            + side.factors._versions.nbytes
+            + side.errors._values.nbytes
+            for side in sides
+        ) + self._store._users.nbytes * 5  # five parallel columns, same dtype size
         entries = (
-            96 * (len(self._u_slot_of) + len(self._s_slot_of))
-            + 64 * (len(self._spilled_users) + len(self._spilled_services))
+            96 * sum(len(side.slot_of) for side in sides)
+            + 64 * sum(len(side.spilled) for side in sides)
             + 200 * len(self._store)
         )
         return int(arrays + entries)
@@ -393,6 +449,12 @@ class TieredAMF(AdaptiveMatrixFactorization):
     # ------------------------------------------------------------------
     # Identity / translation
     # ------------------------------------------------------------------
+    def _side(self, kind: str) -> _TierSide:
+        side = self._sides.get(kind)
+        if side is None:
+            raise ValueError(f"unknown entity kind {kind!r}")
+        return side
+
     def knows_user(self, user_id: int) -> bool:
         return user_id in self._u_slot_of
 
@@ -405,21 +467,9 @@ class TieredAMF(AdaptiveMatrixFactorization):
     def is_spilled_service(self, service_id: int) -> bool:
         return service_id in self._spilled_services
 
-    @property
-    def n_hot_users(self) -> int:
-        return len(self._u_slot_of)
-
-    @property
-    def n_hot_services(self) -> int:
-        return len(self._s_slot_of)
-
-    @property
-    def n_spilled_users(self) -> int:
-        return len(self._spilled_users)
-
-    @property
-    def n_spilled_services(self) -> int:
-        return len(self._spilled_services)
+    def holds_entity(self, kind: str, ext_id: int) -> bool:
+        """Whether this model holds the entity's state, hot or spilled."""
+        return self._side(kind).holds(int(ext_id))
 
     def _occupancy_stamp(self) -> int:
         """A version no other occupancy of any slot can reach: a model-wide
@@ -433,103 +483,87 @@ class TieredAMF(AdaptiveMatrixFactorization):
         self._occupancies += 1
         return self._occupancies << 32
 
-    def _alloc_user_slot(self, fresh: bool) -> int:
-        """Give a slot its next occupant: pop a recycled slot or grow by
-        one.  The one place an occupancy begins — fresh, revived or
+    def _occupy(self, side: _TierSide, ext: int, fresh: bool) -> int:
+        """Give a slot its next occupant ``ext``: pop a recycled slot or
+        grow by one.  The one place an occupancy begins — fresh, revived or
         imported — so the one place its version stamp is set.
 
         ``fresh=True`` (a genuinely new entity) reinitializes a recycled
         slot's factor row with one RNG draw — the same single draw a grown
         slot consumes in ``ensure`` — so RNG consumption per allocation is
-        uniform.  ``fresh=False`` (revival) leaves the row for
+        uniform.  ``fresh=False`` (revival, import) leaves the row for
         ``set_row`` to overwrite exactly, drawing nothing on recycle.
         """
-        if self._u_free:
-            slot = self._u_free.pop()
+        if side.free:
+            slot = side.free.pop()
             if fresh:
-                self._user_factors.reinitialize(slot)
+                side.factors.reinitialize(slot)
         else:
-            slot = len(self._u_ext_of)
-            self._u_ext_of.append(-1)
-            self._u_touch.append(0)
-            self._user_factors.ensure(slot)
-            self.weights.register_user(slot)
-        self._user_factors._versions[slot] = self._occupancy_stamp()
+            slot = len(side.ext_of)
+            side.ext_of.append(-1)
+            side.touch.append(0)
+            side.factors.ensure(slot)
+            side.errors.ensure(slot)
+        side.factors._versions[slot] = self._occupancy_stamp()
+        side.slot_of[ext] = slot
+        side.ext_of[slot] = ext
+        side.touch[slot] = self._tick
         return slot
 
-    def _alloc_service_slot(self, fresh: bool) -> int:
-        if self._s_free:
-            slot = self._s_free.pop()
-            if fresh:
-                self._service_factors.reinitialize(slot)
-        else:
-            slot = len(self._s_ext_of)
-            self._s_ext_of.append(-1)
-            self._s_touch.append(0)
-            self._service_factors.ensure(slot)
-            self.weights.register_service(slot)
-        self._service_factors._versions[slot] = self._occupancy_stamp()
+    def _vacate(self, side: _TierSide, ext: int) -> None:
+        """End hot entity ``ext``'s occupancy: drop its samples, reset the
+        slot's EMA error and recycle the slot."""
+        slot = side.slot_of.pop(ext)
+        side.drop_samples(slot)
+        side.errors.reset(slot)
+        side.ext_of[slot] = -1
+        side.free.append(slot)
+
+    def _ensure(self, side: _TierSide, ext: int) -> int:
+        """The slot of hot entity ``ext``, allocating one if it is new."""
+        if ext < 0:
+            raise IndexError(f"{side.kind} id must be non-negative, got {ext}")
+        slot = side.slot_of.get(ext)
+        if slot is None:
+            if ext in side.spilled:
+                raise ColdEntityError(
+                    f"{side.kind} {ext} is spilled; revive it before use"
+                )
+            slot = self._occupy(side, ext, fresh=True)
         return slot
 
     def ensure_user(self, user_id: int) -> None:
-        if user_id < 0:
-            raise IndexError(f"user id must be non-negative, got {user_id}")
-        if user_id in self._u_slot_of:
-            return
-        if user_id in self._spilled_users:
-            raise ColdEntityError(
-                f"user {user_id} is spilled; revive it before use"
-            )
-        slot = self._alloc_user_slot(fresh=True)
-        self._u_slot_of[user_id] = slot
-        self._u_ext_of[slot] = user_id
-        self._u_touch[slot] = self._tick
+        self._ensure(self._users, user_id)
 
     def ensure_service(self, service_id: int) -> None:
-        if service_id < 0:
-            raise IndexError(f"service id must be non-negative, got {service_id}")
-        if service_id in self._s_slot_of:
-            return
-        if service_id in self._spilled_services:
-            raise ColdEntityError(
-                f"service {service_id} is spilled; revive it before use"
-            )
-        slot = self._alloc_service_slot(fresh=True)
-        self._s_slot_of[service_id] = slot
-        self._s_ext_of[slot] = service_id
-        self._s_touch[slot] = self._tick
+        self._ensure(self._services, service_id)
+
+    def _forget(self, side: _TierSide, ext: int) -> bool:
+        """Remove an entity entirely — hot slot freed (its gate statistics
+        discarded with it) or spill row dropped; a rejoin allocates a fresh
+        slot like a new entity.  Returns whether a spill row was deleted,
+        which the caller must then commit."""
+        if ext in side.slot_of:
+            self._vacate(side, ext)
+            if self.gate is not None:
+                self.gate.export_entity(side.kind, ext)
+        elif ext in side.spilled:
+            side.spilled.discard(ext)
+            self._spill.delete(side.kind, ext)
+            return True
+        return False
+
+    def _forget_committed(self, side: _TierSide, ext: int) -> None:
+        if self._forget(side, ext):
+            self._spill.commit()
+            self._spill.maybe_compact()
 
     def forget_user(self, user_id: int) -> None:
-        """Remove a departed user entirely (hot slot freed or spill row
-        dropped); a rejoin allocates a fresh slot like a new entity."""
-        slot = self._u_slot_of.pop(user_id, None)
-        if slot is not None:
-            self.weights.reset_user(slot)
-            self._store.drop_user(slot)
-            self._u_ext_of[slot] = -1
-            self._u_free.append(slot)
-            if self.hooks is not None:
-                self.hooks.export_user(user_id)
-        elif user_id in self._spilled_users:
-            self._spilled_users.discard(user_id)
-            self._spill.delete("user", user_id)
-            self._spill.commit()
-            self._spill.maybe_compact()
+        """Remove a departed user entirely (see :meth:`_forget`)."""
+        self._forget_committed(self._users, user_id)
 
     def forget_service(self, service_id: int) -> None:
-        slot = self._s_slot_of.pop(service_id, None)
-        if slot is not None:
-            self.weights.reset_service(slot)
-            self._store.drop_service(slot)
-            self._s_ext_of[slot] = -1
-            self._s_free.append(slot)
-            if self.hooks is not None:
-                self.hooks.export_service(service_id)
-        elif service_id in self._spilled_services:
-            self._spilled_services.discard(service_id)
-            self._spill.delete("service", service_id)
-            self._spill.commit()
-            self._spill.maybe_compact()
+        self._forget_committed(self._services, service_id)
 
     # ------------------------------------------------------------------
     # Observation path
@@ -541,21 +575,17 @@ class TieredAMF(AdaptiveMatrixFactorization):
         revive event before this observation); model-level drivers use
         :meth:`observe_reviving`.
         """
-        if record.user_id in self._spilled_users:
+        users, services = self._users, self._services
+        if record.user_id in users.spilled or record.service_id in services.spilled:
+            kind, ext_id = self.pending_revivals(record.user_id, record.service_id)[0]
             raise ColdEntityError(
-                f"user {record.user_id} is spilled; revive it before observing"
-            )
-        if record.service_id in self._spilled_services:
-            raise ColdEntityError(
-                f"service {record.service_id} is spilled; revive it before observing"
+                f"{kind} {ext_id} is spilled; revive it before observing"
             )
         self._tick += 1
-        self.ensure_user(record.user_id)
-        self.ensure_service(record.service_id)
-        u_slot = self._u_slot_of[record.user_id]
-        s_slot = self._s_slot_of[record.service_id]
-        self._u_touch[u_slot] = self._tick
-        self._s_touch[s_slot] = self._tick
+        u_slot = self._ensure(users, record.user_id)
+        s_slot = self._ensure(services, record.service_id)
+        users.touch[u_slot] = self._tick
+        services.touch[s_slot] = self._tick
         r = self._normalize_scalar(record.value)
         if r < self.config.normalized_floor:
             r = self.config.normalized_floor
@@ -581,6 +611,63 @@ class TieredAMF(AdaptiveMatrixFactorization):
         return events, self.observe(record)
 
     # ------------------------------------------------------------------
+    # The spill payload: one encoder, one sample restorer
+    # ------------------------------------------------------------------
+    def _payload_of(self, side: _TierSide, ext: int, destructive: bool) -> dict:
+        """The canonical spill-format payload of hot entity ``ext``: factor
+        row, EMA error, peer-sorted retained samples by the peer's external
+        id, and its gate statistics.  ``destructive`` takes the gate entry
+        out of the gate (demotion: the statistics leave with the entity);
+        otherwise it is read in place (migration export: the source keeps
+        serving)."""
+        slot = side.slot_of[ext]
+        samples = []
+        for peer_slot in side.peer_slots(slot):
+            timestamp, value = self._store.get(*side.pair(slot, peer_slot))
+            samples.append([int(side.peer.ext_of[peer_slot]), timestamp, value])
+        samples.sort(key=lambda item: item[0])
+        payload = {
+            "row": [float(x) for x in side.factors._rows[slot]],
+            "err": float(side.errors.get(slot)),
+            "samples": samples,
+        }
+        if self.gate is not None:
+            read = self.gate.export_entity if destructive else self.gate.peek_entity
+            gate_entry = read(side.kind, ext)
+            if gate_entry is not None:
+                payload["gate"] = gate_entry
+        return payload
+
+    def _restore_entity(self, side: _TierSide, ext: int, payload: dict) -> None:
+        """Put ``ext`` into a hot slot holding exactly the payload's factor
+        row (stamped for this occupancy alone, so no cache stamp from an
+        earlier one matches), EMA error and gate statistics.  Its samples
+        are restored separately: a batch import needs every entity of the
+        batch hot before any sample can find its peer."""
+        slot = self._occupy(side, ext, fresh=False)
+        side.factors.set_row(slot, payload["row"])
+        side.errors.set(slot, float(payload["err"]))
+        if self.gate is not None:
+            self.gate.import_entity(side.kind, ext, payload.get("gate"))
+
+    def _restore_samples(self, side: _TierSide, ext: int, payload: dict) -> None:
+        """Re-store every retained sample of the payload whose peer is hot
+        right now; samples against cold or absent peers are dropped (the
+        re-warming tradeoff: they re-enter via fresh observations)."""
+        slot = side.slot_of[ext]
+        for peer_ext, timestamp, value in payload.get("samples", ()):
+            peer_slot = side.peer.slot_of.get(int(peer_ext))
+            if peer_slot is None:
+                continue
+            value = float(value)
+            self._store.put(
+                *side.pair(slot, peer_slot),
+                float(timestamp),
+                value,
+                self.normalize_value(value),
+            )
+
+    # ------------------------------------------------------------------
     # Demotion
     # ------------------------------------------------------------------
     def _enforce_capacity(self) -> None:
@@ -592,96 +679,38 @@ class TieredAMF(AdaptiveMatrixFactorization):
         touched at the current tick (the parties of the in-flight
         observation or revival) are never demoted.
         """
-        demoted = self._demote_overflow("user") + self._demote_overflow("service")
+        demoted = self._demote_overflow(self._users) + self._demote_overflow(
+            self._services
+        )
         if demoted:
             self._spill.commit()
             self._spill.maybe_compact()
 
-    def _demote_overflow(self, kind: str) -> int:
-        if kind == "user":
-            slot_of, touch = self._u_slot_of, self._u_touch
-            capacity = self._hot_users
-            errors = self.weights._user_errors._values
-        else:
-            slot_of, touch = self._s_slot_of, self._s_touch
-            capacity = self._hot_services
-            errors = self.weights._service_errors._values
-        live = len(slot_of)
-        if live <= capacity:
+    def _demote_overflow(self, side: _TierSide) -> int:
+        live = len(side.slot_of)
+        if live <= side.capacity:
             return 0
-        target = max(2, int(capacity * self.lifecycle.low_watermark))
+        target = max(2, int(side.capacity * self.lifecycle.low_watermark))
         need = live - target
-        slots = np.fromiter(slot_of.values(), dtype=np.intp, count=live)
+        slots = np.fromiter(side.slot_of.values(), dtype=np.intp, count=live)
         slots.sort()
-        ages = np.array([touch[s] for s in slots], dtype=np.int64)
+        ages = np.array([side.touch[s] for s in slots], dtype=np.int64)
         demotable = ages < self._tick
         slots = slots[demotable]
         ages = ages[demotable]
-        order = np.lexsort((slots, -errors[slots], ages))
+        order = np.lexsort((slots, -side.errors._values[slots], ages))
         victims = slots[order][: min(need, slots.size)]
-        if kind == "user":
-            for slot in victims:
-                self._demote_user_slot(int(slot))
-        else:
-            for slot in victims:
-                self._demote_service_slot(int(slot))
+        for slot in victims:
+            ext = side.ext_of[int(slot)]
+            payload = self._payload_of(side, ext, destructive=True)
+            self._spill.put(
+                side.kind, ext, json.dumps(payload, sort_keys=True).encode()
+            )
+            self._vacate(side, ext)
+            side.spilled.add(ext)
+            self.counters[f"demoted_{side.plural}"] += 1
+            side.demotions.inc()
         return int(victims.size)
-
-    def _demote_user_slot(self, slot: int) -> None:
-        ext = self._u_ext_of[slot]
-        samples = []
-        for peer_slot in self._store._user_index.get(slot, ()):
-            timestamp, value = self._store.get(slot, peer_slot)
-            samples.append([int(self._s_ext_of[peer_slot]), timestamp, value])
-        samples.sort(key=lambda item: item[0])
-        payload = {
-            "row": [float(x) for x in self._user_factors._rows[slot]],
-            "err": float(self.weights.user_error(slot)),
-            "samples": samples,
-        }
-        if self.hooks is not None:
-            gate_entry = self.hooks.export_user(ext)
-            if gate_entry is not None:
-                payload["gate"] = gate_entry
-        self._spill.put(
-            "user", ext, json.dumps(payload, sort_keys=True).encode()
-        )
-        self._store.drop_user(slot)
-        self.weights.reset_user(slot)
-        del self._u_slot_of[ext]
-        self._u_ext_of[slot] = -1
-        self._u_free.append(slot)
-        self._spilled_users.add(ext)
-        self.counters["demoted_users"] += 1
-        _LC_HANDLES["user"][2].inc()
-
-    def _demote_service_slot(self, slot: int) -> None:
-        ext = self._s_ext_of[slot]
-        samples = []
-        for peer_slot in self._store._service_index.get(slot, ()):
-            timestamp, value = self._store.get(peer_slot, slot)
-            samples.append([int(self._u_ext_of[peer_slot]), timestamp, value])
-        samples.sort(key=lambda item: item[0])
-        payload = {
-            "row": [float(x) for x in self._service_factors._rows[slot]],
-            "err": float(self.weights.service_error(slot)),
-            "samples": samples,
-        }
-        if self.hooks is not None:
-            gate_entry = self.hooks.export_service(ext)
-            if gate_entry is not None:
-                payload["gate"] = gate_entry
-        self._spill.put(
-            "service", ext, json.dumps(payload, sort_keys=True).encode()
-        )
-        self._store.drop_service(slot)
-        self.weights.reset_service(slot)
-        del self._s_slot_of[ext]
-        self._s_ext_of[slot] = -1
-        self._s_free.append(slot)
-        self._spilled_services.add(ext)
-        self.counters["demoted_services"] += 1
-        _LC_HANDLES["service"][2].inc()
 
     # ------------------------------------------------------------------
     # Revival
@@ -690,12 +719,11 @@ class TieredAMF(AdaptiveMatrixFactorization):
         self, user_id: "int | None" = None, service_id: "int | None" = None
     ) -> list[tuple[str, int]]:
         """Which of the addressed entities are spilled, in apply order."""
-        pending = []
-        if user_id is not None and user_id in self._spilled_users:
-            pending.append(("user", int(user_id)))
-        if service_id is not None and service_id in self._spilled_services:
-            pending.append(("service", int(service_id)))
-        return pending
+        return [
+            (side.kind, int(ext))
+            for side, ext in ((self._users, user_id), (self._services, service_id))
+            if ext is not None and ext in side.spilled
+        ]
 
     def revive_payload(self, kind: str, ext_id: int) -> dict:
         """Fetch a spilled entity's payload (what the WAL event will carry)."""
@@ -707,70 +735,20 @@ class TieredAMF(AdaptiveMatrixFactorization):
     def apply_revive(self, kind: str, ext_id: int, payload: dict) -> None:
         """Restore a spilled entity from ``payload`` (WAL-replayable).
 
-        Restores the factor row exactly (into a slot stamped for this
-        occupancy alone, so no cache stamp from an earlier one matches), the
-        EMA error, and every retained sample whose peer is currently hot;
-        samples against cold peers are dropped (re-warming tradeoff: they
-        re-enter via fresh observations).  Deletes the spill row, keeping
-        "row present iff spilled" invariant.
+        Restores the factor row, the EMA error and the gate statistics
+        exactly, and every retained sample whose peer is currently hot.
+        Deletes the spill row, keeping "row present iff spilled" invariant.
         """
-        if kind == "user":
-            self._revive_user(int(ext_id), payload)
-        elif kind == "service":
-            self._revive_service(int(ext_id), payload)
-        else:
-            raise ValueError(f"unknown revive kind {kind!r}")
-
-    def _revive_user(self, ext: int, payload: dict) -> None:
-        if ext in self._u_slot_of:
+        side, ext = self._side(kind), int(ext_id)
+        if ext in side.slot_of:
             return
-        slot = self._alloc_user_slot(fresh=False)
-        self._u_slot_of[ext] = slot
-        self._u_ext_of[slot] = ext
-        self._u_touch[slot] = self._tick
-        self._user_factors.set_row(slot, payload["row"])
-        self.weights.set_user_error(slot, payload["err"])
-        for peer_ext, timestamp, value in payload.get("samples", ()):
-            peer_slot = self._s_slot_of.get(int(peer_ext))
-            if peer_slot is None:
-                continue
-            value = float(value)
-            self._store.put(
-                slot, peer_slot, float(timestamp), value, self.normalize_value(value)
-            )
-        if self.hooks is not None:
-            self.hooks.import_user(ext, payload.get("gate"))
-        self._spilled_users.discard(ext)
-        self._spill.delete("user", ext)
+        self._restore_entity(side, ext, payload)
+        self._restore_samples(side, ext, payload)
+        side.spilled.discard(ext)
+        self._spill.delete(kind, ext)
         self._spill.commit()
-        self.counters["revived_users"] += 1
-        _LC_HANDLES["user"][3].inc()
-        self._enforce_capacity()
-
-    def _revive_service(self, ext: int, payload: dict) -> None:
-        if ext in self._s_slot_of:
-            return
-        slot = self._alloc_service_slot(fresh=False)
-        self._s_slot_of[ext] = slot
-        self._s_ext_of[slot] = ext
-        self._s_touch[slot] = self._tick
-        self._service_factors.set_row(slot, payload["row"])
-        self.weights.set_service_error(slot, payload["err"])
-        for peer_ext, timestamp, value in payload.get("samples", ()):
-            peer_slot = self._u_slot_of.get(int(peer_ext))
-            if peer_slot is None:
-                continue
-            value = float(value)
-            self._store.put(
-                peer_slot, slot, float(timestamp), value, self.normalize_value(value)
-            )
-        if self.hooks is not None:
-            self.hooks.import_service(ext, payload.get("gate"))
-        self._spilled_services.discard(ext)
-        self._spill.delete("service", ext)
-        self._spill.commit()
-        self.counters["revived_services"] += 1
-        _LC_HANDLES["service"][3].inc()
+        self.counters[f"revived_{side.plural}"] += 1
+        side.revivals.inc()
         self._enforce_capacity()
 
     # ------------------------------------------------------------------
@@ -783,11 +761,8 @@ class TieredAMF(AdaptiveMatrixFactorization):
         move *all* of an entity's state, including entities currently
         demoted to the spill store.
         """
-        if kind == "user":
-            return sorted(set(self._u_slot_of) | self._spilled_users)
-        if kind == "service":
-            return sorted(set(self._s_slot_of) | self._spilled_services)
-        raise ValueError(f"unknown entity kind {kind!r}")
+        side = self._side(kind)
+        return sorted(set(side.slot_of) | side.spilled)
 
     def sample_edges(self) -> list:
         """Every ``[user_ext, service_ext]`` pair sharing a retained sample.
@@ -801,71 +776,32 @@ class TieredAMF(AdaptiveMatrixFactorization):
         payloads (a full spill scan — migration-time cost, not hot-path).
         Deterministically sorted.
         """
+        users, services = self._users, self._services
         edges = set()
         for u_slot, s_slots in self._store._user_index.items():
-            u_ext = self._u_ext_of[u_slot]
+            u_ext = users.ext_of[u_slot]
             for s_slot in s_slots:
-                edges.add((int(u_ext), int(self._s_ext_of[s_slot])))
-        for ext in self._spilled_users:
-            payload = self.revive_payload("user", ext)
-            for peer_ext, __, __ in payload.get("samples", ()):
-                edges.add((int(ext), int(peer_ext)))
-        for ext in self._spilled_services:
-            payload = self.revive_payload("service", ext)
-            for peer_ext, __, __ in payload.get("samples", ()):
-                edges.add((int(peer_ext), int(ext)))
+                edges.add((int(u_ext), int(services.ext_of[s_slot])))
+        for side in (users, services):
+            for ext in side.spilled:
+                payload = self.revive_payload(side.kind, ext)
+                for peer_ext, __, __ in payload.get("samples", ()):
+                    edges.add(side.pair(int(ext), int(peer_ext)))
         return [list(edge) for edge in sorted(edges)]
 
     def export_payload(self, kind: str, ext_id: int) -> dict:
         """Canonical spill-format payload for any known entity, read-only.
 
-        Hot entities get exactly the payload :meth:`_demote_user_slot` /
-        :meth:`_demote_service_slot` would write (factor row, EMA error,
-        peer-sorted samples, gate entry) *without* being demoted — the
-        source stays fully serving until the migration batch commits.
-        Spilled entities reuse their spill row.  Unknown ids raise
-        ``KeyError`` (the coordinator treats that as "already moved").
+        Hot entities get exactly the payload a demotion would write
+        *without* being demoted — the source stays fully serving until the
+        migration batch commits.  Spilled entities reuse their spill row.
+        Unknown ids raise ``KeyError`` (the coordinator treats that as
+        "already moved").
         """
-        ext = int(ext_id)
-        if kind == "user":
-            slot = self._u_slot_of.get(ext)
-            if slot is None:
-                return self.revive_payload("user", ext)
-            samples = []
-            for peer_slot in self._store._user_index.get(slot, ()):
-                timestamp, value = self._store.get(slot, peer_slot)
-                samples.append([int(self._s_ext_of[peer_slot]), timestamp, value])
-            samples.sort(key=lambda item: item[0])
-            payload = {
-                "row": [float(x) for x in self._user_factors._rows[slot]],
-                "err": float(self.weights.user_error(slot)),
-                "samples": samples,
-            }
-            if self.hooks is not None:
-                gate_entry = self.hooks.peek_user(ext)
-                if gate_entry is not None:
-                    payload["gate"] = gate_entry
-            return payload
-        if kind == "service":
-            slot = self._s_slot_of.get(ext)
-            if slot is None:
-                return self.revive_payload("service", ext)
-            samples = []
-            for peer_slot in self._store._service_index.get(slot, ()):
-                timestamp, value = self._store.get(peer_slot, slot)
-                samples.append([int(self._u_ext_of[peer_slot]), timestamp, value])
-            samples.sort(key=lambda item: item[0])
-            payload = {
-                "row": [float(x) for x in self._service_factors._rows[slot]],
-                "err": float(self.weights.service_error(slot)),
-                "samples": samples,
-            }
-            if self.hooks is not None:
-                gate_entry = self.hooks.peek_service(ext)
-                if gate_entry is not None:
-                    payload["gate"] = gate_entry
-            return payload
-        raise ValueError(f"unknown entity kind {kind!r}")
+        side, ext = self._side(kind), int(ext_id)
+        if ext in side.slot_of:
+            return self._payload_of(side, ext, destructive=False)
+        return self.revive_payload(kind, ext)
 
     def import_entities(self, entities) -> int:
         """Bit-exact bulk import of migrated entities (WAL-replayable).
@@ -880,71 +816,16 @@ class TieredAMF(AdaptiveMatrixFactorization):
         re-warming tradeoff).  Returns the number of entities imported.
         """
         items = [
-            (str(kind), int(ext), payload) for kind, ext, payload in entities
+            (self._side(str(kind)), int(ext), payload)
+            for kind, ext, payload in entities
         ]
         self._tick += 1
-        for kind, ext, payload in items:
-            if kind == "user":
-                if ext in self._u_slot_of:
-                    self.forget_user(ext)
-                elif ext in self._spilled_users:
-                    self._spilled_users.discard(ext)
-                    self._spill.delete("user", ext)
-                slot = self._alloc_user_slot(fresh=False)
-                self._u_slot_of[ext] = slot
-                self._u_ext_of[slot] = ext
-                self._u_touch[slot] = self._tick
-                self._user_factors.set_row(slot, payload["row"])
-                self.weights.set_user_error(slot, payload["err"])
-                if self.hooks is not None:
-                    self.hooks.import_user(ext, payload.get("gate"))
-                self.counters["imported_users"] += 1
-            elif kind == "service":
-                if ext in self._s_slot_of:
-                    self.forget_service(ext)
-                elif ext in self._spilled_services:
-                    self._spilled_services.discard(ext)
-                    self._spill.delete("service", ext)
-                slot = self._alloc_service_slot(fresh=False)
-                self._s_slot_of[ext] = slot
-                self._s_ext_of[slot] = ext
-                self._s_touch[slot] = self._tick
-                self._service_factors.set_row(slot, payload["row"])
-                self.weights.set_service_error(slot, payload["err"])
-                if self.hooks is not None:
-                    self.hooks.import_service(ext, payload.get("gate"))
-                self.counters["imported_services"] += 1
-            else:
-                raise ValueError(f"unknown entity kind {kind!r}")
-        for kind, ext, payload in items:
-            if kind == "user":
-                slot = self._u_slot_of[ext]
-                for peer_ext, timestamp, value in payload.get("samples", ()):
-                    peer_slot = self._s_slot_of.get(int(peer_ext))
-                    if peer_slot is None:
-                        continue
-                    value = float(value)
-                    self._store.put(
-                        slot,
-                        peer_slot,
-                        float(timestamp),
-                        value,
-                        self.normalize_value(value),
-                    )
-            else:
-                slot = self._s_slot_of[ext]
-                for peer_ext, timestamp, value in payload.get("samples", ()):
-                    peer_slot = self._u_slot_of.get(int(peer_ext))
-                    if peer_slot is None:
-                        continue
-                    value = float(value)
-                    self._store.put(
-                        peer_slot,
-                        slot,
-                        float(timestamp),
-                        value,
-                        self.normalize_value(value),
-                    )
+        for side, ext, payload in items:
+            self._forget(side, ext)
+            self._restore_entity(side, ext, payload)
+            self.counters[f"imported_{side.plural}"] += 1
+        for side, ext, payload in items:
+            self._restore_samples(side, ext, payload)
         self._spill.commit()
         self._spill.maybe_compact()
         self._enforce_capacity()
@@ -954,27 +835,18 @@ class TieredAMF(AdaptiveMatrixFactorization):
         """Forget a migrated-out entity; idempotent (WAL replay re-deletes).
 
         Returns whether the entity existed.  The state was already shipped
-        in a prior export batch, so the gate entry :meth:`forget_user` /
-        :meth:`forget_service` discards here is a copy of what the
-        destination imported.
+        in a prior export batch, so the gate entry :meth:`_forget` discards
+        here is a copy of what the destination imported.
         """
-        ext = int(ext_id)
-        if kind == "user":
-            existed = ext in self._u_slot_of or ext in self._spilled_users
-            self.forget_user(ext)
-            if existed:
-                self.counters["migrated_out_users"] += 1
-            return existed
-        if kind == "service":
-            existed = ext in self._s_slot_of or ext in self._spilled_services
-            self.forget_service(ext)
-            if existed:
-                self.counters["migrated_out_services"] += 1
-            return existed
-        raise ValueError(f"unknown entity kind {kind!r}")
+        side, ext = self._side(kind), int(ext_id)
+        existed = side.holds(ext)
+        self._forget_committed(side, ext)
+        if existed:
+            self.counters[f"migrated_out_{side.plural}"] += 1
+        return existed
 
     # ------------------------------------------------------------------
-    # Pressure events
+    # Events
     # ------------------------------------------------------------------
     def apply_pressure(self, hot_users: int, hot_services: int, level: str) -> None:
         """Apply a capacity-tightening pressure event (WAL-replayable).
@@ -985,8 +857,8 @@ class TieredAMF(AdaptiveMatrixFactorization):
         """
         if level not in PRESSURE_LEVELS:
             raise ValueError(f"unknown pressure level {level!r}")
-        self._hot_users = max(2, int(hot_users))
-        self._hot_services = max(2, int(hot_services))
+        self._users.capacity = max(2, int(hot_users))
+        self._services.capacity = max(2, int(hot_services))
         self._pressure_level = level
         self.counters["pressure_events"] += 1
         _LC_PRESSURE_EVENTS.inc()
@@ -994,13 +866,19 @@ class TieredAMF(AdaptiveMatrixFactorization):
         self._enforce_capacity()
 
     def apply_event(self, kind: str, data: dict) -> None:
-        """Dispatch one WAL lifecycle event (recovery replay / standby)."""
-        if kind == "revive_user":
-            self.apply_revive("user", int(data["id"]), data["p"])
-        elif kind == "revive_service":
-            self.apply_revive("service", int(data["id"]), data["p"])
+        """Apply one logged event to the model — the single dispatcher for
+        all five kinds, whoever replays the log (the live server, recovery,
+        a standby); the kinds and their ``data`` are tabulated in
+        :meth:`repro.server.wal.WriteAheadLog.append_event`."""
+        if kind.startswith("revive_"):
+            self.apply_revive(kind.removeprefix("revive_"), int(data["id"]), data["p"])
         elif kind == "pressure":
             self.apply_pressure(data["hu"], data["hs"], str(data["level"]))
+        elif kind == "migration_in":
+            self.import_entities(data["entities"])
+        elif kind == "migration_out":
+            for entity_kind, ext_id in data["entities"]:
+                self.remove_entity(str(entity_kind), int(ext_id))
         else:
             raise ValueError(f"unknown lifecycle event {kind!r}")
 
@@ -1029,37 +907,22 @@ class TieredAMF(AdaptiveMatrixFactorization):
         return super().predict_for_user(u_slot, slot_ids)
 
     def user_version(self, user_id: int) -> int:
-        slot = self._u_slot_of.get(user_id)
-        return 0 if slot is None else self._user_factors.version(slot)
+        return self._users.version_of(user_id)
 
     def service_version(self, service_id: int) -> int:
-        slot = self._s_slot_of.get(service_id)
-        return 0 if slot is None else self._service_factors.version(slot)
+        return self._services.version_of(service_id)
 
     def expected_error(self, user_id: int, service_id: int) -> float:
-        u_slot = self._u_slot_of.get(user_id)
-        s_slot = self._s_slot_of.get(service_id)
-        e_u = (
-            self.weights.init_error
-            if u_slot is None
-            else self.weights.user_error(u_slot)
-        )
-        e_s = (
-            self.weights.init_error
-            if s_slot is None
-            else self.weights.service_error(s_slot)
-        )
-        return (e_u + e_s) / 2.0
+        return (
+            self._users.error_of(user_id) + self._services.error_of(service_id)
+        ) / 2.0
 
     def service_credence(self, service_id: int) -> float:
         """Per-service EMA error by external id — a pure read.  Spilled
         services answer ``init_error`` like unknown ids (consulting the
         demote payload would hit disk on the read path); that is the
         conservative "low credence" signal until revival."""
-        slot = self._s_slot_of.get(service_id)
-        if slot is None:
-            return float(self.weights.init_error)
-        return float(self.weights.service_error(slot))
+        return float(self._services.error_of(service_id))
 
 
 class MemoryWatchdog:

@@ -170,6 +170,14 @@ class _EntityStats:
         self.center = center
         self.spread = spread
 
+    def triple(self) -> list:
+        """``[n, center, spread]`` — the JSON form (spill payloads, checkpoints)."""
+        return [self.n, self.center, self.spread]
+
+    @classmethod
+    def from_triple(cls, n, center, spread) -> "_EntityStats":
+        return cls(int(n), float(center), float(spread))
+
 
 class SanitizerGate:
     """Admit / clip / quarantine decisions over a QoS sample stream.
@@ -248,13 +256,16 @@ class SanitizerGate:
         """Samples currently held in the quarantine buffer."""
         return self._held
 
+    def _evict(self, pair: tuple[int, int]) -> None:
+        """Drop one pair's pending group, counted as eviction."""
+        dropped = len(self._pending.pop(pair))
+        self._held -= dropped
+        self.counts["evicted"] += dropped
+        _EVICTED.inc(dropped)
+
     def _evict_over_budget(self) -> None:
         while self._held > self.config.quarantine_max and self._pending:
-            oldest = next(iter(self._pending))
-            dropped = len(self._pending.pop(oldest))
-            self._held -= dropped
-            self.counts["evicted"] += dropped
-            _EVICTED.inc(dropped)
+            self._evict(next(iter(self._pending)))
 
     def _quarantine(
         self, record: QoSRecord, x: float, score: float
@@ -295,10 +306,7 @@ class SanitizerGate:
             else:
                 # Inconsistent with the pending group: the group was noise.
                 # Start over from the current sample.
-                self._held -= len(pending)
-                self.counts["evicted"] += len(pending)
-                _EVICTED.inc(len(pending))
-                del self._pending[pair]
+                self._evict(pair)
                 self._pending[pair] = [entry]
                 self._held += 1
         else:
@@ -349,80 +357,51 @@ class SanitizerGate:
         return GateDecision("admit", record.value, score=score)
 
     # -- per-entity export/import (hot/cold tiering) -------------------------
-    def _drop_pending_for(self, entity_id: int, index: int) -> None:
-        """Evict every pending quarantine pair involving ``entity_id``.
+    def _trackers(self, kind: str) -> "tuple[dict[int, _EntityStats], int]":
+        """One kind's tracker table and its position in a pending pair."""
+        if kind == "user":
+            return self._users, 0
+        if kind == "service":
+            return self._services, 1
+        raise ValueError(f"unknown entity kind {kind!r}")
 
-        ``index`` selects the pair component (0 = user, 1 = service).  A
-        demoted entity's pending extremes can never corroborate (its next
+    def export_entity(self, kind: str, entity_id: int) -> "list | None":
+        """Remove and return an entity's tracker as ``[n, center, spread]``.
+
+        ``None`` when the gate has never seen the entity.  Used by the
+        tiering layer to carry gate state through the spill store so a
+        revived entity resumes gating exactly where it left off.
+
+        Every pending quarantine pair involving the entity is evicted too:
+        a demoted entity's pending extremes can never corroborate (its next
         sample revives it with freshly imported stats), so holding them
         would leak quarantine budget; dropping is deterministic and counted
         as eviction, same as FIFO overflow.
         """
+        trackers, index = self._trackers(kind)
+        stats = trackers.pop(entity_id, None)
         stale = [pair for pair in self._pending if pair[index] == entity_id]
         for pair in stale:
-            dropped = len(self._pending.pop(pair))
-            self._held -= dropped
-            self.counts["evicted"] += dropped
-            _EVICTED.inc(dropped)
+            self._evict(pair)
         if stale:
             _QUARANTINE_SIZE.set(self._held)
+        return stats.triple() if stats is not None else None
 
-    def export_user(self, user_id: int) -> "list | None":
-        """Remove and return a user's tracker as ``[n, center, spread]``.
+    def peek_entity(self, kind: str, entity_id: int) -> "list | None":
+        """Read an entity's tracker as ``[n, center, spread]`` without removal.
 
-        ``None`` when the gate has never seen the user.  Pending quarantine
-        pairs involving the user are evicted (see :meth:`_drop_pending_for`).
-        Used by the tiering layer to carry gate state through the spill
-        store so a revived entity resumes gating exactly where it left off.
+        Unlike :meth:`export_entity` this leaves the tracker (and any
+        pending quarantine pairs) untouched — used by entity migration to
+        snapshot gate state while the source shard keeps serving the entity.
         """
-        stats = self._users.pop(user_id, None)
-        self._drop_pending_for(user_id, 0)
-        if stats is None:
-            return None
-        return [stats.n, stats.center, stats.spread]
+        stats = self._trackers(kind)[0].get(entity_id)
+        return stats.triple() if stats is not None else None
 
-    def export_service(self, service_id: int) -> "list | None":
-        """Remove and return a service's tracker (see :meth:`export_user`)."""
-        stats = self._services.pop(service_id, None)
-        self._drop_pending_for(service_id, 1)
-        if stats is None:
-            return None
-        return [stats.n, stats.center, stats.spread]
-
-    def peek_user(self, user_id: int) -> "list | None":
-        """Read a user's tracker as ``[n, center, spread]`` without removal.
-
-        Unlike :meth:`export_user` this leaves the tracker (and any pending
-        quarantine pairs) untouched — used by entity migration to snapshot
-        gate state while the source shard keeps serving the entity.
-        """
-        stats = self._users.get(user_id)
-        if stats is None:
-            return None
-        return [stats.n, stats.center, stats.spread]
-
-    def peek_service(self, service_id: int) -> "list | None":
-        """Read a service's tracker without removal (see :meth:`peek_user`)."""
-        stats = self._services.get(service_id)
-        if stats is None:
-            return None
-        return [stats.n, stats.center, stats.spread]
-
-    def import_user(self, user_id: int, entry: "list | None") -> None:
-        """Restore a user's tracker from an :meth:`export_user` triple."""
-        if entry is None:
-            return
-        n, center, spread = entry
-        self._users[user_id] = _EntityStats(int(n), float(center), float(spread))
-
-    def import_service(self, service_id: int, entry: "list | None") -> None:
-        """Restore a service's tracker from an :meth:`export_service` triple."""
-        if entry is None:
-            return
-        n, center, spread = entry
-        self._services[service_id] = _EntityStats(
-            int(n), float(center), float(spread)
-        )
+    def import_entity(self, kind: str, entity_id: int, entry: "list | None") -> None:
+        """Restore an entity's tracker from an :meth:`export_entity` triple
+        (``None``, an entity the exporting gate never saw, restores nothing)."""
+        if entry is not None:
+            self._trackers(kind)[0][entity_id] = _EntityStats.from_triple(*entry)
 
     # -- persistence ---------------------------------------------------------
     def state_dict(self) -> dict:
@@ -433,13 +412,8 @@ class SanitizerGate:
         bit-for-bit.
         """
         return {
-            "users": [
-                [uid, s.n, s.center, s.spread] for uid, s in self._users.items()
-            ],
-            "services": [
-                [sid, s.n, s.center, s.spread]
-                for sid, s in self._services.items()
-            ],
+            "users": [[uid, *s.triple()] for uid, s in self._users.items()],
+            "services": [[sid, *s.triple()] for sid, s in self._services.items()],
             "pending": [
                 [pair[0], pair[1], [list(item) for item in entries]]
                 for pair, entries in self._pending.items()
@@ -449,14 +423,13 @@ class SanitizerGate:
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`state_dict` snapshot (replaces current state)."""
-        self._users = {
-            int(uid): _EntityStats(int(n), float(center), float(spread))
-            for uid, n, center, spread in state.get("users", [])
-        }
-        self._services = {
-            int(sid): _EntityStats(int(n), float(center), float(spread))
-            for sid, n, center, spread in state.get("services", [])
-        }
+        def trackers(rows) -> "dict[int, _EntityStats]":
+            return {
+                int(eid): _EntityStats.from_triple(*triple) for eid, *triple in rows
+            }
+
+        self._users = trackers(state.get("users", []))
+        self._services = trackers(state.get("services", []))
         self._pending = {
             (int(u), int(s)): [
                 [float(t), float(v), float(x)] for t, v, x in entries

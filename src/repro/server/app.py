@@ -33,15 +33,26 @@ A :class:`~repro.core.daemon.BackgroundTrainer` replays retained samples
 between requests — under a :class:`~repro.core.daemon.TrainerSupervisor`
 that restarts it with capped backoff if the replay loop crashes.
 
+The server is a log-driven state machine: a write is ``validate -> log ->
+apply -> reply``, and everything durable about the server (model, gate,
+dedup ledger, tier assignment, migration ledger) is a fold of one
+transition function over the log.  :meth:`PredictionServer._commit` is
+the one place an entry is appended (and a failed append handled) and
+:meth:`PredictionServer._apply` the one place an entry changes state; the
+live handlers, crash recovery and a standby differ only in where their
+entries come from.  The entry kinds are tabulated in
+:meth:`repro.server.wal.WriteAheadLog.append_event`.
+
 Fault tolerance (``data_dir`` enables durability):
 
-* every accepted observation is appended to a write-ahead log
+* every accepted observation — and every revive, pressure change and
+  migration batch — is appended to a write-ahead log
   (:class:`~repro.server.wal.WriteAheadLog`) and fsync'd *before* it is
-  applied to the model;
+  applied;
 * every ``checkpoint_interval`` observations the full model state is
   checkpointed atomically (write-temp-then-rename, RNG state included) and
   covered WAL segments are pruned;
-* on construction, the server reloads the latest checkpoint and replays
+* on construction, the server reloads the latest checkpoint and applies
   the WAL tail — reconstructing the exact pre-crash model (bit-exact when
   background replay is off; with replay on, replay work since the last
   checkpoint is simply redone);
@@ -71,18 +82,20 @@ High availability (:mod:`repro.server.replication`, ``replication=``):
 * a **primary** ships committed WAL records from ``GET /replication/wal``
   and re-reads the shared epoch store on its write path, fencing itself
   (409 ``stale_epoch``) the moment a newer primary exists;
-* a **standby** pulls and applies the primary's log through the same
-  gated replay recovery uses (its own WAL stays a byte-identical copy),
-  refuses client writes with 409 ``not_primary``, serves predictions,
-  and :meth:`PredictionServer.promote` turns it into the primary by
-  winning the epoch compare-and-swap;
+* a **standby** pulls the primary's log and commits each entry as the
+  primary did (:meth:`PredictionServer.apply_shipped`; its own WAL stays
+  a byte-identical copy), refuses client writes with 409
+  ``not_primary``, serves predictions, and
+  :meth:`PredictionServer.promote` turns it into the primary by winning
+  the epoch compare-and-swap;
 * a full WAL disk degrades the server to read-only (structured 507,
   ``qos_wal_append_errors_total``) instead of a bare 500 — predictions
-  keep serving.
+  keep serving, and a standby in that state never promotes itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -129,14 +142,17 @@ from repro.server.replication import (
     FencedWrite,
     ReplicationConfig,
     StandbyReplicator,
-    encode_shipped,
-    encode_shipped_event,
     note_epoch,
     note_promotion,
     note_shipped,
     note_stale_epoch,
 )
-from repro.server.wal import CheckpointStore, WalAppendError, WriteAheadLog
+from repro.server.wal import (
+    CheckpointStore,
+    WalAppendError,
+    WriteAheadLog,
+    entry_to_wire,
+)
 
 # Serving observability.  The fallback chain tags every answer with its
 # source, so predictions-by-source is the one counter that shows degradation
@@ -160,8 +176,7 @@ _BATCH_SIZE = _METRICS.histogram(
     "qos_predict_batch_size",
     "Service ids per batched prediction request (both transports)",
 )
-# Same family repro.lifecycle registers (get-or-create returns the one
-# Counter): the server is where cold-read shedding actually happens.
+# A lifecycle family owned here: the server is where cold reads are shed.
 _COLD_READS_SHED = _METRICS.counter(
     "qos_lifecycle_cold_reads_shed_total",
     "Cold-entity revive reads shed with 429 under critical memory pressure",
@@ -181,13 +196,6 @@ _MIGRATION_DELETES = _METRICS.counter(
     "qos_migration_deletes_total",
     "Source copies deleted on this shard after migration batch commit",
 )
-
-# WAL event kinds owned by the migration pipeline.  They live in the same
-# tagged-union sequence space as lifecycle events but are applied at the
-# *server* level (they also maintain the per-migration dedup ledger that
-# makes batch import idempotent across crashes and replica replay).
-_MIGRATION_EVENTS = ("migration_in", "migration_out")
-
 
 class _StorageUnavailable(ServiceError):
     """Durable ingest is impossible (WAL append failed) — HTTP 507.
@@ -244,34 +252,6 @@ def _require_observation(payload: dict) -> QoSRecord:
         raise BadRequest(str(exc)) from exc
 
 
-class _HeldLock:
-    """Context manager releasing an already-acquired lock on exit."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock) -> None:
-        self._lock = lock
-
-    def __enter__(self) -> "_HeldLock":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._lock.release()
-
-
-class _NoAdmission:
-    """No-op stand-in for an admission slot when admission control is off."""
-
-    def __enter__(self) -> "_NoAdmission":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NO_ADMISSION = _NoAdmission()
-
-
 def _idempotency_key(payload: dict) -> "str | None":
     key = payload.get("idempotency_key")
     if key is None:
@@ -283,50 +263,6 @@ def _idempotency_key(payload: dict) -> "str | None":
             code="invalid_idempotency_key",
         )
     return key
-
-
-class _LifecycleHooks:
-    """Bridge between the tiered model and server state keyed by external ids.
-
-    Demoting an entity must take its sanitizer-gate statistics with it (they
-    ride the spill payload and come back on revival).  The prediction cache
-    needs no hook: a slot's version stamp is unique to one occupancy, so
-    entries stamped under an earlier occupant simply read as stale.  Called
-    by :class:`TieredAMF` with the model lock held; the gate is only ever
-    mutated under the ingest lock (observe, revive, and replay all hold it),
-    so gate order — and therefore ``gate.state_dict()`` — stays
-    deterministic.
-    """
-
-    __slots__ = ("_server",)
-
-    def __init__(self, server: "PredictionServer") -> None:
-        self._server = server
-
-    def export_user(self, user_id: int) -> "list | None":
-        gate = self._server.gate
-        return gate.export_user(user_id) if gate is not None else None
-
-    def export_service(self, service_id: int) -> "list | None":
-        gate = self._server.gate
-        return gate.export_service(service_id) if gate is not None else None
-
-    def peek_user(self, user_id: int) -> "list | None":
-        """Non-destructive gate read for migration export."""
-        gate = self._server.gate
-        return gate.peek_user(user_id) if gate is not None else None
-
-    def peek_service(self, service_id: int) -> "list | None":
-        gate = self._server.gate
-        return gate.peek_service(service_id) if gate is not None else None
-
-    def import_user(self, user_id: int, entry: "list | None") -> None:
-        if self._server.gate is not None and entry is not None:
-            self._server.gate.import_user(user_id, entry)
-
-    def import_service(self, service_id: int, entry: "list | None") -> None:
-        if self._server.gate is not None and entry is not None:
-            self._server.gate.import_service(service_id, entry)
 
 
 class PredictionServer:
@@ -411,7 +347,6 @@ class PredictionServer:
 
         self._wal: "WriteAheadLog | None" = None
         self._checkpoints: "CheckpointStore | None" = None
-        self.recovery: dict = {"checkpoint_seq": 0, "wal_replayed": 0, "torn_lines": 0}
         model: "AdaptiveMatrixFactorization | None" = None
         applied_seq = 0
         checkpoint_extra: dict = {}
@@ -532,63 +467,38 @@ class PredictionServer:
                 )
             note_epoch(self.epoch)
 
-        # The predict cache and lifecycle hooks exist before the WAL tail
-        # replay on purpose: replayed demotions must export gate statistics
-        # exactly as the original run did (determinism), and cache
-        # invalidation on an empty cache is a harmless no-op.
         self._predict_cache = (
             PredictionCache(predict_cache_size) if predict_cache_size else None
         )
         if self._tiered is not None:
-            self._tiered.hooks = _LifecycleHooks(self)
+            # Attached before the WAL tail replay on purpose: replayed
+            # demotions must export gate statistics exactly as the original
+            # run did (determinism).
+            self._tiered.gate = self.gate
 
-        latest_timestamp = 0.0
+        self.model = ConcurrentModel(model)
         timestamps = model._store.columns()[2]
         if timestamps.size:
-            latest_timestamp = float(timestamps.max())
+            self.model.note_timestamp(float(timestamps.max()))
         replayed = 0
         if self._wal is not None:
-            # The WAL holds raw pre-gate records; re-running the (restored,
-            # deterministic) gate over the tail reproduces the pre-crash
-            # admit/clip/quarantine decisions — and therefore the pre-crash
-            # model — bit-exactly.  Duplicate keys never reach the WAL, so
-            # every replayed key is fresh and just rebuilds the ledger.
-            # Lifecycle events are replayed in their logged interleaving;
-            # revives restore from the logged payload, never from the spill
-            # file (which reflects crash-time state, not this position).
+            # Recovery is the fold the live server ran: the same _apply over
+            # the same entries in the same order.  The WAL holds raw
+            # pre-gate records; re-running the (restored, deterministic)
+            # gate over the tail reproduces the pre-crash admit/clip/
+            # quarantine decisions — and therefore the pre-crash model —
+            # bit-exactly.  Duplicate keys never reach the WAL, so every
+            # replayed key is fresh and just rebuilds the ledger.  Revives
+            # restore from the logged payload, never from the spill file
+            # (which reflects crash-time state, not this position).
             for entry in self._wal.replay_entries(after_seq=applied_seq):
-                if entry[0] == "ev":
-                    if self._tiered is None:
-                        raise ValueError(
-                            "WAL contains lifecycle events; restart with "
-                            "lifecycle= enabled to replay this directory"
-                        )
-                    if entry[2] in _MIGRATION_EVENTS:
-                        # Server-level events: they also rebuild the
-                        # migration ledger, which TieredAMF doesn't own.
-                        self._apply_migration_event(
-                            entry[2], entry[3], self._tiered
-                        )
-                    else:
-                        self._tiered.apply_event(entry[2], entry[3])
-                    replayed += 1
-                    continue
-                __, __, record, key = entry
-                apply_observation(model, self.gate, record)
-                if key is not None:
-                    self.ledger.add(key)
-                latest_timestamp = max(latest_timestamp, record.timestamp)
-                if (
-                    self._latest_ingest_ts is None
-                    or record.timestamp > self._latest_ingest_ts
-                ):
-                    self._latest_ingest_ts = record.timestamp
+                self._apply(entry)
                 replayed += 1
-            self.recovery = {
-                "checkpoint_seq": applied_seq,
-                "wal_replayed": replayed,
-                "torn_lines": self._wal.torn_lines,
-            }
+        self.recovery = {
+            "checkpoint_seq": applied_seq,
+            "wal_replayed": replayed,
+            "torn_lines": self._wal.torn_lines if self._wal is not None else 0,
+        }
         if self._tiered is not None:
             # Startup hygiene: a crash between a revive's spill-row delete
             # and its commit leaves a row for a now-hot entity; replay never
@@ -596,8 +506,6 @@ class PredictionServer:
             self._spill.prune_except("user", self._tiered._spilled_users)
             self._spill.prune_except("service", self._tiered._spilled_services)
 
-        self.model = ConcurrentModel(model)
-        self.model.note_timestamp(latest_timestamp)
         self.fallback = FallbackPredictor(
             prior=float(model.normalizer.denormalize(sigmoid(0.0)))
         )
@@ -728,8 +636,7 @@ class PredictionServer:
         """Graceful shutdown: final checkpoint, then tear everything down."""
         self._stop_serving()
         if self.durable and self._wal.writable:
-            with self._ingest_lock:
-                self._checkpoint_locked()
+            self.checkpoint()
             self._wal.close()
         if self._spill is not None:
             self._spill.close()
@@ -807,9 +714,7 @@ class PredictionServer:
             # Migration dedup ledger: without it, a checkpoint that covers
             # an imported batch followed by a crash would let a coordinator
             # retry re-apply the batch.  Sorted for byte-stable archives.
-            extra["migration"] = {
-                "applied": dict(sorted(self._migration_applied.items()))
-            }
+            extra["migration"] = self._migration_status()
 
         def _save(m: AdaptiveMatrixFactorization) -> None:
             if isinstance(m, TieredAMF):
@@ -851,54 +756,28 @@ class PredictionServer:
             self.epoch = epoch
             note_epoch(epoch)
 
-    def apply_replicated(
-        self, seq: int, record: QoSRecord, key: "str | None"
-    ) -> str:
-        """Apply one shipped WAL record on a standby.
+    def apply_shipped(self, entry: tuple) -> str:
+        """Commit one entry shipped from the primary's log on a standby.
 
         Returns ``"applied"``, ``"skipped"`` (already durable locally), or
         ``"gap"`` (the shipment skips sequences this node never saw — the
-        replicator must stop rather than apply a stream with a hole).
-        Appending to the *local* WAL first keeps the standby's directory a
-        byte-identical copy of the primary's log, so standby crash
-        recovery and post-promotion shipping both work unchanged.
+        replicator must stop rather than apply a stream with a hole).  The
+        entry goes through the same :meth:`_commit` the primary ran — local
+        WAL first, so the standby's directory stays a byte-identical copy of
+        the primary's log and its crash recovery and post-promotion shipping
+        work unchanged — but past none of the checks in front of it: the
+        primary already deduplicated and policy-checked the record and
+        logged every revive it needed, and re-deciding any of that against
+        this node's view could fork the replica from the log it replays.
         """
         with self._ingest_lock:
             expected = self._wal.last_seq + 1
-            if seq < expected:
+            if entry[1] < expected:
                 return "skipped"
-            if seq > expected:
+            if entry[1] > expected:
                 return "gap"
-            self._ingest_one(record, key, replicated=True)
-            return "applied"
-
-    def apply_replicated_event(self, seq: int, kind: str, data: dict) -> str:
-        """Apply one shipped WAL lifecycle event on a standby.
-
-        Same sequencing contract as :meth:`apply_replicated`.  The event is
-        appended to the local WAL first (byte-identical log copy), then
-        applied under the model lock — a revive restores the payload the
-        primary logged, so the standby converges to the primary's exact
-        tier assignment without ever initiating a revive itself.
-        """
-        with self._ingest_lock:
-            expected = self._wal.last_seq + 1
-            if seq < expected:
-                return "skipped"
-            if seq > expected:
-                return "gap"
-            if self._tiered is None:
-                raise ValueError(
-                    "primary ships lifecycle events but this standby has "
-                    "lifecycle tiering disabled; restart with lifecycle="
-                )
-            self._wal.append_event(kind, data)
-            if kind in _MIGRATION_EVENTS:
-                self.model.with_model(
-                    lambda m: self._apply_migration_event(kind, data, m)
-                )
-            else:
-                self.model.with_model(lambda m: m.apply_event(kind, data))
+            self._require_event_model(entry)  # before the log takes the entry
+            self._commit(entry)
             return "applied"
 
     def promote(self) -> bool:
@@ -910,10 +789,15 @@ class PredictionServer:
         fencing decision must survive its own crash), starts accepting
         writes, and — because its state came from gated replay of the
         shipped log — continues the stream bit-exactly where the primary
-        committed.  Returns False if the CAS was lost (stay standby).
+        committed.  Returns False if the CAS was lost (stay standby) — or,
+        without touching the epoch store, if this node's own log cannot be
+        written: a primary that can accept nothing must not depose one that
+        can.
         """
         if self.replication is None or self.role != "standby":
             raise RuntimeError("promote() requires a standby with replication")
+        if not self._wal.writable:  # a failed append is sticky until restart
+            return False
         if self._replicator is not None:
             self._replicator.stop()
             try:
@@ -941,11 +825,13 @@ class PredictionServer:
         return True
 
     def _check_write_allowed(self) -> None:
-        """Fencing gate on the observation path.
+        """May this node take a write right now?  The gate in front of every
+        client mutation (observations, migration import and delete).
 
         Standbys always refuse; a primary re-reads the epoch store at most
         every ``fence_check_interval`` seconds so a deposed-but-alive node
-        fences itself within one interval of losing its claim.
+        fences itself within one interval of losing its claim; and a node
+        whose log froze refuses until restarted.
         """
         if self.role == "standby":
             note_stale_epoch()
@@ -967,11 +853,12 @@ class PredictionServer:
                 "has been promoted",
                 code="stale_epoch",
                 epoch=self.epoch,
-                cluster_epoch=(
-                    self._epoch_store.epoch()
-                    if self._epoch_store is not None
-                    else None
-                ),
+                cluster_epoch=self._epoch_store.epoch(),  # fenced => replicated
+            )
+        if self._degraded_reason is not None:
+            raise _StorageUnavailable(
+                "server is in read-only degraded mode "
+                f"({self._degraded_reason}); predictions still serve"
             )
 
     def _replication_status(self) -> "dict | None":
@@ -996,26 +883,18 @@ class PredictionServer:
             after_seq = int(query.get("after_seq", ["0"])[0])
             limit = int(query.get("limit", ["512"])[0])
         except (ValueError, IndexError) as exc:
-            raise BadRequest(
-                "after_seq and limit must be integers"
-            ) from exc
+            raise BadRequest("after_seq and limit must be integers") from exc
         if after_seq < 0 or limit < 1:
             raise BadRequest("after_seq must be >= 0 and limit >= 1")
         batch = self._wal.read_committed_entries(
             after_seq=after_seq, limit=min(limit, 4096)
         )
         note_shipped(len(batch))
-        records = []
-        for entry in batch:
-            if entry[0] == "ev":
-                records.append(encode_shipped_event(entry[1], entry[2], entry[3]))
-            else:
-                records.append(encode_shipped(entry[1], entry[2], entry[3]))
         return {
             "epoch": self.epoch,
             "role": self.role,
             "last_seq": self._wal.last_seq,
-            "records": records,
+            "records": [entry_to_wire(entry) for entry in batch],
         }
 
     # -- request handling ------------------------------------------------------
@@ -1031,40 +910,38 @@ class PredictionServer:
             raise
         return record, key
 
+    @contextlib.contextmanager
     def _acquire_ingest_lock(self):
-        """Take the ingest lock, honoring the admission deadline budget.
+        """Hold the ingest lock, honoring the admission deadline budget.
 
-        Returns a context manager holding the lock.  With admission control
-        on, a request that cannot get the lock within the deadline is shed
-        with 503 instead of joining an unbounded convoy.
+        With admission control on, a request that cannot get the lock
+        within the deadline is shed with 503 instead of joining an
+        unbounded convoy.
         """
         if self.admission is None:
             self._ingest_lock.acquire()
         elif not self._ingest_lock.acquire(timeout=self.admission.deadline):
             raise self.admission.note_deadline_exceeded()
-        return _HeldLock(self._ingest_lock)
+        try:
+            yield
+        finally:
+            self._ingest_lock.release()
 
-    def _ingest_one(
-        self, record: QoSRecord, key: "str | None", replicated: bool = False
-    ) -> dict:
-        """Apply one validated observation.  Caller holds the ingest lock.
+    def _ingest_one(self, record: QoSRecord, key: "str | None") -> dict:
+        """Validate one parsed observation against this node's view, then
+        commit it.  Caller holds the ingest lock.
 
-        Order matters for crash consistency: dedup check → timestamp
-        policy → WAL append → ledger add → gate+model apply.  The ledger is
-        updated only after the record is durably logged, mirroring how
-        recovery rebuilds it from the WAL.
-
-        ``replicated`` marks a record shipped from the primary's WAL: it
-        was already deduplicated and policy-checked there, so both gates
-        are bypassed — re-running them against this node's view could fork
-        the replica from the log it is replaying.
+        Everything here runs *in front of* the log: a duplicate key or a
+        refused timestamp never reaches it, and a spilled party is revived
+        (its own committed entry) first.  A shipped entry passes none of it
+        — see :meth:`apply_shipped`.
         """
-        if not replicated and key is not None and self.ledger.seen(key):
+        if key is not None and self.ledger.seen(key):
             self.ledger.note_duplicate()
             with self._stats_lock:
                 self._observations_deduplicated += 1
             return {"sample_error": None, "action": "deduplicated"}
-        if not replicated and self.timestamp_policy is not None:
+        if self.timestamp_policy is not None:
             try:
                 self.timestamp_policy.check(record.timestamp, self._latest_ingest_ts)
             except StaleObservation as exc:
@@ -1072,33 +949,77 @@ class PredictionServer:
                     self._observations_rejected += 1
                 _OBSERVATIONS_REJECTED.inc()
                 raise BadRequest(str(exc), code=f"{exc.reason}_timestamp") from exc
-        if not replicated and self._tiered is not None:
-            # Revive any spilled party *before* logging the observation: the
-            # revive event (payload included) must precede the observation
-            # in the WAL, or recovery would replay an observe against a
-            # still-cold entity.  Standbys skip this — the primary ships its
-            # revive events explicitly.
+        if self._tiered is not None:
+            # The revive event (payload included) must precede the
+            # observation in the WAL, or recovery would replay an observe
+            # against a still-cold entity.
             self._revive_locked(record.user_id, record.service_id)
+        return self._commit(("obs", None, record, key))
+
+    # -- the state machine (see the module docstring) --------------------------
+    def _require_event_model(self, entry: tuple) -> None:
+        if entry[0] == "ev" and self._tiered is None:
+            raise ValueError(
+                f"the log carries a {entry[2]!r} event but lifecycle tiering "
+                "is disabled on this node; restart it with lifecycle= enabled"
+            )
+
+    def _apply(self, entry: tuple):
+        """Fold one log entry into the state: the only code that moves the
+        model, the gate, the dedup ledger, ``latest_ingest_ts`` and the
+        migration ledger, whoever supplies the entry.
+
+        Returns ``apply_observation``'s ``(action, applied)`` for an
+        observation, ``None`` for an event.  Caller holds the ingest lock
+        (or is the constructor), so entries apply in log order.
+        """
+        if entry[0] == "ev":
+            __, __, kind, data = entry
+            self._require_event_model(entry)
+            self.model.with_model(lambda m: m.apply_event(kind, data))
+            if kind == "migration_in":
+                # The import ledger is server state the model does not own.
+                mid, seq = str(data["mid"]), int(data["seq"])
+                if seq > self._migration_applied.get(mid, 0):
+                    self._migration_applied[mid] = seq
+            return None
+        __, __, record, key = entry
+        if key is not None:
+            self.ledger.add(key)
+        if self._latest_ingest_ts is None or record.timestamp > self._latest_ingest_ts:
+            self._latest_ingest_ts = record.timestamp
+        return apply_observation(self.model, self.gate, record)
+
+    def _commit(self, entry: tuple) -> "dict | None":
+        """Log one entry, then apply it, then account for it.  Caller holds
+        the ingest lock, which keeps WAL order identical to apply order.
+
+        The one place an entry becomes durable and the one place a failed
+        append is handled.  Log-before-apply is the crash-consistency rule
+        for every kind: the ledger, the gate and the model only ever hold
+        what the log can reproduce.  Returns the observation reply body
+        (``None`` for an event).
+        """
         if self._wal is not None:
             try:
-                self._wal.append(record, key=key)
+                self._wal.append_entry(entry)
             except WalAppendError as exc:
                 # Durability is gone (full disk, I/O error): acknowledge
                 # nothing further, flip to read-only degraded mode, keep
                 # predictions serving.
                 self._degraded_reason = str(exc)
+                what = "observation" if entry[0] == "obs" else f"{entry[2]} event"
                 raise _StorageUnavailable(
-                    f"observation not accepted, durable log unavailable: {exc}"
+                    f"{what} not accepted, durable log unavailable: {exc}"
                 ) from exc
-        if key is not None:
-            self.ledger.add(key)
-        if self._latest_ingest_ts is None or record.timestamp > self._latest_ingest_ts:
-            self._latest_ingest_ts = record.timestamp
+        if entry[0] == "ev":
+            return self._apply(entry)
+        record = entry[2]
         # Predict-then-observe: the pre-update prediction against the
         # arriving ground truth is the live accuracy signal (windowed
         # MAE/MRE/NPRE) — computed before the sample can teach the model.
         predicted = self.model.predict_known(record.user_id, record.service_id)
-        action, applied = apply_observation(self.model, self.gate, record)
+        action, applied = self._apply(entry)
         if (
             action in ("admit", "release")
             and predicted is not None
@@ -1129,30 +1050,16 @@ class PredictionServer:
     def _revive_locked(self, user_id: int, service_id: "int | None") -> None:
         """Revive spilled parties of a request.  Caller holds the ingest lock.
 
-        For each spilled entity: durably log a ``revive_*`` event carrying
-        the full spill payload, then apply it to the model.  Log-then-apply
-        mirrors the observation path — recovery and standbys restore the
-        entity from the logged payload, never from the (crash-time) spill
-        file.
+        Each spilled entity becomes one committed ``revive_*`` entry carrying
+        its full spill payload — recovery and standbys restore the entity
+        from the logged payload, never from the (crash-time) spill file.
         """
         pending = self.model.with_model(
             lambda m: m.pending_revivals(user_id, service_id)
         )
         for kind, ext_id in pending:
-            payload = self.model.with_model(
-                lambda m, k=kind, e=ext_id: m.revive_payload(k, e)
-            )
-            if self._wal is not None:
-                try:
-                    self._wal.append_event(f"revive_{kind}", {"id": ext_id, "p": payload})
-                except WalAppendError as exc:
-                    self._degraded_reason = str(exc)
-                    raise _StorageUnavailable(
-                        f"entity revival not durable, log unavailable: {exc}"
-                    ) from exc
-            self.model.with_model(
-                lambda m, k=kind, e=ext_id, p=payload: m.apply_revive(k, e, p)
-            )
+            payload = self.model.with_model(lambda m: m.revive_payload(kind, ext_id))
+            self._commit(("ev", None, f"revive_{kind}", {"id": ext_id, "p": payload}))
 
     def _maybe_revive_for_read(
         self, user_id: int, service_id: "int | None"
@@ -1165,10 +1072,8 @@ class PredictionServer:
         Predictions for hot entities are never shed.  Standbys, fenced
         primaries, and read-only-degraded servers skip the revive (the
         fallback chain answers): revives mutate the log, and only a healthy
-        primary may do that.
+        primary may do that.  Called on tiered servers only.
         """
-        if self._tiered is None:
-            return
         pending = self.model.with_model(
             lambda m: m.pending_revivals(user_id, service_id)
         )
@@ -1193,23 +1098,16 @@ class PredictionServer:
             self._revive_locked(user_id, service_id)
 
     def _apply_pressure(self, hot_users: int, hot_services: int, level: str) -> None:
-        """Watchdog tighten callback: WAL-log, then apply, a capacity change."""
-        if self._tiered is None:
-            return
+        """Watchdog tighten callback: commit a capacity change."""
+        data = {"hu": int(hot_users), "hs": int(hot_services), "level": level}
         with self._ingest_lock:
-            data = {"hu": int(hot_users), "hs": int(hot_services), "level": level}
-            if self._wal is not None:
-                try:
-                    self._wal.append_event("pressure", data)
-                except WalAppendError as exc:
-                    # Can't log the tier change durably -> don't apply it
-                    # (recovery would diverge); read-only degradation takes
-                    # over on the next write.
-                    self._degraded_reason = str(exc)
-                    return
-            self.model.with_model(
-                lambda m: m.apply_pressure(data["hu"], data["hs"], level)
-            )
+            try:
+                self._commit(("ev", None, "pressure", data))
+            except _StorageUnavailable:
+                # Can't log the tier change durably -> it was not applied
+                # (recovery would diverge); the watchdog has no caller to
+                # tell, and read-only degradation refuses the next write.
+                pass
 
     def _set_cold_read_shedding(self, flag: bool) -> None:
         """Watchdog critical-level callback (serving state, never WAL'd)."""
@@ -1223,41 +1121,11 @@ class PredictionServer:
             status["cold_reads_shed"] = self._cold_reads_shed
         status["shedding_cold_reads"] = self._shed_cold_reads
         status["watchdog_running"] = (
-            self._watchdog.running if self._watchdog is not None else False
+            self._watchdog is not None and self._watchdog.running
         )
         return status
 
-    def _refuse_if_degraded(self) -> None:
-        if self._degraded_reason is not None:
-            raise _StorageUnavailable(
-                "server is in read-only degraded mode "
-                f"({self._degraded_reason}); predictions still serve"
-            )
-
     # -- entity migration ------------------------------------------------------
-    def _apply_migration_event(self, kind: str, data: dict, model) -> None:
-        """Apply one migration WAL event against the raw tiered model.
-
-        The single code path for live imports/deletes, crash-recovery
-        replay, and standby replication — all three must converge to the
-        same model *and* the same dedup ledger, which is why this lives on
-        the server (the ledger is server state) rather than in
-        ``TieredAMF.apply_event``.
-        """
-        if kind == "migration_in":
-            model.import_entities(
-                [(k, e, p) for k, e, p in data["entities"]]
-            )
-            mid = str(data["mid"])
-            seq = int(data["seq"])
-            if seq > self._migration_applied.get(mid, 0):
-                self._migration_applied[mid] = seq
-        elif kind == "migration_out":
-            for entity_kind, ext_id in data["entities"]:
-                model.remove_entity(str(entity_kind), int(ext_id))
-        else:
-            raise ValueError(f"unknown migration event {kind!r}")
-
     def _require_tiered(self) -> None:
         if self._tiered is None:
             raise BadRequest(
@@ -1267,49 +1135,36 @@ class PredictionServer:
             )
 
     @staticmethod
-    def _parse_entity_list(payload: dict) -> "list[tuple[str, int]]":
+    def _parse_entities(payload: dict, with_payload: bool = False) -> list:
+        """The request's ``entities``: ``[kind, id]`` pairs, or ``[kind, id,
+        payload]`` triples whose payload is in the canonical spill format."""
         entities = payload.get("entities")
         if not isinstance(entities, list) or not entities:
             raise BadRequest("field 'entities' must be a non-empty list")
-        parsed: "list[tuple[str, int]]" = []
+        shape = "[kind, id, payload] triples" if with_payload else "[kind, id] pairs"
+        parsed: list = []
         for entry in entities:
             try:
-                kind, ext_id = entry
-                kind = str(kind)
-                ext_id = int(ext_id)
+                kind, ext_id, *rest = entry
+                if len(rest) != (1 if with_payload else 0):
+                    raise ValueError(f"{len(rest) + 2} elements")
+                kind, ext_id = str(kind), int(ext_id)
             except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    "entities must be [kind, id] pairs"
-                ) from exc
-            if kind not in ("user", "service") or ext_id < 0:
+                raise BadRequest(f"entities must be {shape}") from exc
+            valid = kind in ("user", "service") and ext_id >= 0
+            if with_payload:
+                entity_payload = rest[0]
+                if not (
+                    valid
+                    and isinstance(entity_payload, dict)
+                    and "row" in entity_payload
+                    and "err" in entity_payload
+                ):
+                    raise BadRequest(f"bad entity payload for {kind} {ext_id}")
+            elif not valid:
                 raise BadRequest(f"bad entity {entry!r}")
-            parsed.append((kind, ext_id))
+            parsed.append([kind, ext_id, *rest])
         return parsed
-
-    @staticmethod
-    def _parse_entity_payloads(entities) -> list:
-        if not isinstance(entities, list) or not entities:
-            raise BadRequest("field 'entities' must be a non-empty list")
-        items: list = []
-        for entry in entities:
-            try:
-                kind, ext_id, payload = entry
-                kind = str(kind)
-                ext_id = int(ext_id)
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    "entities must be [kind, id, payload] triples"
-                ) from exc
-            if (
-                kind not in ("user", "service")
-                or ext_id < 0
-                or not isinstance(payload, dict)
-                or "row" not in payload
-                or "err" not in payload
-            ):
-                raise BadRequest(f"bad entity payload for {kind} {ext_id}")
-            items.append([kind, ext_id, payload])
-        return items
 
     def _handle_migration_entities(self) -> dict:
         """``GET /migration/entities`` — the planner's discovery surface.
@@ -1337,33 +1192,35 @@ class PredictionServer:
         exported entity until the coordinator's delete after the batch
         commits on the destination.
         """
-        self._require_tiered()
-        entities = self._parse_entity_list(payload)
-        exported: list = []
-        with self._acquire_ingest_lock():
-            for kind, ext_id in entities:
-                try:
-                    entity_payload = self.model.with_model(
-                        lambda m, k=kind, e=ext_id: m.export_payload(k, e)
-                    )
-                except KeyError:
-                    continue
-                exported.append([kind, ext_id, entity_payload])
+        exported = self._export_known(payload)
         _MIGRATION_EXPORTS.inc(len(exported))
         return {"entities": exported}
+
+    def _export_known(self, payload: dict) -> list:
+        """``[kind, id, payload]`` for each requested entity this shard
+        holds, in request order; nothing is mutated."""
+        self._require_tiered()
+        entities = self._parse_entities(payload)
+        with self._acquire_ingest_lock():
+            return self.model.with_model(
+                lambda m: [
+                    [kind, ext_id, m.export_payload(kind, ext_id)]
+                    for kind, ext_id in entities
+                    if m.holds_entity(kind, ext_id)
+                ]
+            )
 
     def _handle_migration_import(self, payload: dict) -> dict:
         """``POST /migration/import`` — idempotent, epoch-fenced batch import.
 
         Dedup by ``(mid, seq)``: a batch seq at or below the migration's
         high-water mark is acknowledged without re-applying (coordinator
-        retries after a crash on either side are safe).  Log-then-apply:
-        the ``migration_in`` event (full payloads) hits the WAL before the
-        model, so recovery and standbys replay the exact import.
+        retries after a crash on either side are safe).  The batch is one
+        committed ``migration_in`` entry (full payloads), so recovery and
+        standbys replay the exact import.
         """
         self._require_tiered()
         self._check_write_allowed()
-        self._refuse_if_degraded()
         mid = payload.get("mid")
         if not isinstance(mid, str) or not mid or len(mid) > 256:
             raise BadRequest(
@@ -1374,22 +1231,12 @@ class PredictionServer:
         seq = _require(payload, "seq", int)
         if seq < 1:
             raise BadRequest("field 'seq' must be >= 1")
-        items = self._parse_entity_payloads(payload.get("entities"))
+        items = self._parse_entities(payload, with_payload=True)
         with self._acquire_ingest_lock():
             if seq <= self._migration_applied.get(mid, 0):
                 return {"applied": False, "imported": 0, "reason": "duplicate"}
             data = {"mid": mid, "seq": seq, "entities": items}
-            if self._wal is not None:
-                try:
-                    self._wal.append_event("migration_in", data)
-                except WalAppendError as exc:
-                    self._degraded_reason = str(exc)
-                    raise _StorageUnavailable(
-                        f"migration import not durable, log unavailable: {exc}"
-                    ) from exc
-            self.model.with_model(
-                lambda m: self._apply_migration_event("migration_in", data, m)
-            )
+            self._commit(("ev", None, "migration_in", data))
         _MIGRATION_IMPORTS.inc(len(items))
         return {"applied": True, "imported": len(items)}
 
@@ -1403,37 +1250,18 @@ class PredictionServer:
         """
         self._require_tiered()
         self._check_write_allowed()
-        self._refuse_if_degraded()
-        entities = self._parse_entity_list(payload)
+        entities = self._parse_entities(payload)
         with self._acquire_ingest_lock():
             present = self.model.with_model(
                 lambda m: [
                     [kind, ext_id]
                     for kind, ext_id in entities
-                    if (
-                        (m.knows_user(ext_id) or m.is_spilled_user(ext_id))
-                        if kind == "user"
-                        else (
-                            m.knows_service(ext_id)
-                            or m.is_spilled_service(ext_id)
-                        )
-                    )
+                    if m.holds_entity(kind, ext_id)
                 ]
             )
             if not present:
                 return {"removed": 0}
-            data = {"entities": present}
-            if self._wal is not None:
-                try:
-                    self._wal.append_event("migration_out", data)
-                except WalAppendError as exc:
-                    self._degraded_reason = str(exc)
-                    raise _StorageUnavailable(
-                        f"migration delete not durable, log unavailable: {exc}"
-                    ) from exc
-            self.model.with_model(
-                lambda m: self._apply_migration_event("migration_out", data, m)
-            )
+            self._commit(("ev", None, "migration_out", {"entities": present}))
         _MIGRATION_DELETES.inc(len(present))
         return {"removed": len(present)}
 
@@ -1447,54 +1275,43 @@ class PredictionServer:
         import counters identical to an unkilled run); absent or different
         means export-and-import.
         """
-        self._require_tiered()
-        entities = self._parse_entity_list(payload)
-        fingerprints: dict = {}
-        with self._acquire_ingest_lock():
-            for kind, ext_id in entities:
-                try:
-                    entity_payload = self.model.with_model(
-                        lambda m, k=kind, e=ext_id: m.export_payload(k, e)
-                    )
-                except KeyError:
-                    continue
-                fingerprints[f"{kind}:{ext_id}"] = hashlib.blake2b(
+        return {
+            "entities": {
+                f"{kind}:{ext_id}": hashlib.blake2b(
                     json.dumps(entity_payload, sort_keys=True).encode(),
                     digest_size=16,
                 ).hexdigest()
-        return {"entities": fingerprints}
+                for kind, ext_id, entity_payload in self._export_known(payload)
+            }
+        }
 
     def _migration_status(self) -> dict:
         return {"applied": dict(sorted(self._migration_applied.items()))}
 
+    def _admit(self, cost: int):
+        """The admission slot for ``cost`` observations (a no-op context
+        without admission control, or for an empty batch)."""
+        if self.admission is None or not cost:
+            return contextlib.nullcontext()
+        return self.admission.admit(cost=float(cost))
+
     def _handle_observation(self, payload: dict) -> dict:
         self._check_write_allowed()
-        self._refuse_if_degraded()
         record, key = self._parse_observation(payload)
-        if self.admission is not None:
-            admit = self.admission.admit(cost=1.0)
-        else:
-            admit = _NO_ADMISSION
-        with admit:
-            with self._acquire_ingest_lock():
-                return self._ingest_one(record, key)
+        with self._admit(1), self._acquire_ingest_lock():
+            return self._ingest_one(record, key)
 
     def _handle_observation_batch(self, payload: dict) -> dict:
         self._check_write_allowed()
-        self._refuse_if_degraded()
         observations = payload.get("observations")
         if not isinstance(observations, list):
             raise BadRequest("field 'observations' must be a list")
-        # Admission is charged once for the whole batch (cost = item count):
-        # a batch is one queue occupant but len(observations) tokens.
-        if self.admission is not None and observations:
-            admit = self.admission.admit(cost=float(len(observations)))
-        else:
-            admit = _NO_ADMISSION
         accepted = 0
         sample_errors: list[float] = []
         rejected: list[dict] = []
-        with admit:
+        # Admission is charged once for the whole batch (cost = item count):
+        # a batch is one queue occupant but len(observations) tokens.
+        with self._admit(len(observations)):
             for index, entry in enumerate(observations):
                 if not isinstance(entry, dict):
                     with self._stats_lock:
@@ -1625,12 +1442,12 @@ class PredictionServer:
                 raise BadRequest("ids must be non-negative")
             service_ids.append(service_id)
         values, sources = self._predict_batch(user_id, service_ids)
-        predictions = {}
-        source_map = {}
-        for service_id, value, source in zip(service_ids, values, sources):
-            predictions[str(service_id)] = value
-            source_map[str(service_id)] = source
-        return {"user_id": user_id, "predictions": predictions, "sources": source_map}
+        keys = [str(service_id) for service_id in service_ids]
+        return {
+            "user_id": user_id,
+            "predictions": dict(zip(keys, values)),
+            "sources": dict(zip(keys, sources)),
+        }
 
     def _handle_credence(self, query: dict) -> dict:
         """``GET /credence?service_ids=1,2,3`` — per-service EMA error.
@@ -1690,6 +1507,7 @@ class PredictionServer:
         }
 
     def _handle_status(self) -> dict:
+        binary = self.binary_address
         with self._stats_lock:
             counters = {
                 "observations_handled": self._observations_handled,
@@ -1720,11 +1538,7 @@ class PredictionServer:
                 "lifecycle": self._lifecycle_status(),
                 "migration": self._migration_status(),
                 "transport": {
-                    "binary_address": (
-                        list(self.binary_address)
-                        if self.binary_address is not None
-                        else None
-                    ),
+                    "binary_address": list(binary) if binary is not None else None,
                 },
                 "predict_cache": (
                     self._predict_cache.stats()
@@ -1764,24 +1578,16 @@ class PredictionServer:
     def _trainer_health(self) -> dict:
         if self.supervisor is not None:
             return self.supervisor.health()
-        if self.trainer is not None:
-            return {
-                "running": self.trainer.running,
-                "supervised": False,
-                "crashes": self.trainer.crash_count,
-                "restarts": 0,
-                "last_failure": (
-                    f"{type(self.trainer.failure).__name__}: {self.trainer.failure}"
-                    if self.trainer.failure is not None
-                    else None
-                ),
-            }
+        trainer = self.trainer
+        failure = trainer.failure if trainer is not None else None
         return {
-            "running": False,
+            "running": trainer is not None and trainer.running,
             "supervised": False,
-            "crashes": 0,
+            "crashes": trainer.crash_count if trainer is not None else 0,
             "restarts": 0,
-            "last_failure": None,
+            "last_failure": (
+                f"{type(failure).__name__}: {failure}" if failure is not None else None
+            ),
         }
 
     def _handle_health(self) -> tuple[int, dict]:
@@ -1811,15 +1617,12 @@ class PredictionServer:
         return (200 if ready else 503), body
 
     def _handle_replication_status(self) -> dict:
-        status = self._replication_status()
-        if status is None:
-            return {
-                "role": self.role,
-                "epoch": self.epoch,
-                "fenced": False,
-                "replicated": False,
-            }
-        return status
+        return self._replication_status() or {
+            "role": self.role,
+            "epoch": self.epoch,
+            "fenced": False,
+            "replicated": False,
+        }
 
     def _routes(self) -> dict:
         """The JSON/HTTP surface (:class:`~repro.server.http.HttpListener`

@@ -46,9 +46,9 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from repro.datasets.schema import QoSRecord
 from repro.observability import get_registry
 from repro.server.http import ServiceError
+from repro.server.wal import entry_from_wire
 
 # Replication observability.  Registered at import time (app.py imports
 # this module), so every server process renders the families even at zero
@@ -162,7 +162,9 @@ class EpochStore:
         except FileNotFoundError:
             pass
 
-    def _read_unlocked(self) -> dict:
+    def read(self) -> dict:
+        """Current ``{"epoch": int, "owner": str | None}`` (0 when unset).
+        Takes no lock: the file only ever changes by atomic rename."""
         try:
             with open(self.path, encoding="utf-8") as handle:
                 state = json.load(handle)
@@ -173,12 +175,8 @@ class EpochStore:
             "owner": state.get("owner"),
         }
 
-    def read(self) -> dict:
-        """Current ``{"epoch": int, "owner": str | None}`` (0 when unset)."""
-        return self._read_unlocked()
-
     def epoch(self) -> int:
-        return self._read_unlocked()["epoch"]
+        return self.read()["epoch"]
 
     def cas(self, expected: int, new: int, owner: "str | None" = None) -> bool:
         """Atomically advance the epoch iff it still equals ``expected``.
@@ -190,7 +188,7 @@ class EpochStore:
             raise ValueError(f"epoch must advance: expected={expected} new={new}")
         self._acquire_file_lock()
         try:
-            current = self._read_unlocked()
+            current = self.read()
             if current["epoch"] != expected:
                 return False
             tmp = f"{self.path}.tmp"
@@ -292,12 +290,12 @@ class StandbyReplicator:
     """The standby's pull loop: fetch, validate, apply, repeat.
 
     Runs as a daemon thread owned by a standby `PredictionServer`.  Every
-    shipped record is handed to the server's replicated-apply path (WAL
-    append → ledger → gate → model, under the ingest lock), so standby
-    state evolves exactly as the primary's did.  Tracks replication lag
-    (primary ``last_seq`` minus locally applied) and consecutive fetch
-    failures; with ``auto_promote_after`` set, a primary silent for that
-    long triggers self-promotion via the epoch CAS.
+    shipped entry is handed to the server's ``apply_shipped`` (sequence
+    check, then the same log-and-apply commit the primary ran, under the
+    ingest lock), so standby state evolves exactly as the primary's did.
+    Tracks replication lag (primary ``last_seq`` minus locally applied) and
+    consecutive failed cycles; with ``auto_promote_after`` set, a primary
+    silent for that long triggers self-promotion via the epoch CAS.
     """
 
     def __init__(self, server, config: ReplicationConfig, link=None) -> None:
@@ -352,6 +350,11 @@ class StandbyReplicator:
         batch = self.link.fetch(
             after_seq=server.wal_last_seq, limit=self.config.batch_limit
         )
+        # The auto-promote timer measures the primary's silence and nothing
+        # else: a batch this node then fails to apply (its own log is full,
+        # its lifecycle setting differs) is this node's fault, and deposing
+        # a primary that answers would turn it into a cluster-wide outage.
+        self.last_fetch_ok = time.monotonic()
         epoch = int(batch.get("epoch", 0))
         if epoch < server.epoch:
             # A deposed primary still answering: never apply from a node
@@ -362,18 +365,13 @@ class StandbyReplicator:
         if epoch > server.epoch:
             server.note_cluster_epoch(epoch)
         applied = 0
-        for entry in batch["records"]:
-            decoded = _decode_shipped(entry)
-            if decoded[1] == "ev":
-                seq, __, kind, data = decoded
-                outcome = server.apply_replicated_event(seq, kind, data)
-            else:
-                seq, __, record, key = decoded
-                outcome = server.apply_replicated(seq, record, key)
+        for wire in batch["records"]:
+            entry = entry_from_wire(wire)
+            outcome = server.apply_shipped(entry)
             if outcome == "gap":
                 self.gap_detected = True
                 raise ReplicationGap(
-                    f"shipped seq {seq} leaves a hole after local seq "
+                    f"shipped seq {entry[1]} leaves a hole after local seq "
                     f"{server.wal_last_seq}"
                 )
             if outcome == "applied":
@@ -382,7 +380,6 @@ class StandbyReplicator:
         self.records_applied += applied
         self.lag_records = max(0, int(batch["last_seq"]) - server.wal_last_seq)
         _LAG.set(self.lag_records)
-        self.last_fetch_ok = time.monotonic()
         self.consecutive_failures = 0
         self.last_error = None
         return applied
@@ -408,13 +405,13 @@ class StandbyReplicator:
                 self._stop.wait(self.config.poll_interval)
 
     def _should_auto_promote(self) -> bool:
-        if self.config.auto_promote_after is None:
+        """Has the primary been silent for ``auto_promote_after`` seconds?
+        Never before the first answer: a standby that has yet to hear from
+        its primary has nothing to take over."""
+        window, heard = self.config.auto_promote_after, self.last_fetch_ok
+        if window is None or heard is None:
             return False
-        if self.last_fetch_ok is None:
-            return False
-        return (
-            time.monotonic() - self.last_fetch_ok >= self.config.auto_promote_after
-        )
+        return time.monotonic() - heard >= window
 
     def status(self) -> dict:
         return {
@@ -425,37 +422,6 @@ class StandbyReplicator:
             "last_error": self.last_error,
             "gap_detected": self.gap_detected,
         }
-
-
-def encode_shipped(seq: int, record: QoSRecord, key: "str | None") -> list:
-    """Wire form of one shipped WAL observation (compact JSON array)."""
-    return [seq, record.timestamp, record.user_id, record.service_id,
-            record.value, key]
-
-
-def encode_shipped_event(seq: int, kind: str, data: dict) -> list:
-    """Wire form of one shipped WAL lifecycle event.
-
-    Two elements with a dict second — unambiguous against the 6-element
-    observation form, so old-format batches still decode.
-    """
-    return [seq, {"ev": str(kind), "d": data}]
-
-
-def _decode_shipped(entry):
-    """Decode one shipped entry to ``(seq, "obs", record, key)`` or
-    ``(seq, "ev", kind, data)``."""
-    if len(entry) == 2 and isinstance(entry[1], dict):
-        seq, body = entry
-        return int(seq), "ev", str(body["ev"]), body["d"]
-    seq, timestamp, user_id, service_id, value, key = entry
-    record = QoSRecord(
-        timestamp=float(timestamp),
-        user_id=int(user_id),
-        service_id=int(service_id),
-        value=float(value),
-    )
-    return int(seq), "obs", record, (str(key) if key is not None else None)
 
 
 def note_shipped(count: int) -> None:

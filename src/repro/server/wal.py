@@ -173,173 +173,156 @@ class WriteAheadLog:
         with open(path, "rb") as handle:
             for raw in handle:
                 try:
-                    entry = json.loads(raw.decode("utf-8"))
-                    seq = int(entry["seq"])
-                    if "ev" in entry:
-                        kind = str(entry["ev"])
-                        data = entry["d"]
-                        if not isinstance(data, dict):
-                            raise TypeError("event data must be an object")
-                        yield_value = ("ev", seq, kind, data)
+                    line = json.loads(raw.decode("utf-8"))
+                    if "ev" in line:
+                        entry = _event_entry(line["seq"], line)
                     else:
-                        record = QoSRecord(
-                            timestamp=float(entry["t"]),
-                            user_id=int(entry["u"]),
-                            service_id=int(entry["s"]),
-                            value=float(entry["v"]),
+                        entry = _observation_entry(
+                            line["seq"], line["t"], line["u"], line["s"], line["v"],
+                            line.get("k"),
                         )
-                        key = entry.get("k")
-                        if key is not None:
-                            key = str(key)
-                        yield_value = ("obs", seq, record, key)
                 except (ValueError, KeyError, TypeError):
                     self.torn_lines += 1
                     _WAL_TORN_LINES.inc()
                     return
-                yield yield_value
-
-    def _read_segment(
-        self, name: str
-    ) -> Iterator[tuple[int, QoSRecord, "str | None"]]:
-        """Observation-only view of :meth:`_read_segment_entries`."""
-        for entry in self._read_segment_entries(name):
-            if entry[0] == "obs":
-                yield entry[1], entry[2], entry[3]
+                yield entry
 
     # -- writing -------------------------------------------------------------
     def _open_active_segment(self) -> None:
         names = self._segment_names()
-        if names:
-            active = names[-1]
-            first = _segment_first_seq(active)
-            if self._last_seq - first + 1 >= self.segment_max_records:
-                active = _segment_name(self._last_seq + 1)
-        else:
-            active = _segment_name(self._last_seq + 1)
+        active = _segment_name(self._last_seq + 1)  # a fresh segment, unless
+        if names:  # the last one on disk still has room
+            first = _segment_first_seq(names[-1])
+            if self._last_seq - first + 1 < self.segment_max_records:
+                active = names[-1]
         path = os.path.join(self.directory, active)
         self._handle = open(path, "a", encoding="utf-8")
         self._active_first_seq = _segment_first_seq(active)
 
-    def append(self, record: QoSRecord, key: "str | None" = None) -> int:
-        """Durably log one observation; returns its sequence number.
+    def append_entry(self, entry: tuple) -> int:
+        """Durably log one tagged entry in the shape :meth:`replay_entries`
+        yields; returns its sequence number.  The entry's own ``seq`` is not
+        written — the log assigns the next one — so a not-yet-logged entry
+        carries ``None`` there and a shipped one must already be next.
 
-        ``key`` is the caller-supplied idempotency key, if any; it rides in
-        the record (``"k"``) so crash recovery rebuilds the dedup ledger
-        from the log itself.
+        An observation's ``key`` is the caller-supplied idempotency key, if
+        any; it rides in the record (``"k"``) so crash recovery rebuilds the
+        dedup ledger from the log itself.
         """
-        entry = {
-            "t": record.timestamp,
-            "u": record.user_id,
-            "s": record.service_id,
-            "v": record.value,
-        }
-        if key is not None:
-            entry["k"] = key
+        tag, __, first, second = entry
+        if tag == "obs":
+            body = {
+                "t": first.timestamp,
+                "u": first.user_id,
+                "s": first.service_id,
+                "v": first.value,
+            }
+            if second is not None:
+                body["k"] = second
+        elif isinstance(second, dict):
+            body = {"ev": str(first), "d": second}
+        else:
+            raise TypeError(f"event data must be a dict, got {type(second).__name__}")
+        # The sequence number is assigned under the lock, with the write.
         with self._lock:
-            return self._append_locked(entry)
+            if self._closed:
+                raise ValueError("write-ahead log is closed")
+            if self._append_failed is not None:
+                raise WalAppendError(
+                    f"write-ahead log is in a failed state: {self._append_failed}"
+                )
+            seq = self._last_seq + 1
+            line = json.dumps({"seq": seq, **body})
+            try:
+                if seq - self._active_first_seq >= self.segment_max_records:
+                    self._handle.close()
+                    self._active_first_seq = seq
+                    self._handle = open(
+                        os.path.join(self.directory, _segment_name(seq)),
+                        "a",
+                        encoding="utf-8",
+                    )
+                    _WAL_SEGMENTS.set(self.segment_count())
+                self._handle.write(line + "\n")
+                self._handle.flush()
+                if self.fsync:
+                    fsync_started = time.perf_counter()
+                    os.fsync(self._handle.fileno())
+                    _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
+            except OSError as exc:
+                # A failed write may have left a partial line in the active
+                # segment; freeze the log so the failure is sticky and the
+                # server can degrade to read-only instead of acknowledging
+                # observations that never became durable.
+                self._append_failed = f"{type(exc).__name__}: {exc}"
+                _WAL_APPEND_ERRORS.inc()
+                raise WalAppendError(
+                    f"WAL append of seq {seq} failed: {exc}",
+                    errno=getattr(exc, "errno", None),
+                ) from exc
+            self._last_seq = seq
+            self.appended += 1
+            _WAL_APPENDS.inc()
+            return seq
+
+    def append(self, record: QoSRecord, key: "str | None" = None) -> int:
+        """Durably log one observation; returns its sequence number."""
+        return self.append_entry(("obs", None, record, key))
 
     def append_event(self, kind: str, data: dict) -> int:
-        """Durably log one lifecycle event; returns its sequence number.
+        """Durably log one event; returns its sequence number.
 
         Events share the observation sequence space, so recovery replays
-        observations and events in their original interleaving.  Current
-        kinds (see :meth:`repro.lifecycle.TieredAMF.apply_event`):
-        ``revive_user`` / ``revive_service`` (``data = {"id", "p"}``, the
-        full spill payload — replay must restore from the log, because the
-        spill file reflects crash-time state, not the replayed position)
-        and ``pressure`` (``data = {"hu", "hs", "level"}``, a watchdog
-        capacity change).  Live entity migration adds ``migration_in``
-        (``data = {"mid", "seq", "entities": [[kind, id, payload], ...]}``
-        — the full imported batch, logged before the model mutates so
-        recovery and standbys replay the exact import) and
-        ``migration_out`` (``data = {"entities": [[kind, id], ...]}``,
-        the source-side delete after a batch commits remotely).
-        Demotions are *not* logged: they are deterministic functions of
-        model state and replay identically.
-        """
-        if not isinstance(data, dict):
-            raise TypeError(f"event data must be a dict, got {type(data).__name__}")
-        with self._lock:
-            return self._append_locked({"ev": str(kind), "d": data})
+        observations and events in their original interleaving.  Every kind
+        is committed by ``PredictionServer._commit`` (logged, then applied)
+        and applied by ``PredictionServer._apply`` through
+        :meth:`repro.lifecycle.TieredAMF.apply_event` — live, in recovery
+        and on a standby alike.  The entry-kind table:
 
-    def _append_locked(self, entry: dict) -> int:
-        """Assign the next sequence number and durably write one entry.
+        ``revive_user`` / ``revive_service``
+            :data:         ``{"id", "p"}`` — ``p`` is the full spill payload
+            :committed by: an observe or a read that names a cold entity
+            :apply:        the entity takes a hot slot from ``p``; its spill
+                           row is dropped
+            :logged first: the spill row holds crash-time state, not the
+                           state at the replayed position
+        ``pressure``
+            :data:         ``{"hu", "hs", "level"}``
+            :committed by: the memory watchdog's tighten callback
+            :apply:        both capacities and the level are set; the
+                           overflow is demoted
+            :logged first: every later demotion depends on the capacities
+        ``migration_in``
+            :data:         ``{"mid", "seq", "entities": [[kind, id,
+                           payload], ...]}`` — the whole imported batch
+            :committed by: ``POST /migration/import``
+            :apply:        the batch is imported; the migration ledger's
+                           high-water mark for ``mid`` rises to ``seq``
+            :logged first: recovery and standbys replay the exact import,
+                           and refuse the coordinator's retry of it
+        ``migration_out``
+            :data:         ``{"entities": [[kind, id], ...]}``
+            :committed by: ``POST /migration/delete`` (known entities only)
+            :apply:        each entity is forgotten, hot or spilled
+            :logged first: the source's log shows where its copy ended
 
-        Caller holds ``self._lock``; ``entry`` is the seq-less body (the
-        sequence number is assigned here, under the lock).
+        An observation (:meth:`append`) follows the same rule: the raw
+        pre-gate record is logged, then ``_apply`` adds its key to the dedup
+        ledger, advances ``latest_ingest_ts`` and runs it through the gate
+        into the model.  Demotions are *not* logged: they are deterministic
+        functions of model state and replay identically.
         """
-        if self._closed:
-            raise ValueError("write-ahead log is closed")
-        if self._append_failed is not None:
-            raise WalAppendError(
-                f"write-ahead log is in a failed state: {self._append_failed}"
-            )
-        seq = self._last_seq + 1
-        line = json.dumps({"seq": seq, **entry})
-        try:
-            if seq - self._active_first_seq >= self.segment_max_records:
-                self._handle.close()
-                self._active_first_seq = seq
-                self._handle = open(
-                    os.path.join(self.directory, _segment_name(seq)),
-                    "a",
-                    encoding="utf-8",
-                )
-                _WAL_SEGMENTS.set(self.segment_count())
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self.fsync:
-                fsync_started = time.perf_counter()
-                os.fsync(self._handle.fileno())
-                _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
-        except OSError as exc:
-            # A failed write may have left a partial line in the active
-            # segment; freeze the log so the failure is sticky and the
-            # server can degrade to read-only instead of acknowledging
-            # observations that never became durable.
-            self._append_failed = f"{type(exc).__name__}: {exc}"
-            _WAL_APPEND_ERRORS.inc()
-            raise WalAppendError(
-                f"WAL append of seq {seq} failed: {exc}",
-                errno=getattr(exc, "errno", None),
-            ) from exc
-        self._last_seq = seq
-        self.appended += 1
-        _WAL_APPENDS.inc()
-        return seq
+        return self.append_entry(("ev", None, kind, data))
 
     # -- reading -------------------------------------------------------------
-    def replay(self, after_seq: int = 0) -> Iterator[tuple[int, QoSRecord]]:
-        """Yield ``(seq, record)`` for every record with ``seq > after_seq``.
-
-        Segments wholly covered by ``after_seq`` are skipped without being
-        read.  Replay stops at the first corrupt line (a torn crash tail).
-        """
-        for seq, record, __ in self.replay_full(after_seq):
-            yield seq, record
-
-    def replay_full(
-        self, after_seq: int = 0
-    ) -> Iterator[tuple[int, QoSRecord, "str | None"]]:
-        """Like :meth:`replay` but also yields each record's idempotency key
-        (``None`` when the observation carried none)."""
-        names = self._segment_names()
-        for index, name in enumerate(names):
-            if index + 1 < len(names):
-                segment_end = _segment_first_seq(names[index + 1]) - 1
-                if segment_end <= after_seq:
-                    continue
-            for seq, record, key in self._read_segment(name):
-                if seq > after_seq:
-                    yield seq, record, key
-
     def replay_entries(self, after_seq: int = 0) -> Iterator[tuple]:
         """Yield every committed entry after ``after_seq``, tagged.
 
-        The full-fidelity recovery stream: ``("obs", seq, record, key)``
-        for observations interleaved with ``("ev", seq, kind, data)`` for
-        lifecycle events, in sequence order.  :meth:`replay` /
-        :meth:`replay_full` remain the observation-only views.
+        The recovery stream: ``("obs", seq, record, key)`` for observations
+        interleaved with ``("ev", seq, kind, data)`` for events, in sequence
+        order.  Segments wholly covered by ``after_seq`` are skipped without
+        being read, and the stream stops at the first corrupt line (a torn
+        crash tail).
         """
         names = self._segment_names()
         for index, name in enumerate(names):
@@ -390,35 +373,17 @@ class WriteAheadLog:
         """Why the log is frozen (``None`` while healthy)."""
         return self._append_failed
 
-    def read_committed(
-        self, after_seq: int = 0, limit: int = 1024
-    ) -> list[tuple[int, QoSRecord, "str | None"]]:
-        """Read up to ``limit`` committed records with ``seq > after_seq``.
-
-        The replication shipping path: holds the append lock while reading,
-        so the active segment cannot gain a half-flushed line mid-scan and
-        every returned record is already fsync'd (committed).  Returns
-        ``(seq, record, idempotency_key)`` tuples in sequence order.
-        """
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        with self._lock:
-            batch: list[tuple[int, QoSRecord, "str | None"]] = []
-            for seq, record, key in self.replay_full(after_seq):
-                if seq > self._last_seq:
-                    break
-                batch.append((seq, record, key))
-                if len(batch) >= limit:
-                    break
-            return batch
-
     def read_committed_entries(
         self, after_seq: int = 0, limit: int = 1024
     ) -> list[tuple]:
-        """Like :meth:`read_committed` but yields tagged entries — the
-        replication shipping path for logs carrying lifecycle events (the
-        standby must apply revives and pressure changes in sequence order
-        to converge to the primary's tier assignment)."""
+        """Read up to ``limit`` committed entries with ``seq > after_seq``.
+
+        The replication shipping path: holds the append lock while reading,
+        so the active segment cannot gain a half-flushed line mid-scan and
+        every returned entry is already fsync'd (committed).  Tagged entries
+        in sequence order — the standby must apply revives and pressure
+        changes where the primary did to converge to its tier assignment.
+        """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._lock:
@@ -446,6 +411,42 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _observation_entry(seq, timestamp, user_id, service_id, value, key) -> tuple:
+    """One decoded observation, as the log yields it (disk and wire alike)."""
+    record = QoSRecord(
+        timestamp=float(timestamp),
+        user_id=int(user_id),
+        service_id=int(service_id),
+        value=float(value),
+    )
+    return "obs", int(seq), record, (str(key) if key is not None else None)
+
+
+def _event_entry(seq, body: dict) -> tuple:
+    """One decoded event (``{"ev": kind, "d": data}``), as the log yields it."""
+    if not isinstance(body["d"], dict):
+        raise TypeError("event data must be an object")
+    return "ev", int(seq), str(body["ev"]), body["d"]
+
+
+def entry_to_wire(entry: tuple) -> list:
+    """Wire form of one entry on ``GET /replication/wal`` (compact JSON
+    array): ``[seq, t, u, s, v, key]`` for an observation,
+    ``[seq, {"ev": kind, "d": data}]`` for an event — two elements with a
+    dict second, unambiguous against the six-element observation form."""
+    tag, seq, first, second = entry
+    if tag == "ev":
+        return [seq, {"ev": str(first), "d": second}]
+    return [seq, first.timestamp, first.user_id, first.service_id, first.value, second]
+
+
+def entry_from_wire(wire) -> tuple:
+    """Inverse of :func:`entry_to_wire`: the entry as the log yields it."""
+    if len(wire) == 2 and isinstance(wire[1], dict):
+        return _event_entry(*wire)
+    return _observation_entry(*wire)
 
 
 class CheckpointStore:
@@ -481,23 +482,14 @@ class CheckpointStore:
         _CHECKPOINT_SAVE_SECONDS.observe(time.perf_counter() - started)
         _CHECKPOINT_SAVES.inc()
 
-    def load(
-        self, rng: "int | None" = None
-    ) -> "tuple[AdaptiveMatrixFactorization, int] | None":
-        """Return ``(model, covered_wal_seq)``, or ``None`` if no checkpoint.
-
-        ``rng=None`` restores the checkpointed RNG state (exact recovery).
-        """
-        if not self.exists():
-            return None
-        model, seq, __ = self.load_full(rng=rng)
-        return model, seq
-
     def load_full(
         self, rng: "int | None" = None
     ) -> "tuple[AdaptiveMatrixFactorization, int, dict] | None":
-        """Like :meth:`load` but also returns the checkpoint's ``extra`` dict
-        (minus ``wal_seq``) — the server keeps its robustness state there."""
+        """Return ``(model, covered_wal_seq, extra)``, or ``None`` if no
+        checkpoint.  ``extra`` is the archive's dict minus ``wal_seq`` — the
+        server keeps its robustness, tiering and epoch state there.
+        ``rng=None`` restores the checkpointed RNG state (exact recovery).
+        """
         if not self.exists():
             return None
         model, extra = load_model(self.path, rng=rng, return_extra=True)

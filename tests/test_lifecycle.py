@@ -11,11 +11,14 @@ capacity tightening, cold-read shedding that never touches hot
 predictions).
 """
 
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import seed, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.amf import AdaptiveMatrixFactorization
 from repro.datasets.schema import QoSRecord
@@ -26,6 +29,7 @@ from repro.lifecycle import (
     SpillStore,
     TieredAMF,
 )
+from repro.robustness import GateConfig, SanitizerGate, apply_observation
 from repro.server.app import PredictionServer
 from repro.server.client import PredictionClient, RetryableServiceError
 
@@ -422,3 +426,169 @@ class TestSpillCompaction:
             assert os.path.getsize(path) < before
             assert spill.get("user", 7) is None or spill.get("user", 7) == b"keep"
             spill.close()
+
+
+# -- model-based: tiering is transparent, whatever the interleaving ------------
+
+
+@seed(11)
+class TieringParityMachine(RuleBasedStateMachine):
+    """A 3x3 hot tier that pressure tightens to 2x2, against a hot tier
+    nothing ever leaves, rule for rule.
+
+    No replay step runs, so the retained samples a demotion or an import
+    drops (cold or absent peers — the documented re-warming tradeoff) never
+    reach a factor: every entity hot in the small tier must hold the factor
+    row, the EMA error and the predictions the never-demoting model holds
+    for the same external id.  A twin of the small tier takes the same rules
+    too: tier assignment and spill rows are a function of the rule sequence
+    alone.
+
+    Each model carries its own gate, as a server's does, so the statistics
+    that ride the spill payload are held to the same standard.  The gate can
+    clip but never quarantine: demotion drops an entity's pending quarantine
+    pairs (``SanitizerGate.export_entity``), which a never-demoting model
+    keeps — a documented tradeoff, not a transparent one.
+    """
+
+    IDS = st.integers(0, 3)
+    KINDS = st.sampled_from(["user", "service"])
+
+    def __init__(self):
+        super().__init__()
+        self.small, self.twin = tiered(hot_users=3, hot_services=3), tiered(
+            hot_users=3, hot_services=3
+        )
+        self.roomy = tiered(hot_users=10_000, hot_services=10_000)
+        self.models = (self.small, self.twin, self.roomy)
+        for model in self.models:
+            model.gate = SanitizerGate(
+                GateConfig(warmup=2, quarantine_k=math.inf),
+                model.normalize_value,
+                model.denormalize_value,
+            )
+        self.clock = 0.0
+
+    @rule(user=IDS, service=IDS, value=st.floats(0.05, 20.0), gated=st.booleans())
+    def observe(self, user, service, value, gated):
+        self.clock += 1.0
+        record = QoSRecord(self.clock, user, service, value)
+        outcomes = set()
+        for model in self.models:
+            if not gated:  # the WAL-free driver: revive, then observe
+                revived, error = model.observe_reviving(record)
+                outcomes.add(error)
+            else:
+                # What a server does: revive (gate statistics come back with
+                # the payload), then let the gate decide what is observed.
+                revived = []
+                for kind, ext in model.pending_revivals(user, service):
+                    payload = model.revive_payload(kind, ext)
+                    model.apply_revive(kind, ext, payload)
+                    revived.append((kind, ext, payload))
+                action, applied = apply_observation(model, model.gate, record)
+                outcomes.add((action, *(error for __, error in applied)))
+            # A revived entity's retained samples are back, the right way
+            # round, wherever the peer is hot — except the observed pair's,
+            # which this observation has just replaced.
+            for kind, ext, payload in revived:
+                for peer, timestamp, value in payload["samples"]:
+                    pair = (ext, peer) if kind == "user" else (peer, ext)
+                    slots = model._u_slot_of.get(pair[0]), model._s_slot_of.get(pair[1])
+                    if pair != (user, service) and None not in slots:
+                        assert model._store.get(*slots) == (timestamp, value)
+        assert len(outcomes) == 1  # NaN-free: one outcome, the same on all three
+
+    @rule(kind=KINDS, ext=IDS, by_migration=st.booleans())
+    def forget(self, kind, ext, by_migration):
+        for model in self.models:
+            if by_migration:
+                model.remove_entity(kind, ext)
+            elif kind == "user":
+                model.forget_user(ext)
+            else:
+                model.forget_service(ext)
+
+    @rule(kind=KINDS, ext=IDS)
+    def export_then_import(self, kind, ext):
+        for model in self.models:
+            try:
+                payload = model.export_payload(kind, ext)
+            except KeyError:
+                continue  # unknown to one is unknown to all: checked below
+            assert model.import_entities([(kind, ext, payload)]) == 1
+
+    @rule(hot_users=st.integers(2, 3), hot_services=st.integers(2, 3),
+          level=st.sampled_from(["ok", "tighten", "critical"]))
+    def pressure(self, hot_users, hot_services, level):
+        # Tighten only, as the watchdog does.  A raised capacity lets a later
+        # revival find the free list empty and grow the slot arrays, and a
+        # grown row draws an init vector (overwritten at once) that the
+        # never-demoting model never draws: deterministic for recovery and
+        # standbys, which replay the same draw, but not transparent.
+        hot_users = min(hot_users, self.small._hot_users)
+        hot_services = min(hot_services, self.small._hot_services)
+        self.small.apply_pressure(hot_users, hot_services, level)
+        self.twin.apply_event(
+            "pressure", {"hu": hot_users, "hs": hot_services, "level": level}
+        )
+        self.roomy.apply_pressure(10_000, 10_000, level)
+
+    @invariant()
+    def the_small_tier_is_the_roomy_one_by_external_id(self):
+        small, roomy = self.small, self.roomy
+        for kind in ("user", "service"):
+            assert small.entity_ids(kind) == roomy.entity_ids(kind)
+        assert len(small._u_slot_of) <= small._hot_users
+        assert len(small._s_slot_of) <= small._hot_services
+        assert not roomy._spilled_users and not roomy._spilled_services
+        for ext, slot in small._u_slot_of.items():
+            there = roomy._u_slot_of[ext]
+            assert np.array_equal(
+                small._user_factors.row(slot), roomy._user_factors.row(there)
+            )
+            assert small.weights.user_error(slot) == roomy.weights.user_error(there)
+        for ext, slot in small._s_slot_of.items():
+            there = roomy._s_slot_of[ext]
+            assert np.array_equal(
+                small._service_factors.row(slot), roomy._service_factors.row(there)
+            )
+            assert small.weights.service_error(slot) == roomy.weights.service_error(
+                there
+            )
+            assert small.service_credence(ext) == roomy.service_credence(ext)
+        services = sorted(small._s_slot_of)
+        for user in small._u_slot_of:
+            assert np.array_equal(
+                small.predict_for_user(user, services),
+                roomy.predict_for_user(user, services),
+            )
+        for kind, hot, spilled in (
+            ("user", small._u_slot_of, small._spilled_users),
+            ("service", small._s_slot_of, small._spilled_services),
+        ):
+            for ext in hot:
+                ours = small.gate.peek_entity(kind, ext)
+                assert ours == roomy.gate.peek_entity(kind, ext)
+            for ext in spilled:  # its statistics left with it, in the payload
+                assert small.gate.peek_entity(kind, ext) is None
+                carried = small.revive_payload(kind, ext).get("gate")
+                assert carried == roomy.gate.peek_entity(kind, ext)
+
+    @invariant()
+    def two_runs_of_one_sequence_are_one_state(self):
+        small, twin = self.small, self.twin
+        assert small.lifecycle_state() == twin.lifecycle_state()
+        assert small.gate.state_dict() == twin.gate.state_dict()
+        for kind in ("user", "service"):
+            assert small._spill.keys(kind) == twin._spill.keys(kind)
+            spilled = set(small._spill.keys(kind))
+            assert spilled == small._sides[kind].spilled
+            for ext in spilled:
+                assert small._spill.get(kind, ext) == twin._spill.get(kind, ext)
+
+
+TestTieringParity = TieringParityMachine.TestCase
+TestTieringParity.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)

@@ -362,6 +362,65 @@ class TestPromotionAndFencing:
             standby.stop()
 
 
+class TestStandbyDiskFailure:
+    def test_a_standby_whose_own_log_fails_does_not_depose_the_primary(
+        self, tmp_path
+    ):
+        """The auto-promote timer measures the primary's silence.  A standby
+        that cannot append to its *own* WAL (what ENOSPC leaves behind) is
+        a degraded standby — not grounds to fence a primary that answers
+        every fetch, which would leave the cluster with no writable node."""
+        store = str(tmp_path / "epoch.json")
+        primary = PredictionServer(
+            data_dir=str(tmp_path / "primary"),
+            replication=ReplicationConfig(
+                store, role="primary", node_id="p", fence_check_interval=0.01
+            ),
+            **SERVER_ARGS,
+        )
+        primary.start()
+        standby = PredictionServer(
+            data_dir=str(tmp_path / "standby"),
+            replication=ReplicationConfig(
+                store,
+                role="standby",
+                primary_address=primary.address,
+                node_id="s",
+                poll_interval=0.01,
+                auto_promote_after=0.3,
+            ),
+            **SERVER_ARGS,
+        )
+        standby.start()
+        try:
+            client = PredictionClient(primary.address, retries=0)
+            post(client, [record(k) for k in range(5)])
+            wait_until(lambda: standby.wal_last_seq >= 5)
+            standby._wal._append_failed = "OSError: [Errno 28] No space left on device"
+            post(client, [record(k) for k in range(5, 10)], key_prefix="late")
+            wait_until(lambda: standby._replicator.consecutive_failures >= 3)
+            time.sleep(0.45)  # well past auto_promote_after
+            assert standby.role == "standby"
+            assert EpochStore(store).epoch() == 1
+            assert not standby.promote()  # nor will an operator's promote()
+            assert EpochStore(store).epoch() == 1
+            assert standby._replicator.running  # still a standby, still pulling
+            # The primary still accepts writes, at the epoch it always had.
+            client.report_observation(1, 1, 0.5, 100.0)
+            assert primary.wal_last_seq == 11 and not primary.fenced
+            # The standby says what is wrong with it, and keeps serving reads.
+            standby_client = PredictionClient(standby.address, retries=0)
+            status = standby_client.status()
+            assert "No space left" in status["durability"]["read_only"]
+            replicator = standby_client.replication_status()["standby"]
+            assert "No space left" in replicator["last_error"]
+            assert standby.wal_last_seq == 5
+            assert standby_client.predict(0, 0) > 0
+        finally:
+            primary.stop()
+            standby.stop()
+
+
 class TestClientFailover:
     def test_reads_fail_over_to_surviving_replica(self, tmp_path):
         primary, standby = make_pair(tmp_path)

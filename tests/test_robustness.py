@@ -244,11 +244,11 @@ class TestDedupEvictionVsWalTail:
         try:
             client = PredictionClient(server.address)
             self._post_keyed(client, 43)
-            checkpoint_seq = server._checkpoints.load()[1]
+            checkpoint_seq = server._checkpoints.load_full()[1]
             assert checkpoint_seq == 40
-            tail = server._wal.read_committed(after_seq=checkpoint_seq)
+            tail = server._wal.read_committed_entries(after_seq=checkpoint_seq)
             assert len(tail) == 3
-            for __, __, key in tail:
+            for __, __, __, key in tail:
                 assert server.ledger.seen(key)
             # ... while the oldest keys were in fact evicted (bounded memory).
             assert not server.ledger.seen("evict:0")

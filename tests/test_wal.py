@@ -1,6 +1,7 @@
 """Tests for the write-ahead observation log and the checkpoint store."""
 
 import errno
+import json
 import os
 
 import numpy as np
@@ -13,11 +14,21 @@ from repro.server import (
     PredictionServer,
     RetryableServiceError,
 )
-from repro.server.wal import CheckpointStore, WalAppendError, WriteAheadLog
+from repro.server.wal import (
+    CheckpointStore,
+    WalAppendError,
+    WriteAheadLog,
+    entry_from_wire,
+    entry_to_wire,
+)
 
 
 def record(k, value=1.0):
     return QoSRecord(timestamp=float(k), user_id=k % 5, service_id=k % 7, value=value)
+
+
+def seqs(entries):
+    return [entry[1] for entry in entries]
 
 
 class TestAppendReplay:
@@ -27,21 +38,22 @@ class TestAppendReplay:
                 assert wal.append(record(k, value=0.5 + k)) == k + 1
             assert wal.last_seq == 20
         reader = WriteAheadLog(str(tmp_path), fsync=False)
-        entries = list(reader.replay())
-        assert [seq for seq, __ in entries] == list(range(1, 21))
-        assert entries[3][1].value == 0.5 + 3
-        assert entries[3][1].user_id == 3 % 5
+        entries = list(reader.replay_entries())
+        assert [tag for tag, __, __, __ in entries] == ["obs"] * 20
+        assert seqs(entries) == list(range(1, 21))
+        assert entries[3][2].value == 0.5 + 3
+        assert entries[3][2].user_id == 3 % 5
 
     def test_replay_after_seq_skips_prefix(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(10):
             wal.append(record(k))
-        assert [seq for seq, __ in wal.replay(after_seq=7)] == [8, 9, 10]
+        assert seqs(wal.replay_entries(after_seq=7)) == [8, 9, 10]
 
     def test_empty_log(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         assert wal.last_seq == 0
-        assert list(wal.replay()) == []
+        assert list(wal.replay_entries()) == []
 
     def test_sequence_continues_across_reopen(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
@@ -66,7 +78,7 @@ class TestSegments:
         for k in range(35):
             wal.append(record(k))
         assert wal.segment_count() == 4
-        assert len(list(wal.replay())) == 35
+        assert len(list(wal.replay_entries())) == 35
 
     def test_prune_keeps_uncovered_and_active(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), segment_max_records=10, fsync=False)
@@ -74,7 +86,7 @@ class TestSegments:
             wal.append(record(k))
         removed = wal.prune(up_to_seq=25)
         assert removed == 2  # segments [1..10] and [11..20]; [21..30] has 26..30
-        assert [seq for seq, __ in wal.replay(after_seq=25)] == list(range(26, 36))
+        assert seqs(wal.replay_entries(after_seq=25)) == list(range(26, 36))
 
     def test_prune_never_deletes_active_segment(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), segment_max_records=10, fsync=False)
@@ -103,7 +115,7 @@ class TestTornTail:
         reopened = self._torn_log(tmp_path, b'{"seq": 9, "t": 1.0, "u"')
         assert reopened.last_seq == 8
         assert reopened.torn_lines >= 1
-        assert len(list(reopened.replay())) == 8
+        assert len(list(reopened.replay_entries())) == 8
 
     def test_binary_garbage_tail(self, tmp_path):
         reopened = self._torn_log(tmp_path, b"\x00\xff\x00garbage\n")
@@ -120,8 +132,8 @@ class TestTornTail:
         assert fresh.last_seq == 8  # scan stops at the tear, before seq 9
         # The tear costs the tail after it — documented conservative stop —
         # but never yields a corrupt or duplicated record.
-        seqs = [seq for seq, __ in fresh.replay()]
-        assert seqs == sorted(set(seqs))
+        replayed = seqs(fresh.replay_entries())
+        assert replayed == sorted(set(replayed))
 
 
 class _NoSpaceHandle:
@@ -171,7 +183,7 @@ class TestAppendFailure:
             wal.append(record(5))
         reopened = WriteAheadLog(str(tmp_path), fsync=False)
         assert reopened.last_seq == 5
-        assert [seq for seq, __ in reopened.replay()] == [1, 2, 3, 4, 5]
+        assert seqs(reopened.replay_entries()) == [1, 2, 3, 4, 5]
 
 
 class TestReadCommitted:
@@ -179,23 +191,80 @@ class TestReadCommitted:
         wal = WriteAheadLog(str(tmp_path), segment_max_records=4, fsync=False)
         for k in range(10):
             wal.append(record(k), key=f"k:{k}")
-        batch = wal.read_committed(after_seq=3, limit=4)
-        assert [seq for seq, __, __ in batch] == [4, 5, 6, 7]
-        assert [key for __, __, key in batch] == ["k:3", "k:4", "k:5", "k:6"]
-        assert wal.read_committed(after_seq=10) == []
+        batch = wal.read_committed_entries(after_seq=3, limit=4)
+        assert seqs(batch) == [4, 5, 6, 7]
+        assert [key for __, __, __, key in batch] == ["k:3", "k:4", "k:5", "k:6"]
+        assert wal.read_committed_entries(after_seq=10) == []
 
     def test_keyless_records_ship_none(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         wal.append(record(0))
-        [(seq, shipped, key)] = wal.read_committed()
-        assert seq == 1
+        [(tag, seq, shipped, key)] = wal.read_committed_entries()
+        assert (tag, seq) == ("obs", 1)
         assert key is None
         assert shipped.value == record(0).value
 
     def test_limit_must_be_positive(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         with pytest.raises(ValueError, match="limit"):
-            wal.read_committed(limit=0)
+            wal.read_committed_entries(limit=0)
+
+
+class TestEntries:
+    """The log's own entry type: ``("obs", seq, record, key)`` and
+    ``("ev", seq, kind, data)`` on disk, in memory and on the wire."""
+
+    EVENT = ("ev", None, "pressure", {"hu": 3, "hs": 4, "level": "tighten"})
+
+    def _mixed_log(self, directory):
+        wal = WriteAheadLog(str(directory), segment_max_records=3, fsync=False)
+        assert wal.append(record(0), key="k:0") == 1
+        assert wal.append_entry(self.EVENT) == 2
+        assert wal.append_entry(("obs", None, record(1, value=2.5), None)) == 3
+        assert wal.append_event("revive_user", {"id": 7, "p": {"row": [0.5]}}) == 4
+        return wal
+
+    def test_both_tags_replay_in_their_logged_interleaving(self, tmp_path):
+        self._mixed_log(tmp_path).close()
+        entries = list(WriteAheadLog(str(tmp_path), fsync=False).replay_entries())
+        assert entries == [
+            ("obs", 1, record(0), "k:0"),
+            ("ev", 2, "pressure", self.EVENT[3]),
+            ("obs", 3, record(1, value=2.5), None),
+            ("ev", 4, "revive_user", {"id": 7, "p": {"row": [0.5]}}),
+        ]
+
+    def test_event_data_must_be_an_object(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
+        with pytest.raises(TypeError, match="dict"):
+            wal.append_event("pressure", [3, 4])
+        assert wal.last_seq == 0
+
+    def test_a_log_copied_entry_by_entry_is_byte_identical(self, tmp_path):
+        """What a standby relies on: the entry, not the caller, fixes the bytes."""
+        source = self._mixed_log(tmp_path / "a")
+        copy = WriteAheadLog(str(tmp_path / "b"), segment_max_records=3, fsync=False)
+        for entry in source.read_committed_entries():
+            wire = json.loads(json.dumps(entry_to_wire(entry)))
+            assert copy.append_entry(entry_from_wire(wire)) == entry[1]
+        source.close()
+        copy.close()
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b")) and len(names) == 2
+        for name in names:
+            theirs = (tmp_path / "b" / name).read_bytes()
+            assert (tmp_path / "a" / name).read_bytes() == theirs
+
+    def test_wire_forms(self):
+        assert entry_to_wire(("obs", 9, record(3, value=0.25), "k")) == [
+            9, 3.0, 3, 3, 0.25, "k"
+        ]
+        assert entry_to_wire(("ev", 10, "pressure", {"hu": 2})) == [
+            10, {"ev": "pressure", "d": {"hu": 2}}
+        ]
+        assert entry_from_wire([9, 3.0, 3, 3, 0.25, None]) == (
+            "obs", 9, record(3, value=0.25), None
+        )
 
 
 class TestReadOnlyDegradedServer:
@@ -239,10 +308,10 @@ class TestCheckpointStore:
 
     def test_roundtrip_with_wal_seq(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        assert store.load() is None
+        assert store.load_full() is None
         model = self._trained()
         store.save(model, wal_seq=42)
-        restored, seq = store.load()
+        restored, seq, __ = store.load_full()
         assert seq == 42
         np.testing.assert_array_equal(
             restored.predict_matrix(), model.predict_matrix()
@@ -260,7 +329,7 @@ class TestCheckpointStore:
         store.save(model, wal_seq=10)
         model.observe(record(99, value=3.0))
         store.save(model, wal_seq=11)
-        restored, seq = store.load()
+        restored, seq, __ = store.load_full()
         assert seq == 11
         assert restored.updates_applied == model.updates_applied
 
@@ -270,7 +339,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path))
         model = self._trained()
         store.save(model, wal_seq=0)
-        restored, __ = store.load()
+        restored, __, __ = store.load_full()
         # Genuinely new users AND services: their init vectors are drawn
         # from the restored stream, the sharpest test of RNG continuation.
         tail = [
