@@ -942,6 +942,10 @@ class AdaptiveMatrixFactorization:
         """Write-version of a service's factor row (prediction-cache stamp)."""
         return self._service_factors.version(service_id)
 
+    def service_versions(self, service_ids: np.ndarray) -> np.ndarray:
+        """:meth:`service_version` of many *known* services in one gather."""
+        return self._service_factors._versions[service_ids]
+
     def predict_matrix(self) -> np.ndarray:
         """Dense prediction matrix over all known users and services."""
         if self.n_users == 0 or self.n_services == 0:

@@ -17,6 +17,8 @@ from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.amf import AdaptiveMatrixFactorization
 from repro.datasets.schema import QoSRecord
 from repro.observability import get_registry
@@ -64,101 +66,178 @@ _CACHE_SIZE = _METRICS.gauge(
     "qos_predict_cache_size",
     "Live entries in the prediction cache",
 )
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 class PredictionCache:
-    """Version-stamped LRU cache for (user, service) predictions.
+    """Version-stamped cache of predictions, one set of sorted arrays per user.
 
     Every SGD write site — scalar online updates, vectorized block
     scatter-writes, and row reinitialisation
     (``forget_user``/``forget_service``) — bumps a per-row version counter
-    on the factor matrices.  A cache entry stores the prediction together
-    with the (user_version, service_version) pair it was computed under;
-    a lookup whose stamps no longer match is a *stale* miss, so a stale
-    value is never served, without any write-path invalidation hooks.
-    That includes hot/cold tiering, where an entity leaves its factor slot
-    and comes back to another: :class:`~repro.lifecycle.TieredAMF` starts
-    every slot occupancy at a version no other occupancy can reach.
+    on the factor matrices.  The cache keeps, per user, the user-row
+    version its values were computed under and three parallel arrays
+    sorted by service id: the ids, the service-row version each value was
+    computed under, the values.  A lookup whose stamps no longer match is
+    a *stale* miss, so a stale value is never served, without any
+    write-path invalidation hooks.  That includes hot/cold tiering, where
+    an entity leaves its factor slot and comes back to another:
+    :class:`~repro.lifecycle.TieredAMF` starts every slot occupancy at a
+    version no other occupancy can reach.
+
+    ``capacity`` counts (user, service) pairs — 24 bytes each, plus about
+    half a kilobyte per user — and eviction is LRU over *users*: a ranking
+    reads and writes one user's arrays in one vectorized step, so a user's
+    pairs live and die together.
 
     The cache holds derived, process-local state: it is never serialized,
     so a model restored from a checkpoint (whose version counters restart
-    at zero) simply starts with an empty cache.  Thread-safe; callers that
-    pair :meth:`get` with a recompute-and-:meth:`put` sequence should hold
-    the model lock across the pair so the stamps match the value.
+    at zero) simply starts with an empty cache.  Thread-safe; a caller
+    pairing :meth:`lookup` with a recompute-and-:meth:`store` must hold
+    the model lock across the pair so the stamps match the values.
     """
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        # Keyed by one int, ``user_id << 64 | service_id``: a tuple of two
-        # costs ~80 more bytes on every entry.
-        self._entries: OrderedDict[int, tuple[float, int, int]] = OrderedDict()
+        # user_id -> [user_version, service ids, their versions, values],
+        # least recently used user first; a user's arrays are never empty.
+        self._users: OrderedDict[int, list] = OrderedDict()
+        self._pairs = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        _CACHE_SIZE.set_function(lambda: float(len(self._entries)))
+        _CACHE_SIZE.set_function(lambda: float(self._pairs))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._pairs
 
-    def get(
+    @staticmethod
+    def _locate(cached_ids: np.ndarray, service_ids: np.ndarray):
+        """``(at, present)``: where each requested id sits (or would sit)
+        in the sorted, non-empty ``cached_ids``, and whether it is there."""
+        at = np.searchsorted(cached_ids, service_ids)
+        np.minimum(at, cached_ids.size - 1, out=at)
+        return at, cached_ids[at] == service_ids
+
+    def _drop(self, user_id: int) -> None:
+        self._pairs -= self._users.pop(user_id)[1].size
+
+    def lookup(
         self,
         user_id: int,
-        service_id: int,
+        service_ids: np.ndarray,
         user_version: int,
-        service_version: int,
-    ) -> float | None:
-        """The cached prediction, or ``None`` on a cold or stale miss."""
-        key = (user_id << 64) | service_id
+        service_versions: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(values, hit)`` for one user's candidates, aligned with the
+        int64 array ``service_ids``: ``values[i]`` is the cached prediction
+        where ``hit[i]`` and meaningless elsewhere — a *cold* miss (never
+        cached) or a *stale* one (a stamp moved) — for the caller to fill
+        in.  A moved user row kills every pair of that user at once, so
+        the whole entry is dropped."""
+        requested = service_ids.size
+        values = None
+        hit = np.zeros(requested, dtype=bool)
+        hits = stale = 0
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                _CACHE_MISS_COLD.inc()
-                return None
-            value, cached_user_version, cached_service_version = entry
-            if (
-                cached_user_version != user_version
-                or cached_service_version != service_version
-            ):
-                # The factors moved under this entry; drop it so the slot
-                # doesn't pin a dead value in the LRU order.
-                del self._entries[key]
-                self.misses += 1
-                _CACHE_MISS_STALE.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            _CACHE_HITS.inc()
-            return value
+            entry = self._users.get(user_id)
+            if entry is not None:
+                cached_user_version, cached_ids, cached_versions, cached = entry
+                at, present = self._locate(cached_ids, service_ids)
+                stale = int(np.count_nonzero(present))
+                if cached_user_version != user_version:
+                    self._drop(user_id)
+                else:
+                    self._users.move_to_end(user_id)
+                    hit = present & (cached_versions[at] == service_versions)
+                    values = cached[at]
+                    hits = int(np.count_nonzero(hit))
+                    stale -= hits
+            self.hits += hits
+            self.misses += requested - hits
+        cold = requested - hits - stale
+        if hits:
+            _CACHE_HITS.inc(hits)
+        if stale:
+            _CACHE_MISS_STALE.inc(stale)
+        if cold:
+            _CACHE_MISS_COLD.inc(cold)
+        return (np.empty(requested) if values is None else values), hit
 
-    def put(
+    def store(
         self,
         user_id: int,
-        service_id: int,
-        value: float,
+        service_ids: np.ndarray,
         user_version: int,
-        service_version: int,
+        service_versions: np.ndarray,
+        values: np.ndarray,
     ) -> None:
-        key = (user_id << 64) | service_id
+        """Cache freshly computed predictions of one user: aligned arrays,
+        stamped with the versions the values were computed under.
+
+        A pair already cached (a stale miss) is refreshed where it sits;
+        new pairs are merged into the sorted arrays.  Then whole
+        least-recently-used users are evicted until at most ``capacity``
+        pairs remain.  Only finite values are cacheable — a non-finite
+        prediction signals unhealthy factors, and serving it from cache
+        would outlive the model being repaired — and a request that names
+        a new id twice is simply not cached.
+        """
+        if service_ids.size == 0 or not np.isfinite(values).all():
+            return
+        evicted = 0
         with self._lock:
-            self._entries[key] = (value, user_version, service_version)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _CACHE_EVICTIONS.inc()
+            entry = self._users.get(user_id)
+            if entry is not None and entry[0] != user_version:
+                self._drop(user_id)
+                entry = None
+            fresh = (service_ids, service_versions, values)
+            if entry is None:
+                kept = (_NO_IDS, _NO_IDS, _NO_VALUES)
+            else:
+                self._users.move_to_end(user_id)
+                kept = entry[1:]
+                at, present = self._locate(kept[0], service_ids)
+                if present.any():
+                    kept[1][at[present]] = service_versions[present]
+                    kept[2][at[present]] = values[present]
+                    fresh = [column[~present] for column in fresh]
+            added = fresh[0].size
+            if not added:
+                return
+            ids = np.concatenate((kept[0], fresh[0]))
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            if (ids[1:] == ids[:-1]).any():
+                return
+            self._users[user_id] = [
+                user_version,
+                ids,
+                np.concatenate((kept[1], fresh[1]))[order],
+                np.concatenate((kept[2], fresh[2]))[order],
+            ]
+            self._pairs += added
+            while self._pairs > self.capacity:
+                __, (__, evicted_ids, __, __) = self._users.popitem(last=False)
+                self._pairs -= evicted_ids.size
+                evicted += evicted_ids.size
+            self.evictions += evicted
+        if evicted:
+            _CACHE_EVICTIONS.inc(evicted)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._users.clear()
+            self._pairs = 0
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "size": len(self._entries),
+                "size": self._pairs,
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,

@@ -894,23 +894,35 @@ class TieredAMF(AdaptiveMatrixFactorization):
             )
         return super().predict_normalized(u_slot, s_slot)
 
+    def _service_slots(self, service_ids) -> np.ndarray:
+        """The slots of hot services, by external id; :class:`KeyError` for
+        an id that is unknown or spilled."""
+        slot_of = self._s_slot_of
+        try:
+            return np.fromiter(
+                (slot_of[service_id] for service_id in service_ids.tolist()),
+                dtype=np.intp,
+                count=len(service_ids),
+            )
+        except KeyError as exc:
+            raise KeyError(f"unknown or cold service {exc.args[0]}") from None
+
     def predict_for_user(self, user_id: int, service_ids) -> np.ndarray:
         u_slot = self._u_slot_of.get(user_id)
         if u_slot is None:
             raise KeyError(f"unknown or cold user {user_id}")
-        slot_ids = np.empty(len(service_ids), dtype=np.intp)
-        for k, service_id in enumerate(service_ids):
-            s_slot = self._s_slot_of.get(int(service_id))
-            if s_slot is None:
-                raise KeyError(f"unknown or cold service {service_id}")
-            slot_ids[k] = s_slot
-        return super().predict_for_user(u_slot, slot_ids)
+        return super().predict_for_user(
+            u_slot, self._service_slots(np.asarray(service_ids))
+        )
 
     def user_version(self, user_id: int) -> int:
         return self._users.version_of(user_id)
 
     def service_version(self, service_id: int) -> int:
         return self._services.version_of(service_id)
+
+    def service_versions(self, service_ids: np.ndarray) -> np.ndarray:
+        return super().service_versions(self._service_slots(service_ids))
 
     def expected_error(self, user_id: int, service_id: int) -> float:
         return (

@@ -30,8 +30,11 @@ POST     /migration/probe       {"entities": [...]} — payload fingerprints
 =======  =====================  ==========================================
 
 A :class:`~repro.core.daemon.BackgroundTrainer` replays retained samples
-between requests — under a :class:`~repro.core.daemon.TrainerSupervisor`
-that restarts it with capped backoff if the replay loop crashes.
+between requests — literally: every data-plane request holds the model's
+arrival mark from receipt to reply (:meth:`PredictionServer._arrival`) and
+the trainer takes a slice only once the stream has been idle — under a
+:class:`~repro.core.daemon.TrainerSupervisor` that restarts it with capped
+backoff if the replay loop crashes.
 
 The server is a log-driven state machine: a write is ``validate -> log ->
 apply -> reply``, and everything durable about the server (model, gate,
@@ -304,11 +307,11 @@ class PredictionServer:
       transport (:mod:`repro.server.binary`); 0 (default) binds an
       ephemeral port next to the HTTP listener, ``None`` disables the
       binary transport entirely.  Read ``binary_address`` after ``start``.
-    * ``predict_cache_size`` — capacity of the version-stamped
-      :class:`~repro.core.online.PredictionCache` fronting the batched
-      predict path; ``None`` or 0 disables caching.  The cache is derived
-      state: it is never checkpointed, and version stamps make entries
-      self-invalidating when SGD writes move the factors.
+    * ``predict_cache_size`` — capacity, in (user, service) pairs, of the
+      version-stamped :class:`~repro.core.online.PredictionCache` fronting
+      the batched predict path; ``None`` or 0 disables caching.  The cache
+      is derived state: it is never checkpointed, and version stamps make
+      entries self-invalidating when SGD writes move the factors.
     """
 
     def __init__(
@@ -1406,25 +1409,27 @@ class PredictionServer:
         else:
             values = [None] * len(service_ids)
         sources: list[str] = [""] * len(service_ids)
-        model_served = 0
+        served: dict[str, int] = {}
         for index, value in enumerate(values):
-            if value is not None:
-                if math.isfinite(value):
-                    sources[index] = "model"
-                    model_served += 1
-                    continue
-                # Poisoned factors: distrust the model for the rest of the
-                # batch too (predict_batch_known never caches non-finites).
-                self._model_healthy = False
-            result = self.fallback.predict(user_id, service_ids[index])
-            values[index] = result.value
-            sources[index] = result.source
-            _PREDICTIONS.labels(source=result.source).inc()
-        if model_served:
-            _PREDICTIONS.labels(source="model").inc(model_served)
+            if value is not None and math.isfinite(value):
+                source = "model"
+            else:
+                if value is not None:
+                    # Poisoned factors: distrust the model for the rest of
+                    # the batch too (non-finite values are never cached).
+                    self._model_healthy = False
+                result = self.fallback.predict(user_id, service_ids[index])
+                values[index] = result.value
+                source = result.source
+            sources[index] = source
+            served[source] = served.get(source, 0) + 1
+        # One labels() lookup per source, not per id: a tiered ranking is
+        # mostly fallbacks (its spilled candidates).
+        for source, count in served.items():
+            _PREDICTIONS.labels(source=source).inc(count)
         with self._stats_lock:
             self._predictions_served += len(service_ids)
-            self._degraded_predictions += len(service_ids) - model_served
+            self._degraded_predictions += len(service_ids) - served.get("model", 0)
         return values, sources
 
     def _handle_prediction_batch(self, payload: dict) -> dict:
@@ -1493,17 +1498,31 @@ class PredictionServer:
             raise BadRequest("ids must be non-negative")
         return self._predict_batch(user_id, service_ids)
 
+    def _arrival(self, handler):
+        """A data-plane entry: the whole request — not only its model calls
+        — is an arrival the background trainer yields to.  An observe
+        fsyncs its WAL entry (releasing the interpreter lock) *before* its
+        first model call; without the mark the trainer would start a slice
+        during the fsync and the observe would then wait for it."""
+
+        def entry(*args):
+            with self.model.serving():
+                return handler(*args)
+
+        return entry
+
     def _frames(self) -> dict:
         """The binary surface
         (:class:`~repro.server.binary.BinaryTransportServer` handlers):
         each opcode is answered by the method behind the JSON route of the
         same meaning — same validation, fencing, admission, WAL and gate —
         looked up on ``self`` per request, like :meth:`_routes`."""
+        arrival = self._arrival
         return {
-            OP_PREDICT_BATCH: lambda u, ids: self._frame_predict_batch(u, ids),
-            OP_OBSERVE: lambda b: self._handle_observation(b),
-            OP_OBSERVE_BATCH: lambda b: self._handle_observation_batch(b),
-            OP_CREDENCE: lambda ids: self._credence(ids),
+            OP_PREDICT_BATCH: arrival(lambda u, ids: self._frame_predict_batch(u, ids)),
+            OP_OBSERVE: arrival(lambda b: self._handle_observation(b)),
+            OP_OBSERVE_BATCH: arrival(lambda b: self._handle_observation_batch(b)),
+            OP_CREDENCE: arrival(lambda ids: self._credence(ids)),
         }
 
     def _handle_status(self) -> dict:
@@ -1576,19 +1595,28 @@ class PredictionServer:
         return status
 
     def _trainer_health(self) -> dict:
-        if self.supervisor is not None:
-            return self.supervisor.health()
         trainer = self.trainer
-        failure = trainer.failure if trainer is not None else None
-        return {
-            "running": trainer is not None and trainer.running,
-            "supervised": False,
-            "crashes": trainer.crash_count if trainer is not None else 0,
-            "restarts": 0,
-            "last_failure": (
-                f"{type(failure).__name__}: {failure}" if failure is not None else None
-            ),
-        }
+        if self.supervisor is not None:
+            health = self.supervisor.health()
+        else:
+            failure = trainer.failure if trainer is not None else None
+            health = {
+                "running": trainer is not None and trainer.running,
+                "supervised": False,
+                "crashes": trainer.crash_count if trainer is not None else 0,
+                "restarts": 0,
+                "last_failure": (
+                    f"{type(failure).__name__}: {failure}"
+                    if failure is not None
+                    else None
+                ),
+            }
+        # Replay scheduling: the trainer yields to requests, so a busy
+        # stream shows here as a growing lag and a moving yield count.
+        lag = trainer.replay_lag_seconds() if trainer is not None else math.nan
+        health["replay_lag_s"] = lag if math.isfinite(lag) else None
+        health["yields"] = trainer.yields if trainer is not None else 0
+        return health
 
     def _handle_health(self) -> tuple[int, dict]:
         """Liveness/readiness: 200 when every applicable check passes.
@@ -1628,18 +1656,23 @@ class PredictionServer:
         """The JSON/HTTP surface (:class:`~repro.server.http.HttpListener`
         routes): ``q`` is a GET's parsed query, ``b`` a POST's JSON
         object.  Each entry looks its handler up on ``self`` per request."""
+        arrival = self._arrival
         return {
-            ("GET", "/predictions"): lambda q: self._handle_prediction(q),
+            ("GET", "/predictions"): arrival(lambda q: self._handle_prediction(q)),
             ("GET", "/status"): lambda q: self._handle_status(),
             ("GET", "/health"): lambda q: self._handle_health(),
             ("GET", "/metrics"): lambda q: self.metrics.render(),
-            ("GET", "/credence"): lambda q: self._handle_credence(q),
+            ("GET", "/credence"): arrival(lambda q: self._handle_credence(q)),
             ("GET", "/migration/entities"): lambda q: self._handle_migration_entities(),
             ("GET", "/replication/wal"): lambda q: self._handle_replication_wal(q),
             ("GET", "/replication/status"): lambda q: self._handle_replication_status(),
-            ("POST", "/observations"): lambda b: self._handle_observation(b),
-            ("POST", "/observations/batch"): lambda b: self._handle_observation_batch(b),
-            ("POST", "/predictions/batch"): lambda b: self._handle_prediction_batch(b),
+            ("POST", "/observations"): arrival(lambda b: self._handle_observation(b)),
+            ("POST", "/observations/batch"): arrival(
+                lambda b: self._handle_observation_batch(b)
+            ),
+            ("POST", "/predictions/batch"): arrival(
+                lambda b: self._handle_prediction_batch(b)
+            ),
             ("POST", "/migration/export"): lambda b: self._handle_migration_export(b),
             ("POST", "/migration/import"): lambda b: self._handle_migration_import(b),
             ("POST", "/migration/delete"): lambda b: self._handle_migration_delete(b),

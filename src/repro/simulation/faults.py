@@ -58,6 +58,7 @@ CORE_METRIC_FAMILIES: tuple[str, ...] = (
     "qos_wal_appends_total",
     "qos_checkpoint_saves_total",
     "qos_background_crashes_total",
+    "qos_background_yields_total",
     "qos_stream_mae",
     "qos_stream_mre",
     "qos_stream_npre",

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,52 @@ def rank_one_matrix() -> QoSMatrix:
     row = rng.uniform(0.5, 2.0, size=12)
     col = rng.uniform(0.5, 2.0, size=20)
     return QoSMatrix.dense(np.outer(row, col))
+
+
+@pytest.fixture
+def called():
+    """``called(obj, name, times=1)`` wraps ``obj.name`` on the instance and
+    returns an event that is set once it has been called ``times`` more
+    times — how a test waits (bounded) for another thread to get somewhere
+    instead of sleeping."""
+
+    def wrap(obj, name, times=1):
+        original = getattr(obj, name)
+        reached = threading.Event()
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= times:
+                reached.set()
+            return original(*args, **kwargs)
+
+        setattr(obj, name, wrapper)
+        return reached
+
+    return wrap
+
+
+class HandMovedClock:
+    """A monotonic clock that only moves when the test says so."""
+
+    def __init__(self, now):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The idle rule's clock (``repro.core.daemon._monotonic``: what
+    ``idle_for()`` and the replay-lag gauge read), taken over at its
+    present reading and moved by ``clock.advance(seconds)`` from then on."""
+    from repro.core import daemon
+
+    hand_moved = HandMovedClock(daemon._monotonic())
+    monkeypatch.setattr(daemon, "_monotonic", hand_moved)
+    return hand_moved

@@ -43,27 +43,49 @@ def _feed(model, n=300, n_users=15, n_services=25, seed=3):
         )
 
 
+def _ints(*values):
+    return np.asarray(values, dtype=np.int64)
+
+
+def _lookup(cache, user_id, service_id, user_version, service_version):
+    """One pair through the vectorized lookup: the value, or None on a miss."""
+    values, hit = cache.lookup(
+        user_id, _ints(service_id), user_version, _ints(service_version)
+    )
+    return float(values[0]) if hit[0] else None
+
+
+def _store(cache, user_id, service_id, value, user_version, service_version):
+    cache.store(
+        user_id, _ints(service_id), user_version, _ints(service_version),
+        np.asarray([value]),
+    )
+
+
 class TestCacheUnit:
     def test_cold_then_hit_then_stale(self):
         cache = PredictionCache(capacity=8)
-        assert cache.get(1, 2, 10, 20) is None  # cold
-        cache.put(1, 2, 3.5, 10, 20)
-        assert cache.get(1, 2, 10, 20) == 3.5  # hit
-        assert cache.get(1, 2, 11, 20) is None  # user moved
-        cache.put(1, 2, 3.5, 10, 20)
-        assert cache.get(1, 2, 10, 21) is None  # service moved
+        assert _lookup(cache, 1, 2, 10, 20) is None  # cold
+        _store(cache, 1, 2, 3.5, 10, 20)
+        assert _lookup(cache, 1, 2, 10, 20) == 3.5  # hit
+        assert _lookup(cache, 1, 2, 11, 20) is None  # user moved
+        assert len(cache) == 0  # ... which drops every pair of that user
+        _store(cache, 1, 2, 3.5, 10, 20)
+        assert _lookup(cache, 1, 2, 10, 21) is None  # service moved
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 3
 
     def test_lru_eviction(self):
+        """LRU is over users: the least recently read or written user goes,
+        with every pair of theirs."""
         cache = PredictionCache(capacity=2)
-        cache.put(0, 0, 1.0, 0, 0)
-        cache.put(0, 1, 2.0, 0, 0)
-        assert cache.get(0, 0, 0, 0) == 1.0  # refresh 0 -> 1 is now LRU
-        cache.put(0, 2, 3.0, 0, 0)
-        assert cache.get(0, 1, 0, 0) is None
-        assert cache.get(0, 0, 0, 0) == 1.0
+        _store(cache, 0, 0, 1.0, 0, 0)
+        _store(cache, 1, 0, 2.0, 0, 0)
+        assert _lookup(cache, 0, 0, 0, 0) == 1.0  # refresh 0 -> 1 is now LRU
+        _store(cache, 2, 0, 3.0, 0, 0)
+        assert _lookup(cache, 1, 0, 0, 0) is None
+        assert _lookup(cache, 0, 0, 0, 0) == 1.0
         assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
@@ -73,10 +95,68 @@ class TestCacheUnit:
 
     def test_clear(self):
         cache = PredictionCache()
-        cache.put(0, 0, 1.0, 0, 0)
+        _store(cache, 0, 0, 1.0, 0, 0)
         cache.clear()
         assert len(cache) == 0
-        assert cache.get(0, 0, 0, 0) is None
+        assert _lookup(cache, 0, 0, 0, 0) is None
+
+    def test_one_lookup_sorts_out_hit_stale_and_cold(self):
+        cache = PredictionCache()
+        cache.store(7, _ints(5, 1, 3), 1, _ints(50, 10, 30), np.array([5.0, 1.0, 3.0]))
+        values, hit = cache.lookup(7, _ints(3, 4, 1, 5), 1, _ints(30, 40, 11, 50))
+        assert hit.tolist() == [True, False, False, True]  # 4 cold, 1 stale
+        assert values[hit].tolist() == [3.0, 5.0]
+        assert cache.stats()["misses"] == 2
+
+    def test_stale_pair_is_refreshed_in_place(self):
+        cache = PredictionCache()
+        cache.store(7, _ints(1, 3, 5), 1, _ints(10, 30, 50), np.array([1.0, 3.0, 5.0]))
+        arrays = [id(column) for column in cache._users[7][1:]]
+        cache.store(7, _ints(3), 1, _ints(31), np.array([3.5]))
+        assert [id(column) for column in cache._users[7][1:]] == arrays
+        assert len(cache) == 3
+        assert _lookup(cache, 7, 3, 1, 31) == 3.5
+        assert _lookup(cache, 7, 3, 1, 30) is None
+        assert _lookup(cache, 7, 5, 1, 50) == 5.0  # neighbours untouched
+
+    def test_new_pairs_merge_into_sorted_order(self):
+        cache = PredictionCache()
+        cache.store(7, _ints(8, 2), 1, _ints(80, 20), np.array([8.0, 2.0]))
+        cache.store(7, _ints(5, 9, 1), 1, _ints(50, 90, 10), np.array([5.0, 9.0, 1.0]))
+        __, ids, versions, values = cache._users[7]
+        assert ids.tolist() == [1, 2, 5, 8, 9]
+        assert versions.tolist() == [10, 20, 50, 80, 90]
+        assert values.tolist() == [1.0, 2.0, 5.0, 8.0, 9.0]
+        assert len(cache) == 5
+
+    def test_duplicate_ids_in_one_request_are_not_cached(self):
+        cache = PredictionCache()
+        cache.store(7, _ints(4, 4), 1, _ints(40, 40), np.array([4.0, 4.0]))
+        assert len(cache) == 0 and 7 not in cache._users
+        cache.store(7, _ints(2), 1, _ints(20), np.array([2.0]))
+        cache.store(7, _ints(4, 6, 4), 1, _ints(40, 60, 40), np.array([4.0, 6.0, 4.0]))
+        assert len(cache) == 1  # the earlier pair stays, nothing else came in
+        assert _lookup(cache, 7, 2, 1, 20) == 2.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_never_cached(self, bad):
+        cache = PredictionCache()
+        cache.store(7, _ints(1, 2), 1, _ints(10, 20), np.array([1.0, bad]))
+        assert len(cache) == 0
+        assert _lookup(cache, 7, 1, 1, 10) is None
+
+    def test_capacity_counts_pairs_and_holds_after_every_store(self):
+        rng = np.random.default_rng(0)
+        cache = PredictionCache(capacity=50)
+        for __ in range(400):
+            ids = rng.choice(60, size=int(rng.integers(1, 30)), replace=False)
+            cache.store(
+                int(rng.integers(0, 6)), ids.astype(np.int64), 1,
+                np.zeros(ids.size, dtype=np.int64), rng.random(ids.size),
+            )
+            assert len(cache) <= 50
+            assert len(cache) == sum(e[1].size for e in cache._users.values())
+        assert cache.stats()["evictions"] > 0
 
 
 class TestVersionStamps:
@@ -165,6 +245,91 @@ class TestBatchPathAgainstCache:
         assert values == [None, None]
         assert hits == 0
         assert len(cache) == 0
+
+    def test_duplicate_ids_answer_like_any_other(self):
+        model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=0)
+        _feed(model)
+        cm = ConcurrentModel(model)
+        cache = PredictionCache()
+        ids = [3, 7, 3, 999, 7]
+        expected, __ = cm.predict_batch_known(2, ids)
+        assert expected[0] == expected[2] and expected[3] is None
+        for __ in range(2):  # a request naming an id twice is never cached
+            assert cm.predict_batch_known(2, ids, cache) == (expected, 0)
+        assert len(cache) == 0
+        # ... but it is served from what other requests cached.
+        cm.predict_batch_known(2, [3, 7], cache)
+        assert cm.predict_batch_known(2, ids, cache) == (expected, 4)
+
+    def test_partly_known_ids_on_a_tiered_model(self):
+        """Known-mask, slot-mapped version gather and the fused kernel agree
+        on which positions they are talking about when some ids are spilled,
+        some never seen, and the rest sit in recycled slots."""
+        from repro.lifecycle import LifecycleConfig, TieredAMF
+
+        model = TieredAMF(
+            AMFConfig.for_response_time(),
+            rng=0,
+            lifecycle=LifecycleConfig(hot_users=4, hot_services=6),
+        )
+        for k in range(120):
+            model.observe_reviving(
+                QoSRecord(timestamp=float(k), user_id=k % 3,
+                          service_id=(k * 7) % 12, value=1.0 + k % 5)
+            )
+        cm, cache = ConcurrentModel(model), PredictionCache()
+        ids = [11, 500, 0, 3, 7, 10**30, 5, 2]
+        hot = [sid for sid in ids if model.knows_service(sid)]
+        assert 0 < len(hot) < len(ids) and model._spilled_services
+        first, hits = cm.predict_batch_known(1, ids, cache)
+        assert hits == 0
+        assert [v is not None for v in first] == [sid in hot for sid in ids]
+        for sid, value in zip(ids, first):
+            if value is not None:
+                assert value == pytest.approx(model.predict(1, sid), rel=1e-12)
+        assert cm.predict_batch_known(1, ids, cache) == (first, len(hot))
+        assert cm.predict_batch_known(1, ids) == (first, 0)
+        assert len(cache) == len(hot)
+
+    @pytest.mark.parametrize("run_seed", range(5))
+    def test_seeded_parity_with_the_uncached_path(self, run_seed):
+        """Random rankings interleaved with observes and replay slices: the
+        cached path gives, value for value, the answers of ``cache=None``
+        (a stale one would be off by a whole SGD step)."""
+        rng = np.random.default_rng(run_seed)
+        model = AdaptiveMatrixFactorization(
+            AMFConfig.for_response_time(kernel="vectorized"), rng=run_seed
+        )
+        _feed(model, n=400, n_users=12, n_services=60, seed=run_seed)
+        cm = ConcurrentModel(model)
+        cache = PredictionCache(capacity=200)  # of 720 pairs: evictions too
+        clock = 400.0
+        for __ in range(600):
+            action = rng.random()
+            if action < 0.15:
+                clock += 1.0
+                cm.observe(
+                    QoSRecord(timestamp=clock, user_id=int(rng.integers(0, 12)),
+                              service_id=int(rng.integers(0, 60)),
+                              value=float(rng.random() * 10 + 0.1))
+                )
+            elif action < 0.25:
+                cm.replay_many(clock, int(rng.integers(1, 40)))
+            else:
+                user_id = int(rng.integers(0, 13))  # 12 is unknown
+                ids = rng.choice(64, size=20, replace=False).tolist()  # 60.. unknown
+                cached, __ = cm.predict_batch_known(user_id, ids, cache)
+                uncached, __ = cm.predict_batch_known(user_id, ids)
+                # Same model state, but the fused kernel's summation order
+                # depends on which candidates miss together (float64 noise
+                # ~1e-13; one missed SGD step would be ~1e-3).
+                assert [v is None for v in cached] == [v is None for v in uncached]
+                assert [v for v in cached if v is not None] == pytest.approx(
+                    [v for v in uncached if v is not None], rel=1e-9, abs=0.0
+                )
+            assert len(cache) <= 200
+        stats = cache.stats()
+        assert stats["hits"] > 0 and stats["evictions"] > 0
 
 
 class TestServerCacheInvalidation:

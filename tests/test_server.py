@@ -1,11 +1,17 @@
 """Tests for the HTTP prediction service and its client."""
 
 import json
+import threading
+import types
 import urllib.request
+from collections import Counter
 
 import pytest
 
 from repro.core import AMFConfig
+from repro.core.daemon import QUIET_SECONDS
+from repro.lifecycle import LifecycleConfig
+from repro.observability import get_registry
 from repro.server import PredictionClient, PredictionServer
 from repro.server.client import PredictionServiceError
 
@@ -163,3 +169,208 @@ class TestEndToEnd:
                 b.report_observation(1, 0, value=1.0, timestamp=float(k))
             status = a.status()
             assert status["observations_handled"] == 300
+
+
+WAIT = 10.0  # bound on every Event wait / join below; none is expected to run out
+
+
+def _blocking(server, name):
+    """Patch handler ``server.name`` (on the instance, as the route tables
+    allow) to stop mid-request: ``(entered, release)`` events."""
+    original = getattr(server, name)
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(*args):
+        entered.set()
+        release.wait(WAIT)
+        return original(*args)
+
+    setattr(server, name, blocked)
+    return entered, release
+
+
+class TestReplayScheduling:
+    """The trainer yields to the data plane — and only to it — and says so
+    in ``/status.trainer``."""
+
+    @pytest.fixture()
+    def replaying(self):
+        with PredictionServer(
+            AMFConfig.for_response_time(), rng=0, background_replay=True
+        ) as server:
+            client = PredictionClient(server.address, transport="json")
+            client.report_observations(
+                [
+                    {"timestamp": 0.0, "user_id": k % 5, "service_id": k % 9,
+                     "value": 1.0 + k % 3}
+                    for k in range(60)
+                ]
+            )
+            yield server, client
+            client.close()
+
+    @staticmethod
+    def _after_an_idle_second(called, server, client, clock):
+        """Move the clock a second on — far past the quiet interval of
+        anything that has left — let the trainer's loop turn on that, and
+        read ``/status``: ``(background_replays, yields)``."""
+        clock.advance(1.0)
+        assert called(server.model, "idle_for", times=2).wait(WAIT)
+        status = client.status()
+        return status["background_replays"], status["trainer"]["yields"]
+
+    def test_status_reports_replay_scheduling(self, replaying, clock, called):
+        server, client = replaying
+        clock.advance(1.0)  # idle: a slice is taken ...
+        assert called(server.model, "replay_many").wait(WAIT)
+        assert called(server.model, "idle_for").wait(WAIT)  # ... and accounted
+        trainer = client.status()["trainer"]
+        assert trainer["running"]
+        assert 0.0 <= trainer["replay_lag_s"] < 1.0
+        client.predict_candidates(0, [0, 1])  # an arrival the clock never leaves
+        assert called(server.model, "idle_for", times=2).wait(WAIT)
+        assert client.status()["trainer"]["yields"] > trainer["yields"]
+        assert client.health()["trainer"]["yields"] > trainer["yields"]
+
+    def test_status_without_a_trainer(self, client):
+        trainer = client.status()["trainer"]
+        assert trainer["replay_lag_s"] is None
+        assert trainer["yields"] == 0
+
+    @pytest.mark.parametrize(
+        "handler, transport, request_it",
+        [
+            ("_handle_prediction_batch", "json",
+             lambda c: c.predict_candidates(0, [0, 1, 2])),
+            ("_frame_predict_batch", "binary",
+             lambda c: c.predict_candidates(0, [0, 1, 2])),
+            ("_handle_observation", "json",
+             lambda c: c.report_observation(0, 1, value=2.0, timestamp=1.0)),
+            ("_handle_observation", "binary",
+             lambda c: c.report_observation(0, 1, value=2.0, timestamp=1.0)),
+            ("_handle_credence", "json", lambda c: c.credence([0, 1])),
+        ],
+    )
+    def test_a_data_plane_request_in_flight_freezes_replay(
+        self, replaying, clock, called, handler, transport, request_it
+    ):
+        server, client = replaying
+        entered, release = _blocking(server, handler)
+        other = PredictionClient(server.address, transport=transport)
+        caller = threading.Thread(target=request_it, args=(other,))
+        caller.start()
+        try:
+            assert entered.wait(WAIT)
+            # (A slice begun before the request is accounted by now.)
+            turn = (called, server, client, clock)
+            frozen, yields = self._after_an_idle_second(*turn)
+            sliced = called(server.model, "replay_many")
+            for __ in range(3):
+                replays, more_yields = self._after_an_idle_second(*turn)
+                assert replays == frozen
+                assert more_yields > yields
+                yields = more_yields
+            assert not sliced.is_set()
+        finally:
+            release.set()
+            caller.join(WAIT)
+            other.close()
+        assert not caller.is_alive()
+        # Once the reply is out and the stream idle, replay resumes unasked.
+        clock.advance(1.0)
+        assert sliced.wait(WAIT)
+
+    @pytest.mark.parametrize("path", ["/status", "/metrics"])
+    def test_a_control_plane_request_is_not_an_arrival(self, replaying, called, path):
+        server, client = replaying
+        if path == "/status":
+            entered, release = _blocking(server, "_handle_status")
+        else:
+            registry = types.SimpleNamespace(render=server.metrics.render)
+            entered, release = _blocking(registry, "render")
+            server.metrics = registry
+        other = PredictionClient(server.address, transport="json")
+        caller = threading.Thread(
+            target=other.status if path == "/status" else other.metrics
+        )
+        caller.start()
+        try:
+            assert entered.wait(WAIT)
+            # The scrape is in flight, and the trainer takes slices anyway.
+            assert called(server.model, "replay_many", times=3).wait(WAIT)
+        finally:
+            release.set()
+            caller.join(WAIT)
+            other.close()
+        assert not caller.is_alive()
+
+    def test_replay_lag_grows_under_a_closed_loop_and_falls_back(
+        self, replaying, clock, called
+    ):
+        server, client = replaying
+        # Idle for a (hand-moved) second: the trainer replays.
+        clock.advance(1.0)
+        assert called(server.model, "replay_many").wait(WAIT)
+        assert called(server.model, "idle_for").wait(WAIT)  # slice accounted
+        trainer = client.status()["trainer"]
+        lag, yields = trainer["replay_lag_s"], trainer["yields"]
+        # A closed loop: each request follows the last reply within the
+        # quiet interval, so every turn of the trainer's loop is a yield.
+        sliced = called(server.model, "replay_many")
+        for k in range(40):
+            client.predict_candidates(k % 5, [0, 1, 2, 3])
+            clock.advance(QUIET_SECONDS * 0.4)
+            if k % 10 == 9:
+                assert called(server.model, "idle_for", times=2).wait(WAIT)
+                trainer = client.status()["trainer"]
+                assert trainer["replay_lag_s"] > lag
+                assert trainer["yields"] > yields
+                lag, yields = trainer["replay_lag_s"], trainer["yields"]
+        assert not sliced.is_set()
+        assert lag >= 40 * QUIET_SECONDS * 0.4 * 0.99
+        # The loop stops; the stream goes idle; replay catches up unasked.
+        clock.advance(1.0)
+        assert sliced.wait(WAIT)
+        assert called(server.model, "idle_for").wait(WAIT)
+        assert client.status()["trainer"]["replay_lag_s"] < lag
+
+
+class TestBatchSourceCounters:
+    def test_spilled_candidates_count_once_per_source(self):
+        """A tiered ranking is mostly fallbacks: ``qos_predictions_total``
+        moves by exactly the per-source counts of the reply."""
+        family = get_registry().counter(
+            "qos_predictions_total", labelnames=("source",)
+        )
+        with PredictionServer(
+            AMFConfig.for_response_time(),
+            rng=0,
+            background_replay=False,
+            lifecycle=LifecycleConfig(hot_users=4, hot_services=4),
+        ) as server:
+            client = PredictionClient(server.address)
+            for k in range(48):
+                client.report_observation(
+                    k % 3, k % 12, value=1.0 + k % 4, timestamp=float(k)
+                )
+            assert server._lifecycle_status()["demoted_services"] > 0
+            ids = list(range(12)) + [500, 501]
+            sources_seen = set()
+            for transport in ("binary", "json"):
+                asking = PredictionClient(server.address, transport=transport)
+                before = {
+                    labels: child.value for labels, child in family.children()
+                }
+                reply = asking.predict_candidates_detailed(1, ids)
+                expected = Counter(reply["sources"].values())
+                moved = {
+                    labels: child.value - before.get(labels, 0.0)
+                    for labels, child in family.children()
+                }
+                assert {k: v for k, v in moved.items() if v} == {
+                    (source,): float(count) for source, count in expected.items()
+                }
+                sources_seen |= set(expected)
+                asking.close()
+            assert "model" in sources_seen and len(sources_seen) >= 2
+            client.close()
