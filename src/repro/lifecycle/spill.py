@@ -5,20 +5,30 @@ entities dense in RAM; everything else lives here as one row per entity:
 ``(kind, external_id) -> payload``, where the payload is the canonical JSON
 demote record (factor row, EMA error, retained samples, gate statistics).
 SQLite is the storage engine — a single ordinary file under the server's
-data directory, zero extra dependencies, transactional enough that a
-``kill -9`` between demote batches can never tear a row.
+data directory, zero extra dependencies, transactional: a ``kill -9`` at any
+point leaves the file as of its last commit (plus a rollback journal the
+next opener plays back), never a torn row.
 
-Consistency contract with the tiering layer:
+Consistency contract with the tiering layer and the server:
 
-* a demote batch writes its rows and then calls :meth:`commit` once, so
-  either the whole batch is durable or none of it is;
-* a revive deletes the entity's row (idempotently), keeping *"row present
-  iff entity is spilled"* as the steady-state invariant;
-* crash recovery does **not** read payloads from here — replayed demotes
-  rewrite rows from the bit-exact replayed model state and replayed revive
-  events carry their payload in the WAL — so a spill file that is "ahead"
-  of the checkpoint (rows written after the checkpointed sequence) is
-  harmless and converges back to the invariant during replay.
+* through the store's own connection, *"row present iff entity is
+  spilled"* always holds: a demotion writes the entity's row, a revive (or
+  a forget) deletes it, idempotently;
+* the tiering layer never commits.  Writes accumulate in one open
+  transaction and the **checkpoint** commits them: the server calls
+  :meth:`commit` (then :meth:`maybe_compact`) *before* it publishes the
+  checkpoint archive, so the file on disk is never behind the checkpoint;
+* crash recovery is checkpoint + WAL and does **not** read payloads from
+  here — replayed demotions rewrite their rows from the bit-exact replayed
+  model state and replayed revive events carry their payload in the WAL.
+  The only rows a restart depends on are those of entities spilled at the
+  checkpoint and untouched since, i.e. the file as it stood at the
+  checkpoint.  A file "ahead" of the checkpoint (committed at a later
+  position — a crash between commit and publish, a graceful close) is
+  harmless: replay deletes and rewrites every row touched after the
+  checkpoint and converges back to the invariant;
+* a store with no checkpoint to ride (``":memory:"``) commits every
+  statement, so it never accumulates one unbounded transaction.
 
 Not a cache: losing the file loses the cold entities' learned state (they
 would rejoin as new entities).  It belongs next to the WAL and checkpoint
@@ -29,16 +39,31 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+import time
+
+from repro.observability import get_registry
 
 _KINDS = ("user", "service")
 
+_METRICS = get_registry()
+_SPILL_COMMITS = _METRICS.counter(
+    "qos_lifecycle_spill_commits_total",
+    "Spill-store transactions flushed to disk (checkpoints and compactions)",
+)
+_SPILL_COMMIT_SECONDS = _METRICS.histogram(
+    "qos_lifecycle_spill_commit_seconds",
+    "Wall-clock seconds per spill-store flush",
+)
+
 
 class SpillStore:
-    """One-row-per-cold-entity SQLite table with batch commits.
+    """One-row-per-cold-entity SQLite table whose owner decides when the
+    writes become durable.
 
     Args:
         path: database file path, or ``":memory:"`` for an ephemeral store
-              (non-durable servers and model-level tests).
+              (non-durable servers and model-level tests), which commits
+              every statement by itself.
         compact_threshold_pages:
               free-page count above which :meth:`maybe_compact` actually
               runs ``PRAGMA incremental_vacuum``.  Deleted rows (revives,
@@ -55,7 +80,11 @@ class SpillStore:
         self.compact_threshold_pages = int(compact_threshold_pages)
         self.compactions = 0
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn = sqlite3.connect(
+            path,
+            check_same_thread=False,
+            isolation_level=None if path == ":memory:" else "DEFERRED",
+        )
         # Incremental auto-vacuum lets us return free pages to the OS with
         # a cheap ``PRAGMA incremental_vacuum`` instead of a full VACUUM
         # (which rewrites the whole file and takes an exclusive lock).  The
@@ -86,24 +115,39 @@ class SpillStore:
     def maybe_compact(self) -> bool:
         """Release free pages back to the OS if enough have accumulated.
 
-        Called by the tiering layer after demotion/prune/forget cycles.
-        Cheap when below threshold (one PRAGMA read); above it, runs
-        ``PRAGMA incremental_vacuum`` which truncates the file by the
-        freed amount.  Returns whether a vacuum ran.
+        Called by the server right after the checkpoint's :meth:`commit`.
+        Cheap when below threshold (one PRAGMA read); above it, commits
+        whatever is open and runs ``PRAGMA incremental_vacuum`` which
+        truncates the file by the freed amount.  Returns whether a vacuum
+        ran.
         """
         with self._lock:
             free = int(self._conn.execute("PRAGMA freelist_count").fetchone()[0])
             if free <= self.compact_threshold_pages:
                 return False
-            self._conn.commit()
+            self._flush_locked()
             # incremental_vacuum is a *stepped* statement freeing pages as
             # it goes; the sqlite3 module's execute() sees a zero-column
             # result and steps it only once (one page).  executescript
             # drives the statement to completion.
-            self._conn.executescript("PRAGMA incremental_vacuum;")
-            self._conn.commit()
+            self._timed(
+                lambda: self._conn.executescript("PRAGMA incremental_vacuum;")
+            )
             self.compactions += 1
         return True
+
+    @staticmethod
+    def _timed(flush) -> None:
+        started = time.perf_counter()
+        flush()
+        _SPILL_COMMIT_SECONDS.observe(time.perf_counter() - started)
+        _SPILL_COMMITS.inc()
+
+    def _flush_locked(self) -> None:
+        """Commit the open transaction, if there is one.  Caller holds the
+        lock."""
+        if self._conn.in_transaction:
+            self._timed(self._conn.commit)
 
     @staticmethod
     def _check_kind(kind: str) -> None:
@@ -111,7 +155,7 @@ class SpillStore:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
     def put(self, kind: str, ext_id: int, payload: bytes) -> None:
-        """Write (or rewrite) one entity's spill row; durable after
+        """Write (or rewrite) one entity's spill row; durable after the next
         :meth:`commit`."""
         self._check_kind(kind)
         with self._lock:
@@ -163,14 +207,26 @@ class SpillStore:
             ).fetchall()
         return [int(row[0]) for row in rows]
 
+    def rows(self) -> "list[tuple[str, int, bytes]]":
+        """Every ``(kind, ext_id, payload)`` as this connection sees it —
+        uncommitted writes included — ordered by kind, then id."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT kind, ext_id, payload FROM entities ORDER BY kind, ext_id"
+            ).fetchall()
+        return [(str(kind), int(ext_id), bytes(payload)) for kind, ext_id, payload in rows]
+
     def prune_except(self, kind: str, keep_ids) -> int:
         """Delete every row of ``kind`` whose id is not in ``keep_ids``.
 
-        Startup hygiene: a crash between a revive's row deletion and its
-        commit can leave a row for an entity the recovered state considers
-        hot.  Such rows are never consulted (revival is driven by the
-        in-model spilled set, not by table scans) but would leak file space
-        forever; recovery prunes them back to the invariant.
+        Startup hygiene: a file that was not committed at a replayable
+        position (one written by a release that committed per revive and
+        crashed between a row's deletion and its commit, or edited by hand)
+        can hold a row for an entity the recovered state considers hot.
+        Such rows are never consulted (revival is driven by the in-model
+        spilled set, not by table scans) but would leak file space forever;
+        recovery prunes them back to the invariant.  Durable, like every
+        other write, at the next :meth:`commit`.
         """
         keep = set(int(ext_id) for ext_id in keep_ids)
         stale = [ext_id for ext_id in self.keys(kind) if ext_id not in keep]
@@ -180,21 +236,26 @@ class SpillStore:
                     "DELETE FROM entities WHERE kind = ? AND ext_id = ?",
                     (kind, ext_id),
                 )
-            if stale:
-                self._conn.commit()
-        if stale:
-            self.maybe_compact()
         return len(stale)
 
     def commit(self) -> None:
         """Make every write since the last commit durable (one fsync)."""
         with self._lock:
-            self._conn.commit()
+            self._flush_locked()
 
     def close(self) -> None:
+        """Commit whatever is open, then release the file."""
         with self._lock:
             try:
-                self._conn.commit()
+                self._flush_locked()
             except sqlite3.Error:
                 pass
+            self._conn.close()
+
+    def abandon(self) -> None:
+        """Release the file *without* committing: the open transaction is
+        rolled back, which is what a ``kill -9`` leaves the next opener (its
+        rollback journal, played back) — the crash harness's close."""
+        with self._lock:
+            self._conn.rollback()
             self._conn.close()

@@ -32,6 +32,11 @@ bit-exact, ``docs/algorithm.md`` § "Hot/cold tiering"):
   on revival.  Which case occurs is itself a deterministic function of the
   sequence, so the RNG stream replays exactly.
 
+Nothing here flushes the spill file: demotions and revives write through
+the store's open transaction and the server's checkpoint commits it
+(:mod:`repro.lifecycle.spill` has the contract), because recovery reads only
+the rows of entities spilled at the checkpoint and untouched since.
+
 The :class:`MemoryWatchdog` closes the loop: it polls resident entity
 bytes against a limit and, under sustained pressure, asks the server to
 tighten capacities (a WAL-logged ``pressure`` event, so recovery and the
@@ -137,8 +142,8 @@ class LifecycleConfig:
                             the live population exceeds capacity, the
                             coldest entities are demoted down to
                             ``capacity * low_watermark`` in one batch
-                            (hysteresis — one spill write per batch, not
-                            per arrival).
+                            (hysteresis — one sort-and-demote pass per
+                            overflow, not per arrival).
         memory_limit_bytes: resident-bytes ceiling the watchdog enforces;
                             ``None`` disables the watchdog.
         watchdog_interval:  seconds between watchdog polls.
@@ -538,11 +543,10 @@ class TieredAMF(AdaptiveMatrixFactorization):
     def ensure_service(self, service_id: int) -> None:
         self._ensure(self._services, service_id)
 
-    def _forget(self, side: _TierSide, ext: int) -> bool:
+    def _forget(self, side: _TierSide, ext: int) -> None:
         """Remove an entity entirely — hot slot freed (its gate statistics
         discarded with it) or spill row dropped; a rejoin allocates a fresh
-        slot like a new entity.  Returns whether a spill row was deleted,
-        which the caller must then commit."""
+        slot like a new entity."""
         if ext in side.slot_of:
             self._vacate(side, ext)
             if self.gate is not None:
@@ -550,20 +554,13 @@ class TieredAMF(AdaptiveMatrixFactorization):
         elif ext in side.spilled:
             side.spilled.discard(ext)
             self._spill.delete(side.kind, ext)
-            return True
-        return False
-
-    def _forget_committed(self, side: _TierSide, ext: int) -> None:
-        if self._forget(side, ext):
-            self._spill.commit()
-            self._spill.maybe_compact()
 
     def forget_user(self, user_id: int) -> None:
         """Remove a departed user entirely (see :meth:`_forget`)."""
-        self._forget_committed(self._users, user_id)
+        self._forget(self._users, user_id)
 
     def forget_service(self, service_id: int) -> None:
-        self._forget_committed(self._services, service_id)
+        self._forget(self._services, service_id)
 
     # ------------------------------------------------------------------
     # Observation path
@@ -679,17 +676,13 @@ class TieredAMF(AdaptiveMatrixFactorization):
         touched at the current tick (the parties of the in-flight
         observation or revival) are never demoted.
         """
-        demoted = self._demote_overflow(self._users) + self._demote_overflow(
-            self._services
-        )
-        if demoted:
-            self._spill.commit()
-            self._spill.maybe_compact()
+        self._demote_overflow(self._users)
+        self._demote_overflow(self._services)
 
-    def _demote_overflow(self, side: _TierSide) -> int:
+    def _demote_overflow(self, side: _TierSide) -> None:
         live = len(side.slot_of)
         if live <= side.capacity:
-            return 0
+            return
         target = max(2, int(side.capacity * self.lifecycle.low_watermark))
         need = live - target
         slots = np.fromiter(side.slot_of.values(), dtype=np.intp, count=live)
@@ -710,7 +703,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
             side.spilled.add(ext)
             self.counters[f"demoted_{side.plural}"] += 1
             side.demotions.inc()
-        return int(victims.size)
 
     # ------------------------------------------------------------------
     # Revival
@@ -746,7 +738,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
         self._restore_samples(side, ext, payload)
         side.spilled.discard(ext)
         self._spill.delete(kind, ext)
-        self._spill.commit()
         self.counters[f"revived_{side.plural}"] += 1
         side.revivals.inc()
         self._enforce_capacity()
@@ -826,8 +817,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
             self.counters[f"imported_{side.plural}"] += 1
         for side, ext, payload in items:
             self._restore_samples(side, ext, payload)
-        self._spill.commit()
-        self._spill.maybe_compact()
         self._enforce_capacity()
         return len(items)
 
@@ -840,7 +829,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
         """
         side, ext = self._side(kind), int(ext_id)
         existed = side.holds(ext)
-        self._forget_committed(side, ext)
+        self._forget(side, ext)
         if existed:
             self.counters[f"migrated_out_{side.plural}"] += 1
         return existed

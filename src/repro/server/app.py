@@ -503,9 +503,9 @@ class PredictionServer:
             "torn_lines": self._wal.torn_lines if self._wal is not None else 0,
         }
         if self._tiered is not None:
-            # Startup hygiene: a crash between a revive's spill-row delete
-            # and its commit leaves a row for a now-hot entity; replay never
-            # consults such rows, but they would leak file space forever.
+            # Startup hygiene: replay never consults the row of an entity
+            # it left hot, but one that an older release (or a hand edit)
+            # stranded in the file would leak its space forever.
             self._spill.prune_except("user", self._tiered._spilled_users)
             self._spill.prune_except("service", self._tiered._spilled_services)
 
@@ -657,10 +657,12 @@ class PredictionServer:
         if self.durable:
             self._wal.close()
         if self._spill is not None:
-            # Demote batches and revives each committed at the time they
-            # happened, so closing here flushes nothing new — it only frees
-            # the handle so a recovering server can reopen the same file.
-            self._spill.close()
+            # The spill file is committed with each checkpoint and must
+            # never be behind it; whatever was written since sits in an open
+            # transaction, which a kill -9 leaves as a rollback journal.
+            # Roll it back rather than close()-commit it, so a recovering
+            # server reopens exactly the file a dead process leaves.
+            self._spill.abandon()
 
     def _stop_serving(self) -> None:
         if self._watchdog is not None and self._watchdog.running:
@@ -718,6 +720,15 @@ class PredictionServer:
             # an imported batch followed by a crash would let a coordinator
             # retry re-apply the batch.  Sorted for byte-stable archives.
             extra["migration"] = self._migration_status()
+        if self._spill is not None:
+            # Commit, then publish — never the reverse.  Recovery reads
+            # from the spill file exactly the rows of entities spilled at
+            # the checkpoint and untouched since, so the file must hold
+            # them by the time the archive below says so; a crash between
+            # the two leaves it ahead of the old checkpoint, which replay
+            # converges (see repro.lifecycle.spill).
+            self._spill.commit()
+            self._spill.maybe_compact()
 
         def _save(m: AdaptiveMatrixFactorization) -> None:
             if isinstance(m, TieredAMF):
@@ -759,29 +770,41 @@ class PredictionServer:
             self.epoch = epoch
             note_epoch(epoch)
 
-    def apply_shipped(self, entry: tuple) -> str:
-        """Commit one entry shipped from the primary's log on a standby.
+    def apply_shipped(self, entries: "list[tuple]") -> "list[str]":
+        """Commit a batch of entries shipped from the primary's log on a
+        standby, as one commit group (one fsync per pull, not per entry).
 
-        Returns ``"applied"``, ``"skipped"`` (already durable locally), or
-        ``"gap"`` (the shipment skips sequences this node never saw — the
-        replicator must stop rather than apply a stream with a hole).  The
-        entry goes through the same :meth:`_commit` the primary ran — local
-        WAL first, so the standby's directory stays a byte-identical copy of
-        the primary's log and its crash recovery and post-promotion shipping
+        Returns one outcome per entry examined, in order: ``"skipped"``
+        (already durable locally), ``"applied"``, or — last, for the first
+        entry that skips sequences this node never saw — ``"gap"``: the
+        replicator must stop rather than apply a stream with a hole, and
+        nothing at or past the hole is logged.  The contiguous run goes
+        through the same :meth:`_commit` the primary ran — local WAL first,
+        so the standby's directory stays a byte-identical copy of the
+        primary's log and its crash recovery and post-promotion shipping
         work unchanged — but past none of the checks in front of it: the
-        primary already deduplicated and policy-checked the record and
+        primary already deduplicated and policy-checked each record and
         logged every revive it needed, and re-deciding any of that against
         this node's view could fork the replica from the log it replays.
         """
+        outcomes: "list[str]" = []
+        run: "list[tuple]" = []
         with self._ingest_lock:
             expected = self._wal.last_seq + 1
-            if entry[1] < expected:
-                return "skipped"
-            if entry[1] > expected:
-                return "gap"
-            self._require_event_model(entry)  # before the log takes the entry
-            self._commit(entry)
-            return "applied"
+            for entry in entries:
+                if entry[1] < expected:
+                    outcomes.append("skipped")
+                    continue
+                if entry[1] > expected:
+                    outcomes.append("gap")
+                    break
+                self._require_event_model(entry)  # before the log takes anything
+                run.append(entry)
+                outcomes.append("applied")
+                expected += 1
+            if run:
+                self._commit(*run)
+        return outcomes
 
     def promote(self) -> bool:
         """Promote this standby to primary via the epoch compare-and-swap.
@@ -935,9 +958,9 @@ class PredictionServer:
         commit it.  Caller holds the ingest lock.
 
         Everything here runs *in front of* the log: a duplicate key or a
-        refused timestamp never reaches it, and a spilled party is revived
-        (its own committed entry) first.  A shipped entry passes none of it
-        — see :meth:`apply_shipped`.
+        refused timestamp never reaches it, and a spilled party's revive
+        entry is put ahead of the observation in its commit group.  A
+        shipped entry passes none of it — see :meth:`apply_shipped`.
         """
         if key is not None and self.ledger.seen(key):
             self.ledger.note_duplicate()
@@ -952,12 +975,15 @@ class PredictionServer:
                     self._observations_rejected += 1
                 _OBSERVATIONS_REJECTED.inc()
                 raise BadRequest(str(exc), code=f"{exc.reason}_timestamp") from exc
-        if self._tiered is not None:
-            # The revive event (payload included) must precede the
-            # observation in the WAL, or recovery would replay an observe
-            # against a still-cold entity.
-            self._revive_locked(record.user_id, record.service_id)
-        return self._commit(("obs", None, record, key))
+        # One commit group: the revive events (payload included) precede the
+        # observation in the WAL, or recovery would replay an observe
+        # against a still-cold entity — and all of them share one fsync.
+        revives = (
+            self._revive_entries(record.user_id, record.service_id)
+            if self._tiered is not None
+            else ()
+        )
+        return self._commit(*revives, ("obs", None, record, key))
 
     # -- the state machine (see the module docstring) --------------------------
     def _require_event_model(self, entry: tuple) -> None:
@@ -993,30 +1019,50 @@ class PredictionServer:
             self._latest_ingest_ts = record.timestamp
         return apply_observation(self.model, self.gate, record)
 
-    def _commit(self, entry: tuple) -> "dict | None":
-        """Log one entry, then apply it, then account for it.  Caller holds
-        the ingest lock, which keeps WAL order identical to apply order.
+    def _commit(self, *entries: tuple) -> "dict | None":
+        """Log the entries as one commit group, then apply each in order,
+        then account for them.  Caller holds the ingest lock, which keeps
+        WAL order identical to apply order.
 
         The one place an entry becomes durable and the one place a failed
         append is handled.  Log-before-apply is the crash-consistency rule
         for every kind: the ledger, the gate and the model only ever hold
-        what the log can reproduce.  Returns the observation reply body
-        (``None`` for an event).
+        what the log can reproduce.  A group's single fsync acknowledges
+        nothing early — no entry of it is applied, and no reply sent,
+        before every line of the group is durable; when the append fails,
+        none of the group was applied.  Returns the last entry's reply: the
+        observation reply body, ``None`` for an event.
         """
         if self._wal is not None:
             try:
-                self._wal.append_entry(entry)
+                self._wal.append_entries(entries)
             except WalAppendError as exc:
                 # Durability is gone (full disk, I/O error): acknowledge
                 # nothing further, flip to read-only degraded mode, keep
                 # predictions serving.
                 self._degraded_reason = str(exc)
-                what = "observation" if entry[0] == "obs" else f"{entry[2]} event"
+                last = entries[-1]
+                what = "observation" if last[0] == "obs" else f"{last[2]} event"
                 raise _StorageUnavailable(
                     f"{what} not accepted, durable log unavailable: {exc}"
                 ) from exc
-        if entry[0] == "ev":
-            return self._apply(entry)
+        reply = None
+        for entry in entries:
+            reply = (
+                self._apply(entry) if entry[0] == "ev" else self._apply_live(entry)
+            )
+        if (
+            self.durable
+            and self._observations_since_checkpoint >= self.checkpoint_interval
+        ):
+            # After the whole group: a checkpoint covers ``wal.last_seq``.
+            self._checkpoint_locked()
+        return reply
+
+    def _apply_live(self, entry: tuple) -> dict:
+        """Apply one committed observation with the effects only a serving
+        process has: the drift window, the fallback means, the checkpoint
+        cadence and the counters.  Returns the reply body."""
         record = entry[2]
         # Predict-then-observe: the pre-update prediction against the
         # arriving ground truth is the live accuracy signal (windowed
@@ -1038,11 +1084,6 @@ class PredictionServer:
             )
             error = sample_error
         self._observations_since_checkpoint += 1
-        if (
-            self.durable
-            and self._observations_since_checkpoint >= self.checkpoint_interval
-        ):
-            self._checkpoint_locked()
         with self._stats_lock:
             self._observations_handled += 1
             if action == "quarantine":
@@ -1050,19 +1091,25 @@ class PredictionServer:
         return {"sample_error": error, "action": action}
 
     # -- entity lifecycle ------------------------------------------------------
-    def _revive_locked(self, user_id: int, service_id: "int | None") -> None:
-        """Revive spilled parties of a request.  Caller holds the ingest lock.
+    def _revive_entries(self, user_id: int, service_id: "int | None") -> list:
+        """One ``revive_*`` entry per spilled party of a request, in apply
+        order, each carrying its full spill payload — recovery and standbys
+        restore the entity from the logged payload, never from the
+        (crash-time) spill file.  Caller holds the ingest lock.
 
-        Each spilled entity becomes one committed ``revive_*`` entry carrying
-        its full spill payload — recovery and standbys restore the entity
-        from the logged payload, never from the (crash-time) spill file.
+        Both payloads are read before either revive is applied.  That is
+        sound: a revive only ever writes rows of its own kind (the
+        demotions it can trigger are same-side) and never the row of an
+        entity that stays spilled, so the second party's row is the same
+        before and after the first revive.
         """
-        pending = self.model.with_model(
-            lambda m: m.pending_revivals(user_id, service_id)
+        return self.model.with_model(
+            lambda m: [
+                ("ev", None, f"revive_{kind}",
+                 {"id": ext_id, "p": m.revive_payload(kind, ext_id)})
+                for kind, ext_id in m.pending_revivals(user_id, service_id)
+            ]
         )
-        for kind, ext_id in pending:
-            payload = self.model.with_model(lambda m: m.revive_payload(kind, ext_id))
-            self._commit(("ev", None, f"revive_{kind}", {"id": ext_id, "p": payload}))
 
     def _maybe_revive_for_read(
         self, user_id: int, service_id: "int | None"
@@ -1098,7 +1145,8 @@ class PredictionServer:
         ):
             return
         with self._acquire_ingest_lock():
-            self._revive_locked(user_id, service_id)
+            for entry in self._revive_entries(user_id, service_id):
+                self._commit(entry)
 
     def _apply_pressure(self, hot_users: int, hot_services: int, level: str) -> None:
         """Watchdog tighten callback: commit a capacity change."""

@@ -290,9 +290,10 @@ class StandbyReplicator:
     """The standby's pull loop: fetch, validate, apply, repeat.
 
     Runs as a daemon thread owned by a standby `PredictionServer`.  Every
-    shipped entry is handed to the server's ``apply_shipped`` (sequence
+    pulled batch is handed to the server's ``apply_shipped`` (sequence
     check, then the same log-and-apply commit the primary ran, under the
-    ingest lock), so standby state evolves exactly as the primary's did.
+    ingest lock — the batch is one commit group, so one fsync), so standby
+    state evolves exactly as the primary's did.
     Tracks replication lag (primary ``last_seq`` minus locally applied) and
     consecutive failed cycles; with ``auto_promote_after`` set, a primary
     silent for that long triggers self-promotion via the epoch CAS.
@@ -364,20 +365,17 @@ class StandbyReplicator:
             )
         if epoch > server.epoch:
             server.note_cluster_epoch(epoch)
-        applied = 0
-        for wire in batch["records"]:
-            entry = entry_from_wire(wire)
-            outcome = server.apply_shipped(entry)
-            if outcome == "gap":
-                self.gap_detected = True
-                raise ReplicationGap(
-                    f"shipped seq {entry[1]} leaves a hole after local seq "
-                    f"{server.wal_last_seq}"
-                )
-            if outcome == "applied":
-                applied += 1
-                _APPLIED.inc()
+        entries = [entry_from_wire(wire) for wire in batch["records"]]
+        outcomes = server.apply_shipped(entries)
+        applied = outcomes.count("applied")
+        _APPLIED.inc(applied)
         self.records_applied += applied
+        if "gap" in outcomes:
+            self.gap_detected = True
+            raise ReplicationGap(
+                f"shipped seq {entries[len(outcomes) - 1][1]} leaves a hole "
+                f"after local seq {server.wal_last_seq}"
+            )
         self.lag_records = max(0, int(batch["last_seq"]) - server.wal_last_seq)
         _LAG.set(self.lag_records)
         self.consecutive_failures = 0

@@ -6,7 +6,8 @@ crash.  Durability here is the classic database recipe:
 
 * **Write-ahead log** — every accepted observation is appended to a segment
   file (JSON lines, one record per line) and fsync'd *before* it is applied
-  to the model.  Records carry a monotonically increasing sequence number.
+  to the model.  Records carry a monotonically increasing sequence number;
+  the entries one request commits share one fsync (a *commit group*).
 * **Checkpoints** — periodically the full model state is written through
   :func:`repro.core.serialization.save_model` (write-temp-then-rename, RNG
   state included) tagged with the highest WAL sequence it covers; older
@@ -42,10 +43,12 @@ _SEGMENT_SUFFIX = ".jsonl"
 # operator needs; segment counts and torn-tail skips cover the rest.
 _METRICS = get_registry()
 _WAL_APPENDS = _METRICS.counter(
-    "qos_wal_appends_total", "Observations durably appended to the WAL"
+    "qos_wal_appends_total",
+    "Entries (observations and events) durably appended to the WAL",
 )
 _WAL_FSYNC_SECONDS = _METRICS.histogram(
-    "qos_wal_fsync_seconds", "fsync latency per WAL append"
+    "qos_wal_fsync_seconds",
+    "Latency of each WAL fsync (one per commit group, not per entry)",
 )
 _WAL_SEGMENTS = _METRICS.gauge(
     "qos_wal_segments", "WAL segment files currently on disk"
@@ -103,7 +106,7 @@ class WriteAheadLog:
         segment_max_records: records per segment before rotating to a new
                              file; bounds the cost of pruning and the size
                              of any single file.
-        fsync:               fsync after every append (the durability
+        fsync:               fsync every commit group (the durability
                              guarantee); disable only for tests/benchmarks.
     """
 
@@ -199,31 +202,28 @@ class WriteAheadLog:
         self._handle = open(path, "a", encoding="utf-8")
         self._active_first_seq = _segment_first_seq(active)
 
-    def append_entry(self, entry: tuple) -> int:
-        """Durably log one tagged entry in the shape :meth:`replay_entries`
-        yields; returns its sequence number.  The entry's own ``seq`` is not
-        written — the log assigns the next one — so a not-yet-logged entry
-        carries ``None`` there and a shipped one must already be next.
+    def append_entries(self, entries) -> list[int]:
+        """Durably log ``entries`` as one commit group; returns their
+        sequence numbers.
+
+        Each entry is tagged in the shape :meth:`replay_entries` yields.  Its
+        own ``seq`` is not written — the log assigns the next ones, under the
+        lock, with the write — so a not-yet-logged entry carries ``None``
+        there and a shipped one must already be next.  The group's lines are
+        written in order and made durable by **one** flush + fsync; only
+        then does ``last_seq`` move past them, so a shipping reader never
+        sees a member of a group whose fsync has not returned.  The bytes
+        and the segment file names are those of the same entries appended
+        one by one: a rotation falls at the same sequence number, and a
+        segment left mid-group is fsync'd before it is closed.
 
         An observation's ``key`` is the caller-supplied idempotency key, if
         any; it rides in the record (``"k"``) so crash recovery rebuilds the
         dedup ledger from the log itself.
         """
-        tag, __, first, second = entry
-        if tag == "obs":
-            body = {
-                "t": first.timestamp,
-                "u": first.user_id,
-                "s": first.service_id,
-                "v": first.value,
-            }
-            if second is not None:
-                body["k"] = second
-        elif isinstance(second, dict):
-            body = {"ev": str(first), "d": second}
-        else:
-            raise TypeError(f"event data must be a dict, got {type(second).__name__}")
-        # The sequence number is assigned under the lock, with the write.
+        bodies = [_entry_body(entry) for entry in entries]
+        if not bodies:
+            return []
         with self._lock:
             if self._closed:
                 raise ValueError("write-ahead log is closed")
@@ -231,39 +231,54 @@ class WriteAheadLog:
                 raise WalAppendError(
                     f"write-ahead log is in a failed state: {self._append_failed}"
                 )
-            seq = self._last_seq + 1
-            line = json.dumps({"seq": seq, **body})
+            first = self._last_seq + 1
+            seqs = list(range(first, first + len(bodies)))
             try:
-                if seq - self._active_first_seq >= self.segment_max_records:
-                    self._handle.close()
-                    self._active_first_seq = seq
-                    self._handle = open(
-                        os.path.join(self.directory, _segment_name(seq)),
-                        "a",
-                        encoding="utf-8",
-                    )
-                    _WAL_SEGMENTS.set(self.segment_count())
-                self._handle.write(line + "\n")
-                self._handle.flush()
-                if self.fsync:
-                    fsync_started = time.perf_counter()
-                    os.fsync(self._handle.fileno())
-                    _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
+                for seq, body in zip(seqs, bodies):
+                    if seq - self._active_first_seq >= self.segment_max_records:
+                        if seq > first:
+                            self._sync_active_segment()
+                        self._handle.close()
+                        self._active_first_seq = seq
+                        self._handle = open(
+                            os.path.join(self.directory, _segment_name(seq)),
+                            "a",
+                            encoding="utf-8",
+                        )
+                        _WAL_SEGMENTS.set(self.segment_count())
+                    self._handle.write(json.dumps({"seq": seq, **body}) + "\n")
+                self._sync_active_segment()
             except OSError as exc:
-                # A failed write may have left a partial line in the active
-                # segment; freeze the log so the failure is sticky and the
-                # server can degrade to read-only instead of acknowledging
-                # observations that never became durable.
+                # A failed write may have left part of the group — a partial
+                # line, or whole lines that were never fsync'd — in the
+                # active segment; freeze the log so the failure is sticky
+                # and the server can degrade to read-only instead of
+                # acknowledging entries that never became durable.  None of
+                # the group is counted: ``last_seq`` has not moved.
                 self._append_failed = f"{type(exc).__name__}: {exc}"
                 _WAL_APPEND_ERRORS.inc()
+                span = f"{first}" if len(seqs) == 1 else f"{first}..{seqs[-1]}"
                 raise WalAppendError(
-                    f"WAL append of seq {seq} failed: {exc}",
+                    f"WAL append of seq {span} failed: {exc}",
                     errno=getattr(exc, "errno", None),
                 ) from exc
-            self._last_seq = seq
-            self.appended += 1
-            _WAL_APPENDS.inc()
-            return seq
+            self._last_seq += len(seqs)
+            self.appended += len(seqs)
+            _WAL_APPENDS.inc(len(seqs))
+            return seqs
+
+    def _sync_active_segment(self) -> None:
+        """Flush the active segment's buffered lines and fsync them."""
+        self._handle.flush()
+        if self.fsync:
+            fsync_started = time.perf_counter()
+            os.fsync(self._handle.fileno())
+            _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
+
+    def append_entry(self, entry: tuple) -> int:
+        """Durably log one tagged entry — a commit group of one; returns its
+        sequence number."""
+        return self.append_entries((entry,))[0]
 
     def append(self, record: QoSRecord, key: "str | None" = None) -> int:
         """Durably log one observation; returns its sequence number."""
@@ -311,6 +326,16 @@ class WriteAheadLog:
         ledger, advances ``latest_ingest_ts`` and runs it through the gate
         into the model.  Demotions are *not* logged: they are deterministic
         functions of model state and replay identically.
+
+        The group rule: the entries one request commits are one
+        :meth:`append_entries` group — an observe that names cold parties
+        logs ``[revive_user?, revive_service?, obs]`` under a single fsync,
+        and a standby logs each pulled batch as one group.  Nothing of a
+        group is applied, acknowledged or shipped before that fsync returns,
+        and the group's lines are the lines the same entries would have
+        written one by one, so a reader of the log cannot tell a group from
+        its members.  Every other committer (a read-path revive, a pressure
+        change, a migration batch) logs a group of one.
         """
         return self.append_entry(("ev", None, kind, data))
 
@@ -411,6 +436,24 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _entry_body(entry: tuple) -> dict:
+    """One entry's log line, minus the sequence number the log assigns."""
+    tag, __, first, second = entry
+    if tag == "obs":
+        body = {
+            "t": first.timestamp,
+            "u": first.user_id,
+            "s": first.service_id,
+            "v": first.value,
+        }
+        if second is not None:
+            body["k"] = second
+        return body
+    if not isinstance(second, dict):
+        raise TypeError(f"event data must be a dict, got {type(second).__name__}")
+    return {"ev": str(first), "d": second}
 
 
 def _observation_entry(seq, timestamp, user_id, service_id, value, key) -> tuple:

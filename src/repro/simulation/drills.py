@@ -14,9 +14,9 @@ tolerance.  The runner is three things:
   one's pre-update error (the *error stream*).
 * the oracle — :func:`snapshot` / :func:`diff_state` compare two servers
   part by part (counts, factors, gate, dedup ledger, drift window,
-  lifecycle tiers, error stream); :func:`diff_checkpoints` compares the
-  archives two data dirs ended with.  Every drill ends in one
-  :class:`DrillReport`.
+  lifecycle tiers, spill rows, error stream); :func:`diff_checkpoints`
+  compares the archives two data dirs ended with.  Every drill ends in
+  one :class:`DrillReport`.
 
 The fault *sources* (hostile streams, the faulty replication link, the
 flood) live in :mod:`repro.simulation.faults`.  The scenarios, as
@@ -25,8 +25,8 @@ flood) live in :mod:`repro.simulation.faults`.  The scenarios, as
 
 ==================  =========================================================
 ``crash-recovery``  kill -9 mid-stream, restart from checkpoint + WAL tail:
-                    bit-exact against an uninterrupted run (hostile and
-                    clean streams)
+                    bit-exact against an uninterrupted run (hostile, clean
+                    and tiered streams)
 ``poison-flood``    NaN/inf payloads bounce with 400, a 4-thread flood is
                     shed with Retry-After, predictions never fail, accuracy
                     holds
@@ -36,9 +36,9 @@ flood) live in :mod:`repro.simulation.faults`.  The scenarios, as
 ``memory-pressure`` an allocation ceiling below the hot tier: caps tighten,
                     cold reads shed with 429, hot reads answer, restart is
                     bit-exact
-``shard-kill``      kill one shard behind the router: survivors untouched,
-                    victim traffic fails as 503 shard_unavailable, victim
-                    recovers bit-exact
+``shard-kill``      kill one (tiered) shard behind the router: survivors
+                    untouched, victim traffic fails as 503
+                    shard_unavailable, victim recovers bit-exact
 ``migration-kill``  kill source, destination or router at each migration
                     phase: the resumed drain equals an unkilled one
 ``migration-live``  3 -> 4 shard rebalance under reader threads: the error
@@ -50,6 +50,7 @@ flood) live in :mod:`repro.simulation.faults`.  The scenarios, as
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -329,16 +330,44 @@ STATE_PARTS: tuple[str, ...] = (
     "ledger",
     "drift",
     "lifecycle",
+    "spill",
     "errors",
 )
+
+
+def spill_part(server) -> "dict | None":
+    """The spill file as ``server``'s own connection sees it (``None``
+    without tiering): ``rows`` — ``[kind, id, sha256(payload)]`` in key
+    order — and ``strays``, every ``[kind, id]`` that has a row but is not
+    in the model's spilled set, or the reverse.  *Row present iff spilled*
+    makes ``strays`` empty on any correct server."""
+    if server.lifecycle is None:
+        return None
+
+    def read(model) -> dict:
+        rows = model._spill.rows()
+        spilled = {
+            (side.kind, ext) for side in model._sides.values() for ext in side.spilled
+        }
+        return {
+            "rows": [
+                [kind, ext, hashlib.sha256(payload).hexdigest()]
+                for kind, ext, payload in rows
+            ],
+            "strays": sorted(
+                map(list, spilled ^ {(kind, ext) for kind, ext, __ in rows})
+            ),
+        }
+
+    return server.model.with_model(read)
 
 
 def snapshot(server, errors: "list[float] | None" = None) -> dict:
     """Everything the oracle compares about one server: model counts and
     factor matrices, the outlier gate's full state and decision counts, the
     dedup ledger, the windowed-accuracy (drift) monitor, the hot/cold tier
-    assignment — and ``errors``, the error stream :func:`feed` returned
-    while driving it."""
+    assignment, the spill file's rows (:func:`spill_part`) — and
+    ``errors``, the error stream :func:`feed` returned while driving it."""
     model, gate = server.model, server.gate
     return {
         "updates_applied": model.updates_applied,
@@ -353,6 +382,7 @@ def snapshot(server, errors: "list[float] | None" = None) -> dict:
         "lifecycle": None
         if server.lifecycle is None
         else model.with_model(lambda m: m.lifecycle_state()),
+        "spill": spill_part(server),
         "errors": errors,
     }
 
@@ -408,6 +438,16 @@ def _diff(part: str, ours, theirs) -> "list[str]":
     return [] if _same(ours, theirs) else [f"{part}: {_where(ours, theirs)}"]
 
 
+def _diff_spill(part: str, ours, theirs) -> "list[str]":
+    """Two :func:`spill_part` results: equal to each other, and each side's
+    file agreeing with its own model about who is spilled."""
+    return _diff(part, ours, theirs) + [
+        f"{part}: row present iff spilled fails for {spill['strays'][:5]}"
+        for spill in (ours, theirs)
+        if spill is not None and spill["strays"]
+    ]
+
+
 def diff_state(ours: dict, theirs: dict, ignore: "tuple[str, ...]" = ()) -> "list[str]":
     """Compare two :func:`snapshot` results part by part; one mismatch line
     per differing part, each starting with the part's name.
@@ -420,7 +460,9 @@ def diff_state(ours: dict, theirs: dict, ignore: "tuple[str, ...]" = ()) -> "lis
         mismatch
         for part in STATE_PARTS
         if part not in ignore
-        for mismatch in _diff(part, ours[part], theirs[part])
+        for mismatch in (_diff_spill if part == "spill" else _diff)(
+            part, ours[part], theirs[part]
+        )
     ]
 
 
@@ -533,6 +575,12 @@ def disjoint_stream(
                     )
                 )
     return records
+
+
+#: A hot tier far below the drill streams' populations (16-60 users, 24-48
+#: services): every run demotes and revives, so the spill file the oracle
+#: reads is never empty.
+SMALL_TIER = LifecycleConfig(hot_users=8, hot_services=12)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -1074,6 +1122,7 @@ def run_shard_kill(
     kill_after: "int | None" = None,
     rng: int = 0,
     checkpoint_interval: int = 50,
+    server_kwargs: "dict | None" = None,
 ) -> DrillReport:
     """Kill one shard of a routed fleet mid-stream; prove the blast
     radius is bounded.
@@ -1098,6 +1147,8 @@ def run_shard_kill(
     shard is diffed against a never-faulted baseline fed exactly the
     records that shard accepted, in order: state, per-sample error stream
     (so windowed MAE is untouched) and checkpoint archive must all match.
+    ``server_kwargs`` reaches every shard and baseline (``lifecycle=`` puts
+    the spill file, rolled back by the kill and replayed, in the equality).
     """
     if n_shards < 2:
         raise ValueError(f"n_shards must be >= 2, got {n_shards}")
@@ -1114,7 +1165,10 @@ def run_shard_kill(
     detail = report.detail
 
     with Fleet(
-        rng=rng, checkpoint_interval=checkpoint_interval, binary_port=None
+        rng=rng,
+        checkpoint_interval=checkpoint_interval,
+        binary_port=None,
+        **(server_kwargs or {}),
     ) as fleet:
         for name in names:
             fleet.start(name, data_dir=os.path.join(data_root, name))
@@ -1155,7 +1209,10 @@ def run_shard_kill(
         detail["recovery"] = dict(fleet.restart(victim).recovery)
         for index in orphaned:
             send(index)
-        client.predict(records[0].user_id, records[0].service_id)
+        # On a tiered shard this read can revive, so its owner's baseline
+        # must make it too.
+        last_read = (records[0].user_id, records[0].service_id)
+        client.predict(*last_read)
         report.scrape(client)
         health = client.health().get("status")
         report.expect(health == "ok", f"fleet health after recovery: {health}")
@@ -1178,6 +1235,7 @@ def run_shard_kill(
                 os.path.join(data_root, name),
                 os.path.join(data_root, f"baseline-{name}"),
                 accepted[name],
+                reads=[last_read] if name == owners[0] else (),
                 ignore=("drift",),
                 prefix=f"{name}: ",
             )
@@ -1233,7 +1291,7 @@ def _drain_s0(
     root = os.path.join(data_root, label)
     pairs = sorted({(record.user_id, record.service_id) for record in records})
     with Fleet(
-        checkpoint_interval=checkpoint_interval, binary_port=None, lifecycle=True
+        checkpoint_interval=checkpoint_interval, binary_port=None, lifecycle=SMALL_TIER
     ) as fleet:
         router, client = _tiered_fleet(fleet, root, names, rng)
         feed(client, records)
@@ -1306,8 +1364,15 @@ def _drain_s0(
             f"{label}: destination holds {len(moved)} of the source's "
             f"{len(inventory)} entities (lost entities)",
         )
+        spill = {name: spill_part(fleet.nodes[name]) for name in names}
     result = coordinator.result if coordinator is not None else None
-    return {"result": result, "inventory": inventory, "exports": moved, "post": post}
+    return {
+        "result": result,
+        "inventory": inventory,
+        "exports": moved,
+        "post": post,
+        "spill": spill,
+    }
 
 
 def run_migration_kill(
@@ -1339,9 +1404,9 @@ def run_migration_kill(
     prediction bit-identically before and after it.  Against the baseline,
     each re-homed entity's canonical export payload (factor row, EMA error,
     samples, gate stats) must be byte-equal, post-migration predictions
-    equal, and both shards' final checkpoint archives digest-equal —
-    ignoring only the migration ledger, whose batch sequence numbers may
-    skip after a resume.
+    equal, both shards' spill files row-equal, and both shards' final
+    checkpoint archives digest-equal — ignoring only the migration ledger,
+    whose batch sequence numbers may skip after a resume.
     """
     if kill_target not in ("source", "dest", "router"):
         raise ValueError(f"kill_target must be source/dest/router, got {kill_target!r}")
@@ -1390,6 +1455,10 @@ def run_migration_kill(
             ignore_extra=("migration",),
         )
         report.add(mismatches, prefix=f"{name}: ")
+        report.add(
+            _diff_spill("spill", faulted["spill"][name], baseline["spill"][name]),
+            prefix=f"{name}: ",
+        )
         digests[name] = dict(zip(("faulted", "baseline"), pair))
     report.detail.update(
         baseline_result=baseline["result"],
@@ -1680,9 +1749,10 @@ HOSTILE = FaultConfig(
 
 
 def _crash_recovery(root: str, seed: int):
-    for label, faults, stream_seed in (
-        ("hostile stream", HOSTILE, seed),
-        ("clean stream", None, seed + 3),
+    for label, faults, stream_seed, server_kwargs in (
+        ("hostile stream", HOSTILE, seed, None),
+        ("clean stream", None, seed + 3, None),
+        ("tiered stream", None, seed + 5, {"lifecycle": SMALL_TIER}),
     ):
         yield label, run_crash_recovery(
             uniform_stream(300, stream_seed),
@@ -1690,6 +1760,7 @@ def _crash_recovery(root: str, seed: int):
             data_dir=os.path.join(root, label.split()[0]),
             rng=stream_seed,
             faults=faults,
+            server_kwargs=server_kwargs,
         )
 
 
@@ -1727,7 +1798,10 @@ def _memory_pressure(root: str, seed: int):
 def _shard_kill(root: str, seed: int):
     # Enough distinct users that every shard owns a live substream.
     yield "", run_shard_kill(
-        uniform_stream(300, seed, n_users=60, n_services=24), root, rng=seed
+        uniform_stream(300, seed, n_users=60, n_services=24),
+        root,
+        rng=seed,
+        server_kwargs={"lifecycle": SMALL_TIER},
     )
 
 

@@ -96,6 +96,8 @@ CORE_METRIC_FAMILIES: tuple[str, ...] = (
     "qos_lifecycle_cold_reads_shed_total",
     "qos_lifecycle_pressure_level",
     "qos_lifecycle_pressure_events_total",
+    "qos_lifecycle_spill_commits_total",
+    "qos_lifecycle_spill_commit_seconds",
     "qos_migration_exports_total",
     "qos_migration_imports_total",
     "qos_migration_deletes_total",

@@ -8,20 +8,31 @@ over an in-process link: all three must agree on every part of the PR 16
 oracle, and the standby's log must be the primary's, byte for byte.  The
 structural guard pins what makes that cheap to keep true: one append site,
 one failed-append handler, no per-caller flag.
+
+``_commit`` takes a *group* of entries — an observe with its revive events,
+a standby's pulled batch — and makes it durable with one fsync before any
+of it is applied; ``TestOneRequestOneGroup`` counts the fsyncs, checks the
+three suppliers after groups of one, two and three, and fails the fsync to
+show none of a group reaches ``_apply``.
 """
 
 import ast
+import errno
 import json
+import os
 import pathlib
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import seed, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.lifecycle import LifecycleConfig
+from repro.observability import get_registry
 from repro.robustness import GateConfig
 from repro.server import PredictionServer, ReplicationConfig
+from repro.server.http import ServiceError
 from repro.simulation.drills import diff_state, snapshot
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -55,6 +66,51 @@ def _segments(data_dir: pathlib.Path) -> dict:
     }
 
 
+def _fleet(root: pathlib.Path) -> "tuple[PredictionServer, PredictionServer]":
+    """A durable primary and a standby that pulls from it in-process."""
+    store = str(root / "epoch.json")
+    primary = PredictionServer(
+        data_dir=str(root / "primary"),
+        replication=ReplicationConfig(store, role="primary", node_id="p"),
+        **NODE_ARGS,
+    )
+    standby = PredictionServer(
+        data_dir=str(root / "standby"),
+        replication=ReplicationConfig(
+            store, role="standby", primary_address=("127.0.0.1", 1), node_id="s"
+        ),
+        replication_link=_InProcessLink(primary),
+        **NODE_ARGS,
+    )
+    return primary, standby
+
+
+def _assert_three_suppliers_agree(root: pathlib.Path, primary, standby) -> None:
+    """The standby (caught up) and a server recovered from a copy of the
+    primary's data dir hold the live primary's state, part for part."""
+    live = snapshot(primary)
+
+    while standby._replicator.poll_once():
+        pass
+    assert diff_state(live, snapshot(standby)) == []
+    assert standby._migration_status() == primary._migration_status()
+    assert standby._latest_ingest_ts == primary._latest_ingest_ts
+    assert _segments(root / "standby") == _segments(root / "primary")
+
+    copy = root / "copy"
+    shutil.copytree(root / "primary", copy)
+    recovered = PredictionServer(data_dir=str(copy), **NODE_ARGS)
+    try:
+        # The drift window only covers what a process ingested live.
+        assert diff_state(live, snapshot(recovered), ignore=("drift",)) == []
+        assert recovered._migration_status() == primary._migration_status()
+        assert recovered._latest_ingest_ts == primary._latest_ingest_ts
+    finally:
+        recovered.kill()
+        shutil.rmtree(copy)
+
+
+
 @seed(17)
 class ThreeCallersMachine(RuleBasedStateMachine):
     USERS = st.integers(0, 5)
@@ -64,20 +120,7 @@ class ThreeCallersMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.root = pathlib.Path(tempfile.mkdtemp(prefix="commit-path-"))
-        store = str(self.root / "epoch.json")
-        self.primary = PredictionServer(
-            data_dir=str(self.root / "primary"),
-            replication=ReplicationConfig(store, role="primary", node_id="p"),
-            **NODE_ARGS,
-        )
-        self.standby = PredictionServer(
-            data_dir=str(self.root / "standby"),
-            replication=ReplicationConfig(
-                store, role="standby", primary_address=("127.0.0.1", 1), node_id="s"
-            ),
-            replication_link=_InProcessLink(self.primary),
-            **NODE_ARGS,
-        )
+        self.primary, self.standby = _fleet(self.root)
         self.clock = 0.0
         self.keyed: list[dict] = []  # every keyed observation sent so far
         self.exported: list[list] = []  # [kind, id, payload] taken off the primary
@@ -162,33 +205,95 @@ class ThreeCallersMachine(RuleBasedStateMachine):
     # -- the other two callers must have folded the same log to the same state ----
     @invariant()
     def recovery_and_standby_agree_with_the_live_server(self):
-        primary = self.primary
-        live = snapshot(primary)
-
-        while self.standby._replicator.poll_once():
-            pass
-        assert diff_state(live, snapshot(self.standby)) == []
-        assert self.standby._migration_status() == primary._migration_status()
-        assert self.standby._latest_ingest_ts == primary._latest_ingest_ts
-        assert _segments(self.root / "standby") == _segments(self.root / "primary")
-
-        copy = self.root / "copy"
-        shutil.copytree(self.root / "primary", copy)
-        recovered = PredictionServer(data_dir=str(copy), **NODE_ARGS)
-        try:
-            # The drift window only covers what a process ingested live.
-            assert diff_state(live, snapshot(recovered), ignore=("drift",)) == []
-            assert recovered._migration_status() == primary._migration_status()
-            assert recovered._latest_ingest_ts == primary._latest_ingest_ts
-        finally:
-            recovered.kill()
-            shutil.rmtree(copy)
+        _assert_three_suppliers_agree(self.root, self.primary, self.standby)
 
 
 TestThreeCallers = ThreeCallersMachine.TestCase
 TestThreeCallers.settings = settings(
     max_examples=15, stateful_step_count=20, deadline=None
 )
+
+
+# -- one request, one commit group ------------------------------------------------
+
+
+@pytest.fixture
+def cold_pair(tmp_path):
+    """A primary (and its standby) on which user 0 and service 0 are both
+    spilled: ``(root, primary, standby, body)`` where ``body`` is an observe
+    that names the two."""
+    primary, standby = _fleet(tmp_path)
+    for k in range(4):  # the fourth user and service push the first out of 3 x 3
+        primary._handle_observation(
+            {"timestamp": float(k), "user_id": k, "service_id": k, "value": 1.0}
+        )
+    body = {"timestamp": 9.0, "user_id": 0, "service_id": 0, "value": 2.0}
+    pending = primary.model.with_model(lambda m: m.pending_revivals(0, 0))
+    assert pending == [("user", 0), ("service", 0)]
+    yield tmp_path, primary, standby, body
+    primary.kill()
+    standby.kill()
+
+
+def _log_counts() -> "tuple[int, float]":
+    registry = get_registry()
+    return (
+        registry.histogram("qos_wal_fsync_seconds").count,
+        registry.counter("qos_wal_appends_total").value,
+    )
+
+
+class TestOneRequestOneGroup:
+    def test_an_observe_and_its_revives_share_one_fsync(self, cold_pair):
+        root, primary, standby, body = cold_pair
+        fsyncs, appends = _log_counts()
+        last_seq = primary.wal_last_seq
+        assert primary._handle_observation(body)["action"] == "admit"
+        assert _log_counts() == (fsyncs + 1, appends + 3)
+        assert primary.wal_last_seq == last_seq + 3
+        kinds = [entry[2] for entry in primary._wal.replay_entries(last_seq)]
+        assert kinds[:2] == ["revive_user", "revive_service"]
+        _assert_three_suppliers_agree(root, primary, standby)
+
+        # One cold party: two entries, one fsync.  None: one and one.
+        cold = primary.model.with_model(lambda m: sorted(m._spilled_users))[0]
+        for user, expected in ((cold, 2), (0, 1)):
+            fsyncs, appends = _log_counts()
+            primary._handle_observation({**body, "timestamp": 10.0, "user_id": user})
+            assert _log_counts() == (fsyncs + 1, appends + expected)
+        _assert_three_suppliers_agree(root, primary, standby)
+
+    def test_a_read_path_revive_is_a_group_of_one_per_party(self, cold_pair):
+        __, primary, __, __ = cold_pair
+        fsyncs, appends = _log_counts()
+        primary._predict_one(0, 0)
+        assert _log_counts() == (fsyncs + 2, appends + 2)
+
+    def test_a_failed_fsync_applies_none_of_the_group(self, cold_pair, monkeypatch):
+        """The group's lines may have reached the file, but nothing of it
+        reached ``_apply``: both parties are still cold, the log has not
+        moved, and the server is read-only with the 507 it has always
+        returned."""
+        __, primary, __, body = cold_pair
+        before = snapshot(primary)
+        last_seq = primary.wal_last_seq
+
+        def failing(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing)
+            with pytest.raises(ServiceError) as excinfo:
+                primary._handle_observation(body)
+        assert (excinfo.value.status, excinfo.value.code) == (507, "insufficient_storage")
+        assert "observation not accepted" in str(excinfo.value)
+        assert primary.wal_last_seq == last_seq and not primary._wal.writable
+        assert diff_state(before, snapshot(primary)) == []
+        with pytest.raises(ServiceError) as excinfo:  # sticky, disk or no disk
+            primary._handle_observation({**body, "user_id": 3, "service_id": 3})
+        assert excinfo.value.status == 507
+        assert primary._predict_one(3, 3)["source"] == "model"  # reads still serve
+        assert primary._handle_status()["durability"]["read_only"] is not None
 
 
 # -- structural guard -------------------------------------------------------------

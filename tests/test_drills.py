@@ -36,12 +36,14 @@ NAN = float("nan")
 
 
 def durable_run(data_dir: str) -> dict:
-    """A gated, tiered, durable server fed 40 keyed records (one key sent
-    twice, so the error stream carries a NaN): its snapshot, with the
-    final checkpoint left in ``data_dir``."""
+    """A gated, durable server with a hot tier small enough to spill, fed
+    40 keyed records (one key sent twice, so the error stream carries a
+    NaN): its snapshot, with the final checkpoint left in ``data_dir``."""
     records = drills.uniform_stream(40, seed=4)
     keys = [f"k:{index}" for index in range(len(records))]
-    with Fleet(rng=4, gate=True, lifecycle=True, checkpoint_interval=10) as fleet:
+    with Fleet(
+        rng=4, gate=True, lifecycle=drills.SMALL_TIER, checkpoint_interval=10
+    ) as fleet:
         server = fleet.start("node", data_dir=data_dir)
         client = fleet.client(server.address)
         errors = feed(client, records + records[-1:], keys + keys[-1:])
@@ -80,6 +82,7 @@ PERTURB = {
     "ledger": lambda s: s["ledger"]["keys"].pop(),
     "drift": lambda s: s["drift"].update(window=s["drift"]["window"] + 1),
     "lifecycle": lambda s: s["lifecycle"]["users"].pop(),
+    "spill": lambda s: s["spill"]["rows"].pop(),
     "errors": lambda s: s["errors"].pop(),
 }
 
@@ -146,6 +149,52 @@ class TestOracleCanFail:
         assert not report.matches
         assert "probe: DIVERGES" in report.summary()
         assert "MISMATCH shard-0: factors: off by one" in report.summary()
+
+
+class TestSpillPart:
+    """The oracle reads the spill file's rows, not only who is spilled."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        with Fleet(rng=4, lifecycle=drills.SMALL_TIER) as fleet:
+            server = fleet.start("node", data_dir=str(tmp_path), serve=False)
+            for record in drills.uniform_stream(40, seed=4):
+                server._handle_observation(
+                    {"timestamp": record.timestamp, "user_id": record.user_id,
+                     "service_id": record.service_id, "value": record.value}
+                )
+            yield server
+
+    def test_rows_are_keyed_digests_of_every_spilled_entity(self, server):
+        spill = snapshot(server)["spill"]
+        tiers = snapshot(server)["lifecycle"]
+        assert spill["strays"] == []
+        assert [row[:2] for row in spill["rows"]] == (
+            [["service", ext] for ext in tiers["spilled_services"]]
+            + [["user", ext] for ext in tiers["spilled_users"]]
+        ) != []
+        assert all(len(digest) == 64 for __, __, digest in spill["rows"])
+        with Fleet() as flat:
+            assert snapshot(flat.start("flat", serve=False))["spill"] is None
+
+    def test_a_lost_row_is_a_mismatch_and_a_stray(self, server):
+        before = snapshot(server)
+        kind, ext, __ = before["spill"]["rows"][0]
+        server._spill.delete(kind, ext)  # the lifecycle part still matches
+        mismatches = diff_state(before, snapshot(server))
+        assert len(mismatches) == 2 and mismatches[0].startswith("spill: differs")
+        assert mismatches[1] == f"spill: row present iff spilled fails for {[[kind, ext]]}"
+        # Two servers that lost the same row are equal — and still wrong.
+        assert diff_state(snapshot(server), snapshot(server)) == mismatches[1:] * 2
+
+    def test_a_stale_payload_is_a_mismatch(self, server):
+        before = snapshot(server)
+        kind, ext, __ = before["spill"]["rows"][-1]
+        payload = json.loads(server._spill.get(kind, ext))
+        payload["err"] += 1e-9
+        server._spill.put(kind, ext, json.dumps(payload, sort_keys=True).encode())
+        (mismatch,) = diff_state(before, snapshot(server))
+        assert mismatch.startswith("spill: differs at ['rows']")
 
 
 class TestFailoverOnASlowDisk:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.schema import QoSRecord
+from repro.observability import get_registry
 from repro.server import (
     DeadlineExceeded,
     EpochStore,
@@ -260,6 +261,88 @@ class TestStandbyCatchUp:
         finally:
             primary.stop()
             standby.stop()
+
+
+class _InProcessLink:
+    """``HttpReplicaLink.fetch`` without the socket."""
+
+    def __init__(self, primary: PredictionServer) -> None:
+        self.primary = primary
+
+    def fetch(self, after_seq: int, limit: int) -> dict:
+        return self.primary._handle_replication_wal(
+            {"after_seq": [str(after_seq)], "limit": [str(limit)]}
+        )
+
+
+def _wal_fsyncs() -> int:
+    return get_registry().histogram("qos_wal_fsync_seconds").count
+
+
+class TestStandbyCommitsEachPullAsOneGroup:
+    @pytest.fixture
+    def pair(self, tmp_path):
+        """An idle primary holding 50 entries and an empty standby that
+        pulls 16 at a time, neither serving: the test is the pull loop."""
+        store = str(tmp_path / "epoch.json")
+        primary = PredictionServer(
+            data_dir=str(tmp_path / "primary"),
+            replication=ReplicationConfig(store, role="primary", node_id="p"),
+            **SERVER_ARGS,
+        )
+        for k in range(50):
+            rec = record(k)
+            primary._handle_observation(
+                {"timestamp": rec.timestamp, "user_id": rec.user_id,
+                 "service_id": rec.service_id, "value": rec.value}
+            )
+        standby = PredictionServer(
+            data_dir=str(tmp_path / "standby"),
+            replication=ReplicationConfig(
+                store, role="standby", primary_address=("127.0.0.1", 1),
+                node_id="s", batch_limit=16,
+            ),
+            replication_link=_InProcessLink(primary),
+            **SERVER_ARGS,
+        )
+        yield primary, standby
+        primary.kill()
+        standby.kill()
+
+    def test_catching_up_costs_one_fsync_per_pull(self, pair, tmp_path):
+        primary, standby = pair
+        before = _wal_fsyncs()
+        pulls = []
+        while applied := standby._replicator.poll_once():
+            pulls.append(applied)
+        assert pulls == [16, 16, 16, 2]
+        assert _wal_fsyncs() - before == 4  # ceil(50 / 16), not 50
+        assert standby._replicator.records_applied == 50
+        assert np.array_equal(standby.model.user_factors(), primary.model.user_factors())
+        assert standby.model.updates_applied == primary.model.updates_applied
+        for segment in (tmp_path / "primary").glob("wal-*.jsonl"):
+            assert (tmp_path / "standby" / segment.name).read_bytes() == segment.read_bytes()
+
+    def test_outcomes_are_per_entry_and_nothing_past_a_hole_is_logged(self, pair):
+        primary, standby = pair
+        entries = primary._wal.read_committed_entries()
+        assert standby.apply_shipped(entries[:5]) == ["applied"] * 5
+        before = _wal_fsyncs()
+        assert standby.apply_shipped(entries[:5]) == ["skipped"] * 5
+        assert _wal_fsyncs() == before  # an all-skipped batch logs nothing
+        holed = entries[2:7] + entries[8:12]
+        assert standby.apply_shipped(holed) == ["skipped"] * 3 + ["applied"] * 2 + ["gap"]
+        assert _wal_fsyncs() == before + 1
+        assert standby.wal_last_seq == 7
+        assert standby.model.updates_applied == 7
+
+    def test_a_flat_standby_logs_nothing_of_a_batch_that_holds_an_event(self, pair):
+        primary, standby = pair
+        entries = primary._wal.read_committed_entries(limit=3)
+        event = ("ev", 4, "pressure", {"hu": 2, "hs": 2, "level": "tighten"})
+        with pytest.raises(ValueError, match="lifecycle tiering is disabled"):
+            standby.apply_shipped(entries + [event])
+        assert standby.wal_last_seq == 0 and standby.model.updates_applied == 0
 
 
 class TestPromotionAndFencing:

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +266,155 @@ class TestEntries:
         assert entry_from_wire([9, 3.0, 3, 3, 0.25, None]) == (
             "obs", 9, record(3, value=0.25), None
         )
+
+
+def _directory(path) -> dict:
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+class TestCommitGroups:
+    """``append_entries``: the lines of N single appends under one fsync."""
+
+    GROUP = [
+        ("ev", None, "revive_user", {"id": 7, "p": {"row": [0.5], "err": 1.0}}),
+        ("ev", None, "revive_service", {"id": 2, "p": {"row": [0.25], "err": 1.0}}),
+        ("obs", None, record(1, value=2.5), "k:1"),
+    ]
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """One item per ``os.fsync`` made while the test runs."""
+        calls, real = [], os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_a_group_is_its_members_appended_one_by_one(self, tmp_path, fsyncs):
+        singles = WriteAheadLog(str(tmp_path / "singles"))
+        singles.append(record(0))
+        assert [singles.append_entry(entry) for entry in self.GROUP] == [2, 3, 4]
+        assert len(fsyncs) == 4
+        grouped = WriteAheadLog(str(tmp_path / "grouped"))
+        grouped.append(record(0))
+        assert grouped.append_entries(self.GROUP) == [2, 3, 4]
+        assert len(fsyncs) == 4 + 2  # the whole group cost one
+        assert (grouped.last_seq, grouped.appended) == (4, 4)
+        assert grouped.append_entries([]) == [] and len(fsyncs) == 6
+        singles.close()
+        grouped.close()
+        assert _directory(tmp_path / "grouped") == _directory(tmp_path / "singles")
+        assert list(WriteAheadLog(str(tmp_path / "grouped")).replay_entries())[1:] == [
+            (tag, seq, first, second)
+            for seq, (tag, __, first, second) in enumerate(self.GROUP, start=2)
+        ]
+
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_a_group_straddling_a_rotation_leaves_both_segments_whole(
+        self, tmp_path, fsyncs, before
+    ):
+        """Segment boundaries fall where single appends put them, and the
+        segment a group leaves is fsync'd before it is closed."""
+        logs = {}
+        for name in ("singles", "grouped"):
+            logs[name] = wal = WriteAheadLog(str(tmp_path / name), segment_max_records=3)
+            for k in range(before):
+                wal.append(record(k))
+        for entry in self.GROUP:
+            logs["singles"].append_entry(entry)
+        del fsyncs[:]
+        logs["grouped"].append_entries(self.GROUP)
+        assert len(fsyncs) == (1 if before in (0, 3) else 2)
+        for wal in logs.values():
+            wal.close()
+        files = _directory(tmp_path / "grouped")
+        assert files == _directory(tmp_path / "singles")
+        assert len(files) == (1 if before == 0 else 2)
+        for data in files.values():
+            assert data.endswith(b"\n") and 1 <= data.count(b"\n") <= 3
+
+    def test_a_failed_fsync_counts_none_of_the_group(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(record(0))
+
+        def failing(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        with pytest.raises(WalAppendError) as excinfo:
+            wal.append_entries(self.GROUP)
+        assert excinfo.value.errno == errno.EIO
+        assert (wal.last_seq, wal.appended) == (1, 1)
+        assert not wal.writable and "Input/output" in wal.append_failure
+        monkeypatch.undo()
+        with pytest.raises(WalAppendError, match="failed state"):
+            wal.append(record(1))  # frozen, whatever the disk does next
+        # The lines reached the file but were never acknowledged: shipping
+        # stops at last_seq.
+        assert seqs(wal.read_committed_entries()) == [1]
+
+    def test_a_write_failing_mid_group_counts_none_of_it(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
+        wal.append(record(0))
+        real = wal._handle
+
+        class _FullAfterOne(_NoSpaceHandle):
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    return super().write(data)
+                return real.write(data)
+
+        wal._handle = _FullAfterOne(real)
+        with pytest.raises(WalAppendError):
+            wal.append_entries(self.GROUP)
+        assert (wal.last_seq, wal.appended) == (1, 1) and not wal.writable
+
+    def test_no_member_is_shipped_before_the_groups_fsync_returns(
+        self, tmp_path, monkeypatch
+    ):
+        """Inside the fsync the group's lines are already in the file (a
+        lock-free scan finds them) but ``last_seq`` has not moved and the
+        append lock is held: a shipping reader that arrives now waits, and
+        what it then reads is the whole group."""
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(record(0))
+        inside: dict = {}
+        shipped: list = []
+        arrived = threading.Event()
+
+        def reader():
+            arrived.set()
+            shipped.extend(seqs(wal.read_committed_entries()))
+
+        thread = threading.Thread(target=reader, daemon=True)
+        real = os.fsync
+
+        def hooked(fd):
+            inside["on_disk"] = seqs(wal.replay_entries())
+            inside["last_seq"] = wal.last_seq
+            inside["locked"] = wal._lock.locked()
+            thread.start()
+            assert arrived.wait(timeout=10)
+            inside["shipped_meanwhile"] = list(shipped)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", hooked)
+        assert wal.append_entries(self.GROUP) == [2, 3, 4]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert inside == {
+            "on_disk": [1, 2, 3, 4],
+            "last_seq": 1,
+            "locked": True,
+            "shipped_meanwhile": [],
+        }
+        assert shipped == [1, 2, 3, 4]
 
 
 class TestReadOnlyDegradedServer:
