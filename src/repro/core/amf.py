@@ -466,7 +466,8 @@ class AdaptiveMatrixFactorization:
         return self._updates_applied
 
     def knows_user(self, user_id: int) -> bool:
-        """Whether predictions for ``user_id`` can be served from the model.
+        """Whether ``user_id`` has a factor row in memory — what the fused
+        ranking kernel can index.
 
         The identity check callers must use instead of comparing against
         ``n_users``: tiered models (:class:`repro.lifecycle.TieredAMF`) keep
@@ -476,9 +477,21 @@ class AdaptiveMatrixFactorization:
         return 0 <= user_id < self.n_users
 
     def knows_service(self, service_id: int) -> bool:
-        """Whether predictions for ``service_id`` can be served (see
+        """Whether ``service_id`` has a factor row in memory (see
         :meth:`knows_user`)."""
         return 0 <= service_id < self.n_services
+
+    def holds_user(self, user_id: int) -> bool:
+        """Whether the model holds ``user_id``'s state, so that a prediction
+        naming the user can be served from it.  Here that is every row the
+        model knows; a tiered model also holds the rows it spilled and reads
+        them where they are."""
+        return self.knows_user(user_id)
+
+    def holds_service(self, service_id: int) -> bool:
+        """Whether the model holds ``service_id``'s state (see
+        :meth:`holds_user`)."""
+        return self.knows_service(service_id)
 
     def expected_error(self, user_id: int, service_id: int) -> float:
         """Expected relative error of a prediction for ``(user, service)``.
@@ -901,13 +914,18 @@ class AdaptiveMatrixFactorization:
         service_ids = np.asarray(service_ids, dtype=np.intp)
         if user_id < 0 or user_id >= self.n_users:
             raise KeyError(f"unknown user {user_id} (have {self.n_users})")
+        return self._predict_for_row(self._user_factors.view()[user_id], service_ids)
+
+    def _predict_for_row(self, user_row: np.ndarray, service_ids: np.ndarray) -> np.ndarray:
+        """The fused kernel of :meth:`predict_for_user` over a user's factor
+        row, wherever that row is held."""
         if service_ids.size == 0:
             return np.empty(0, dtype=float)
         if service_ids.min() < 0 or service_ids.max() >= self.n_services:
             raise KeyError(
                 f"unknown service id in batch (have {self.n_services} services)"
             )
-        inner = self._service_factors.view()[service_ids] @ self._user_factors.view()[user_id]
+        inner = self._service_factors.view()[service_ids] @ user_row
         return np.asarray(self.normalizer.denormalize(sigmoid(inner)), dtype=float)
 
     def rank_candidates(
@@ -934,8 +952,10 @@ class AdaptiveMatrixFactorization:
             order = top[np.argsort(keys[top], kind="stable")]
         return service_ids[order], predictions[order]
 
-    def user_version(self, user_id: int) -> int:
-        """Write-version of a user's factor row (prediction-cache stamp)."""
+    def user_version(self, user_id: int) -> "int | None":
+        """Write-version of a user's factor row (prediction-cache stamp);
+        ``None`` for a row that has none to stamp — never here, a spilled
+        row on a tiered model — whose predictions must not be cached."""
         return self._user_factors.version(user_id)
 
     def service_version(self, service_id: int) -> int:

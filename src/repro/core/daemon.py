@@ -178,13 +178,15 @@ class ConcurrentModel:
             return self._model.predict(user_id, service_id)
 
     def predict_known(self, user_id: int, service_id: int) -> "float | None":
-        """Predict without registering entities; ``None`` when either id is
-        unknown.  The degraded-mode serving path uses this so hostile or
-        cold queries cannot grow the factor matrices."""
+        """Predict without registering entities; ``None`` when the model
+        holds no state for either id.  The degraded-mode serving path uses
+        this so hostile or never-seen queries cannot grow the factor
+        matrices.  Like every read here it changes nothing: a tiered model
+        answers for an entity it spilled from the stored row."""
         with self._foreground, self._lock:
             if not (
-                self._model.knows_user(user_id)
-                and self._model.knows_service(service_id)
+                self._model.holds_user(user_id)
+                and self._model.holds_service(service_id)
             ):
                 return None
             return self._model.predict(user_id, service_id)
@@ -196,17 +198,19 @@ class ConcurrentModel:
         acquisition and one fused mat-vec for every cache miss.
 
         Returns ``(values, cache_hits)`` where ``values[i]`` is the
-        prediction for ``service_ids[i]`` or ``None`` when the user or that
-        service is unknown.  With a
-        :class:`~repro.core.online.PredictionCache`, hits are served from
-        stamped entries and only misses touch the factors; the stamps are
-        read under the same lock the SGD writers take, so a concurrent
-        update can never leave a fresh-looking stale entry behind.
+        prediction for ``service_ids[i]`` or ``None`` when the model holds
+        nothing for the user or has no row in memory for that service.
+        With a :class:`~repro.core.online.PredictionCache`, hits are served
+        from stamped entries and only misses touch the factors; the stamps
+        are read under the same lock the SGD writers take, so a concurrent
+        update can never leave a fresh-looking stale entry behind.  A user
+        whose row has no version to stamp (``user_version`` is ``None``: a
+        tiered model reading a spilled row) is answered past the cache.
         """
         with self._foreground, self._lock:
             model = self._model
             values: list = [None] * len(service_ids)
-            if not model.knows_user(user_id):
+            if not model.holds_user(user_id):
                 return values, 0
             known = [
                 k for k, sid in enumerate(service_ids) if model.knows_service(sid)
@@ -217,10 +221,10 @@ class ConcurrentModel:
                 (service_ids[k] for k in known), dtype=np.int64, count=len(known)
             )
             hits = 0
-            if cache is None:
+            user_version = None if cache is None else model.user_version(user_id)
+            if user_version is None:
                 answers = model.predict_for_user(user_id, ids)
             else:
-                user_version = model.user_version(user_id)
                 versions = model.service_versions(ids)
                 answers, hit = cache.lookup(user_id, ids, user_version, versions)
                 hits = int(np.count_nonzero(hit))

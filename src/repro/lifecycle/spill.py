@@ -72,7 +72,8 @@ class SpillStore:
               without bound even when the live row count is stable.
 
     Thread-safe: the server touches it from the ingest path, the predict
-    path (revive-on-read), and the ``/status`` handler concurrently.
+    path (a spilled entity's row is read where it lies, :meth:`get` only),
+    and the ``/status`` handler concurrently.
     """
 
     def __init__(self, path: str, compact_threshold_pages: int = 64) -> None:

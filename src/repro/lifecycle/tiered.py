@@ -10,9 +10,20 @@ inherited machinery — SGD kernels, replay, the sample store, serialization
 configured hot capacity, the coldest entities are **demoted**: their exact
 state (factor row, EMA error, retained samples, sanitizer-gate statistics)
 is serialized into the :class:`~repro.lifecycle.spill.SpillStore` and their
-slot is recycled.  A later observation or read **revives** them with their
-state restored bit-for-bit (modulo samples whose peer is itself cold, which
-are dropped — a documented re-warming tradeoff).
+slot is recycled.  A later observation **revives** them with their state
+restored bit-for-bit (modulo samples whose peer is itself cold, which are
+dropped — a documented re-warming tradeoff).
+
+**Reads never write.**  A prediction that names a spilled entity reads its
+factor row and EMA error through the spill store (:meth:`TieredAMF._read_through`)
+and answers exactly what it would have answered had the entity been hot:
+the stored payload carries the exact float64 row and error, and a spilled
+row is immutable until a logged revive takes it out of the store.  Nothing
+moves, no tick advances, nothing is logged — so any node that holds the row
+(a standby, a fenced or read-only primary) answers from it, and only the
+write path changes who is hot.  *Hot* therefore means recently **written**,
+which is all ``touch`` ever recorded: reading a hot entity never touched it
+either.
 
 Determinism contract (what keeps WAL recovery and standby replication
 bit-exact, ``docs/algorithm.md`` § "Hot/cold tiering"):
@@ -40,8 +51,8 @@ the rows of entities spilled at the checkpoint and untouched since.
 The :class:`MemoryWatchdog` closes the loop: it polls resident entity
 bytes against a limit and, under sustained pressure, asks the server to
 tighten capacities (a WAL-logged ``pressure`` event, so recovery and the
-standby converge to the same tier assignment) and, at critical pressure,
-to shed cold-revive *reads* with 429 — hot predictions are never shed.
+standby converge to the same tier assignment).  No read is ever refused
+for it: a read cannot grow the hot tier.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ import numpy as np
 
 from repro.core.amf import AdaptiveMatrixFactorization
 from repro.core.config import AMFConfig
+from repro.core.transform import sigmoid
 from repro.datasets.schema import QoSRecord
 from repro.lifecycle.spill import SpillStore
 from repro.observability import get_registry
@@ -89,6 +101,12 @@ _LC_REVIVALS = _METRICS.counter(
     "Entities revived from the spill store into the hot tier, by kind",
     labelnames=("kind",),
 )
+_LC_COLD_READS = _METRICS.counter(
+    "qos_lifecycle_cold_reads_total",
+    "Spilled entities a prediction read through the spill store (a point "
+    "lookup and a payload decode each; nothing is revived), by kind",
+    labelnames=("kind",),
+)
 _LC_PRESSURE_LEVEL = _METRICS.gauge(
     "qos_lifecycle_pressure_level",
     "Memory-pressure level (0 ok, 1 tighten, 2 critical)",
@@ -105,6 +123,7 @@ _LC_HANDLES = {
         _LC_SPILLED.labels(kind=kind),
         _LC_DEMOTIONS.labels(kind=kind),
         _LC_REVIVALS.labels(kind=kind),
+        _LC_COLD_READS.labels(kind=kind),
     )
     for kind in ("user", "service")
 }
@@ -148,8 +167,9 @@ class LifecycleConfig:
                             ``None`` disables the watchdog.
         watchdog_interval:  seconds between watchdog polls.
         tighten_at:         usage fraction above which capacities shrink.
-        critical_at:        usage fraction above which cold-revive reads
-                            are shed (hot predictions are never shed).
+        critical_at:        usage fraction above which the pressure level
+                            reads ``critical`` (logged and reported; the
+                            tightening is the same as under ``tighten``).
         shrink_factor:      multiplicative capacity reduction per sustained
                             tighten poll.
         min_hot:            capacity floor tightening can never cross.
@@ -225,7 +245,9 @@ class _TierSide:
         self._store = store
         self._is_user = kind == "user"
         self.drop_samples = store.drop_user if self._is_user else store.drop_service
-        hot_gauge, spilled_gauge, self.demotions, self.revivals = _LC_HANDLES[kind]
+        hot_gauge, spilled_gauge, self.demotions, self.revivals, self.cold_reads = (
+            _LC_HANDLES[kind]
+        )
         if state is None:
             # Over a flat model: the identity mapping of the rows that exist.
             rows, free, spilled = [(ext, ext, 0) for ext in range(len(factors))], (), ()
@@ -263,15 +285,16 @@ class _TierSide:
         return ext in self.slot_of or ext in self.spilled
 
     def error_of(self, ext: int) -> float:
-        """EMA error by external id — a pure read: an id that is not hot
-        (unknown or spilled) reports the initial, maximal error."""
+        """EMA error by external id, from memory alone: an id that is not
+        hot (unknown or spilled) reports the initial, maximal error."""
         slot = self.slot_of.get(ext)
         return self.errors._init_error if slot is None else self.errors.get(slot)
 
-    def version_of(self, ext: int) -> int:
-        """Write-version of the entity's factor row; 0 when it is not hot."""
+    def version_of(self, ext: int) -> "int | None":
+        """Write-version of the entity's factor row; ``None`` when it is in
+        no slot and so has none."""
         slot = self.slot_of.get(ext)
-        return 0 if slot is None else self.factors.version(slot)
+        return None if slot is None else self.factors.version(slot)
 
     def rows(self) -> list:
         """``[ext, slot, touch]`` per hot entity, by ascending ext id."""
@@ -341,6 +364,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
         self._spill = spill
         self.gate = None
         self._occupancies = 0  # see _occupancy_stamp
+        self._cold_reads = 0  # process-local like the metric: reads log nothing
         users = _TierSide(
             "user", self._user_factors, self.weights._user_errors, self._store,
             lc.hot_users, state,
@@ -425,6 +449,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
             "resident_bytes": self.resident_bytes(),
             "pressure_level": self._pressure_level,
             "spill_path": self._spill.path,
+            "cold_reads": self._cold_reads,
             **self.counters,
         }
 
@@ -471,6 +496,12 @@ class TieredAMF(AdaptiveMatrixFactorization):
 
     def is_spilled_service(self, service_id: int) -> bool:
         return service_id in self._spilled_services
+
+    def holds_user(self, user_id: int) -> bool:
+        return self._users.holds(user_id)
+
+    def holds_service(self, service_id: int) -> bool:
+        return self._services.holds(service_id)
 
     def holds_entity(self, kind: str, ext_id: int) -> bool:
         """Whether this model holds the entity's state, hot or spilled."""
@@ -874,14 +905,35 @@ class TieredAMF(AdaptiveMatrixFactorization):
     # ------------------------------------------------------------------
     # Prediction (external-id API over the slot-space kernels)
     # ------------------------------------------------------------------
+    def _read_through(self, side: _TierSide, ext: int) -> "tuple[np.ndarray, float]":
+        """A spilled entity's ``(factor row, EMA error)``, decoded from its
+        stored payload — the one way a read reaches a cold entity.
+
+        Nothing moves: no slot is taken, no tick advances, the spill row
+        stays, and nothing but the cold-read count is written.  The answer
+        is the one a revive-then-read would give, because the payload holds
+        the exact float64 row and error and a spilled row cannot change
+        until a logged revive takes it out of the store.  :class:`KeyError`
+        for an id this model does not hold.
+        """
+        if ext not in side.spilled:
+            raise KeyError(f"unknown {side.kind} {ext}")
+        payload = self.revive_payload(side.kind, ext)
+        self._cold_reads += 1
+        side.cold_reads.inc()
+        return np.asarray(payload["row"], dtype=float), float(payload["err"])
+
+    def _row_of(self, side: _TierSide, ext: int) -> np.ndarray:
+        """The entity's factor row, wherever it is held."""
+        slot = side.slot_of.get(ext)
+        return self._read_through(side, ext)[0] if slot is None else side.factors.row(slot)
+
     def predict_normalized(self, user_id: int, service_id: int) -> float:
-        u_slot = self._u_slot_of.get(user_id)
-        s_slot = self._s_slot_of.get(service_id)
-        if u_slot is None or s_slot is None:
-            raise KeyError(
-                f"unknown or cold entity: user {user_id}, service {service_id}"
-            )
-        return super().predict_normalized(u_slot, s_slot)
+        """Either party may be hot or spilled; :class:`KeyError` for an id
+        the model does not hold."""
+        u_vector = self._row_of(self._users, user_id)
+        s_vector = self._row_of(self._services, service_id)
+        return float(sigmoid(float(u_vector @ s_vector)))
 
     def _service_slots(self, service_ids) -> np.ndarray:
         """The slots of hot services, by external id; :class:`KeyError` for
@@ -897,32 +949,41 @@ class TieredAMF(AdaptiveMatrixFactorization):
             raise KeyError(f"unknown or cold service {exc.args[0]}") from None
 
     def predict_for_user(self, user_id: int, service_ids) -> np.ndarray:
-        u_slot = self._u_slot_of.get(user_id)
-        if u_slot is None:
-            raise KeyError(f"unknown or cold user {user_id}")
-        return super().predict_for_user(
-            u_slot, self._service_slots(np.asarray(service_ids))
+        """The user may be hot or spilled (the same fused kernel over the
+        stored row); the candidates must be hot — a ranking names many, and
+        callers send the rest through their fallback chain."""
+        return self._predict_for_row(
+            self._row_of(self._users, user_id),
+            self._service_slots(np.asarray(service_ids)),
         )
 
-    def user_version(self, user_id: int) -> int:
+    def user_version(self, user_id: int) -> "int | None":
         return self._users.version_of(user_id)
 
-    def service_version(self, service_id: int) -> int:
+    def service_version(self, service_id: int) -> "int | None":
         return self._services.version_of(service_id)
 
     def service_versions(self, service_ids: np.ndarray) -> np.ndarray:
         return super().service_versions(self._service_slots(service_ids))
 
+    def _error_of(self, side: _TierSide, ext: int) -> float:
+        if ext in side.spilled:
+            return self._read_through(side, ext)[1]
+        return side.error_of(ext)
+
     def expected_error(self, user_id: int, service_id: int) -> float:
+        """Mean of the two parties' EMA errors, hot or spilled; an id the
+        model does not hold reports ``init_error``."""
         return (
-            self._users.error_of(user_id) + self._services.error_of(service_id)
+            self._error_of(self._users, user_id)
+            + self._error_of(self._services, service_id)
         ) / 2.0
 
     def service_credence(self, service_id: int) -> float:
-        """Per-service EMA error by external id — a pure read.  Spilled
-        services answer ``init_error`` like unknown ids (consulting the
-        demote payload would hit disk on the read path); that is the
-        conservative "low credence" signal until revival."""
+        """Per-service EMA error by external id, from memory alone.  Spilled
+        services answer ``init_error`` like unknown ids (a credence query
+        names many candidates and would decode one payload each); that is
+        the conservative "low credence" signal until revival."""
         return float(self._services.error_of(service_id))
 
 
@@ -935,11 +996,11 @@ class MemoryWatchdog:
     1. usage >= ``tighten_at``  -> shrink hot capacities by
        ``shrink_factor`` (floored at ``min_hot``) via ``on_tighten`` — the
        server turns this into a WAL ``pressure`` event.
-    2. usage >= ``critical_at`` -> additionally ``on_shed(True)`` — the
-       server starts answering cold-revive *reads* with 429/Retry-After.
-       Hot predictions are never shed.
+    2. usage >= ``critical_at`` -> the same, reported as ``critical``.
 
-    Recovery: a poll back under ``tighten_at`` clears shedding.
+    Recovery: a poll back under ``tighten_at`` returns the level to ``ok``.
+    Predictions are never refused at any level — a read cannot grow the hot
+    tier (see the module docstring).
 
     Args:
         lifecycle:  thresholds (:class:`LifecycleConfig`), including
@@ -949,7 +1010,6 @@ class MemoryWatchdog:
                     hot_services)``.
         on_tighten: callable ``(hot_users, hot_services, level)`` applying
                     a capacity change.
-        on_shed:    callable ``(bool)`` toggling cold-read shedding.
     """
 
     def __init__(
@@ -958,7 +1018,6 @@ class MemoryWatchdog:
         usage,
         capacities,
         on_tighten,
-        on_shed,
     ) -> None:
         if lifecycle.memory_limit_bytes is None:
             raise ValueError("MemoryWatchdog requires memory_limit_bytes")
@@ -966,12 +1025,10 @@ class MemoryWatchdog:
         self._usage = usage
         self._capacities = capacities
         self._on_tighten = on_tighten
-        self._on_shed = on_shed
         self._over_tighten = 0
         self._over_critical = 0
         self.level = "ok"
         self._reported_level = "ok"
-        self.shedding = False
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
 
@@ -1002,10 +1059,6 @@ class MemoryWatchdog:
                 # when there is nothing left to shrink.
                 self._on_tighten(hot_users, hot_services, self.level)
             self._reported_level = self.level
-        should_shed = self.level == "critical"
-        if should_shed != self.shedding:
-            self.shedding = should_shed
-            self._on_shed(should_shed)
         return self.level
 
     # -- thread lifecycle ---------------------------------------------------

@@ -44,7 +44,10 @@ the one place an entry is appended (and a failed append handled) and
 :meth:`PredictionServer._apply` the one place an entry changes state; the
 live handlers, crash recovery and a standby differ only in where their
 entries come from.  The entry kinds are tabulated in
-:meth:`repro.server.wal.WriteAheadLog.append_event`.
+:meth:`repro.server.wal.WriteAheadLog.append_event`.  A read is no entry:
+the prediction and credence handlers take neither the ingest lock nor the
+log, on a tiered shard included (a spilled entity's row is read where it
+lies), so every node answers reads the same way whatever its role.
 
 Fault tolerance (``data_dir`` enables durability):
 
@@ -125,7 +128,6 @@ from repro.robustness import (
     AdmissionController,
     DedupLedger,
     GateConfig,
-    RateLimited,
     SanitizerGate,
     StaleObservation,
     TimestampPolicy,
@@ -178,11 +180,6 @@ _OBSERVATIONS_REJECTED = _METRICS.counter(
 _BATCH_SIZE = _METRICS.histogram(
     "qos_predict_batch_size",
     "Service ids per batched prediction request (both transports)",
-)
-# A lifecycle family owned here: the server is where cold reads are shed.
-_COLD_READS_SHED = _METRICS.counter(
-    "qos_lifecycle_cold_reads_shed_total",
-    "Cold-entity revive reads shed with 429 under critical memory pressure",
 )
 # Entity-migration shard counters (repro.cluster.migration drives these
 # endpoints; the families exist on every server so fleet aggregation and the
@@ -377,7 +374,6 @@ class PredictionServer:
         self._spill: "SpillStore | None" = None
         self._tiered: "TieredAMF | None" = None
         self._watchdog: "MemoryWatchdog | None" = None
-        self._shed_cold_reads = False
         lifecycle_state = checkpoint_extra.pop("lifecycle", None)
         if self.lifecycle is None and lifecycle_state is not None:
             raise ValueError(
@@ -567,7 +563,6 @@ class PredictionServer:
                 usage=tiered.resident_bytes,
                 capacities=lambda: (tiered._hot_users, tiered._hot_services),
                 on_tighten=self._apply_pressure,
-                on_shed=self._set_cold_read_shedding,
             )
         # Ingest lock: keeps WAL-append order identical to model-apply order
         # across handler threads (recovery replays in WAL order).  Stats
@@ -587,7 +582,6 @@ class PredictionServer:
         self._observations_since_checkpoint = 0
         self._model_healthy = True
         self._degraded_reason: "str | None" = None
-        self._cold_reads_shed = 0
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -1091,10 +1085,10 @@ class PredictionServer:
         return {"sample_error": error, "action": action}
 
     # -- entity lifecycle ------------------------------------------------------
-    def _revive_entries(self, user_id: int, service_id: "int | None") -> list:
-        """One ``revive_*`` entry per spilled party of a request, in apply
-        order, each carrying its full spill payload — recovery and standbys
-        restore the entity from the logged payload, never from the
+    def _revive_entries(self, user_id: int, service_id: int) -> list:
+        """One ``revive_*`` entry per spilled party of an observation, in
+        apply order, each carrying its full spill payload — recovery and
+        standbys restore the entity from the logged payload, never from the
         (crash-time) spill file.  Caller holds the ingest lock.
 
         Both payloads are read before either revive is applied.  That is
@@ -1111,43 +1105,6 @@ class PredictionServer:
             ]
         )
 
-    def _maybe_revive_for_read(
-        self, user_id: int, service_id: "int | None"
-    ) -> None:
-        """Revive-on-read for the prediction path, with pressure shedding.
-
-        Under critical memory pressure, cold-entity reads are shed with a
-        429/Retry-After (the admission layer's :class:`RateLimited`) — the
-        revive would grow the hot tier the watchdog is trying to shrink.
-        Predictions for hot entities are never shed.  Standbys, fenced
-        primaries, and read-only-degraded servers skip the revive (the
-        fallback chain answers): revives mutate the log, and only a healthy
-        primary may do that.  Called on tiered servers only.
-        """
-        pending = self.model.with_model(
-            lambda m: m.pending_revivals(user_id, service_id)
-        )
-        if not pending:
-            return
-        if self._shed_cold_reads:
-            with self._stats_lock:
-                self._cold_reads_shed += 1
-            _COLD_READS_SHED.inc()
-            raise RateLimited(
-                "cold-entity revive shed under critical memory pressure; "
-                "retry shortly (hot-entity predictions are unaffected)",
-                retry_after=1.0,
-            )
-        if (
-            self.role != "primary"
-            or self._fenced
-            or self._degraded_reason is not None
-        ):
-            return
-        with self._acquire_ingest_lock():
-            for entry in self._revive_entries(user_id, service_id):
-                self._commit(entry)
-
     def _apply_pressure(self, hot_users: int, hot_services: int, level: str) -> None:
         """Watchdog tighten callback: commit a capacity change."""
         data = {"hu": int(hot_users), "hs": int(hot_services), "level": level}
@@ -1160,17 +1117,10 @@ class PredictionServer:
                 # tell, and read-only degradation refuses the next write.
                 pass
 
-    def _set_cold_read_shedding(self, flag: bool) -> None:
-        """Watchdog critical-level callback (serving state, never WAL'd)."""
-        self._shed_cold_reads = bool(flag)
-
     def _lifecycle_status(self) -> "dict | None":
         if self._tiered is None:
             return None
         status = self.model.with_model(lambda m: m.lifecycle_status())
-        with self._stats_lock:
-            status["cold_reads_shed"] = self._cold_reads_shed
-        status["shedding_cold_reads"] = self._shed_cold_reads
         status["watchdog_running"] = (
             self._watchdog is not None and self._watchdog.running
         )
@@ -1384,9 +1334,12 @@ class PredictionServer:
         return {"accepted": accepted, "rejected": rejected, "sample_errors": sample_errors}
 
     def _predict_one(self, user_id: int, service_id: int) -> dict:
-        """The degradation chain: model if healthy and informed, else means."""
-        if self._tiered is not None:
-            self._maybe_revive_for_read(user_id, service_id)
+        """The degradation chain: model if healthy and informed, else means.
+
+        A read changes nothing on any node: the model answers for whatever
+        it holds, a spilled entity included (read through the spill store,
+        see :mod:`repro.lifecycle.tiered`), and only the write path revives.
+        """
         if self._model_healthy:
             value = self.model.predict_known(user_id, service_id)
             if value is not None:
@@ -1441,15 +1394,14 @@ class PredictionServer:
         path, batch answers skip the per-pair expected-error histogram —
         the calibration signal stays on the single-GET path, keeping the
         ranking hot path at one credence read per *miss*, not per id.
+
+        On a tiered shard the model answers for a spilled *user* from his
+        stored row; spilled candidate *services* answer through the
+        fallback chain until they are observed again — a ranking names one
+        user but many services, and a payload decode per cold candidate is
+        not a cost this path takes.
         """
         _BATCH_SIZE.observe(len(service_ids))
-        if self._tiered is not None:
-            # Revive the user only: a ranking query names one user but many
-            # services, and reviving every spilled service would let a
-            # single wide batch blow through the hot-tier budget.  Spilled
-            # services answer through the fallback chain until they are
-            # observed (or individually queried) again.
-            self._maybe_revive_for_read(user_id, None)
         if self._model_healthy:
             values, __ = self.model.predict_batch_known(
                 user_id, service_ids, self._predict_cache

@@ -34,8 +34,8 @@ flood) live in :mod:`repro.simulation.faults`.  The scenarios, as
                     auto-promoted standby equals a never-failed server and
                     the revived primary is fenced
 ``memory-pressure`` an allocation ceiling below the hot tier: caps tighten,
-                    cold reads shed with 429, hot reads answer, restart is
-                    bit-exact
+                    cold and hot reads answer from the model and the hot
+                    tier does not grow, restart is bit-exact
 ``shard-kill``      kill one (tiered) shard behind the router: survivors
                     untouched, victim traffic fails as 503
                     shard_unavailable, victim recovers bit-exact
@@ -927,8 +927,8 @@ def _unreachable_ceiling(config, rng: int, caps: dict, limit_fraction: float):
     what a full hot tier costs (measured by filling a throwaway
     :class:`TieredAMF` to the caps) — unreachable, so pressure is sustained.
     ``min_hot`` is floored at 70% of the caps so one tighten step exhausts
-    the shrink headroom and the server sits in ``critical``, shedding cold
-    reads, from then on.  Returns ``(lifecycle config, full-tier bytes)``."""
+    the shrink headroom and the server sits in ``critical`` from then on.
+    Returns ``(lifecycle config, full-tier bytes)``."""
     probe = TieredAMF(
         config, rng=rng, lifecycle=LifecycleConfig(**caps), spill=SpillStore(":memory:")
     )
@@ -953,19 +953,22 @@ def _unreachable_ceiling(config, rng: int, caps: dict, limit_fraction: float):
     return lifecycle, full_resident
 
 
-def _expect_shed(report: DrillReport, client, user_id: int, service_id: int) -> None:
-    """A read that would revive a cold entity must be refused with a
-    structured 429 + ``Retry-After`` while the server is squeezed."""
-    try:
-        client.predict(user_id, service_id)
-        report.expect(False, "shedding: cold-entity read answered instead of shedding")
-    except RetryableServiceError as exc:
-        hint = getattr(exc, "retry_after", None)
-        report.detail["cold_read"] = {"status": exc.status, "retry_after": hint}
-        report.expect(
-            exc.status == 429 and hint,
-            f"shedding: expected 429 + Retry-After, got {exc.status}",
-        )
+def _expect_cold_read(report: DrillReport, client, user_id: int, service_id: int) -> None:
+    """A read of a spilled entity answers from the model — its row read
+    through the spill store — however squeezed the server is, and leaves
+    the hot tier exactly as it found it."""
+    before = client.status()["lifecycle"]
+    source = client.predict_detailed(user_id, service_id)["source"]
+    after = client.status()["lifecycle"]
+    hot = [before["hot_users"], after["hot_users"]]
+    report.detail["cold_read"] = {"source": source, "hot_users": hot}
+    report.expect(
+        source == "model", f"cold read: expected a model answer, got {source!r}"
+    )
+    report.expect(
+        hot[0] == hot[1] and before["spilled_users"] == after["spilled_users"],
+        f"cold read: the read moved the hot tier ({hot[0]} -> {hot[1]} hot users)",
+    )
 
 
 def run_memory_pressure(
@@ -993,8 +996,8 @@ def run_memory_pressure(
        tightens the caps all the way to the ``min_hot`` floor — after
        which the tier assignment is static, so the entities probed next
        cannot move underneath the probes;
-    2. a prediction for a *spilled* entity is refused with a structured
-       429 + ``Retry-After`` (the revive read is shed);
+    2. a prediction for a *spilled* entity answers from the model and the
+       hot tier is the same size before and after (reads never write);
     3. a prediction for a *hot* entity still answers from the model;
     4. ``/metrics`` stays a valid exposition mid-squeeze;
     5. after a few spilled users are observed (so revive events sit in the
@@ -1033,7 +1036,6 @@ def run_memory_pressure(
             status.update(client.status()["lifecycle"])
             if (
                 status["pressure_level"] == "critical"
-                and status["shedding_cold_reads"]
                 and status["capacity_users"] <= lifecycle.min_hot
             ):
                 return True
@@ -1057,7 +1059,7 @@ def run_memory_pressure(
         service = server.model.with_model(lambda m: sorted(m._s_slot_of))[0]
         report.expect(spilled, "tiering: squeeze produced no spilled users")
         if spilled:
-            _expect_shed(report, client, spilled[0], service)
+            _expect_cold_read(report, client, spilled[0], service)
         detail["hot_read_source"] = client.predict_detailed(hot_user, service)["source"]
         report.expect(
             detail["hot_read_source"] == "model",
@@ -1339,6 +1341,13 @@ def _drain_s0(
         report.expect(
             _same(pre, post), f"{label}: predictions changed across the migration"
         )
+        for name in names:  # the reads above named every spilled entity
+            tier = fleet.nodes[name]._lifecycle_status()
+            report.expect(
+                tier["hot_users"] <= tier["capacity_users"]
+                and tier["hot_services"] <= tier["capacity_services"],
+                f"{label}: reads left {name}'s hot tier over its cap ({tier})",
+            )
         report.scrape(client)
         stranded = fleet.nodes["s0"].model.with_model(
             lambda m: sum(len(m.entity_ids(kind)) for kind in entity_kinds)

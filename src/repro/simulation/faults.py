@@ -93,7 +93,7 @@ CORE_METRIC_FAMILIES: tuple[str, ...] = (
     "qos_lifecycle_spilled_entities",
     "qos_lifecycle_demotions_total",
     "qos_lifecycle_revivals_total",
-    "qos_lifecycle_cold_reads_shed_total",
+    "qos_lifecycle_cold_reads_total",
     "qos_lifecycle_pressure_level",
     "qos_lifecycle_pressure_events_total",
     "qos_lifecycle_spill_commits_total",

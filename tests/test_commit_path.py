@@ -14,9 +14,17 @@ a standby's pulled batch — and makes it durable with one fsync before any
 of it is applied; ``TestOneRequestOneGroup`` counts the fsyncs, checks the
 three suppliers after groups of one, two and three, and fails the fsync to
 show none of a group reaches ``_apply``.
+
+A read is no entry at all.  The machine's read rules ask all three servers
+the same ranking, single predictions and credence — of hot, spilled and
+unknown parties — and require equal answers and an unmoved snapshot, log
+and fsync count on each; the second structural guard pins why: nothing the
+read handlers can reach commits, takes the ingest lock or writes a spill
+row.
 """
 
 import ast
+import contextlib
 import errno
 import json
 import os
@@ -26,7 +34,13 @@ import tempfile
 
 import pytest
 from hypothesis import seed, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.lifecycle import LifecycleConfig
 from repro.observability import get_registry
@@ -85,6 +99,19 @@ def _fleet(root: pathlib.Path) -> "tuple[PredictionServer, PredictionServer]":
     return primary, standby
 
 
+@contextlib.contextmanager
+def _recovered(root: pathlib.Path):
+    """A server recovered from a copy of the primary's data directory."""
+    copy = root / "copy"
+    shutil.copytree(root / "primary", copy)
+    recovered = PredictionServer(data_dir=str(copy), **NODE_ARGS)
+    try:
+        yield recovered
+    finally:
+        recovered.kill()
+        shutil.rmtree(copy)
+
+
 def _assert_three_suppliers_agree(root: pathlib.Path, primary, standby) -> None:
     """The standby (caught up) and a server recovered from a copy of the
     primary's data dir hold the live primary's state, part for part."""
@@ -97,17 +124,57 @@ def _assert_three_suppliers_agree(root: pathlib.Path, primary, standby) -> None:
     assert standby._latest_ingest_ts == primary._latest_ingest_ts
     assert _segments(root / "standby") == _segments(root / "primary")
 
-    copy = root / "copy"
-    shutil.copytree(root / "primary", copy)
-    recovered = PredictionServer(data_dir=str(copy), **NODE_ARGS)
-    try:
+    with _recovered(root) as recovered:
         # The drift window only covers what a process ingested live.
         assert diff_state(live, snapshot(recovered), ignore=("drift",)) == []
         assert recovered._migration_status() == primary._migration_status()
         assert recovered._latest_ingest_ts == primary._latest_ingest_ts
-    finally:
-        recovered.kill()
-        shutil.rmtree(copy)
+
+
+def _log_counts() -> "tuple[int, float]":
+    registry = get_registry()
+    return (
+        registry.histogram("qos_wal_fsync_seconds").count,
+        registry.counter("qos_wal_appends_total").value,
+    )
+
+
+CANDIDATES = list(range(7))  # services 5 and 6 are never observed
+
+
+def _read(server: PredictionServer, user: int) -> list:
+    """Everything a client can read about ``user`` — a ranking of
+    :data:`CANDIDATES`, each single prediction with its expected error, the
+    candidates' credence — as ``[prediction, expected_error, credence]``
+    rows, ``None`` where the fallback chain answered (its means belong to
+    the process, not the log).  The read must move nothing: not the
+    oracle's snapshot, not the log, not the fsync count."""
+    before = snapshot(server), server.wal_last_seq, _log_counts()
+    values, sources = server._predict_batch(user, CANDIDATES)
+    singles = [server._predict_one(user, service) for service in CANDIDATES]
+    credence = server._credence(CANDIDATES)
+    assert (server.wal_last_seq, _log_counts()) == before[1:]
+    assert diff_state(before[0], snapshot(server)) == []
+    for value, source, single in zip(values, sources, singles):
+        if source == "model":  # the ranking is the single GET, candidate by candidate
+            assert single["source"] == "model"
+            assert value == pytest.approx(single["prediction"], rel=1e-9, abs=0.0)
+    return [
+        [single["prediction"], single["expected_error"], error]
+        if single["source"] == "model"
+        else None
+        for single, error in zip(singles, credence)
+    ]
+
+
+def _assert_same_answers(ours: list, theirs: list) -> None:
+    """Prediction to the fused kernel's tolerance (its summation order
+    depends on who else missed the cache), errors exactly."""
+    assert [row is None for row in ours] == [row is None for row in theirs]
+    for mine, wanted in zip(ours, theirs):
+        if mine is not None:
+            assert mine[0] == pytest.approx(wanted[0], rel=1e-9, abs=0.0)
+            assert mine[1:] == wanted[1:]
 
 
 
@@ -137,6 +204,21 @@ class ThreeCallersMachine(RuleBasedStateMachine):
     def _cold_users(self):
         return self.primary.model.with_model(lambda m: sorted(m._spilled_users))
 
+    def _hot_users(self):
+        return self.primary.model.with_model(lambda m: sorted(m._u_slot_of))
+
+    @initialize(warm=st.booleans())
+    def start(self, warm):
+        """Half the walks start on a tier that has already spilled users and
+        services, so the read and migration rules meet cold parties from
+        their first step rather than once in a dozen walks."""
+        for k in range(6 if warm else 0):
+            self.clock += 1.0
+            self.primary._handle_observation(
+                {"timestamp": self.clock, "user_id": k, "service_id": k % 5,
+                 "value": 1.0 + k}
+            )
+
     # -- the five live mutation paths, dedup, and the checkpoint ------------------
     @rule(burst=st.lists(
         st.tuples(USERS, SERVICES, st.floats(0.05, 50.0), st.booleans()),
@@ -160,15 +242,35 @@ class ThreeCallersMachine(RuleBasedStateMachine):
         assert reply == {"sample_error": None, "action": "deduplicated"}
         assert self.primary.wal_last_seq == before
 
+    # -- reads: the same answers from all three, and nothing moved on any ---------
+    def _read_everywhere(self, user):
+        live = _read(self.primary, user)
+        while self.standby._replicator.poll_once():
+            pass
+        _assert_same_answers(_read(self.standby, user), live)
+        with _recovered(self.root) as recovered:
+            _assert_same_answers(_read(recovered, user), live)
+        return live
+
     @precondition(lambda self: self._cold_users())
-    @rule(pick=PICK, service=SERVICES)
-    def read_a_cold_user(self, pick, service):
+    @rule(pick=PICK)
+    def read_a_cold_user(self, pick):
         cold = self._cold_users()
         user = cold[pick % len(cold)]
-        before = self.primary.wal_last_seq
-        self.primary._predict_one(user, service)
-        assert self.primary.wal_last_seq > before  # the revive is a log entry
-        assert self.primary.model.with_model(lambda m: m.knows_user(user))
+        answers = self._read_everywhere(user)
+        held = set(self._held("service"))
+        assert [row is not None for row in answers] == [s in held for s in CANDIDATES]
+        assert self._cold_users() == cold  # answered from his stored row
+
+    @precondition(lambda self: self._hot_users())
+    @rule(pick=PICK)
+    def read_a_hot_user(self, pick):
+        hot = self._hot_users()
+        self._read_everywhere(hot[pick % len(hot)])
+
+    @rule()
+    def read_an_unknown_user(self):
+        assert self._read_everywhere(6) == [None] * len(CANDIDATES)
 
     @rule(hot_users=st.integers(2, 3), hot_services=st.integers(2, 3),
           level=st.sampled_from(["tighten", "critical"]))
@@ -235,14 +337,6 @@ def cold_pair(tmp_path):
     standby.kill()
 
 
-def _log_counts() -> "tuple[int, float]":
-    registry = get_registry()
-    return (
-        registry.histogram("qos_wal_fsync_seconds").count,
-        registry.counter("qos_wal_appends_total").value,
-    )
-
-
 class TestOneRequestOneGroup:
     def test_an_observe_and_its_revives_share_one_fsync(self, cold_pair):
         root, primary, standby, body = cold_pair
@@ -263,11 +357,14 @@ class TestOneRequestOneGroup:
             assert _log_counts() == (fsyncs + 1, appends + expected)
         _assert_three_suppliers_agree(root, primary, standby)
 
-    def test_a_read_path_revive_is_a_group_of_one_per_party(self, cold_pair):
+    def test_a_read_is_no_group_at_all(self, cold_pair):
         __, primary, __, __ = cold_pair
-        fsyncs, appends = _log_counts()
-        primary._predict_one(0, 0)
-        assert _log_counts() == (fsyncs + 2, appends + 2)
+        counts = _log_counts()
+        assert primary._predict_one(0, 0)["source"] == "model"
+        assert primary._predict_batch(0, [2, 3])[1] == ["model"] * 2
+        assert _log_counts() == counts
+        pending = primary.model.with_model(lambda m: m.pending_revivals(0, 0))
+        assert pending == [("user", 0), ("service", 0)]
 
     def test_a_failed_fsync_applies_none_of_the_group(self, cold_pair, monkeypatch):
         """The group's lines may have reached the file, but nothing of it
@@ -327,3 +424,79 @@ def test_the_log_is_appended_to_and_its_failure_handled_in_commit_only():
         assert "replicated" not in names, function.name
     assert appends == ["_commit"]
     assert handlers == ["_commit"]
+
+
+def _methods(path: pathlib.Path, class_name: str) -> dict:
+    """``{method name: FunctionDef}`` of one class in one source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return {item.name: item for item in node.body
+                    if isinstance(item, ast.FunctionDef)}
+    raise AssertionError(f"no class {class_name} in {path}")
+
+
+def _attributes_of(function: ast.AST, *owners: str) -> set:
+    """Every ``owner.name`` the function's body mentions, for the given
+    owner expressions (``"self"``, ``"self.model"``, ``"m"``, ...)."""
+    return {
+        node.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in owners
+    }
+
+
+def _reachable(methods: dict, roots, *owners: str) -> set:
+    """The methods of one class reachable from ``roots`` through
+    ``owner.method`` mentions (calls, or handlers handed to a wrapper)."""
+    seen, frontier = set(), [root for root in roots if root in methods]
+    while frontier:
+        name = frontier.pop()
+        if name not in seen:
+            seen.add(name)
+            frontier.extend(_attributes_of(methods[name], *owners) & methods.keys())
+    return seen
+
+
+def test_no_read_handler_can_reach_a_write():
+    """Reads never write, structurally: from the prediction and credence
+    handlers of both transports nothing reaches ``_commit`` or the ingest
+    lock in ``server/app.py``, and the model calls they make reach no
+    ``SpillStore.put`` / ``delete`` and no slot change in
+    ``lifecycle/tiered.py``."""
+    source = REPO / "src" / "repro"
+    server = _methods(source / "server" / "app.py", "PredictionServer")
+    handlers = _reachable(
+        server,
+        ["_handle_prediction", "_handle_prediction_batch", "_handle_credence",
+         "_frame_predict_batch", "_credence"],
+        "self",
+    )
+    assert {"_predict_one", "_predict_batch"} <= handlers
+    for name in handlers:
+        mentioned = _attributes_of(server[name], "self")
+        assert not mentioned & {
+            "_commit", "_acquire_ingest_lock", "_ingest_lock", "_wal", "_spill",
+            "_tiered", "_ingest_one", "_revive_entries",
+        }, name
+
+    # What those handlers ask of the model: facade methods, and whatever a
+    # ``with_model(lambda m: ...)`` calls on the raw model.
+    asked = set().union(
+        *(_attributes_of(server[name], "self.model", "m") for name in handlers)
+    )
+    facade = _methods(source / "core" / "daemon.py", "ConcurrentModel")
+    on_the_model = asked - facade.keys()
+    for name in asked & facade.keys() - {"with_model"}:
+        on_the_model |= _attributes_of(facade[name], "self._model", "model")
+    tiered = _methods(source / "lifecycle" / "tiered.py", "TieredAMF")
+    assert {"predict_for_user", "expected_error", "holds_user"} <= on_the_model
+    reads = _reachable(tiered, on_the_model | {"predict_normalized"}, "self")
+    assert "_read_through" in reads
+    assert not reads & {
+        "_occupy", "_vacate", "_ensure", "_forget", "apply_revive", "apply_event",
+        "_enforce_capacity", "_demote_overflow", "_restore_entity", "observe",
+    }
+    for name in reads:
+        calls = {ast.unparse(node.func) for node in ast.walk(tiered[name])
+                 if isinstance(node, ast.Call)}
+        assert not calls & {"self._spill.put", "self._spill.delete"}, name

@@ -6,14 +6,16 @@ state to a fixed hot-tier budget.  These tests pin the transparency
 contract at the model level (slot indirection, demotion determinism,
 bit-exact revival, RNG alignment), the durability contract (lifecycle
 state in checkpoints, revive events in the WAL, byte-equal archives
-across kill-and-restart), and the degradation ladder (watchdog levels,
-capacity tightening, cold-read shedding that never touches hot
-predictions).
+across kill-and-restart), the degradation ladder (watchdog levels,
+capacity tightening) and the read rule: a prediction for a spilled entity
+is answered from its stored row and changes nothing — no revive, no log
+entry, no growth of the hot tier, at any pressure level.
 """
 
 import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from hypothesis import seed, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.amf import AdaptiveMatrixFactorization
+from repro.core.daemon import ConcurrentModel
+from repro.core.online import PredictionCache
 from repro.datasets.schema import QoSRecord
 from repro.lifecycle import (
     ColdEntityError,
@@ -29,9 +33,11 @@ from repro.lifecycle import (
     SpillStore,
     TieredAMF,
 )
+from repro.observability import get_registry
 from repro.robustness import GateConfig, SanitizerGate, apply_observation
 from repro.server.app import PredictionServer
-from repro.server.client import PredictionClient, RetryableServiceError
+from repro.server.client import PredictionClient
+from repro.simulation.drills import diff_state, snapshot
 
 
 def stream(n, seed=0, n_users=40, n_services=20):
@@ -170,7 +176,7 @@ class TestPressure:
         assert organic.lifecycle_state() == replayed.lifecycle_state()
 
     def test_watchdog_ladder(self):
-        """ok -> tighten (sustained) -> critical+shed -> recovery."""
+        """ok -> tighten (sustained) -> critical -> recovery."""
         lifecycle = LifecycleConfig(
             hot_users=16,
             hot_services=16,
@@ -181,7 +187,6 @@ class TestPressure:
         usage = {"bytes": 100}
         caps = {"hot": (16, 16)}
         tightened = []
-        shed_flags = []
 
         def on_tighten(hot_users, hot_services, level):
             caps["hot"] = (hot_users, hot_services)
@@ -192,7 +197,6 @@ class TestPressure:
             usage=lambda: usage["bytes"],
             capacities=lambda: caps["hot"],
             on_tighten=on_tighten,
-            on_shed=shed_flags.append,
         )
         assert dog.poll_once() == "ok"
         usage["bytes"] = 850  # >= 80%: needs sustain_polls before acting
@@ -203,10 +207,9 @@ class TestPressure:
         usage["bytes"] = 990  # >= 95%
         dog.poll_once()
         assert dog.poll_once() == "critical"
-        assert shed_flags[-1] is True
+        assert tightened[-1][2] == "critical"
         usage["bytes"] = 100
         assert dog.poll_once() == "ok"
-        assert shed_flags[-1] is False
         # The floor holds however long pressure persists.
         usage["bytes"] = 990
         for __ in range(10):
@@ -220,7 +223,6 @@ class TestPressure:
                 usage=lambda: 0,
                 capacities=lambda: (4, 4),
                 on_tighten=lambda *a: None,
-                on_shed=lambda *a: None,
             )
 
 
@@ -237,7 +239,16 @@ class TestServerLifecycle:
                 timestamp=float(k),
             )
 
-    def test_server_tiers_and_revives_on_read(self):
+    @staticmethod
+    def _log_counts(server) -> tuple:
+        registry = get_registry()
+        return (
+            server.wal_last_seq,
+            registry.histogram("qos_wal_fsync_seconds").count,
+            registry.counter("qos_wal_appends_total").value,
+        )
+
+    def test_a_cold_read_answers_from_the_model_and_an_observe_revives(self):
         lifecycle = LifecycleConfig(hot_users=8, hot_services=8)
         with tempfile.TemporaryDirectory() as data_dir:
             with PredictionServer(
@@ -255,11 +266,95 @@ class TestServerLifecycle:
                 cold = server.model.with_model(
                     lambda m: sorted(m._spilled_users)[0]
                 )
+                # The read: answered from the stored row, nobody moves.
+                log = self._log_counts(server)
                 result = client.predict_candidates_detailed(cold, [0, 1])
-                assert "model" in result["sources"].values()
+                assert set(result["sources"].values()) == {"model"}
+                single = client.predict_detailed(cold, 0)
+                assert single["source"] == "model"
+                assert single["prediction"] == pytest.approx(
+                    result["predictions"][0], rel=1e-9
+                )
+                assert server.model.with_model(lambda m: m.is_spilled_user(cold))
+                after = client.status()["lifecycle"]
+                assert after["revived_users"] == status["revived_users"]
+                assert after["cold_reads"] == status["cold_reads"] + 3
+                assert self._log_counts(server) == log
+                # The write: his revive rides the observe's commit group.
+                client.report_observation(cold, 0, value=1.0, timestamp=1000.0)
+                seq, fsyncs, appends = log
+                assert self._log_counts(server) == (seq + 2, fsyncs + 1, appends + 2)
+                kinds = [entry[2] for entry in server._wal.replay_entries(seq)]
+                assert kinds[0] == "revive_user"
                 assert server.model.with_model(lambda m: m.knows_user(cold))
-                assert client.status()["lifecycle"]["revived_users"] > 0
+                final = client.status()["lifecycle"]
+                assert final["revived_users"] == status["revived_users"] + 1
+                assert client.predict_detailed(cold, 0)["source"] == "model"
+                assert final["cold_reads"] == after["cold_reads"]
                 client.close()
+
+    def test_the_cap_holds_under_reads(self):
+        """A read-only stream cannot move the tier: after churn, a ranking
+        and a single GET for every spilled user and service — JSON and
+        binary, no observe in between — leave the hot tier within its cap
+        and the log, the counters and the spill rows where they were.  (A
+        read-path revive did not advance the demotion tick, so reads alone
+        grew an 8-user tier to 31 hot users.)"""
+        lifecycle = LifecycleConfig(hot_users=8, hot_services=8)
+        with tempfile.TemporaryDirectory() as data_dir:
+            with PredictionServer(
+                rng=0,
+                background_replay=False,
+                data_dir=data_dir,
+                lifecycle=lifecycle,
+            ) as server:
+                json_client = PredictionClient(server.address, transport="json")
+                binary_client = PredictionClient(server.address, transport="binary")
+                self._churn(json_client, n=300, users=50, services=14)
+                cold_users, cold_services, hot_user, hot_service = (
+                    server.model.with_model(
+                        lambda m: (
+                            sorted(m._spilled_users),
+                            sorted(m._spilled_services),
+                            min(m._u_slot_of),
+                            min(m._s_slot_of),
+                        )
+                    )
+                )
+                assert len(cold_users) > 30 and cold_services
+                state, log = snapshot(server), self._log_counts(server)
+                counters = server._lifecycle_status()
+                cold_reads = get_registry().counter(
+                    "qos_lifecycle_cold_reads_total", labelnames=("kind",)
+                )
+                counted = [cold_reads.labels(kind=k).value for k in ("user", "service")]
+                candidates = list(range(14))
+                for client in (json_client, binary_client):
+                    for user in cold_users:
+                        ranking = client.predict_candidates_detailed(user, candidates)
+                        assert ranking["sources"][hot_service] == "model"
+                        for service in (hot_service, cold_services[0]):
+                            reply = client.predict_detailed(user, service)
+                            assert reply["source"] == "model"
+                    for service in cold_services:
+                        reply = client.predict_detailed(hot_user, service)
+                        assert reply["source"] == "model"
+                status = server._lifecycle_status()
+                assert status["hot_users"] <= status["capacity_users"] == 8
+                assert status["hot_services"] <= status["capacity_services"] == 8
+                by_kind = [
+                    cold_reads.labels(kind=k).value - was
+                    for k, was in zip(("user", "service"), counted)
+                ]
+                assert min(by_kind) > 0  # each kind went through the store
+                assert status["cold_reads"] == counters["cold_reads"] + sum(by_kind)
+                for key in ("revived_users", "revived_services",
+                            "demoted_users", "demoted_services"):
+                    assert status[key] == counters[key], key
+                assert self._log_counts(server) == log
+                assert diff_state(state, snapshot(server)) == []
+                json_client.close()
+                binary_client.close()
 
     def test_crash_recovery_bit_exact_with_spilled_entities(self):
         from repro.simulation import run_crash_recovery
@@ -286,9 +381,9 @@ class TestServerLifecycle:
             spill.close()
 
     def test_memory_pressure_drill(self):
-        """End-to-end degradation: tighten to the floor, shed cold reads
-        with 429 + Retry-After, keep hot predictions answering, recover
-        bit-exact after a kill."""
+        """End-to-end degradation: tighten to the floor, keep cold and hot
+        predictions answering from the model without growing the hot tier,
+        recover bit-exact after a kill."""
         from repro.simulation import run_memory_pressure
 
         records = stream(240, seed=3, n_users=60, n_services=24)
@@ -304,7 +399,37 @@ class TestServerLifecycle:
         assert report.matches, report.summary()
         assert report.metrics_ok
 
-    def test_cold_read_sheds_only_under_critical_pressure(self):
+    def test_a_cold_ranking_does_not_wait_for_the_ingest_lock(self):
+        """``test_admission.py``'s rule — the read path is not behind the
+        ingest lock — holds for a spilled user too: his ranking needs no
+        revive, so nothing to log, so no lock."""
+        lifecycle = LifecycleConfig(hot_users=8, hot_services=8)
+        with PredictionServer(
+            rng=0, background_replay=False, lifecycle=lifecycle
+        ) as server:
+            client = PredictionClient(server.address, retries=0)
+            self._churn(client)
+            cold = server.model.with_model(lambda m: sorted(m._spilled_users)[0])
+            answered: dict = {}
+            reader = threading.Thread(
+                target=lambda: answered.update(
+                    client.predict_candidates_detailed(cold, [0, 1])
+                ),
+                daemon=True,
+            )
+            server._ingest_lock.acquire()  # a stuck checkpoint, in effect
+            try:
+                reader.start()
+                reader.join(timeout=5.0)
+                assert not reader.is_alive(), "the cold read waited for the ingest lock"
+            finally:
+                server._ingest_lock.release()
+            assert set(answered["sources"].values()) == {"model"}
+            client.close()
+
+    def test_a_cold_read_answers_under_critical_pressure(self):
+        """Nothing is refused for memory: at ``critical`` a cold read
+        answers like a hot one, and the hot tier does not grow by it."""
         lifecycle = LifecycleConfig(hot_users=8, hot_services=8)
         with tempfile.TemporaryDirectory() as data_dir:
             with PredictionServer(
@@ -315,22 +440,22 @@ class TestServerLifecycle:
             ) as server:
                 client = PredictionClient(server.address, retries=0)
                 self._churn(client)
+                server._apply_pressure(6, 6, "critical")
+                before = client.status()["lifecycle"]
+                assert before["pressure_level"] == "critical"
+                assert before["hot_users"] <= before["capacity_users"] == 6
                 cold = server.model.with_model(
                     lambda m: sorted(m._spilled_users)[0]
                 )
-                server._shed_cold_reads = True
-                with pytest.raises(RetryableServiceError) as exc_info:
-                    client.predict_candidates(cold, [0])
-                assert exc_info.value.status == 429
-                assert exc_info.value.retry_after is not None
-                # Hot-tier predictions keep answering under the same flag.
-                hot = server.model.with_model(
-                    lambda m: sorted(m._u_slot_of)[0]
-                )
-                detail = client.predict_candidates_detailed(hot, [0, 1])
-                assert "model" in detail["sources"].values()
-                server._shed_cold_reads = False
-                assert client.predict_candidates(cold, [0])
+                hot = server.model.with_model(lambda m: sorted(m._u_slot_of)[0])
+                for user in (cold, hot):
+                    detail = client.predict_candidates_detailed(user, [0, 1])
+                    assert set(detail["sources"].values()) == {"model"}
+                    assert client.predict_detailed(user, 0)["source"] == "model"
+                after = client.status()["lifecycle"]
+                assert after["hot_users"] == before["hot_users"]
+                assert after["spilled_users"] == before["spilled_users"]
+                assert server.model.with_model(lambda m: m.is_spilled_user(cold))
                 client.close()
 
 
@@ -449,9 +574,16 @@ class TieringParityMachine(RuleBasedStateMachine):
     clip but never quarantine: demotion drops an entity's pending quarantine
     pairs (``SanitizerGate.export_entity``), which a never-demoting model
     keeps — a documented tradeoff, not a transparent one.
+
+    Reads go to the small tier only, through the facade and the cache a
+    server reads through: every reply must be the never-demoting model's,
+    whoever is spilled, and the twin — which is never read — must stay the
+    small tier's equal, so a read that moved anything fails the next
+    invariant.
     """
 
     IDS = st.integers(0, 3)
+    READ_IDS = st.integers(0, 5)  # 4 and 5 are never observed
     KINDS = st.sampled_from(["user", "service"])
 
     def __init__(self):
@@ -467,7 +599,30 @@ class TieringParityMachine(RuleBasedStateMachine):
                 model.normalize_value,
                 model.denormalize_value,
             )
+        self.served, self.reference = ConcurrentModel(self.small), ConcurrentModel(self.roomy)
+        self.cache = PredictionCache(capacity=64)
         self.clock = 0.0
+
+    @rule(user=READ_IDS, service=READ_IDS)
+    def read(self, user, service):
+        small, served, reference = self.small, self.served, self.reference
+        cached = len(self.cache)
+        candidates = list(range(6))
+        ranking, __ = served.predict_batch_known(user, candidates, self.cache)
+        wanted, __ = reference.predict_batch_known(user, candidates)
+        for candidate, ours, theirs in zip(candidates, ranking, wanted):
+            if small.holds_user(user) and small.knows_service(candidate):
+                assert ours == pytest.approx(theirs, rel=1e-9, abs=0.0)
+            else:  # a spilled candidate is left to the caller's fallback chain
+                assert ours is None
+        if small.is_spilled_user(user):  # no slot version to stamp: not cached
+            assert len(self.cache) == cached
+        ours, theirs = (cm.predict_known(user, service) for cm in (served, reference))
+        assert theirs is not None or ours is None
+        assert ours == pytest.approx(theirs, rel=1e-9, abs=0.0)
+        assert served.expected_error(user, service) == reference.expected_error(
+            user, service
+        )
 
     @rule(user=IDS, service=IDS, value=st.floats(0.05, 20.0), gated=st.booleans())
     def observe(self, user, service, value, gated):

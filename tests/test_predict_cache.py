@@ -563,14 +563,29 @@ class TestEvictionMetricsUnderChurn:
             assert len(cache) <= 48
             assert size_gauge.value == float(len(cache))
 
-            # Revive-on-read brings the demoted users back hot, into slots
-            # other users held in between: what is served must be the
-            # revived factors' answer, not anything stamped before.
+            # A read of a demoted user goes past the cache — his stored row
+            # has no slot version to stamp — and leaves him where he is.
+            untouched = cache.stats()
             for u in range(4):
+                cold = served_equals_uncached(u)
+                assert cold != first[u]  # the service rows have moved
+                assert served_equals_uncached(u) == cold
+            assert server.model.with_model(lambda m: sorted(m._spilled_users)[:4]) == [
+                0, 1, 2, 3
+            ]
+            assert cache.stats() == untouched  # no lookup, no store
+            assert size_gauge.value == float(untouched["size"])
+
+            # An observe brings each back hot, into a slot other users held
+            # in between: what is served must be the revived factors'
+            # answer, not anything stamped before.
+            for u in range(4):
+                client.report_observation(u, 0, value=1.5, timestamp=200.0 + u)
                 revived = served_equals_uncached(u)
-                assert revived != first[u]  # the service rows have moved
+                assert revived != first[u]
                 assert served_equals_uncached(u) == revived  # now from cache
             assert server._lifecycle_status()["revived_users"] >= 4
+            assert cache.stats()["hits"] >= untouched["hits"] + 4 * len(ids)
             assert size_gauge.value == float(len(cache))
             client.close()
 

@@ -1,6 +1,7 @@
 """Tests for primary/standby replication, fenced failover, and the
 multi-endpoint client (circuit breaker, fenced-409 redirect, deadlines)."""
 
+import errno
 import os
 import socket
 import threading
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.schema import QoSRecord
+from repro.lifecycle import LifecycleConfig
 from repro.observability import get_registry
 from repro.server import (
     DeadlineExceeded,
@@ -20,6 +22,7 @@ from repro.server import (
     RetryableServiceError,
     TerminalServiceError,
 )
+from repro.server.http import ServiceError
 from repro.server.replication import HttpReplicaLink
 from repro.simulation import FaultyReplicaLink, LinkFaultConfig, run_failover
 
@@ -343,6 +346,101 @@ class TestStandbyCommitsEachPullAsOneGroup:
         with pytest.raises(ValueError, match="lifecycle tiering is disabled"):
             standby.apply_shipped(entries + [event])
         assert standby.wal_last_seq == 0 and standby.model.updates_applied == 0
+
+
+class TestEveryNodeAnswersFromTheRowItHolds:
+    """A read changes nothing, so who may write does not matter to it: a
+    standby, a fenced primary and a read-only-degraded one each answer a
+    ranking for a *spilled* user from his stored row — the values the
+    healthy primary gives, ``source: "model"`` — and append nothing.  (A
+    cold read used to revive, which only a healthy primary may log; the
+    other three answered from the fallback means.)"""
+
+    TIER = LifecycleConfig(hot_users=3, hot_services=8)
+    CANDIDATES = [0, 1, 2]
+
+    @pytest.fixture
+    def trio(self, tmp_path):
+        """``(primary, standby, cold, expected)``: a tiered pair, neither
+        serving, the standby caught up; ``cold`` is a user both have
+        spilled and ``expected`` the healthy primary's answers for him."""
+        store = str(tmp_path / "epoch.json")
+        tiered = {**SERVER_ARGS, "lifecycle": self.TIER}
+        primary = PredictionServer(
+            data_dir=str(tmp_path / "primary"),
+            replication=ReplicationConfig(
+                store, role="primary", node_id="p", fence_check_interval=0.0
+            ),
+            **tiered,
+        )
+        for k in range(30):
+            primary._handle_observation(
+                {"timestamp": float(k), "user_id": k % 6, "service_id": k % 3,
+                 "value": 0.5 + (k % 7) * 0.3}
+            )
+        standby = PredictionServer(
+            data_dir=str(tmp_path / "standby"),
+            replication=ReplicationConfig(
+                store, role="standby", primary_address=("127.0.0.1", 1), node_id="s"
+            ),
+            replication_link=_InProcessLink(primary),
+            **tiered,
+        )
+        while standby._replicator.poll_once():
+            pass
+        cold = primary.model.with_model(lambda m: min(m._spilled_users))
+        assert standby.model.with_model(lambda m: m.is_spilled_user(cold))
+        yield primary, standby, cold, self._answers(primary, cold)
+        primary.kill()
+        standby.kill()
+
+    def _answers(self, server, user):
+        """A ranking and a single GET, which must leave the log alone."""
+        before = server.wal_last_seq, _wal_fsyncs()
+        ranking = server._predict_batch(user, self.CANDIDATES)
+        single = server._predict_one(user, self.CANDIDATES[0])
+        assert (server.wal_last_seq, _wal_fsyncs()) == before
+        assert server.model.with_model(lambda m: m.is_spilled_user(user))
+        return ranking, single
+
+    def _assert_answers_like_the_primary(self, server, cold, expected):
+        (values, sources), single = self._answers(server, cold)
+        assert sources == expected[0][1] == ["model"] * len(self.CANDIDATES)
+        assert values == pytest.approx(expected[0][0], rel=1e-9, abs=0.0)
+        assert single["source"] == "model"
+        assert single["expected_error"] == expected[1]["expected_error"]
+        assert single["prediction"] == pytest.approx(
+            expected[1]["prediction"], rel=1e-9, abs=0.0
+        )
+
+    def test_a_caught_up_standby(self, trio):
+        __, standby, cold, expected = trio
+        self._assert_answers_like_the_primary(standby, cold, expected)
+
+    def test_a_fenced_primary(self, trio):
+        primary, standby, cold, expected = trio
+        assert standby.promote()
+        with pytest.raises(ServiceError) as excinfo:
+            primary._handle_observation(
+                {"timestamp": 99.0, "user_id": cold, "service_id": 0, "value": 1.0}
+            )
+        assert excinfo.value.code == "stale_epoch" and primary.fenced
+        self._assert_answers_like_the_primary(primary, cold, expected)
+
+    def test_a_read_only_degraded_primary(self, trio, monkeypatch):
+        primary, __, cold, expected = trio
+
+        def failing(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing)
+            with pytest.raises(ServiceError) as excinfo:
+                primary._handle_observation(
+                    {"timestamp": 99.0, "user_id": cold, "service_id": 0, "value": 1.0}
+                )
+        assert excinfo.value.status == 507 and primary._degraded_reason is not None
+        self._assert_answers_like_the_primary(primary, cold, expected)
 
 
 class TestPromotionAndFencing:
