@@ -40,6 +40,10 @@ from dataclasses import dataclass, field, replace
 
 _KINDS = ("user", "service")
 
+#: Most ``(kind, id)`` ownerships one table remembers; see
+#: :meth:`PlacementTable.owner_of`.
+_OWNER_MEMO_CAP = 1 << 16
+
 
 def rendezvous_score(kind: str, ext_id: int, shard_name: str) -> int:
     """Deterministic 64-bit score of one key against one shard.
@@ -120,6 +124,7 @@ class PlacementTable:
         self._active = [shard for shard in self.shards if not shard.draining]
         if not self._active:
             raise ValueError("placement table needs at least one active shard")
+        self._owners: dict = {}
 
     # -- lookup ---------------------------------------------------------------
     def owner_of(self, kind: str, ext_id: int) -> ShardSpec:
@@ -128,13 +133,30 @@ class PlacementTable:
         Draining shards never own keys; ties (astronomically unlikely
         with 64-bit scores) break lexicographically on shard name so
         every participant agrees.
+
+        An entity is hashed once per table, not once per request: the
+        answer is remembered on the instance.  A table never changes (the
+        evolution methods build a new one, which starts with nothing
+        remembered), so there is nothing to invalidate; the memo is bounded
+        by forgetting everything at ``_OWNER_MEMO_CAP`` entries, which keeps
+        a hostile id scan from growing the router and costs the live
+        working set one re-hash each.
         """
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-        return max(
-            self._active,
-            key=lambda shard: (rendezvous_score(kind, ext_id, shard.name), shard.name),
-        )
+        key = (kind, ext_id)
+        owner = self._owners.get(key)
+        if owner is None:
+            if kind not in _KINDS:
+                raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+            owner = max(
+                self._active,
+                key=lambda shard: (
+                    rendezvous_score(kind, ext_id, shard.name), shard.name
+                ),
+            )
+            if len(self._owners) >= _OWNER_MEMO_CAP:
+                self._owners.clear()
+            self._owners[key] = owner
+        return owner
 
     def shard(self, name: str) -> ShardSpec:
         return self._by_name[name]

@@ -418,29 +418,7 @@ class AdaptiveMatrixFactorization:
         )
         self._store = _SampleStore()
         self._updates_applied = 0
-        # Cache the transform constants: the per-sample hot loop normalizes
-        # scalars inline instead of going through the (array-general)
-        # QoSNormalizer, which would rebuild its Box-Cox bounds on each call.
-        transform = self.normalizer.boxcox
-        self._bc_alpha = transform.alpha
-        self._bc_floor = transform.floor
-        self._bc_low = float(transform.forward(max(self.config.value_min, transform.floor)))
-        self._bc_high = float(transform.forward(self.config.value_max))
         self._relative_loss = self.config.loss == "relative"
-
-    def _normalize_scalar(self, value: float) -> float:
-        """Scalar fast path of ``self.normalizer.normalize`` (Eqs. 3-4)."""
-        value = value if value > self._bc_floor else self._bc_floor
-        if abs(self._bc_alpha) < 1e-8:
-            transformed = math.log(value)
-        else:
-            transformed = (value**self._bc_alpha - 1.0) / self._bc_alpha
-        r = (transformed - self._bc_low) / (self._bc_high - self._bc_low)
-        if r < 0.0:
-            return 0.0
-        if r > 1.0:
-            return 1.0
-        return r
 
     # ------------------------------------------------------------------
     # Entity management
@@ -547,14 +525,14 @@ class AdaptiveMatrixFactorization:
         reason in the model's own residual space
         (:class:`repro.robustness.SanitizerGate`).
         """
-        r = self._normalize_scalar(value)
+        r = self.normalizer.normalize(value)
         if r < self.config.normalized_floor:
             r = self.config.normalized_floor
         return r
 
     def denormalize_value(self, r: float) -> float:
         """Inverse of :meth:`normalize_value`: normalized space back to raw."""
-        return float(self.normalizer.denormalize(r))
+        return self.normalizer.denormalize(r)
 
     # ------------------------------------------------------------------
     # Online updates (Algorithm 1)
@@ -569,7 +547,7 @@ class AdaptiveMatrixFactorization:
         """
         self.ensure_user(record.user_id)
         self.ensure_service(record.service_id)
-        r = self._normalize_scalar(record.value)
+        r = self.normalizer.normalize(record.value)
         if r < self.config.normalized_floor:
             r = self.config.normalized_floor
         self._store.put(
@@ -896,11 +874,11 @@ class AdaptiveMatrixFactorization:
             )
         u_vector = self._user_factors.row(user_id)
         s_vector = self._service_factors.row(service_id)
-        return float(sigmoid(float(u_vector @ s_vector)))
+        return sigmoid(float(u_vector @ s_vector))
 
     def predict(self, user_id: int, service_id: int) -> float:
         """Predicted raw QoS value ``R_hat_ij`` (backward-transformed)."""
-        return float(self.normalizer.denormalize(self.predict_normalized(user_id, service_id)))
+        return self.normalizer.denormalize(self.predict_normalized(user_id, service_id))
 
     def predict_for_user(self, user_id: int, service_ids) -> np.ndarray:
         """Batched prediction for one user against many candidate services.
@@ -926,7 +904,7 @@ class AdaptiveMatrixFactorization:
                 f"unknown service id in batch (have {self.n_services} services)"
             )
         inner = self._service_factors.view()[service_ids] @ user_row
-        return np.asarray(self.normalizer.denormalize(sigmoid(inner)), dtype=float)
+        return self.normalizer.denormalize(sigmoid(inner))
 
     def rank_candidates(
         self, user_id: int, service_ids, k: "int | None" = None, prefer: str = "min"
@@ -971,7 +949,7 @@ class AdaptiveMatrixFactorization:
         if self.n_users == 0 or self.n_services == 0:
             return np.zeros((self.n_users, self.n_services))
         inner = self._user_factors.view() @ self._service_factors.view().T
-        return np.asarray(self.normalizer.denormalize(sigmoid(inner)), dtype=float)
+        return self.normalizer.denormalize(sigmoid(inner))
 
     def training_error(self) -> float:
         """Mean relative error over all retained samples (convergence signal).
@@ -984,7 +962,7 @@ class AdaptiveMatrixFactorization:
             return float("nan")
         u_rows = self._user_factors.view()[users]
         s_rows = self._service_factors.view()[services]
-        g = np.asarray(sigmoid(np.einsum("ij,ij->i", u_rows, s_rows)))
+        g = sigmoid(np.einsum("ij,ij->i", u_rows, s_rows))
         return float(np.mean(np.abs(r - g) / r))
 
     def user_factors(self) -> np.ndarray:

@@ -6,12 +6,28 @@ transform (Eq. 3) followed by linear normalization into ``[0, 1]`` (Eq. 4);
 the factor inner product is then squashed through a sigmoid so predictions
 live in the same normalized space.
 
-All functions are vectorized over numpy arrays and also accept scalars.
+This module is the one home of that arithmetic, in two shapes.  A Python
+``float`` (one pair: a single prediction, an arriving sample) goes through
+pure :mod:`math` and comes back a Python ``float`` — no 0-d array is built;
+numpy scalars and 0-d arrays take the same branch.  An array (a ranking's
+candidates, a checkpoint's stored column) takes one fused pass of ufuncs:
+the textbook formulas' operations in the same order on the same operands, so
+its results are bit-stable — rankings, the prediction cache and rebuilt
+checkpoints see the doubles they always did.  The two shapes agree to the
+last digits (``math.exp`` / ``**`` against numpy's loops).
+
+What depends only on the configuration — the transformed bounds, ``1 /
+alpha``, whether the inverse's base can reach 0 — is computed once, when the
+(frozen) normalizer is built.  NaN in is NaN out in both shapes, tested as
+``x != x`` and never left to the argument order of ``min`` / ``max``, so a
+prediction from poisoned factors stays non-finite for the serving layer to
+catch; ``+inf`` from a vanishing base still clamps to ``value_max``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,20 +36,25 @@ from repro.utils.validation import check_positive
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function ``g(x) = 1 / (1 + exp(-x))``."""
-    x = np.asarray(x, dtype=float)
-    # Evaluate each branch on clipped input so neither exp overflows.
-    positive_branch = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, None)))
-    exp_x = np.exp(np.clip(x, None, 0.0))
-    negative_branch = exp_x / (1.0 + exp_x)
-    out = np.where(x >= 0, positive_branch, negative_branch)
-    return out if out.ndim else float(out)
+    if type(x) is not float:
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            # exp(-|x|) never overflows and serves both branches.
+            exp_neg = np.exp(-np.abs(x))
+            return np.where(x >= 0.0, 1.0, exp_neg) / (1.0 + exp_neg)
+        x = float(x)
+    if x != x:
+        return x
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    exp_x = math.exp(x)
+    return exp_x / (1.0 + exp_x)
 
 
 def sigmoid_derivative(x: np.ndarray | float) -> np.ndarray | float:
     """Derivative ``g'(x) = g(x) (1 - g(x)) = e^x / (e^x + 1)^2``."""
     g = sigmoid(x)
-    out = g * (1.0 - g)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return g * (1.0 - g)
 
 
 def logit(p: np.ndarray | float, eps: float = 1e-12) -> np.ndarray | float:
@@ -41,6 +62,11 @@ def logit(p: np.ndarray | float, eps: float = 1e-12) -> np.ndarray | float:
     p = np.clip(np.asarray(p, dtype=float), eps, 1.0 - eps)
     out = np.log(p / (1.0 - p))
     return out if out.ndim else float(out)
+
+
+#: Below this magnitude of alpha, ``(x^alpha - 1)/alpha`` loses all precision
+#: to cancellation, so the transform switches to its alpha -> 0 limit, log(x).
+_LOG_LIMIT = 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,36 +83,27 @@ class BoxCoxTransform:
     alpha: float = -0.007
     floor: float = 1e-3
 
-    #: Below this magnitude, ``(x^alpha - 1)/alpha`` loses all precision to
-    #: cancellation, so the transform switches to its alpha -> 0 limit, log(x).
-    _LOG_LIMIT = 1e-8
-
     def __post_init__(self) -> None:
         check_positive("floor", self.floor)
 
-    def _is_log(self) -> bool:
-        return abs(self.alpha) < self._LOG_LIMIT
-
     def forward(self, x: np.ndarray | float) -> np.ndarray | float:
         x = np.maximum(np.asarray(x, dtype=float), self.floor)
-        if self._is_log():
+        if abs(self.alpha) < _LOG_LIMIT:
             out = np.log(x)
         else:
             out = (np.power(x, self.alpha) - 1.0) / self.alpha
         return out if out.ndim else float(out)
 
     def inverse(self, y: np.ndarray | float) -> np.ndarray | float:
-        """Invert the transform; output is clamped back to ``>= floor``."""
+        """Invert the transform; output is clamped back to ``>= floor``.
+        A base that reaches 0 under a negative alpha yields ``+inf``."""
         y = np.asarray(y, dtype=float)
-        if self._is_log():
+        if abs(self.alpha) < _LOG_LIMIT:
             out = np.exp(y)
         else:
             base = np.maximum(self.alpha * y + 1.0, 0.0)
             with np.errstate(divide="ignore"):
                 out = np.power(base, 1.0 / self.alpha)
-            # alpha < 0 with base -> 0 yields +inf; the practical codomain of
-            # the forward transform keeps base > 0, so only clamp the floor.
-            out = np.where(np.isfinite(out), out, np.inf)
         out = np.maximum(out, self.floor)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
@@ -97,13 +114,21 @@ class QoSNormalizer:
 
     ``normalize`` maps raw QoS values to the unit interval the sigmoid-linked
     factor model fits; ``denormalize`` maps model outputs back to raw QoS
-    units for reporting and adaptation decisions.
+    units for reporting and adaptation decisions.  Both take a ``float`` to a
+    ``float`` and an array to an array (see the module docstring).
     """
 
     alpha: float = -0.007
     value_min: float = 0.0
     value_max: float = 20.0
     floor: float = 1e-3
+    # Computed once from the four above (the instance is frozen).
+    boxcox: BoxCoxTransform = field(init=False, repr=False, compare=False)
+    _low: float = field(init=False, repr=False, compare=False)
+    _span: float = field(init=False, repr=False, compare=False)
+    _log: bool = field(init=False, repr=False, compare=False)
+    _inv_alpha: float = field(init=False, repr=False, compare=False)
+    _base_can_vanish: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.value_max <= self.value_min:
@@ -112,38 +137,94 @@ class QoSNormalizer:
                 f"[{self.value_min}, {self.value_max}]"
             )
         check_positive("floor", self.floor)
-
-    @property
-    def boxcox(self) -> BoxCoxTransform:
-        return BoxCoxTransform(alpha=self.alpha, floor=self.floor)
-
-    def _bounds(self) -> tuple[float, float]:
-        transform = self.boxcox
+        transform = BoxCoxTransform(alpha=self.alpha, floor=self.floor)
         low = float(transform.forward(max(self.value_min, self.floor)))
         high = float(transform.forward(self.value_max))
         if high <= low:
             raise ValueError(
                 "degenerate transformed range; check alpha and value bounds"
             )
-        return low, high
+        log = abs(self.alpha) < _LOG_LIMIT
+        # The inverse raises ``alpha * y + 1`` to ``1 / alpha`` for ``y`` in
+        # ``[low, high]``.  Float multiply and add are monotone, so the base
+        # stays between its end values: whether it can reach 0 is known here.
+        ends = (self.alpha * low + 1.0, self.alpha * ((high - low) + low) + 1.0)
+        put = object.__setattr__
+        put(self, "boxcox", transform)
+        put(self, "_low", low)
+        put(self, "_span", high - low)
+        put(self, "_log", log)
+        put(self, "_inv_alpha", 0.0 if log else 1.0 / self.alpha)
+        put(self, "_base_can_vanish", not log and not min(ends) > 0.0)
 
     def normalize(self, values: np.ndarray | float) -> np.ndarray | float:
         """Map raw QoS values into ``[0, 1]``.  Values outside
         ``[value_min, value_max]`` are clipped to the unit interval."""
-        low, high = self._bounds()
-        transformed = self.boxcox.forward(values)
-        out = (np.asarray(transformed, dtype=float) - low) / (high - low)
-        out = np.clip(out, 0.0, 1.0)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        if type(values) is not float:
+            values = np.asarray(values, dtype=float)
+            if values.ndim:
+                out = (self.boxcox.forward(values) - self._low) / self._span
+                return np.clip(out, 0.0, 1.0)
+            values = float(values)
+        if values != values:
+            return values
+        # The write path: this arithmetic decides the stored norms.
+        value = values if values > self.floor else self.floor
+        if self._log:
+            transformed = math.log(value)
+        else:
+            transformed = (value**self.alpha - 1.0) / self.alpha
+        r = (transformed - self._low) / self._span
+        return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
     def denormalize(self, normalized: np.ndarray | float) -> np.ndarray | float:
         """Map normalized values in ``[0, 1]`` back to raw QoS units."""
-        low, high = self._bounds()
-        normalized = np.clip(np.asarray(normalized, dtype=float), 0.0, 1.0)
-        transformed = normalized * (high - low) + low
-        out = self.boxcox.inverse(transformed)
-        out = np.minimum(out, self.value_max)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        if type(normalized) is not float:
+            normalized = np.asarray(normalized, dtype=float)
+            if normalized.ndim:
+                return self._denormalize_array(normalized)
+            normalized = float(normalized)
+        if normalized != normalized:
+            return normalized
+        clipped = 0.0 if normalized < 0.0 else 1.0 if normalized > 1.0 else normalized
+        transformed = clipped * self._span + self._low
+        try:
+            if self._log:
+                out = math.exp(transformed)
+            else:
+                base = self.alpha * transformed + 1.0
+                if base > 0.0:
+                    out = base**self._inv_alpha
+                else:
+                    out = math.inf if self.alpha < 0.0 else 0.0
+        except OverflowError:
+            out = math.inf
+        if out < self.floor:
+            out = self.floor
+        if out > self.value_max:
+            out = self.value_max
+        return out
+
+    def _denormalize_array(self, normalized: np.ndarray) -> np.ndarray:
+        # One fresh array, then in place; min/max pairs skip np.clip's wrapper.
+        out = np.maximum(normalized, 0.0)
+        np.minimum(out, 1.0, out=out)
+        out *= self._span
+        out += self._low
+        if self._log:
+            np.exp(out, out=out)
+        else:
+            out *= self.alpha
+            out += 1.0
+            if self._base_can_vanish:
+                np.maximum(out, 0.0, out=out)
+                with np.errstate(divide="ignore"):
+                    np.power(out, self._inv_alpha, out=out)
+            else:
+                np.power(out, self._inv_alpha, out=out)
+        np.maximum(out, self.floor, out=out)
+        np.minimum(out, self.value_max, out=out)
+        return out
 
     @classmethod
     def linear(cls, value_min: float, value_max: float) -> "QoSNormalizer":

@@ -614,7 +614,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
         s_slot = self._ensure(services, record.service_id)
         users.touch[u_slot] = self._tick
         services.touch[s_slot] = self._tick
-        r = self._normalize_scalar(record.value)
+        r = self.normalizer.normalize(record.value)
         if r < self.config.normalized_floor:
             r = self.config.normalized_floor
         self._store.put(u_slot, s_slot, record.timestamp, record.value, r)
@@ -933,7 +933,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
         the model does not hold."""
         u_vector = self._row_of(self._users, user_id)
         s_vector = self._row_of(self._services, service_id)
-        return float(sigmoid(float(u_vector @ s_vector)))
+        return sigmoid(float(u_vector @ s_vector))
 
     def _service_slots(self, service_ids) -> np.ndarray:
         """The slots of hot services, by external id; :class:`KeyError` for

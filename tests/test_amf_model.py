@@ -145,7 +145,7 @@ class TestOnlineUpdate:
     def test_observe_returns_relative_error(self):
         model = AdaptiveMatrixFactorization(rng=0)
         error = model.observe(record(0, 0, 1.0))
-        r = model._normalize_scalar(1.0)
+        r = model.normalizer.normalize(1.0)
         assert error >= 0
         # First prediction is near sigmoid(~0) = 0.5 with tiny random factors.
         assert error == pytest.approx(abs(r - 0.5) / r, rel=0.2)
@@ -177,7 +177,7 @@ class TestOnlineUpdate:
         u_new = model._user_factors.row(0)
         s_new = model._service_factors.row(0)
         # With beta=0 both credence weights stay 0.5; reconstruct the step.
-        r = max(model._normalize_scalar(1.0), config.normalized_floor)
+        r = max(model.normalizer.normalize(1.0), config.normalized_floor)
         x = float(u_old @ s_old)
         g = 1 / (1 + np.exp(-x))
         residual = np.clip((g - r) * g * (1 - g) / r**2, -config.grad_clip, config.grad_clip)

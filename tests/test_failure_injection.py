@@ -375,6 +375,54 @@ class TestDegradedPredictions:
         assert client.health()["status"] == "ok"
         assert client.predict_detailed(0, 0)["source"] == "model"
 
+    @pytest.mark.parametrize("first", ["single", "json", "binary"])
+    def test_poisoned_row_degrades_on_the_first_prediction(self, server, first):
+        """Nobody polls ``/health`` here: the request that meets the poisoned
+        row must itself notice, whichever request that is.  (The kernel used
+        to turn a NaN row into ``value_max`` and serve it as a model answer.)"""
+        client = PredictionClient(server.address)
+        ids = [0, 1, 2]
+        for service_id in ids:
+            client.report_observation(0, service_id, 3.0, 0.0)
+
+        def poison(m):
+            m._user_factors.row(0)[:] = np.nan
+
+        rankers = {
+            transport: PredictionClient(server.address, transport=transport)
+            for transport in ("json", "binary")
+        }
+
+        def rank(transport):
+            reply = rankers[transport].predict_candidates_detailed(0, ids)
+            assert reply["transport"] == transport
+            return reply
+
+        server.model.with_model(poison)
+        if first == "single":
+            assert client.predict_detailed(0, 0)["source"] == "user_service_mean"
+        else:
+            assert set(rank(first)["sources"].values()) == {"user_service_mean"}
+        assert not server._model_healthy
+        assert 0 not in server._predict_cache._users
+        # ... and every later answer, of either kind, is flagged too.
+        single = client.predict_detailed(0, 0)
+        assert single["source"] == "user_service_mean"
+        assert single["prediction"] == pytest.approx(3.0)
+        for transport in ("json", "binary"):
+            reply = rank(transport)
+            assert set(reply["sources"].values()) == {"user_service_mean"}
+            assert list(reply["predictions"].values()) == pytest.approx([3.0] * 3)
+        assert 0 not in server._predict_cache._users
+
+        def heal(m):
+            m._user_factors.reinitialize(0)
+
+        server.model.with_model(heal)
+        assert client.health()["status"] == "ok"
+        assert client.predict_detailed(0, 0)["source"] == "model"
+        assert set(rank("binary")["sources"].values()) == {"model"}
+
 
 class _FlakyUpstream:
     """A stub server that fails its first N requests with a given status."""

@@ -13,6 +13,8 @@ cache-free recomputation — and that the eviction counter/size gauge stay
 truthful under demote/revive churn.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import seed, settings
@@ -198,13 +200,19 @@ class TestVersionStamps:
 
 class TestBatchPathAgainstCache:
     def _batch_equals_per_pair(self, cm, cache, user_id, service_ids):
+        """The cache never serves a stale value: what it answers is exactly
+        what the same kernel computes now without it.  The per-pair path is
+        the other shape of that kernel (``math`` against numpy's loops) and
+        may differ in the last digits, never by more."""
         values, __ = cm.predict_batch_known(user_id, service_ids, cache)
-        for service_id, value in zip(service_ids, values):
-            expected = cm.predict_known(user_id, service_id)
-            if expected is None:
-                assert value is None
+        uncached, __ = cm.predict_batch_known(user_id, service_ids, cache=None)
+        for service_id, value, fresh in zip(service_ids, values, uncached):
+            per_pair = cm.predict_known(user_id, service_id)
+            if fresh is None:
+                assert value is None and per_pair is None
             else:
-                assert value == pytest.approx(expected, abs=0.0)
+                assert value == pytest.approx(fresh, abs=0.0)
+                assert abs(value - per_pair) <= 2 * math.ulp(per_pair)
 
     def test_cached_batch_matches_per_pair_predictions(self):
         model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=0)
