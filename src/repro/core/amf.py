@@ -124,9 +124,10 @@ class _GrowableFactors:
             grown_versions = np.zeros(new_capacity, dtype=np.int64)
             grown_versions[: self._size] = self._versions[: self._size]
             self._versions = grown_versions
-        while self._size <= row_id:
-            self._rows[self._size] = self._rng.standard_normal(self.rank) * self._init_scale
-            self._size += 1
+        if row_id >= self._size:  # one draw: the per-row draws' numbers and state
+            new_rows = self._rng.standard_normal((row_id + 1 - self._size, self.rank))
+            self._rows[self._size : row_id + 1] = new_rows * self._init_scale
+            self._size = row_id + 1
 
     def row(self, row_id: int) -> np.ndarray:
         """A *view* of the factor vector; mutate in place to update."""
@@ -215,14 +216,36 @@ class _SampleStore:
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._positions
 
+    _COLUMNS = ("_users", "_services", "_timestamps", "_values", "_norms")
+
     def _grow(self, needed: int) -> None:
         capacity = max(self._users.size * 2, needed)
         size = len(self._keys)
-        for name in ("_users", "_services", "_timestamps", "_values", "_norms"):
+        for name in self._COLUMNS:
             old = getattr(self, name)
             grown = np.empty(capacity, dtype=old.dtype)
             grown[:size] = old[:size]
             setattr(self, name, grown)
+
+    def _reindex(self) -> None:
+        """Rebuild the key -> position dict and the per-entity indices from
+        the key list (after a bulk load or a compaction)."""
+        self._positions = dict(zip(self._keys, range(len(self._keys))))
+        self._user_index = {}
+        self._service_index = {}
+        for user_id, service_id in self._keys:
+            self._user_index.setdefault(user_id, set()).add(service_id)
+            self._service_index.setdefault(service_id, set()).add(user_id)
+
+    def load(self, users, services, timestamps, values, norms) -> None:
+        """Fill an empty store from columns of distinct pairs, keeping their
+        physical order — what one :meth:`put` per row builds (a checkpoint
+        restore), without the per-row calls."""
+        self._grow(len(users))
+        for name, column in zip(self._COLUMNS, (users, services, timestamps, values, norms)):
+            getattr(self, name)[: len(users)] = column
+        self._keys = list(zip(users.tolist(), services.tolist()))
+        self._reindex()
 
     def put(
         self,
@@ -332,17 +355,12 @@ class _SampleStore:
             return 0
         keep = np.flatnonzero(~stale)
         n_keep = keep.size
-        for name in ("_users", "_services", "_timestamps", "_values", "_norms"):
+        for name in self._COLUMNS:
             column = getattr(self, name)
             column[:n_keep] = column[:size][keep]
         old_keys = self._keys
         self._keys = [old_keys[i] for i in keep.tolist()]
-        self._positions = {key: i for i, key in enumerate(self._keys)}
-        self._user_index = {}
-        self._service_index = {}
-        for user_id, service_id in self._keys:
-            self._user_index.setdefault(user_id, set()).add(service_id)
-            self._service_index.setdefault(service_id, set()).add(user_id)
+        self._reindex()
         return n_stale
 
     def random_pick(self, rng: np.random.Generator) -> tuple[int, int, float, float]:

@@ -20,8 +20,9 @@ answers carry no calibration estimate (``expected_error`` is ``None``).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,30 +70,20 @@ class FallbackPredictor:
     UMEAN/IMEAN baseline (the weakest predictors in the paper's Table II) —
     the point is availability, not accuracy: it can answer for any entity
     that has ever been observed, and falls through to a configured prior
-    even on a completely cold start.
+    even on a completely cold start.  The means are advisory serving state,
+    never part of the bit-exact checkpoint: a restart re-seeds them from
+    the retained sample store (:meth:`seed_from_samples`).
     """
 
-    def __init__(self, prior: float, max_entities: "int | None" = None) -> None:
-        if max_entities is not None and max_entities < 1:
-            raise ValueError(f"max_entities must be >= 1, got {max_entities}")
+    def __init__(self, prior: float) -> None:
         self.prior = float(prior)
-        self.max_entities = max_entities
         self._lock = threading.Lock()
-        self._users: "OrderedDict[int, _RunningMean]" = OrderedDict()
-        self._services: "OrderedDict[int, _RunningMean]" = OrderedDict()
+        self._users: "dict[int, _RunningMean]" = {}
+        self._services: "dict[int, _RunningMean]" = {}
         self._global = _RunningMean()
 
     def observe(self, user_id: int, service_id: int, value: float) -> None:
-        """Fold one observed sample into all three mean levels.
-
-        With ``max_entities`` set, each per-entity map is bounded: the
-        least-recently-observed entity's mean is dropped beyond the limit
-        (it degrades to the one-sided / global levels).  The bound makes
-        the fallback chain safe under the same unbounded-churn streams the
-        tiered model handles; the means are advisory serving state, never
-        part of the bit-exact checkpoint (they are re-seeded from the
-        retained sample store on restart).
-        """
+        """Fold one observed sample into all three mean levels."""
         with self._lock:
             for table, entity_id in (
                 (self._users, user_id),
@@ -101,12 +92,7 @@ class FallbackPredictor:
                 mean = table.get(entity_id)
                 if mean is None:
                     mean = table[entity_id] = _RunningMean()
-                else:
-                    table.move_to_end(entity_id)
                 mean.add(value)
-                if self.max_entities is not None:
-                    while len(table) > self.max_entities:
-                        table.popitem(last=False)
             self._global.add(value)
 
     def predict(self, user_id: int, service_id: int) -> PredictionResult:
@@ -136,11 +122,20 @@ class FallbackPredictor:
 
         A restarted server has no observation history beyond what the model
         retained; seeding from the sample store gives the fallback chain an
-        immediate, approximate footing.  Returns how many samples were
-        folded in.
+        immediate, approximate footing.  Each sum is one in-order pass
+        (``np.bincount`` per entity, ``np.cumsum`` for the global mean), so
+        a fresh predictor ends bit for bit where folding the samples through
+        :meth:`observe` one by one would.  Returns how many were folded in.
         """
-        count = 0
-        for user_id, service_id, value in zip(user_ids, service_ids, values):
-            self.observe(int(user_id), int(service_id), float(value))
-            count += 1
-        return count
+        values = np.asarray(values, dtype=float)
+        with self._lock:
+            for table, ids in ((self._users, user_ids), (self._services, service_ids)):
+                ids = np.asarray(ids, dtype=np.intp)
+                counts, totals = np.bincount(ids), np.bincount(ids, weights=values)
+                for entity_id in np.flatnonzero(counts).tolist():
+                    mean = table.setdefault(entity_id, _RunningMean())
+                    mean.count += int(counts[entity_id])
+                    mean.total += float(totals[entity_id])
+            self._global.count += values.size
+            self._global.total += float(np.cumsum(values)[-1]) if values.size else 0.0
+        return int(values.size)

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import zipfile
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -47,36 +48,90 @@ from repro.core.config import AMFConfig
 #: entities; a resumed coordinator may skip batch sequence numbers, so
 #: the migration chaos drill digests with ``ignore_extra=("migration",)``.
 #: The array layout is unchanged at every bump, so v1-v4 archives remain
-#: readable.
-FORMAT_VERSION = 5
+#: readable.  v6 is stored (``np.savez``), not deflated; its JSON members
+#: are UTF-8 ``uint8`` arrays, not UCS4 numpy strings; and the dedup
+#: ledger's keys leave ``extra_json`` for two members, ``ledger_keys``
+#: (their UTF-8 concatenation, lone surrogates passed through: keys are
+#: arbitrary strings, so no separator is safe) and ``ledger_key_lengths``
+#: (code points per key).
+#: :func:`load_model` puts them back, so ``extra`` round-trips unchanged,
+#: and v1-v5 archives still load.
+FORMAT_VERSION = 6
 
 _EXTRA_MEMBER = "extra_json.npy"
+_LEDGER_MEMBERS = ("ledger_keys", "ledger_key_lengths")
+
+
+def _json_member(value) -> np.ndarray:
+    """A JSON document as an archive member (format v6: UTF-8 bytes)."""
+    return np.frombuffer(json.dumps(value).encode("utf-8"), dtype=np.uint8)
+
+
+def _read_json(member: np.ndarray):
+    """A JSON member of either layout: UTF-8 bytes (v6) or UCS4 (v2-v5)."""
+    if member.dtype == np.uint8:
+        return json.loads(member.tobytes().decode("utf-8"))
+    return json.loads(str(member))
+
+
+def _split_extra(extra: dict) -> "tuple[dict, dict]":
+    """``extra`` as v6 stores it: the JSON part (the dedup ledger without
+    its keys) and the members that carry the keys."""
+    ledger = extra.get("robustness", {}).get("ledger", {})
+    if "keys" not in ledger:
+        return extra, {}
+    keys = ledger["keys"]
+    rest = {name: value for name, value in ledger.items() if name != "keys"}
+    extra = {**extra, "robustness": {**extra["robustness"], "ledger": rest}}
+    # A key is any string a client sent, lone surrogates included (JSON's
+    # "\ud800" decodes to one): "surrogatepass" keeps them, code point for
+    # code point, where strict UTF-8 would refuse the whole checkpoint.
+    blob = "".join(keys).encode("utf-8", "surrogatepass")
+    return extra, {
+        "ledger_keys": np.frombuffer(blob, dtype=np.uint8),
+        "ledger_key_lengths": np.fromiter(map(len, keys), np.int32, len(keys)),
+    }
+
+
+def _read_extra(archive) -> dict:
+    """``extra`` as :func:`save_model` got it, from an archive of any version."""
+    extra = _read_json(archive["extra_json"]) if "extra_json" in archive.files else {}
+    if "ledger_keys" in archive.files:
+        text = archive["ledger_keys"].tobytes().decode("utf-8", "surrogatepass")
+        offsets = accumulate(archive["ledger_key_lengths"].tolist(), initial=0)
+        extra["robustness"]["ledger"]["keys"] = [
+            text[start:end] for start, end in pairwise(offsets)
+        ]
+    return extra
 
 
 def archive_digest(path: str, ignore_extra: "tuple[str, ...]" = ()) -> str:
     """Content digest of a saved model archive, stable across re-saves.
 
-    ``np.savez_compressed`` embeds wall-clock timestamps in its zip member
-    headers, so two byte-identical model states produce different archive
-    *files*.  This hashes the sorted member names and their decompressed
-    contents instead — equal digests mean equal persisted state, which is
-    how the recovery tests assert byte-identical checkpoints.
+    ``np.savez`` embeds wall-clock timestamps in its zip member headers, so
+    two byte-identical model states produce different archive *files*.
+    This hashes the sorted member names and their contents instead — equal
+    digests mean equal persisted state, which is how the recovery tests
+    assert byte-identical checkpoints.
 
     ``ignore_extra`` names top-level ``extra`` keys excluded from the
-    digest: the ``extra_json`` member is parsed, the named keys dropped,
-    and the remainder hashed in canonical (sorted-key) JSON form.  The
-    failover drill uses ``ignore_extra=("replication",)`` so the fencing
-    epoch — which *must* differ after a promotion — doesn't mask data-plane
-    equality between a promoted standby and a never-failed baseline.
+    digest: ``extra`` is read back (ledger key members included, and not
+    hashed apart), the named keys dropped, and the remainder hashed in
+    canonical (sorted-key) JSON form.  The failover drill uses
+    ``ignore_extra=("replication",)`` so the fencing epoch — which *must*
+    differ after a promotion — doesn't mask data-plane equality between a
+    promoted standby and a never-failed baseline.
     """
     digest = hashlib.sha256()
     with zipfile.ZipFile(path) as archive:
         for name in sorted(archive.namelist()):
+            if ignore_extra and name.removesuffix(".npy") in _LEDGER_MEMBERS:
+                continue
             digest.update(name.encode())
             digest.update(b"\0")
             if ignore_extra and name == _EXTRA_MEMBER:
                 with np.load(path, allow_pickle=False) as arrays:
-                    extra = json.loads(str(arrays["extra_json"]))
+                    extra = _read_extra(arrays)
                 for key in ignore_extra:
                     extra.pop(key, None)
                 digest.update(json.dumps(extra, sort_keys=True).encode())
@@ -101,38 +156,41 @@ def save_model(
     ``extra`` is an arbitrary JSON-serializable dict stored alongside the
     model (e.g. the WAL sequence number a checkpoint covers).  ``atomic``
     writes to ``path + ".tmp"`` first, fsyncs, and renames into place, so
-    readers never observe a half-written archive.
+    readers never observe a half-written archive.  The store's columns are
+    written uncopied: keep the model still until this returns.
     """
     users, services, timestamps, values, __ = model._store.columns()
-    store_users = np.asarray(users, dtype=np.int64)
-    store_services = np.asarray(services, dtype=np.int64)
-    store_timestamps = np.array(timestamps, dtype=float)
-    store_values = np.array(values, dtype=float)
-
-    config_json = json.dumps(
-        {field: getattr(model.config, field) for field in model.config.__dataclass_fields__}
-    )
+    config = {
+        field: getattr(model.config, field) for field in model.config.__dataclass_fields__
+    }
+    extra, ledger_members = _split_extra(extra if extra is not None else {})
     payload = dict(
         format_version=np.int64(FORMAT_VERSION),
-        config_json=np.array(config_json),
-        rng_state_json=np.array(json.dumps(model._rng.bit_generator.state)),
-        extra_json=np.array(json.dumps(extra if extra is not None else {})),
+        config_json=_json_member(config),
+        rng_state_json=_json_member(model._rng.bit_generator.state),
+        extra_json=_json_member(extra),
+        **ledger_members,
         user_factors=model.user_factors(),
         service_factors=model.service_factors(),
         user_errors=model.weights.user_error_snapshot(),
         service_errors=model.weights.service_error_snapshot(),
-        store_users=store_users,
-        store_services=store_services,
-        store_timestamps=store_timestamps,
-        store_values=store_values,
+        store_users=np.asarray(users, dtype=np.int64),
+        store_services=np.asarray(services, dtype=np.int64),
+        store_timestamps=np.asarray(timestamps, dtype=float),
+        store_values=np.asarray(values, dtype=float),
         updates_applied=np.int64(model.updates_applied),
     )
+    _write_archive(path, payload, atomic)
+
+
+def _write_archive(path: str, members: dict, atomic: bool = False) -> None:
+    """Write ``members`` as a stored ``.npz`` (``atomic``: see :func:`save_model`)."""
     if not atomic:
-        np.savez_compressed(path, **payload)
+        np.savez(path, **members)
         return
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "wb") as handle:
-        np.savez_compressed(handle, **payload)
+        np.savez(handle, **members)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
@@ -171,31 +229,24 @@ def load_model(
                 f"model archive format v{version} is newer than supported "
                 f"v{FORMAT_VERSION}"
             )
-        config = AMFConfig(**json.loads(str(archive["config_json"])))
+        config = AMFConfig(**_read_json(archive["config_json"]))
         model = AdaptiveMatrixFactorization(config, rng=rng)
-        extra = (
-            json.loads(str(archive["extra_json"]))
-            if "extra_json" in archive.files
-            else {}
-        )
+        extra = _read_extra(archive)
 
-        user_factors = archive["user_factors"]
-        service_factors = archive["service_factors"]
-        if user_factors.size:
-            model._user_factors.ensure(user_factors.shape[0] - 1)
-            model._user_factors._rows[: user_factors.shape[0]] = user_factors
-        if service_factors.size:
-            model._service_factors.ensure(service_factors.shape[0] - 1)
-            model._service_factors._rows[: service_factors.shape[0]] = service_factors
-
-        user_errors = archive["user_errors"]
-        service_errors = archive["service_errors"]
-        for user_id, error in enumerate(user_errors):
-            model.weights.register_user(user_id)
-            model.weights._user_errors.set(user_id, float(error))
-        for service_id, error in enumerate(service_errors):
-            model.weights.register_service(service_id)
-            model.weights._service_errors.set(service_id, float(error))
+        for factors, rows in (
+            (model._user_factors, archive["user_factors"]),
+            (model._service_factors, archive["service_factors"]),
+        ):
+            if rows.size:
+                factors.ensure(rows.shape[0] - 1)
+                factors._rows[: rows.shape[0]] = rows
+        for tracker, errors in (
+            (model.weights._user_errors, archive["user_errors"]),
+            (model.weights._service_errors, archive["service_errors"]),
+        ):
+            if errors.size:
+                tracker.ensure(errors.size - 1)
+                tracker._values[: errors.size] = errors
 
         store_values = archive["store_values"]
         if store_values.size:
@@ -207,23 +258,20 @@ def load_model(
             )
         else:
             norms = store_values
-        for user_id, service_id, timestamp, value, norm in zip(
+        model._store.load(
             archive["store_users"],
             archive["store_services"],
             archive["store_timestamps"],
             store_values,
             norms,
-        ):
-            model._store.put(
-                int(user_id), int(service_id), float(timestamp), float(value), float(norm)
-            )
+        )
         model._updates_applied = int(archive["updates_applied"])
         # Restore the RNG state LAST: rebuilding the factor matrices above
         # goes through ensure(), which draws (discarded) init vectors —
         # restoring earlier would let those draws consume the saved stream
         # and desynchronize every post-load entity initialization.
         if rng is None and "rng_state_json" in archive.files:
-            state = json.loads(str(archive["rng_state_json"]))
+            state = _read_json(archive["rng_state_json"])
             if state.get("bit_generator") == type(model._rng.bit_generator).__name__:
                 model._rng.bit_generator.state = state
     if return_extra:

@@ -90,7 +90,7 @@ class DedupLedger:
 
     def restore(self, state: dict) -> None:
         self.capacity = int(state.get("capacity", self.capacity))
-        self._keys = OrderedDict((str(k), None) for k in state.get("keys", []))
+        self._keys = OrderedDict.fromkeys(map(str, state.get("keys", [])))
 
 
 class StaleObservation(ValueError):

@@ -29,6 +29,7 @@ from repro.simulation import (
     run_migration_live,
     snapshot,
 )
+from repro.core import serialization
 from repro.simulation import drills
 from repro.server.wal import CheckpointStore
 
@@ -66,7 +67,7 @@ def rewrite_checkpoint(data_dir: str, damage) -> None:
     with np.load(path, allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
     damage(members)
-    np.savez_compressed(path, **members)
+    serialization._write_archive(path, members)
 
 
 # One entry per part of the oracle: how to damage a snapshot in that part
@@ -132,9 +133,9 @@ class TestOracleCanFail:
         durable_run(dir_b)
 
         def bump_wal_seq(members: dict) -> None:
-            extra = json.loads(str(members["extra_json"]))
+            extra = serialization._read_json(members["extra_json"])
             extra["wal_seq"] += 1
-            members["extra_json"] = np.array(json.dumps(extra))
+            members["extra_json"] = serialization._json_member(extra)
 
         rewrite_checkpoint(dir_b, bump_wal_seq)
         assert len(diff_checkpoints(dir_a, dir_b)[0]) == 1

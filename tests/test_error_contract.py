@@ -16,10 +16,12 @@ import contextlib
 import errno
 import http.client
 import json
+import os
 import pathlib
 import re
 import socket
 import time
+from unittest import mock
 
 import pytest
 
@@ -84,15 +86,9 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
-class _NoSpaceHandle:
-    def __init__(self, inner):
-        self._inner = inner
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+def _no_space(fd, data, offset):
+    """``os.pwrite`` — the WAL's one write call — on a full disk."""
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class _StuckMigration:
@@ -213,8 +209,8 @@ def fenced_stale_epoch(tmp_path):
 @contextlib.contextmanager
 def storage_unavailable(tmp_path):
     with plain_server(data_dir=str(tmp_path / "d")) as server:
-        server._wal._handle = _NoSpaceHandle(server._wal._handle)
-        http_call(server.address, "POST", "/observations", OBSERVATION)  # trips it
+        with mock.patch.object(os, "pwrite", _no_space):
+            http_call(server.address, "POST", "/observations", OBSERVATION)  # trips it
         yield dict(
             json=(server.address, "POST", "/observations", OBSERVATION),
             binary=(server.binary_address, OBSERVE_FRAME, OP_OBSERVE),

@@ -12,6 +12,8 @@ Three layers:
   consistent state even when the join times out.
 """
 
+import http.client
+import json
 import threading
 import time
 
@@ -135,6 +137,57 @@ class TestExactRecovery:
         assert restarted.model.updates_applied == server.model.updates_applied
         restarted.kill()
 
+    def test_observes_acknowledged_after_a_torn_tail_survive_the_next_crash(
+        self, tmp_path
+    ):
+        """Kill a keyed server, tear its active segment the way a crash
+        mid-write does, restart it and acknowledge more observes, then kill
+        and restart again: every acknowledged observe is applied, the model
+        is bit-equal to a server that never crashed, and no seq was handed
+        out twice."""
+        records = make_stream(60, seed=6)
+        keyed = [
+            {"timestamp": r.timestamp, "user_id": r.user_id,
+             "service_id": r.service_id, "value": r.value, "idempotency_key": f"k:{i}"}
+            for i, r in enumerate(records)
+        ]
+        args = dict(rng=6, background_replay=False, checkpoint_interval=1000)
+        first = PredictionServer(data_dir=str(tmp_path), **args)
+        for payload in keyed[:40]:
+            first._handle_observation(payload)
+        first.kill()
+        (segment,) = tmp_path.glob("wal-*.jsonl")
+        data = segment.read_bytes()
+        with open(segment, "r+b") as handle:  # an observe cut mid-line
+            handle.seek(data.index(b"\0") if b"\0" in data else len(data))
+            handle.write(b'{"seq": 41, "t": 40.0, "u"')
+
+        second = PredictionServer(data_dir=str(tmp_path), **args)
+        assert second.recovery["torn_lines"] == 1
+        assert second.wal_last_seq == 40
+        for payload in keyed[40:]:
+            assert second._handle_observation(payload)["action"] == "admit"
+        second.kill()
+
+        third = PredictionServer(data_dir=str(tmp_path), **args)
+        baseline = PredictionServer(**args)
+        for payload in keyed:
+            baseline._handle_observation(payload)
+        assert third.recovery == {
+            "checkpoint_seq": 0, "wal_replayed": 60, "torn_lines": 0
+        }
+        assert third.model.updates_applied == baseline.model.updates_applied == 60
+        np.testing.assert_array_equal(
+            third.model.user_factors(), baseline.model.user_factors()
+        )
+        np.testing.assert_array_equal(
+            third.model.service_factors(), baseline.model.service_factors()
+        )
+        assert third.ledger.state_dict() == baseline.ledger.state_dict()
+        logged = [seq for __, seq, __, __ in third._wal.replay_entries()]
+        assert logged == list(range(1, 61))  # no seq reused
+        third.kill()
+
     def test_recovery_seeds_fallback_state(self, tmp_path):
         """Degraded-mode running means survive a crash too (rebuilt from the
         recovered sample store)."""
@@ -213,6 +266,37 @@ class TestServerCrashRecovery:
         counts = report.detail["gate_counts"]
         assert counts["quarantined"] > 0
         assert counts["admitted"] > 0
+
+    def test_a_lone_surrogate_key_checkpoints_and_restores(self, tmp_path):
+        """An idempotency key is any JSON string, and ``"\\ud800"`` decodes
+        to a lone surrogate.  The ledger checkpoints and restores it like
+        any other key; it must not make every later checkpoint fail."""
+        args = dict(rng=0, background_replay=False, data_dir=str(tmp_path))
+        body = (
+            b'{"timestamp": 1.0, "user_id": 0, "service_id": 0, "value": 1.0,'
+            b' "idempotency_key": "\\ud800"}'
+        )
+        with PredictionServer(**args) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=10.0)
+            try:
+                conn.request("POST", "/observations", body=body)
+                response = conn.getresponse()
+                assert response.status == 200, response.read()
+                assert json.loads(response.read())["action"] == "admit"
+            finally:
+                conn.close()
+            server.checkpoint()
+            ledger = server.ledger.state_dict()
+        assert ledger["keys"] == ["\ud800"]
+
+        restarted = PredictionServer(**args)
+        assert restarted.recovery == {
+            "checkpoint_seq": 1, "wal_replayed": 0, "torn_lines": 0
+        }
+        assert restarted.ledger.state_dict() == ledger
+        repeat = json.loads(body)  # the same key, decoded the same way
+        assert restarted._handle_observation(repeat)["action"] == "deduplicated"
+        restarted.kill()
 
 
 def _flaky_replay(model, crashes):

@@ -1,12 +1,15 @@
 """Tests for the write-ahead observation log and the checkpoint store."""
 
+import contextlib
 import errno
 import json
 import os
 import threading
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import AdaptiveMatrixFactorization, AMFConfig
 from repro.datasets.schema import QoSRecord
@@ -15,10 +18,12 @@ from repro.server import (
     PredictionServer,
     RetryableServiceError,
 )
+from repro.server import wal as wal_module
 from repro.server.wal import (
     CheckpointStore,
     WalAppendError,
     WriteAheadLog,
+    _entry_body,
     entry_from_wire,
     entry_to_wire,
 )
@@ -124,39 +129,65 @@ class TestTornTail:
         assert reopened.append(record(8)) == 9
 
     def test_appends_continue_after_torn_tail(self, tmp_path):
-        """New records after a tear must still replay (tear is mid-file,
-        replay conservatively stops there — but the *write* path stays
-        consistent: seq numbers never collide)."""
+        """New records after a tear must still replay: reopening cuts the
+        segment at the end of its last whole line, so the write path neither
+        glues onto the tear nor hands out a seq twice."""
         reopened = self._torn_log(tmp_path, b"not json at all\n")
         reopened.append(record(8))
         fresh = WriteAheadLog(str(tmp_path), fsync=False)
-        assert fresh.last_seq == 8  # scan stops at the tear, before seq 9
-        # The tear costs the tail after it — documented conservative stop —
-        # but never yields a corrupt or duplicated record.
-        replayed = seqs(fresh.replay_entries())
-        assert replayed == sorted(set(replayed))
+        assert fresh.last_seq == 9  # the tear is gone; seq 9 is whole
+        assert seqs(fresh.replay_entries()) == list(range(1, 10))
+        assert fresh.torn_lines == 0
+
+    def test_appends_after_a_cut_line_are_not_glued_onto_it(self, tmp_path):
+        """The crash that acknowledged nothing: a line cut mid-record.  The
+        entries appended after the restart were acknowledged, so the next
+        restart must replay them, and hand out none of their seqs again."""
+        reopened = self._torn_log(tmp_path, b'{"seq": 9, "t": 8.0, "u"')
+        assert (reopened.last_seq, reopened.torn_lines) == (8, 1)
+        assert [reopened.append(record(k)) for k in (8, 9)] == [9, 10]
+        reopened.close()
+        fresh = WriteAheadLog(str(tmp_path), fsync=False)
+        assert (fresh.last_seq, fresh.torn_lines) == (10, 0)
+        assert seqs(fresh.replay_entries()) == list(range(1, 11))
+        assert [entry[2] for entry in fresh.replay_entries()][8:] == [
+            record(8), record(9)
+        ]
 
 
-class _NoSpaceHandle:
-    """Wraps the real segment handle; ``write`` fails like a full disk."""
+class _FillingDisk:
+    """Stands in for ``os.pwrite``, the log's one write call, on a disk that
+    fills up: while ``full`` a write gets at most ``room`` more bytes
+    through (a short write) and then fails like a full disk."""
 
-    def __init__(self, inner):
-        self._inner = inner
+    def __init__(self, real):
+        self.real = real
+        self.full = False
+        self.room = 0
 
-    def write(self, data):
+    def __call__(self, fd, data, offset):
+        if not self.full:
+            return self.real(fd, data, offset)
+        if self.room:
+            written = self.real(fd, bytes(data[: self.room]), offset)
+            self.room -= written
+            return written
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+
+@pytest.fixture
+def disk(monkeypatch):
+    filling = _FillingDisk(os.pwrite)
+    monkeypatch.setattr(os, "pwrite", filling)
+    return filling
 
 
 class TestAppendFailure:
-    def test_os_error_surfaces_as_wal_append_error(self, tmp_path):
+    def test_os_error_surfaces_as_wal_append_error(self, tmp_path, disk):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(3):
             wal.append(record(k))
-        real_handle = wal._handle
-        wal._handle = _NoSpaceHandle(real_handle)
+        disk.full = True
         with pytest.raises(WalAppendError) as excinfo:
             wal.append(record(3))
         assert excinfo.value.errno == errno.ENOSPC
@@ -164,27 +195,47 @@ class TestAppendFailure:
         assert not wal.writable
         assert "No space left" in wal.append_failure
 
-    def test_failure_is_sticky_even_if_disk_recovers(self, tmp_path):
+    def test_failure_is_sticky_even_if_disk_recovers(self, tmp_path, disk):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         wal.append(record(0))
-        real_handle = wal._handle
-        wal._handle = _NoSpaceHandle(real_handle)
+        disk.full = True
         with pytest.raises(WalAppendError):
             wal.append(record(1))
-        wal._handle = real_handle  # "space freed" — a partial line may
+        disk.full = False  # "space freed" — a partial line may
         with pytest.raises(WalAppendError, match="failed state"):
             wal.append(record(1))  # still sit at the tail, so stay frozen
 
-    def test_committed_prefix_survives_a_failed_append(self, tmp_path):
+    def test_committed_prefix_survives_a_failed_append(self, tmp_path, disk):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(5):
             wal.append(record(k, value=2.0 + k))
-        wal._handle = _NoSpaceHandle(wal._handle)
+        disk.full = True
         with pytest.raises(WalAppendError):
             wal.append(record(5))
         reopened = WriteAheadLog(str(tmp_path), fsync=False)
         assert reopened.last_seq == 5
         assert seqs(reopened.replay_entries()) == [1, 2, 3, 4, 5]
+
+    def test_a_refused_allocation_is_a_sticky_append_error(
+        self, tmp_path, monkeypatch
+    ):
+        """``ENOSPC`` from growing the segment is a failed append like any
+        other: nothing counted, nothing written, the log frozen."""
+        wal = WriteAheadLog(str(tmp_path))
+
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+        with pytest.raises(WalAppendError) as excinfo:
+            wal.append(record(0))
+        assert excinfo.value.errno == errno.ENOSPC
+        assert (wal.last_seq, wal.appended, wal.writable) == (0, 0, False)
+        monkeypatch.undo()
+        with pytest.raises(WalAppendError, match="failed state"):
+            wal.append(record(0))
+        wal.close()
+        assert _directory(tmp_path) == {"wal-000000000001.jsonl": b""}
 
 
 class TestReadCommitted:
@@ -356,21 +407,10 @@ class TestCommitGroups:
         # stops at last_seq.
         assert seqs(wal.read_committed_entries()) == [1]
 
-    def test_a_write_failing_mid_group_counts_none_of_it(self, tmp_path):
+    def test_a_write_failing_mid_group_counts_none_of_it(self, tmp_path, disk):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         wal.append(record(0))
-        real = wal._handle
-
-        class _FullAfterOne(_NoSpaceHandle):
-            writes = 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    return super().write(data)
-                return real.write(data)
-
-        wal._handle = _FullAfterOne(real)
+        disk.full, disk.room = True, 40  # part of the group's first line fits
         with pytest.raises(WalAppendError):
             wal.append_entries(self.GROUP)
         assert (wal.last_seq, wal.appended) == (1, 1) and not wal.writable
@@ -417,8 +457,214 @@ class TestCommitGroups:
         assert shipped == [1, 2, 3, 4]
 
 
+# -- the preallocated writer, as properties ------------------------------------
+_RECORDS = st.builds(
+    QoSRecord,
+    timestamp=st.floats(0.0, 1e6),
+    user_id=st.integers(0, 99),
+    service_id=st.integers(0, 99),
+    value=st.floats(1e-3, 1e4),
+)
+_KEYS = st.none() | st.text(st.characters(codec="utf-8"), min_size=1, max_size=12)
+_OBSERVES = st.tuples(st.just("obs"), st.none(), _RECORDS, _KEYS)
+# A revive carries a whole spill payload; padded, it outgrows a small chunk.
+_REVIVES = st.builds(
+    lambda kind, ident, pad: (
+        "ev", None, kind, {"id": ident, "p": {"row": [0.5, -0.25], "pad": "x" * pad}}
+    ),
+    st.sampled_from(["revive_user", "revive_service"]),
+    st.integers(0, 99),
+    st.integers(0, 3000),
+)
+_MIGRATIONS = st.builds(
+    lambda mid, seq, ids: (
+        "ev", None, "migration_in",
+        {"mid": mid, "seq": seq, "entities": [["user", i, {"row": [0.125]}] for i in ids]},
+    ),
+    st.sampled_from(["m-1", "m-2"]),
+    st.integers(1, 9),
+    st.lists(st.integers(0, 99), max_size=4),
+)
+_GROUPS = st.lists(
+    st.lists(_OBSERVES | _REVIVES | _MIGRATIONS, min_size=1, max_size=4),
+    min_size=1,
+    max_size=8,
+)
+# The real 1 MiB, and chunks small enough that groups straddle them.
+_CHUNKS = st.sampled_from([64, 4096, 1 << 20])
+_ALLOCATION = pytest.mark.parametrize("call", ["posix_fallocate", "ftruncate"])
+
+
+def _line(seq: int, entry: tuple) -> bytes:
+    return (json.dumps({"seq": seq, **_entry_body(entry)}) + "\n").encode()
+
+
+def _segment_file(seq: int, segment_max_records: int) -> str:
+    """The segment a plain writer puts ``seq`` in (numbered from 1)."""
+    return f"wal-{seq - (seq - 1) % segment_max_records:012d}.jsonl"
+
+
+def _reference(entries, segment_max_records: int) -> dict:
+    """The files a plain appending writer (one ``open(..., "a")`` write per
+    line, a new segment every ``segment_max_records``) makes of ``entries``."""
+    files: dict = {}
+    for seq, entry in enumerate(entries, start=1):
+        name = _segment_file(seq, segment_max_records)
+        files[name] = files.get(name, b"") + _line(seq, entry)
+    return files
+
+
+def _logged(entries) -> list:
+    """``entries`` as the log yields them back, numbered from 1."""
+    return [
+        (tag, seq, first, second)
+        for seq, (tag, __, first, second) in enumerate(entries, start=1)
+    ]
+
+
+@contextlib.contextmanager
+def _writer(call: str, chunk: int):
+    """Patches for one example: the chunk size, and, for ``ftruncate``, no
+    ``os.posix_fallocate`` at all."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wal_module, "_CHUNK", chunk)
+        if call == "ftruncate":
+            patch.delattr(os, "posix_fallocate", raising=False)
+        yield
+
+
+class TestPreallocatedSegments:
+    """One ``pwrite`` per group into preallocated chunks, and a zero tail that
+    nothing reads: judged against a plain appending writer."""
+
+    @_ALLOCATION
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_crash_after_any_group_loses_no_acknowledged_entry(
+        self, call, data, tmp_path_factory
+    ):
+        """Acknowledged groups, then one more whose fsync "never returned",
+        damaged on disk as a crash leaves it: cut short at any byte, a range
+        of it zeroed, or garbage written after a cut.  Reopen, append,
+        reopen: every acknowledged entry replays once, in order, with the
+        unacknowledged group's intact whole lines after it; no seq is
+        reissued; ``torn_lines`` counts a tear only when one is there; and
+        the closed files are the plain writer's."""
+        groups, limit = data.draw(_GROUPS), data.draw(st.integers(1, 5))
+        crash_at, chunk = data.draw(st.integers(0, len(groups))), data.draw(_CHUNKS)
+        acked = [entry for group in groups[:crash_at] for entry in group]
+        lost = groups[crash_at] if crash_at < len(groups) else []
+        # The lost group's lines in the last segment (those a rotation left
+        # behind were fsync'd before it) and where each one ends.
+        first, last = len(acked) + 1, len(acked) + len(lost)
+        done = max(0, last - (last - 1) % limit - first)
+        lengths = [len(_line(seq, entry)) for seq, entry in enumerate(lost, first)]
+        ends = [0, *accumulate(lengths[done:])]
+        mode = data.draw(st.sampled_from(["cut", "zeros", "garbage"]))
+        at = data.draw(st.integers(0, ends[-1]))
+        stop = data.draw(st.integers(at, ends[-1])) if mode == "zeros" else ends[-1]
+        garbage = b"\xff" + data.draw(st.binary(max_size=30)) if mode == "garbage" else b""
+        damaged = at if stop > at or garbage else ends[-1]
+        survivors = acked + lost[: done + sum(1 for end in ends[1:] if end <= damaged)]
+        torn = int(bool(garbage) or damaged not in ends)
+
+        directory = tmp_path_factory.mktemp("crash")
+        with _writer(call, chunk):
+            wal = WriteAheadLog(str(directory), segment_max_records=limit)
+            for group in groups[: crash_at + 1]:
+                wal.append_entries(group)
+            wal._handle.close()  # the crash: the writer never closes
+            path = directory / _segment_file(wal.last_seq, limit)
+            blob = bytearray(path.read_bytes())
+            start = (blob.index(b"\0") if b"\0" in blob else len(blob)) - ends[-1]
+            blob[start + at : start + stop] = bytes(stop - at)
+            blob[start + at : start + at + len(garbage)] = garbage
+            path.write_bytes(bytes(blob))
+
+            reopened = WriteAheadLog(str(directory), segment_max_records=limit)
+            assert reopened.torn_lines == torn
+            assert list(reopened.replay_entries()) == _logged(survivors)
+            tail = [("obs", None, record(7), "after the crash")]
+            assert reopened.append_entries(tail) == [len(survivors) + 1]
+            reopened.close()
+            assert _directory(directory) == _reference(survivors + tail, limit)
+            final = WriteAheadLog(str(directory), segment_max_records=limit)
+            assert final.torn_lines == 0
+            assert list(final.replay_entries()) == _logged(survivors + tail)
+            final.close()
+
+    @_ALLOCATION
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_an_entry_by_entry_copy_has_byte_identical_live_segments(
+        self, call, data, tmp_path_factory
+    ):
+        """The standby's path: each committed group shipped as wire entries
+        and appended one by one.  The two directories are equal at every
+        step, zero tails included, and once closed both are the plain
+        writer's files."""
+        groups, limit = data.draw(_GROUPS), data.draw(st.integers(1, 5))
+        root = tmp_path_factory.mktemp("copy")
+        with _writer(call, data.draw(_CHUNKS)):
+            source = WriteAheadLog(str(root / "source"), segment_max_records=limit)
+            copy = WriteAheadLog(str(root / "copy"), segment_max_records=limit)
+            for group in groups:
+                source.append_entries(group)
+                for entry in source.read_committed_entries(after_seq=copy.last_seq):
+                    wire = json.loads(json.dumps(entry_to_wire(entry)))
+                    copy.append_entry(entry_from_wire(wire))
+                assert copy.last_seq == source.last_seq
+                assert _directory(root / "copy") == _directory(root / "source")
+            source.close()
+            copy.close()
+        entries = [entry for group in groups for entry in group]
+        assert _directory(root / "source") == _reference(entries, limit)
+        assert _directory(root / "copy") == _reference(entries, limit)
+
+    def test_a_live_segment_occupies_whole_chunks_and_closes_to_its_data(
+        self, tmp_path
+    ):
+        big = ("ev", None, "revive_user", {"id": 1, "p": {"pad": "x" * (3 << 19)}})
+        entries = [("obs", None, record(0), None), big, ("obs", None, record(1), None)]
+        with WriteAheadLog(str(tmp_path)) as wal:
+            wal.append_entries(entries[:1])
+            (path,) = tmp_path.iterdir()
+            assert path.stat().st_size == 1 << 20
+            wal.append_entries(entries[1:])
+            assert path.stat().st_size == 2 << 20  # a group larger than a chunk
+        assert _directory(tmp_path) == _reference(entries, 4096)
+        with WriteAheadLog(str(tmp_path)) as reopened:
+            assert list(reopened.replay_entries()) == _logged(entries)
+
+    def test_a_crashed_segment_is_trimmed_on_open(self, tmp_path):
+        entries = [("obs", None, record(k), None) for k in range(3)]
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append_entries(entries)
+        wal._handle.close()  # a crash leaves the zero tail behind
+        (path,) = tmp_path.iterdir()
+        assert path.stat().st_size == 1 << 20
+        with WriteAheadLog(str(tmp_path)) as reopened:
+            assert (reopened.last_seq, reopened.torn_lines) == (3, 0)
+            assert _directory(tmp_path) == _reference(entries, 4096)
+
+    def test_a_shipping_read_stops_at_the_writers_offset(self, tmp_path):
+        """Bytes past the writer's offset are never read by a shipping poll,
+        while a recovery scan of the same file stops at them as a tear."""
+        with WriteAheadLog(str(tmp_path)) as wal:
+            for k in range(5):
+                wal.append(record(k))
+            (path,) = tmp_path.iterdir()
+            with open(path, "r+b") as handle:
+                handle.seek(path.read_bytes().index(b"\0"))
+                handle.write(b"\xff written by nobody\n")
+            assert seqs(wal.read_committed_entries()) == [1, 2, 3, 4, 5]
+            assert wal.torn_lines == 0
+            assert seqs(wal.replay_entries()) == [1, 2, 3, 4, 5]
+            assert wal.torn_lines == 1
+
+
 class TestReadOnlyDegradedServer:
-    def test_failed_append_degrades_to_read_only_507(self, tmp_path):
+    def test_failed_append_degrades_to_read_only_507(self, tmp_path, disk):
         server = PredictionServer(
             data_dir=str(tmp_path / "srv"),
             rng=0,
@@ -433,7 +679,7 @@ class TestReadOnlyDegradedServer:
                 client.report_observation(
                     rec.user_id, rec.service_id, rec.value, rec.timestamp
                 )
-            server._wal._handle = _NoSpaceHandle(server._wal._handle)
+            disk.full = True
             for __ in range(2):  # the degradation is sticky
                 with pytest.raises(RetryableServiceError) as excinfo:
                     client.report_observation(0, 0, 1.0, 99.0)
