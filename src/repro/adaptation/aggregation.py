@@ -195,9 +195,9 @@ def predicted_workflow_qos(
     bindings: Mapping[str, int],
     predictor,
     user_id: int,
-    attribute: str = "response_time",
 ) -> float:
-    """Workflow-level predicted QoS under a concrete set of bindings.
+    """Workflow-level predicted response time under a concrete set of
+    bindings.
 
     ``predictor`` is any object with ``predict(user_id, service_id)`` (the
     :class:`~repro.adaptation.service.QoSPredictionService` interface).
@@ -212,4 +212,4 @@ def predicted_workflow_qos(
         for task, service_id in bindings.items()
         if task in node.task_names()
     }
-    return aggregate(node, values, attribute=attribute)
+    return aggregate(node, values, attribute="response_time")

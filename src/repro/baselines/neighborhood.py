@@ -20,12 +20,14 @@ from repro.baselines.base import MatrixPredictor
 from repro.datasets.schema import QoSMatrix
 from repro.utils.validation import check_probability
 
+#: Denominators at or below this are treated as zero (no similarity).
+_EPS = 1e-12
+
 
 def pcc_similarity_matrix(
     values: np.ndarray,
     mask: np.ndarray,
     min_overlap: int = 2,
-    eps: float = 1e-12,
 ) -> np.ndarray:
     """Pairwise PCC between the *rows* of a masked matrix.
 
@@ -62,7 +64,7 @@ def pcc_similarity_matrix(
         var_a = Q - A * A / safe_n
         var_b = Q.T - B * B / safe_n
         denominator = np.sqrt(np.maximum(var_a, 0.0) * np.maximum(var_b, 0.0))
-        similarity = np.where(denominator > eps, cov / np.maximum(denominator, eps), 0.0)
+        similarity = np.where(denominator > _EPS, cov / np.maximum(denominator, _EPS), 0.0)
 
     similarity[N < min_overlap] = 0.0
     np.fill_diagonal(similarity, 0.0)
@@ -87,7 +89,6 @@ def _neighborhood_predict(
     values: np.ndarray,
     mask: np.ndarray,
     weights: np.ndarray,
-    eps: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean-centered weighted-neighbor prediction over the rows.
 
@@ -109,8 +110,8 @@ def _neighborhood_predict(
     deviations = (X - row_means[:, None]) * M
     numerator = weights @ deviations
     denominator = np.abs(weights) @ M
-    supported = denominator > eps
-    adjustment = np.where(supported, numerator / np.maximum(denominator, eps), 0.0)
+    supported = denominator > _EPS
+    adjustment = np.where(supported, numerator / np.maximum(denominator, _EPS), 0.0)
     predictions = row_means[:, None] + adjustment
     return predictions, supported
 

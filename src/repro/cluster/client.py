@@ -97,26 +97,21 @@ class ClusterClient:
     :class:`PredictionClient` (timeouts, retries, breaker tuning,
     ``transport``...).
 
-    ``refresh_backoff`` / ``refresh_backoff_max`` bound the jittered
-    exponential backoff applied when placement refreshes keep failing
-    during a rebalance: a fleet of clients that all notice a newer
+    Placement refreshes that keep failing during a rebalance back off
+    exponentially with jitter (from ``_REFRESH_BACKOFF`` seconds up to
+    ``_REFRESH_BACKOFF_MAX``): a fleet of clients that all notice a newer
     ``placement_version`` at once must not thundering-herd the router —
     each client keeps serving its cached table and retries the refresh
     at its own randomized cadence.
     """
 
-    def __init__(
-        self,
-        router_address: tuple,
-        refresh_backoff: float = 0.25,
-        refresh_backoff_max: float = 5.0,
-        **client_kwargs,
-    ) -> None:
+    _REFRESH_BACKOFF = 0.25
+    _REFRESH_BACKOFF_MAX = 5.0
+
+    def __init__(self, router_address: tuple, **client_kwargs) -> None:
         self._router = PredictionClient(router_address, **client_kwargs)
         self._lock = threading.Lock()
         self._placement: "PlacementTable | None" = None
-        self._refresh_backoff = float(refresh_backoff)
-        self._refresh_backoff_max = float(refresh_backoff_max)
         self._refresh_failures = 0
         self._refresh_not_before = 0.0
         self._refresh_rng = random.Random()
@@ -155,8 +150,8 @@ class ClusterClient:
             with self._lock:
                 self._refresh_failures += 1
                 delay = min(
-                    self._refresh_backoff * (2.0 ** (self._refresh_failures - 1)),
-                    self._refresh_backoff_max,
+                    self._REFRESH_BACKOFF * (2.0 ** (self._refresh_failures - 1)),
+                    self._REFRESH_BACKOFF_MAX,
                 )
                 self._refresh_not_before = now + delay * (
                     0.5 + self._refresh_rng.random()

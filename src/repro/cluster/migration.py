@@ -54,8 +54,6 @@ freshly-re-learned) state rather than leaving a split owner.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 
@@ -69,19 +67,6 @@ PHASES = ("plan", "export", "transfer", "commit", "pre-commit", "done")
 
 class MigrationAborted(RuntimeError):
     """The coordinator was told to stop (router kill / operator abort)."""
-
-
-def entity_fingerprint(payload: dict) -> str:
-    """Content address of one canonical spill-format payload.
-
-    Must match what ``POST /migration/probe`` computes on a shard: the
-    blake2b digest of the canonically serialized payload.  Equal
-    fingerprints on source and destination mean the import already
-    happened — the resume path's no-op detector.
-    """
-    return hashlib.blake2b(
-        json.dumps(payload, sort_keys=True).encode(), digest_size=16
-    ).hexdigest()
 
 
 def plan_moves(
@@ -203,6 +188,9 @@ class MigrationCoordinator:
     in place so a fresh router over the same ``data_dir`` resumes it.
     """
 
+    _RETRY_BACKOFF = 0.05
+    _RETRY_BACKOFF_MAX = 1.0
+
     def __init__(
         self,
         router,
@@ -210,8 +198,6 @@ class MigrationCoordinator:
         mid: "str | None" = None,
         batch_entities: int = 64,
         on_phase=None,
-        retry_backoff: float = 0.05,
-        retry_backoff_max: float = 1.0,
         state: "dict | None" = None,
     ) -> None:
         if batch_entities < 1:
@@ -223,8 +209,6 @@ class MigrationCoordinator:
         self.mid = mid or f"v{router.placement.version}-to-v{target.version}"
         self.batch_entities = int(batch_entities)
         self.on_phase = on_phase
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         self.next_seq = int(state.get("next_seq", 1)) if state else 1
         self.resumed = state is not None
         self.progress = {
@@ -257,10 +241,6 @@ class MigrationCoordinator:
     def active(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    @property
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
     def progress_snapshot(self) -> dict:
         return dict(self.progress)
 
@@ -284,8 +264,9 @@ class MigrationCoordinator:
         """One shard call, retried with capped backoff until it succeeds,
         the coordinator is aborted, or the shard answers a terminal 4xx
         (a protocol bug, e.g. lifecycle tiering disabled — not something
-        a retry can fix)."""
-        backoff = self.retry_backoff
+        a retry can fix).  The backoff doubles from ``_RETRY_BACKOFF`` up
+        to ``_RETRY_BACKOFF_MAX`` seconds."""
+        backoff = self._RETRY_BACKOFF
         while True:
             if self._abort.is_set():
                 raise MigrationAborted(self.mid)
@@ -298,7 +279,7 @@ class MigrationCoordinator:
                     raise
             if self._abort.wait(backoff):
                 raise MigrationAborted(self.mid)
-            backoff = min(backoff * 2.0, self.retry_backoff_max)
+            backoff = min(backoff * 2.0, self._RETRY_BACKOFF_MAX)
 
     # -- the run ------------------------------------------------------------
     def _run_safely(self) -> None:

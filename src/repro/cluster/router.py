@@ -62,7 +62,7 @@ from repro.server.client import (
     PredictionClient,
     PredictionServiceError,
 )
-from repro.server.http import BadRequest, HttpListener, ServiceError
+from repro.server.http import BadRequest, HttpListener, ServiceError, check_id
 
 _METRICS = get_registry()
 _ROUTER_REQUESTS = _METRICS.counter(
@@ -125,13 +125,13 @@ class _EntityMigrating(ServiceError):
     status = 503
     code = "entity_migrating"
 
-    def __init__(self, kind: str, ext_id: int, retry_after: float = 0.25) -> None:
+    def __init__(self, kind: str, ext_id: int) -> None:
         super().__init__(
             f"{kind} {ext_id} is migrating; retry shortly",
             entity=[kind, ext_id],
-            retry_after=retry_after,
+            retry_after=0.25,
         )
-        self.retry_after = retry_after
+        self.retry_after = 0.25
 
 
 class MigrationConflict(ServiceError):
@@ -147,14 +147,10 @@ class ClusterRouter:
 
     Args:
         placement:    initial :class:`PlacementTable`.
-        host, port:   bind address (port 0 picks an ephemeral port).
+        port:         bind port on 127.0.0.1 (0 picks an ephemeral port).
         binary_port:  port of the binary listener on the same host (0, the
                       default, picks an ephemeral one; ``/status``
                       advertises whichever was bound).
-        timeout:      per-attempt timeout of each shard client.
-        shard_retries: idempotent-retry budget of each shard client
-                      (writes are never retried without a key, same
-                      contract as a direct client).
         client_kwargs: extra :class:`PredictionClient` keyword arguments
                       applied to every shard client (breaker tuning,
                       transport selection, ...).
@@ -164,35 +160,32 @@ class ClusterRouter:
                       boot tables has the higher version — drains and
                       committed rebalances survive the process — and an
                       interrupted migration resumes on :meth:`start`.
-        handler_timeout: socket timeout of the router's own HTTP handler
-                      (how long it will wait on a slow *caller*).
-                      Defaults to the worst-case downstream budget —
-                      ``2 * timeout * (shard_retries + 1)``, floored at
-                      30 s — so drain-path reads that legitimately take a
-                      full shard-retry cycle are not cut off mid-answer.
+
+    Each shard client gets ``timeout`` seconds per attempt and
+    ``shard_retries`` idempotent retries (writes are never retried without
+    a key, same contract as a direct client).  ``handler_timeout`` is the
+    socket timeout of the router's own HTTP handler (how long it will wait
+    on a slow *caller*): at least the worst-case downstream budget, so
+    drain-path reads that legitimately take a full shard-retry cycle are
+    not cut off mid-answer.  ``max_body_bytes`` bounds a request body (413
+    beyond it), as on a shard.
     """
+
+    timeout = 5.0
+    shard_retries = 0
+    handler_timeout = 30.0
+    max_body_bytes = 1 << 20
 
     def __init__(
         self,
         placement: PlacementTable,
-        host: str = "127.0.0.1",
         port: int = 0,
         binary_port: int = 0,
-        timeout: float = 5.0,
-        shard_retries: int = 0,
-        max_body_bytes: int = 1 << 20,
         client_kwargs: "dict | None" = None,
         data_dir: "str | None" = None,
-        handler_timeout: "float | None" = None,
     ) -> None:
-        self._host = host
+        self._host = "127.0.0.1"
         self._port = port
-        self.timeout = timeout
-        self.shard_retries = shard_retries
-        self.max_body_bytes = max_body_bytes
-        if handler_timeout is None:
-            handler_timeout = max(30.0, 2.0 * timeout * (shard_retries + 1))
-        self.handler_timeout = float(handler_timeout)
         self._client_kwargs = dict(client_kwargs or {})
         self._lock = threading.Lock()  # placement + client-map swaps
         self._clients: dict[str, PredictionClient] = {}
@@ -225,9 +218,9 @@ class ClusterRouter:
                 self._overrides[(str(kind), int(ext_id))] = str(dest)
         self._httpd: "HttpListener | None" = None
         self._binary = BinaryTransportServer(
-            (host, binary_port),
+            (self._host, binary_port),
             self._frames(),
-            max_body_bytes=max_body_bytes,
+            max_body_bytes=self.max_body_bytes,
             on_request=self._count_frame,
         )
 
@@ -582,9 +575,9 @@ class ClusterRouter:
 
     # -- data plane -----------------------------------------------------------
     def _handle_observation(self, payload: dict) -> dict:
-        user_id = payload.get("user_id")
-        if not isinstance(user_id, int) or user_id < 0:
-            raise BadRequest("field 'user_id' must be a non-negative integer")
+        user_id = check_id(payload.get("user_id"), "user_id")
+        # The shard hop is a binary frame, which would truncate a bad id.
+        check_id(payload.get("service_id"), "service_id")
         shard, client = self._route("user", user_id, write=True)
         body = self._call(shard, lambda: client.report_observation_detailed(payload))
         body["shard"] = shard.name
@@ -599,14 +592,14 @@ class ClusterRouter:
         groups: dict[str, tuple[object, list[tuple[int, dict]]]] = {}
         bad: list[dict] = []
         for index, record in enumerate(observations):
-            user_id = record.get("user_id") if isinstance(record, dict) else None
-            if not isinstance(user_id, int) or user_id < 0:
-                bad.append(
-                    {
-                        "index": index,
-                        "error": "record must carry a non-negative user_id",
-                    }
-                )
+            try:
+                if not isinstance(record, dict):
+                    raise BadRequest("observation must be an object")
+                user_id = check_id(record.get("user_id"), "user_id")
+                # Checked here too: the shard hop is a frame (see above).
+                check_id(record.get("service_id"), "service_id")
+            except BadRequest as exc:
+                bad.append({"index": index, "error": str(exc)})
                 continue
             try:
                 shard, _ = self._route("user", user_id, write=True)
@@ -736,14 +729,10 @@ class ClusterRouter:
         opcodes.  Returns ``(service_ids, values, sources, credence,
         unreachable, shard_name)`` — the first three aligned, ``credence``
         keyed by service id, ``unreachable`` as :meth:`_gather_credence`."""
-        if not isinstance(user_id, int) or user_id < 0:
-            raise BadRequest("field 'user_id' must be a non-negative integer")
+        check_id(user_id, "user_id")
         if not isinstance(raw_ids, list) or not raw_ids:
             raise BadRequest("field 'service_ids' must be a non-empty list")
-        try:
-            service_ids = [int(raw) for raw in raw_ids]
-        except (TypeError, ValueError) as exc:
-            raise BadRequest("service_ids must be integers") from exc
+        service_ids = [check_id(raw, "service_ids") for raw in raw_ids]
         shard, client = self._route("user", user_id)
         # Scatter, then gather: the user's shard predicts while the home
         # shards look up credence, so the ranking waits for the slowest
@@ -783,7 +772,7 @@ class ClusterRouter:
         if prefer not in ("min", "max"):
             raise BadRequest("field 'prefer' must be 'min' or 'max'")
         k = payload.get("k")
-        if k is not None and (not isinstance(k, int) or k < 1):
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
             raise BadRequest("field 'k' must be a positive integer")
         entries = [
             {

@@ -10,7 +10,6 @@ from repro.core.transform import (
     BoxCoxTransform,
     QoSNormalizer,
     sigmoid,
-    sigmoid_derivative,
 )
 from repro.core.weights import AdaptiveWeights
 from repro.core.kernel import iter_conflict_free_blocks, partition_conflict_free
@@ -25,7 +24,6 @@ __all__ = [
     "BoxCoxTransform",
     "QoSNormalizer",
     "sigmoid",
-    "sigmoid_derivative",
     "AdaptiveWeights",
     "partition_conflict_free",
     "iter_conflict_free_blocks",

@@ -142,14 +142,6 @@ class _GrowableFactors:
             return 0
         return int(self._versions[row_id])
 
-    def bump_versions(self, row_ids: np.ndarray) -> None:
-        """Advance version counters after a batch of row writes.
-
-        Safe for repeated ids (``np.add.at`` accumulates); the kernels that
-        guarantee unique ids per scatter bump ``_versions`` directly.
-        """
-        np.add.at(self._versions, row_ids, 1)
-
     def reinitialize(self, row_id: int) -> None:
         """Draw a fresh random vector for ``row_id`` (used on entity rejoin)."""
         self.ensure(row_id)
@@ -924,42 +916,15 @@ class AdaptiveMatrixFactorization:
         inner = self._service_factors.view()[service_ids] @ user_row
         return self.normalizer.denormalize(sigmoid(inner))
 
-    def rank_candidates(
-        self, user_id: int, service_ids, k: "int | None" = None, prefer: str = "min"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-K candidate ranking on the fused batch kernel.
-
-        Returns ``(ordered_ids, predictions)`` — the best ``k`` candidates
-        (all when ``k`` is None) sorted best-first.  ``prefer="min"`` ranks
-        ascending (response time: lower is better), ``"max"`` descending
-        (throughput).  Ties keep the caller's candidate order.
-        """
-        if prefer not in ("min", "max"):
-            raise ValueError(f"prefer must be 'min' or 'max', got {prefer!r}")
-        service_ids = np.asarray(service_ids, dtype=np.intp)
-        predictions = self.predict_for_user(user_id, service_ids)
-        keys = predictions if prefer == "min" else -predictions
-        if k is None or k >= service_ids.size:
-            order = np.argsort(keys, kind="stable")
-        else:
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            top = np.argpartition(keys, k - 1)[:k]
-            order = top[np.argsort(keys[top], kind="stable")]
-        return service_ids[order], predictions[order]
-
     def user_version(self, user_id: int) -> "int | None":
         """Write-version of a user's factor row (prediction-cache stamp);
         ``None`` for a row that has none to stamp — never here, a spilled
         row on a tiered model — whose predictions must not be cached."""
         return self._user_factors.version(user_id)
 
-    def service_version(self, service_id: int) -> int:
-        """Write-version of a service's factor row (prediction-cache stamp)."""
-        return self._service_factors.version(service_id)
-
     def service_versions(self, service_ids: np.ndarray) -> np.ndarray:
-        """:meth:`service_version` of many *known* services in one gather."""
+        """Write-versions of many *known* services' factor rows
+        (prediction-cache stamps) in one gather."""
         return self._service_factors._versions[service_ids]
 
     def predict_matrix(self) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.amf import AdaptiveMatrixFactorization
 from repro.datasets.schema import QoSRecord
 from repro.observability import get_registry
-from repro.utils.validation import check_positive
 
 # Background-training observability: is replay keeping up, and is the loop
 # crash-looping?  Counters are recorded per batch / per crash; the replay
@@ -60,9 +59,13 @@ _BACKGROUND_YIELDS = _METRICS.counter(
     "in flight or had left less than the quiet interval ago",
 )
 
-#: Replay steps per lock acquisition (``BackgroundTrainer.batch_size``'s
-#: default): what a request that arrives mid-slice waits for, ~0.2 ms.
+#: Replay steps per slice, i.e. per lock acquisition: large enough to
+#: amortize locking (and to give the vectorized kernel full blocks to
+#: fuse), small enough that a request arriving mid-slice barely waits
+#: (~0.2 ms).
 SLICE_STEPS = 64
+#: Seconds the trainer sleeps when the store is empty.
+_IDLE_SLEEP = 0.01
 #: How long the stream must have been idle before the trainer takes a
 #: slice.  Longer than the gap between a closed-loop client's reply and its
 #: next request, shorter than the gaps of any stream that has idle time.
@@ -319,35 +322,14 @@ class BackgroundTrainer:
                       their observations.  Pass ``time.monotonic`` (or a
                       simulation clock) only when observations are stamped
                       from the same source.
-        batch_size:   replay steps per slice, i.e. per lock acquisition —
-                      large enough to amortize locking (and to give the
-                      vectorized kernel full blocks to fuse), small enough
-                      that a request arriving mid-slice barely waits.
-        idle_sleep:   seconds to sleep when the store is empty.
-        kernel:       replay kernel override ("scalar" or "vectorized");
-                      ``None`` (default) uses the model's ``config.kernel``.
+
+    Each slice is :data:`SLICE_STEPS` replay steps on the model's
+    ``config.kernel``.
     """
 
-    def __init__(
-        self,
-        model: ConcurrentModel,
-        clock=None,
-        batch_size: int = SLICE_STEPS,
-        idle_sleep: float = 0.01,
-        kernel: str | None = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        check_positive("idle_sleep", idle_sleep)
-        if kernel is not None and kernel not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"kernel must be 'scalar' or 'vectorized', got {kernel!r}"
-            )
+    def __init__(self, model: ConcurrentModel, clock=None) -> None:
         self.model = model
         self.clock = clock if clock is not None else (lambda: model.latest_timestamp)
-        self.batch_size = batch_size
-        self.idle_sleep = idle_sleep
-        self.kernel = kernel
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
         self._replays_applied = 0
@@ -431,13 +413,13 @@ class BackgroundTrainer:
             self._stop.wait(QUIET_SECONDS - idle)
             return
         applied, expired, __ = self.model.replay_many(
-            float(self.clock()), self.batch_size, kernel=self.kernel
+            float(self.clock()), SLICE_STEPS
         )
         self._replays_applied += applied
         self._expired += expired
         self._last_batch_monotonic = _monotonic()
         _BACKGROUND_BATCHES.inc()
-        self._stop.wait(QUIET_SECONDS if applied else self.idle_sleep)
+        self._stop.wait(QUIET_SECONDS if applied else _IDLE_SLEEP)
 
     def replay_lag_seconds(self) -> float:
         """Seconds since the last replay batch (NaN before the first).
@@ -487,32 +469,20 @@ class TrainerSupervisor:
     failure, the supervisor waits a capped exponential backoff and restarts
     it, surfacing crash/restart counts for ``/status`` and ``/health``.
 
-    Args:
-        trainer:        the trainer to supervise (not yet started).
-        check_interval: seconds between liveness checks.
-        backoff_base:   first restart delay; doubles per consecutive crash.
-        backoff_max:    delay cap.
-        backoff_reset:  a trainer that stays alive this long after a restart
-                        resets the backoff to ``backoff_base``.
+    ``trainer`` is the trainer to supervise (not yet started).  The
+    timing is fixed: a liveness check every ``check_interval`` seconds; a
+    restart after ``backoff_base`` seconds, doubling per consecutive crash
+    up to ``backoff_max``; and a trainer that stays alive
+    ``backoff_reset`` seconds after a restart resets the backoff.
     """
 
-    def __init__(
-        self,
-        trainer: BackgroundTrainer,
-        check_interval: float = 0.05,
-        backoff_base: float = 0.1,
-        backoff_max: float = 5.0,
-        backoff_reset: float = 10.0,
-    ) -> None:
-        check_positive("check_interval", check_interval)
-        check_positive("backoff_base", backoff_base)
-        check_positive("backoff_max", backoff_max)
-        check_positive("backoff_reset", backoff_reset)
+    check_interval = 0.05
+    backoff_base = 0.1
+    backoff_max = 5.0
+    backoff_reset = 10.0
+
+    def __init__(self, trainer: BackgroundTrainer) -> None:
         self.trainer = trainer
-        self.check_interval = check_interval
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.backoff_reset = backoff_reset
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
         self._restarts = 0
@@ -575,11 +545,6 @@ class TrainerSupervisor:
             backoff = min(backoff * 2.0, self.backoff_max)
 
     # -- introspection -------------------------------------------------------
-    @property
-    def restarts(self) -> int:
-        """How many times the supervisor restarted the trainer."""
-        return self._restarts
-
     @property
     def crashes(self) -> int:
         return self.trainer.crash_count

@@ -42,10 +42,6 @@ class PredictionResult:
     source: str
     expected_error: "float | None" = None
 
-    @property
-    def degraded(self) -> bool:
-        return self.source != "model"
-
 
 class _RunningMean:
     __slots__ = ("count", "total")

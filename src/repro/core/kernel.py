@@ -44,7 +44,6 @@ class _LastBlockTable(dict):
 def partition_conflict_free(
     users: "Sequence[int] | np.ndarray",
     services: "Sequence[int] | np.ndarray",
-    tables: str = "auto",
 ) -> np.ndarray:
     """Assign each ``(users[k], services[k])`` sample a conflict-free block id.
 
@@ -55,20 +54,15 @@ def partition_conflict_free(
     non-empty.  Runs in O(n) time; ids must be non-negative (as everywhere
     in the model).
 
-    ``tables`` picks the last-block bookkeeping structure: ``"dense"``
-    allocates ``max_id + 1`` list slots per axis (fastest on the compact id
-    ranges replay batches draw from), ``"dict"`` allocates O(distinct ids)
-    (required when one sparse large id — e.g. a 1e9 user id — would
-    otherwise allocate gigabytes), and ``"auto"`` (default) chooses per
-    axis by comparing the id range against the batch size.  Both structures
-    produce identical block assignments.
+    The last-block bookkeeping is chosen per axis by comparing the id range
+    against the batch size: dense ``max_id + 1`` list slots (fastest on the
+    compact id ranges replay batches draw from), or a dict of O(distinct
+    ids) (required when one sparse large id — e.g. a 1e9 user id — would
+    otherwise allocate gigabytes).  Both produce identical block
+    assignments.
 
     Returns an ``np.intp`` array of block ids, one per sample.
     """
-    if tables not in ("auto", "dense", "dict"):
-        raise ValueError(
-            f"tables must be 'auto', 'dense', or 'dict', got {tables!r}"
-        )
     n = len(users)
     if n != len(services):
         raise ValueError(
@@ -84,10 +78,10 @@ def partition_conflict_free(
     )
     # Dense tables are only worth their allocation when the id range is on
     # the order of the batch itself.
-    dense_limit = max(4 * n, 1024) if tables == "auto" else None
+    dense_limit = max(4 * n, 1024)
 
     def make_table(max_id: int) -> "list[int] | _LastBlockTable":
-        if tables == "dense" or (tables == "auto" and max_id < dense_limit):
+        if max_id < dense_limit:
             return [-1] * (max_id + 1)
         return _LastBlockTable()
 

@@ -269,8 +269,6 @@ class TrainReport:
         final_error:     mean training relative error after the pass.
         error_trace:     mean replay error per epoch (for convergence plots).
         wall_seconds:    wall-clock time spent in this pass.
-        quarantined:     arrivals diverted into the sanitizer gate's
-                         quarantine (0 without a gate).
     """
 
     arrivals: int = 0
@@ -281,7 +279,6 @@ class TrainReport:
     final_error: float = float("nan")
     error_trace: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
-    quarantined: int = 0
 
 
 class StreamTrainer:
@@ -289,79 +286,46 @@ class StreamTrainer:
 
     Args:
         model:        the AMF model to train.
-        tolerance:    relative improvement threshold; an epoch whose mean
-                      replay error improves on the previous epoch by less
-                      than this fraction counts toward convergence.
-        patience:     number of consecutive low-improvement epochs required
-                      to declare convergence.
-        min_epochs:   epochs to run before the plateau check may fire.  A
-                      cold start sits in the bilinear saddle (both factor
-                      matrices near zero) for its first few epochs, where
-                      per-epoch improvements are tiny; without this floor
-                      the plateau detector occasionally mistakes the saddle
-                      for convergence and returns an underfit model.
-        max_epochs:   hard cap on replay epochs per :meth:`process` call.
         kernel:       replay kernel override ("scalar" or "vectorized")
                       passed to every :meth:`replay_many` call; ``None``
                       (default) uses the model's ``config.kernel``.
-        gate:         optional :class:`repro.robustness.SanitizerGate`;
-                      when set, :meth:`consume` routes every arrival
-                      through it, so outliers are clipped or quarantined
-                      before they reach the model.
+
+    The convergence rule is fixed by four class constants:
+
+    * ``tolerance`` — relative improvement threshold; an epoch that does not
+      beat the best mean replay error by this fraction counts toward
+      convergence;
+    * ``patience`` — consecutive low-improvement epochs that declare it;
+    * ``min_epochs`` — epochs to run before the plateau check may fire.  A
+      cold start sits in the bilinear saddle (both factor matrices near
+      zero) for its first few epochs, where per-epoch improvements are
+      tiny; without this floor the plateau detector occasionally mistakes
+      the saddle for convergence and returns an underfit model;
+    * ``max_epochs`` — hard cap on replay epochs per pass.
     """
 
+    tolerance = 5e-2
+    patience = 2
+    min_epochs = 5
+    max_epochs = 100
+
     def __init__(
-        self,
-        model: AdaptiveMatrixFactorization,
-        tolerance: float = 5e-2,
-        patience: int = 2,
-        min_epochs: int = 5,
-        max_epochs: int = 100,
-        kernel: str | None = None,
-        gate=None,
+        self, model: AdaptiveMatrixFactorization, kernel: str | None = None
     ) -> None:
-        check_positive("tolerance", tolerance)
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if min_epochs < 1:
-            raise ValueError(f"min_epochs must be >= 1, got {min_epochs}")
-        if max_epochs < min_epochs:
-            raise ValueError(
-                f"max_epochs ({max_epochs}) must be >= min_epochs ({min_epochs})"
-            )
         if kernel is not None and kernel not in ("scalar", "vectorized"):
             raise ValueError(
                 f"kernel must be 'scalar' or 'vectorized', got {kernel!r}"
             )
         self.model = model
-        self.tolerance = tolerance
-        self.patience = patience
-        self.min_epochs = min_epochs
-        self.max_epochs = max_epochs
         self.kernel = kernel
-        self.gate = gate
 
     def consume(self, records: Iterable[QoSRecord]) -> TrainReport:
-        """Feed newly observed samples without any replay.
-
-        With a gate attached, each arrival may be admitted as-is, admitted
-        clipped, quarantined (counted in ``report.quarantined``, not
-        applied), or trigger the release of previously quarantined samples.
-        """
+        """Feed newly observed samples without any replay."""
         report = TrainReport()
         started = time.perf_counter()
-        if self.gate is None:
-            for record in records:
-                self.model.observe(record)
-                report.arrivals += 1
-        else:
-            from repro.robustness.gate import apply_observation
-
-            for record in records:
-                action, __ = apply_observation(self.model, self.gate, record)
-                if action == "quarantine":
-                    report.quarantined += 1
-                report.arrivals += 1
+        for record in records:
+            self.model.observe(record)
+            report.arrivals += 1
         report.final_error = self.model.training_error()
         report.wall_seconds = time.perf_counter() - started
         _PHASE_CONSUME.observe(report.wall_seconds)
@@ -415,28 +379,22 @@ class StreamTrainer:
         _record_replay_pass(report)
         return report
 
-    def replay_until_error(
-        self,
-        now: float,
-        target_error: float,
-        max_epochs: int | None = None,
-    ) -> TrainReport:
+    def replay_until_error(self, now: float, target_error: float) -> TrainReport:
         """Replay until the training error reaches ``target_error``.
 
         The time-to-accuracy protocol used by the efficiency experiment
         (Fig. 13): "converged" means the model is back at the error level
         established during the initial full training — a warm model is
         usually there after zero or one epoch, a cold one needs the full
-        climb.  Stops at ``max_epochs`` (defaults to the trainer's cap) if
-        the target is unreachable, with ``converged=False``.
+        climb.  Stops at the trainer's ``max_epochs`` if the target is
+        unreachable, with ``converged=False``.
         """
         check_positive("target_error", target_error)
-        cap = self.max_epochs if max_epochs is None else max_epochs
         report = TrainReport()
         started = time.perf_counter()
         report.expired += self.model.purge_expired(now)
         current = self.model.training_error()
-        while current > target_error and report.epochs < cap:
+        while current > target_error and report.epochs < self.max_epochs:
             store_size = self.model.n_stored_samples
             if store_size == 0:
                 break
@@ -458,17 +416,16 @@ class StreamTrainer:
         _record_replay_pass(report)
         return report
 
-    def process(self, records: Iterable[QoSRecord], now: float | None = None) -> TrainReport:
+    def process(self, records: Iterable[QoSRecord]) -> TrainReport:
         """Consume arrivals, then replay to convergence.
 
-        ``now`` defaults to the latest arrival timestamp (or 0 when no
-        arrivals were provided), matching a live system where replay runs
-        between arrivals at the current time.
+        Replay runs at the latest arrival timestamp (or 0 when no arrivals
+        were provided), matching a live system where replay runs between
+        arrivals at the current time.
         """
         records = list(records)
         consume_report = self.consume(records)
-        if now is None:
-            now = max((record.timestamp for record in records), default=0.0)
+        now = max((record.timestamp for record in records), default=0.0)
         replay_report = self.replay_until_converged(now)
         return TrainReport(
             arrivals=consume_report.arrivals,
@@ -479,5 +436,4 @@ class StreamTrainer:
             final_error=replay_report.final_error,
             error_trace=replay_report.error_trace,
             wall_seconds=consume_report.wall_seconds + replay_report.wall_seconds,
-            quarantined=consume_report.quarantined,
         )

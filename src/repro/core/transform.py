@@ -51,15 +51,9 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return exp_x / (1.0 + exp_x)
 
 
-def sigmoid_derivative(x: np.ndarray | float) -> np.ndarray | float:
-    """Derivative ``g'(x) = g(x) (1 - g(x)) = e^x / (e^x + 1)^2``."""
-    g = sigmoid(x)
-    return g * (1.0 - g)
-
-
-def logit(p: np.ndarray | float, eps: float = 1e-12) -> np.ndarray | float:
+def logit(p: np.ndarray | float) -> np.ndarray | float:
     """Inverse sigmoid, with clipping away from {0, 1} for stability."""
-    p = np.clip(np.asarray(p, dtype=float), eps, 1.0 - eps)
+    p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
     out = np.log(p / (1.0 - p))
     return out if out.ndim else float(out)
 
@@ -93,19 +87,6 @@ class BoxCoxTransform:
         else:
             out = (np.power(x, self.alpha) - 1.0) / self.alpha
         return out if out.ndim else float(out)
-
-    def inverse(self, y: np.ndarray | float) -> np.ndarray | float:
-        """Invert the transform; output is clamped back to ``>= floor``.
-        A base that reaches 0 under a negative alpha yields ``+inf``."""
-        y = np.asarray(y, dtype=float)
-        if abs(self.alpha) < _LOG_LIMIT:
-            out = np.exp(y)
-        else:
-            base = np.maximum(self.alpha * y + 1.0, 0.0)
-            with np.errstate(divide="ignore"):
-                out = np.power(base, 1.0 / self.alpha)
-        out = np.maximum(out, self.floor)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,8 +206,3 @@ class QoSNormalizer:
         np.maximum(out, self.floor, out=out)
         np.minimum(out, self.value_max, out=out)
         return out
-
-    @classmethod
-    def linear(cls, value_min: float, value_max: float) -> "QoSNormalizer":
-        """Plain linear normalization (``alpha = 1``), as in AMF(alpha=1)."""
-        return cls(alpha=1.0, value_min=value_min, value_max=value_max)

@@ -26,10 +26,10 @@ class _GrowableErrors:
     EMA error of a new user/service to 1, i.e. maximal uncertainty).
     """
 
-    def __init__(self, init_error: float = 1.0, capacity: int = 16) -> None:
+    def __init__(self, init_error: float = 1.0) -> None:
         check_positive("init_error", init_error)
         self._init_error = init_error
-        self._values = np.full(max(capacity, 1), init_error, dtype=float)
+        self._values = np.full(16, init_error, dtype=float)
         self._size = 0
 
     def __len__(self) -> int:
@@ -121,25 +121,6 @@ class AdaptiveWeights:
         :meth:`user_error`)."""
         return self._service_errors.get(service_id)
 
-    def service_error_many(self, service_ids) -> "np.ndarray":
-        """EMA relative errors for a batch of services (pure read).
-
-        The batched counterpart of :meth:`service_error`, used by the
-        fused candidate-ranking path to report per-prediction expected
-        errors without one Python call per service.  Unknown ids report
-        ``init_error``, exactly like the scalar read.
-        """
-        service_ids = np.asarray(service_ids, dtype=np.intp)
-        errors = np.full(service_ids.shape, self.init_error, dtype=float)
-        if service_ids.size == 0:
-            return errors
-        if service_ids.min() < 0:
-            raise IndexError("service ids must be non-negative")
-        known = service_ids < self._service_errors._size
-        if known.any():
-            errors[known] = self._service_errors._values[service_ids[known]]
-        return errors
-
     def credence(self, user_id: int, service_id: int) -> tuple[float, float]:
         """Return ``(w_u, w_s)`` for a sample between the two entities (Eq. 12).
 
@@ -226,14 +207,6 @@ class AdaptiveWeights:
             beta * w_s * sample_errors + (1.0 - beta * w_s) * e_s
         )
         return w_u, w_s
-
-    def set_user_error(self, user_id: int, value: float) -> None:
-        """Overwrite a user's EMA error exactly (entity revival from spill)."""
-        self._user_errors.set(user_id, float(value))
-
-    def set_service_error(self, service_id: int, value: float) -> None:
-        """Overwrite a service's EMA error exactly (entity revival from spill)."""
-        self._service_errors.set(service_id, float(value))
 
     def reset_user(self, user_id: int) -> None:
         """Restore a user's error to the initial value (entity rejoin)."""

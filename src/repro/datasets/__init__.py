@@ -5,11 +5,10 @@ from repro.datasets.schema import QoSMatrix, QoSRecord, TimeSlicedQoS
 from repro.datasets.synthetic import SyntheticConfig, WSDreamGenerator, generate_dataset
 from repro.datasets.sampling import (
     mask_matrix_to_density,
-    split_observed,
     train_test_split_matrix,
 )
 from repro.datasets.stream import QoSStream, stream_from_matrix, stream_from_slices
-from repro.datasets.wsdream import load_wsdream_directory, parse_triplet_lines
+from repro.datasets.wsdream import load_wsdream_directory
 
 __all__ = [
     "QoSMatrix",
@@ -19,11 +18,9 @@ __all__ = [
     "WSDreamGenerator",
     "generate_dataset",
     "mask_matrix_to_density",
-    "split_observed",
     "train_test_split_matrix",
     "QoSStream",
     "stream_from_matrix",
     "stream_from_slices",
     "load_wsdream_directory",
-    "parse_triplet_lines",
 ]

@@ -54,30 +54,6 @@ def train_test_split_matrix(
     return train, test
 
 
-def split_observed(
-    matrix: QoSMatrix,
-    fraction: float,
-    rng: "int | np.random.Generator | None" = None,
-) -> tuple[QoSMatrix, QoSMatrix]:
-    """Split observed entries by a fraction *of the observed entries*
-    (rather than of the full matrix size).  Useful for generic holdout."""
-    check_fraction("fraction", fraction)
-    rng = spawn_rng(rng)
-    rows, cols = matrix.observed_indices()
-    n_first = int(round(fraction * rows.size))
-    order = rng.permutation(rows.size)
-    first_mask = np.zeros(matrix.shape, dtype=bool)
-    second_mask = np.zeros(matrix.shape, dtype=bool)
-    first_idx = order[:n_first]
-    second_idx = order[n_first:]
-    first_mask[rows[first_idx], cols[first_idx]] = True
-    second_mask[rows[second_idx], cols[second_idx]] = True
-    return (
-        QoSMatrix(values=matrix.values.copy(), mask=first_mask),
-        QoSMatrix(values=matrix.values.copy(), mask=second_mask),
-    )
-
-
 def split_entities(
     n_entities: int,
     existing_fraction: float,

@@ -42,37 +42,12 @@ class QoSStream:
     def records(self) -> list[QoSRecord]:
         return list(self._records)
 
-    def duration(self) -> float:
-        """Time span covered by the stream (0 for empty/single-sample)."""
-        if len(self._records) < 2:
-            return 0.0
-        return self._records[-1].timestamp - self._records[0].timestamp
-
     def users(self) -> set[int]:
         return {record.user_id for record in self._records}
 
     def services(self) -> set[int]:
         return {record.service_id for record in self._records}
 
-    def filter(self, predicate) -> "QoSStream":
-        """New stream with only records satisfying ``predicate(record)``."""
-        return QoSStream(
-            [record for record in self._records if predicate(record)], presorted=True
-        )
-
-    def merge(self, other: "QoSStream") -> "QoSStream":
-        """Merge two streams into one time-ordered stream."""
-        return QoSStream([*self._records, *other.records])
-
-    def by_slice(self) -> dict[int, "QoSStream"]:
-        """Group records by their slice id (preserving time order)."""
-        groups: dict[int, list[QoSRecord]] = {}
-        for record in self._records:
-            groups.setdefault(record.slice_id, []).append(record)
-        return {
-            slice_id: QoSStream(records, presorted=True)
-            for slice_id, records in groups.items()
-        }
 
 
 def stream_from_matrix(

@@ -61,59 +61,24 @@ def parse_quadruplet_lines(
     return parsed
 
 
-def parse_triplet_lines(lines: Iterable[str]) -> list[tuple[int, int, float]]:
-    """Parse single-slice ``user service value`` lines."""
-    parsed: list[tuple[int, int, float]] = []
-    for line_number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"line {line_number}: expected 3 fields 'user service value', "
-                f"got {len(parts)}: {stripped!r}"
-            )
-        try:
-            user_id, service_id = int(parts[0]), int(parts[1])
-            value = float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {line_number}: cannot parse {stripped!r}") from exc
-        if min(user_id, service_id) < 0:
-            raise ValueError(f"line {line_number}: negative index in {stripped!r}")
-        parsed.append((user_id, service_id, value))
-    return parsed
-
-
 def tensor_from_quadruplets(
     quadruplets: list[tuple[int, int, int, float]],
-    n_users: int | None = None,
-    n_services: int | None = None,
-    n_slices: int | None = None,
-    invalid_value: float = -1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (tensor, mask) from sparse quadruplets.
+    """Build (tensor, mask) from sparse quadruplets, shaped by the largest
+    ids seen.
 
-    Dataset#2 marks failed measurements with ``-1``; those entries (and any
-    value equal to ``invalid_value``) are left unobserved in the mask.
+    Dataset#2 marks failed measurements with ``-1``; those entries (any
+    negative value) are left unobserved in the mask.
     """
     if not quadruplets:
         raise ValueError("no QoS quadruplets to build a tensor from")
-    max_user = max(q[0] for q in quadruplets)
-    max_service = max(q[1] for q in quadruplets)
-    max_slice = max(q[2] for q in quadruplets)
-    n_users = (max_user + 1) if n_users is None else n_users
-    n_services = (max_service + 1) if n_services is None else n_services
-    n_slices = (max_slice + 1) if n_slices is None else n_slices
-    if max_user >= n_users or max_service >= n_services or max_slice >= n_slices:
-        raise ValueError(
-            f"indices exceed declared shape ({n_slices}, {n_users}, {n_services}): "
-            f"saw user {max_user}, service {max_service}, slice {max_slice}"
-        )
+    n_users = max(q[0] for q in quadruplets) + 1
+    n_services = max(q[1] for q in quadruplets) + 1
+    n_slices = max(q[2] for q in quadruplets) + 1
     tensor = np.zeros((n_slices, n_users, n_services), dtype=float)
     mask = np.zeros((n_slices, n_users, n_services), dtype=bool)
     for user_id, service_id, slice_id, value in quadruplets:
-        if value == invalid_value or value < 0:
+        if value < 0:
             continue
         tensor[slice_id, user_id, service_id] = value
         mask[slice_id, user_id, service_id] = True

@@ -90,7 +90,6 @@ def run_table1(
     scale: ExperimentScale | None = None,
     densities: tuple[float, ...] = DEFAULT_DENSITIES,
     attributes: tuple[str, ...] = ("response_time", "throughput"),
-    approaches: "list[str] | None" = None,
 ) -> Table1Result:
     """Run the full Table I sweep at the given scale."""
     scale = scale if scale is not None else ExperimentScale.quick()
@@ -102,7 +101,7 @@ def run_table1(
         for density in densities:
             rngs = spawn_children(scale.seed + int(density * 1000), scale.reruns)
             runs = [
-                compare_on_slice(matrix, attribute, density, rng=rng, approaches=approaches)
+                compare_on_slice(matrix, attribute, density, rng=rng)
                 for rng in rngs
             ]
             result.results[attribute][density] = average_results(runs)

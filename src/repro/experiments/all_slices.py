@@ -78,13 +78,12 @@ def run_all_slices(
     scale: ExperimentScale | None = None,
     attribute: str = "response_time",
     density: float = 0.10,
-    approaches: "list[str] | None" = None,
 ) -> AllSlicesResult:
     """Evaluate every approach on every slice; AMF runs online throughout."""
     scale = scale if scale is not None else ExperimentScale.quick()
     data = scale.dataset(attribute)
     rng = spawn_rng(scale.seed)
-    wanted = approaches if approaches is not None else ["UIPCC", "PMF", "AMF"]
+    wanted = ["UIPCC", "PMF", "AMF"]
 
     result = AllSlicesResult(attribute=attribute, density=density)
     for name in wanted:

@@ -83,7 +83,6 @@ def _pick_interesting_pair(data: TimeSlicedQoS) -> tuple[int, int]:
 
 def run_data_stats(
     scale: ExperimentScale | None = None,
-    n_sorted_users: int = 100,
 ) -> DataStatsResult:
     """Compute Fig. 6's table and Fig. 2's two series."""
     scale = scale if scale is not None else ExperimentScale.quick()
@@ -97,7 +96,7 @@ def run_data_stats(
     observed_per_service = rt.mask[0].sum(axis=0)
     service = int(np.argmax(observed_per_service))
     user_mask = rt.mask[0, :, service]
-    user_values = np.sort(rt.tensor[0, user_mask, service])[:n_sorted_users]
+    user_values = np.sort(rt.tensor[0, user_mask, service])[:100]
 
     return DataStatsResult(
         rt_stats=rt.statistics(),

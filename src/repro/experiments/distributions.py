@@ -55,6 +55,10 @@ def _skewness(values: np.ndarray) -> float:
     return float(np.mean(centered**3) / std**3)
 
 
+#: Histogram bins per panel.
+BINS = 40
+
+
 def _histogram(values: np.ndarray, bins: int, high: float) -> tuple[np.ndarray, np.ndarray]:
     counts, edges = np.histogram(values, bins=bins, range=(0.0, high))
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -64,7 +68,6 @@ def _histogram(values: np.ndarray, bins: int, high: float) -> tuple[np.ndarray, 
 def run_distributions(
     scale: ExperimentScale | None = None,
     attribute: str = "response_time",
-    bins: int = 40,
 ) -> DistributionResult:
     """Histogram one attribute's values raw (Fig. 7) and transformed (Fig. 8).
 
@@ -76,7 +79,7 @@ def run_distributions(
     values = data.observed_values()
 
     display_cut = 10.0 if attribute in ("response_time", "rt") else 150.0
-    raw_centers, raw_density = _histogram(values, bins, display_cut)
+    raw_centers, raw_density = _histogram(values, BINS, display_cut)
 
     config = make_amf_config(attribute)
     normalizer = QoSNormalizer(
@@ -86,7 +89,7 @@ def run_distributions(
         floor=config.value_floor,
     )
     transformed = np.asarray(normalizer.normalize(values))
-    transformed_centers, transformed_density = _histogram(transformed, bins, 1.0)
+    transformed_centers, transformed_density = _histogram(transformed, BINS, 1.0)
 
     return DistributionResult(
         attribute=attribute,

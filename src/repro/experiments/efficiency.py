@@ -63,18 +63,18 @@ class EfficiencyResult:
         )
 
 
+#: Slice 0's target training error, as a multiple of its plateau.
+TARGET_HEADROOM = 1.15
+
+
 def run_efficiency(
-    scale: ExperimentScale | None = None,
-    attribute: str = "response_time",
-    density: float = 0.30,
-    n_slices: int | None = None,
-    target_headroom: float = 1.15,
+    scale: ExperimentScale | None = None, density: float = 0.30
 ) -> EfficiencyResult:
     """Time each approach's per-slice convergence across the slices.
 
     "Convergence" for the AMF variants uses a time-to-accuracy protocol:
     slice 0 trains to its error plateau and establishes a target training
-    error (``target_headroom`` times the plateau level); each later slice's
+    error (:data:`TARGET_HEADROOM` times the plateau level); each later slice's
     cost is the time to absorb the slice's stream and get the model back
     under that target.  A warm model re-enters the target after little or
     no replay; a cold model pays the full climb every slice — the paper's
@@ -82,10 +82,9 @@ def run_efficiency(
     sides.
     """
     scale = scale if scale is not None else ExperimentScale.quick()
-    if target_headroom <= 1.0:
-        raise ValueError(f"target_headroom must exceed 1, got {target_headroom}")
+    attribute = "response_time"
     data = scale.dataset(attribute)
-    n_slices = data.n_slices if n_slices is None else min(n_slices, data.n_slices)
+    n_slices = data.n_slices
     rng = spawn_rng(scale.seed)
 
     seconds: dict[str, list[float]] = {
@@ -124,7 +123,7 @@ def run_efficiency(
             started = time.perf_counter()
             trainer.process(stream)
             seconds["AMF"].append(time.perf_counter() - started)
-            target_error = target_headroom * amf_model.training_error()
+            target_error = TARGET_HEADROOM * amf_model.training_error()
             seconds["AMF (retrain)"].append(seconds["AMF"][0])
             continue
 

@@ -51,12 +51,15 @@ class ErrorDistResult:
         return f"{table}\nmass within central bin — {summary}"
 
 
+#: The histogram's bins over the relative-error range it covers.
+BINS = 48
+VALUE_RANGE = (-3.0, 3.0)
+
+
 def run_error_dist(
     scale: ExperimentScale | None = None,
     attribute: str = "response_time",
     density: float = 0.10,
-    bins: int = 48,
-    value_range: tuple[float, float] = (-3.0, 3.0),
 ) -> ErrorDistResult:
     """Histogram signed prediction errors for UIPCC, PMF, and AMF."""
     scale = scale if scale is not None else ExperimentScale.quick()
@@ -80,10 +83,10 @@ def run_error_dist(
     central_mass: dict[str, float] = {}
     for name, predicted in predictions.items():
         centers, hist = error_histogram(
-            predicted, actual, bins=bins, value_range=value_range
+            predicted, actual, bins=BINS, value_range=VALUE_RANGE
         )
         densities[name] = hist
-        central = np.abs(centers) <= (value_range[1] - value_range[0]) / bins
+        central = np.abs(centers) <= (VALUE_RANGE[1] - VALUE_RANGE[0]) / BINS
         central_mass[name] = float(hist[central].sum())
     return ErrorDistResult(
         attribute=attribute,

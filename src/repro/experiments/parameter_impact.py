@@ -44,9 +44,6 @@ class ParameterImpactResult:
             title=f"Parameter impact ({self.attribute}) — {self.parameter}",
         )
 
-    def best_value(self) -> float:
-        return self.values[int(np.argmin(self.mre))]
-
 
 def _config_with(attribute: str, parameter: str, value: float):
     if parameter == "rank":
@@ -64,17 +61,15 @@ def run_parameter_impact(
     scale: ExperimentScale | None = None,
     attribute: str = "response_time",
     parameter: str = "rank",
-    values: "tuple[float, ...] | None" = None,
-    density: float = 0.30,
 ) -> ParameterImpactResult:
-    """Sweep one hyper-parameter, holding the rest at paper defaults."""
+    """Sweep one hyper-parameter over its :data:`DEFAULT_SWEEPS` values,
+    holding the rest at paper defaults."""
     scale = scale if scale is not None else ExperimentScale.quick()
-    if values is None:
-        if parameter not in DEFAULT_SWEEPS:
-            raise ValueError(
-                f"parameter must be one of {sorted(DEFAULT_SWEEPS)}, got {parameter!r}"
-            )
-        values = DEFAULT_SWEEPS[parameter]
+    if parameter not in DEFAULT_SWEEPS:
+        raise ValueError(
+            f"parameter must be one of {sorted(DEFAULT_SWEEPS)}, got {parameter!r}"
+        )
+    values = DEFAULT_SWEEPS[parameter]
     matrix = scale.dataset(attribute).slice(0)
 
     mre_series: list[float] = []
@@ -83,7 +78,7 @@ def run_parameter_impact(
         rngs = spawn_children(scale.seed, scale.reruns)
         per_run = []
         for rng in rngs:
-            train, test = train_test_split_matrix(matrix, density, rng=rng)
+            train, test = train_test_split_matrix(matrix, 0.30, rng=rng)
             per_run.append(evaluate_amf(train, test, config, rng=rng).metrics["MRE"])
         mre_series.append(float(np.mean(per_run)))
     return ParameterImpactResult(
@@ -92,15 +87,11 @@ def run_parameter_impact(
 
 
 def run_all_parameters(
-    scale: ExperimentScale | None = None,
-    attribute: str = "response_time",
-    density: float = 0.30,
+    scale: ExperimentScale | None = None, attribute: str = "response_time"
 ) -> dict[str, ParameterImpactResult]:
     """Sweep every parameter in DEFAULT_SWEEPS."""
     return {
-        parameter: run_parameter_impact(
-            scale, attribute=attribute, parameter=parameter, density=density
-        )
+        parameter: run_parameter_impact(scale, attribute=attribute, parameter=parameter)
         for parameter in DEFAULT_SWEEPS
     }
 

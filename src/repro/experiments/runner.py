@@ -188,8 +188,6 @@ def evaluate_amf(
     test: QoSMatrix,
     config: AMFConfig,
     rng: "int | np.random.Generator | None" = None,
-    slice_start: float = 0.0,
-    slice_seconds: float = 900.0,
     return_model: bool = False,
     kernel: "str | None" = None,
 ):
@@ -207,12 +205,7 @@ def evaluate_amf(
     model.ensure_user(train.n_users - 1)
     model.ensure_service(train.n_services - 1)
     trainer = StreamTrainer(model, kernel=kernel)
-    stream = stream_from_matrix(
-        train,
-        slice_start=slice_start,
-        slice_seconds=slice_seconds,
-        rng=rng,
-    )
+    stream = stream_from_matrix(train, rng=rng)
     import time as _time
 
     started = _time.perf_counter()
@@ -282,20 +275,21 @@ def make_baselines(
     return baselines
 
 
+#: The approaches a Table I cell compares: the paper's four and AMF.
+APPROACHES = ("UPCC", "IPCC", "UIPCC", "PMF", "AMF")
+
+
 def compare_on_slice(
     matrix: QoSMatrix,
     attribute: str,
     density: float,
     rng: "int | np.random.Generator | None" = None,
-    approaches: "list[str] | None" = None,
 ) -> dict[str, ApproachResult]:
-    """One Table I cell: split at ``density``, run every approach.
-
-    ``approaches`` restricts which models run (default: all five).
-    """
+    """One Table I cell: split at ``density``, run every approach of
+    :data:`APPROACHES`."""
     rng = spawn_rng(rng)
     train, test = train_test_split_matrix(matrix, density, rng=rng)
-    wanted = approaches if approaches is not None else ["UPCC", "IPCC", "UIPCC", "PMF", "AMF"]
+    wanted = APPROACHES
     results: dict[str, ApproachResult] = {}
     baselines = make_baselines(
         attribute, rng=rng, include_extensions="BiasedMF" in wanted

@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.core import AdaptiveMatrixFactorization
 from repro.datasets import train_test_split_matrix
+from repro.datasets.sampling import split_entities
 from repro.datasets.schema import QoSMatrix
 from repro.datasets.stream import stream_from_matrix
 from repro.experiments.runner import ExperimentScale, make_amf_config
 from repro.metrics import mre
-from repro.simulation.churn import ChurnSchedule
 from repro.utils.rng import spawn_rng
 from repro.utils.tables import render_table
 
@@ -114,28 +114,33 @@ def _mre_on(model: AdaptiveMatrixFactorization, test: QoSMatrix) -> float:
     return mre(predicted, test.values[rows, cols])
 
 
+#: The share of users and services present from the start (the paper's 80%).
+EXISTING_FRACTION = 0.8
+#: Replay steps after each arrival, and epochs over the warm-up stream and
+#: over the post-join stream.
+REPLAYS_PER_ARRIVAL = 3
+WARMUP_EPOCHS = 30
+POST_JOIN_EPOCHS = 30
+
+
 def run_scalability(
     scale: ExperimentScale | None = None,
-    attribute: str = "response_time",
     density: float = 0.30,
-    existing_fraction: float = 0.8,
-    replays_per_arrival: int = 3,
     checkpoint_updates: int = 2000,
-    warmup_epochs: int = 30,
-    post_join_epochs: int = 30,
 ) -> ScalabilityResult:
     """Run the Fig. 14 churn experiment and collect the MRE timelines."""
     scale = scale if scale is not None else ExperimentScale.quick()
+    attribute = "response_time"
     rng = spawn_rng(scale.seed)
     matrix = scale.dataset(attribute).slice(0)
     train, test = train_test_split_matrix(matrix, density, rng=rng)
 
-    schedule, existing_users, new_users, existing_services, new_services = (
-        ChurnSchedule.paper_scalability(
-            matrix.n_users, matrix.n_services, existing_fraction=existing_fraction, rng=rng
-        )
+    # The paper's churn: the existing 80% are present from the start, the
+    # rest join at once.
+    existing_users, new_users = split_entities(matrix.n_users, EXISTING_FRACTION, rng)
+    existing_services, new_services = split_entities(
+        matrix.n_services, EXISTING_FRACTION, rng
     )
-    del schedule  # the split is what this experiment consumes
 
     train_existing = _restrict(train, existing_users, existing_services)
     # Everything in train that touches a new entity arrives after the join.
@@ -163,7 +168,7 @@ def run_scalability(
         nonlocal next_checkpoint
         for record in stream_records:
             model.observe(record)
-            for __ in range(replays_per_arrival):
+            for __ in range(REPLAYS_PER_ARRIVAL):
                 model.replay_step(now=0.0)
             if model.updates_applied >= next_checkpoint:
                 checkpoint(include_new)
@@ -177,14 +182,14 @@ def run_scalability(
 
     # Phase 1: warm up on existing entities only.
     warmup_stream = stream_from_matrix(train_existing, rng=rng)
-    drive(warmup_stream, warmup_epochs, include_new=False)
+    drive(warmup_stream, WARMUP_EPOCHS, include_new=False)
     checkpoint(include_new=False)
     result.join_wall_seconds = time.perf_counter() - started
     result.join_updates = model.updates_applied
 
     # Phase 2: the remaining 20% of users and services join.
     join_stream = stream_from_matrix(train_new, rng=rng)
-    drive(join_stream, post_join_epochs, include_new=True)
+    drive(join_stream, POST_JOIN_EPOCHS, include_new=True)
     checkpoint(include_new=True)
     return result
 

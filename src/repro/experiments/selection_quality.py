@@ -72,13 +72,16 @@ class SelectionQualityResult:
         return f"{table}\n{note}"
 
 
+#: Candidates per decision, decisions drawn, and the SLA bound scored.
+POOL_SIZE = 10
+N_POOLS = 300
+SLA_THRESHOLD = 2.0
+
+
 def run_selection_quality(
     scale: ExperimentScale | None = None,
     attribute: str = "response_time",
     density: float = 0.10,
-    pool_size: int = 10,
-    n_pools: int = 300,
-    sla_threshold: float = 2.0,
 ) -> SelectionQualityResult:
     """Evaluate candidate-selection decisions for every approach."""
     scale = scale if scale is not None else ExperimentScale.quick()
@@ -104,12 +107,12 @@ def run_selection_quality(
     # Sample candidate pools among *held-out* (candidate) pairs per user.
     pools: list[tuple[int, np.ndarray]] = []
     ewma_scoreable = 0
-    for __ in range(n_pools):
+    for __ in range(N_POOLS):
         user = int(rng.integers(matrix.n_users))
         candidates = np.nonzero(test.mask[user])[0]
-        if candidates.size < pool_size:
+        if candidates.size < POOL_SIZE:
             continue
-        pool = rng.choice(candidates, size=pool_size, replace=False)
+        pool = rng.choice(candidates, size=POOL_SIZE, replace=False)
         pools.append((user, pool))
         if all(ewma.can_predict(user, int(s)) for s in pool):
             ewma_scoreable += 1
@@ -125,7 +128,7 @@ def run_selection_quality(
             regrets.append(selection_regret(scores, actual, lower_is_better=lower_is_better))
             sla_acc.append(
                 sla_confusion(
-                    scores, actual, sla_threshold, lower_is_better=lower_is_better
+                    scores, actual, SLA_THRESHOLD, lower_is_better=lower_is_better
                 )["accuracy"]
             )
         metrics[name] = {
@@ -137,9 +140,9 @@ def run_selection_quality(
 
     return SelectionQualityResult(
         attribute=attribute,
-        pool_size=pool_size,
+        pool_size=POOL_SIZE,
         n_pools=len(pools),
-        sla_threshold=sla_threshold,
+        sla_threshold=SLA_THRESHOLD,
         metrics=metrics,
         timeseries_coverage=ewma_scoreable / max(len(pools), 1),
     )

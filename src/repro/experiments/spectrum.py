@@ -48,18 +48,20 @@ class SpectrumResult:
         return f"{table}\n{summary}"
 
 
+#: Leading singular values shown per attribute.
+TOP_K = 50
+
+
 def run_spectrum(
     scale: ExperimentScale | None = None,
-    top_k: int = 50,
-    slice_id: int = 0,
 ) -> SpectrumResult:
     """Compute the Fig. 9 spectra on one slice of both attributes."""
     scale = scale if scale is not None else ExperimentScale.quick()
-    rt = scale.dataset("response_time").slice(slice_id)
-    tp = scale.dataset("throughput").slice(slice_id)
+    rt = scale.dataset("response_time").slice(0)
+    tp = scale.dataset("throughput").slice(0)
     return SpectrumResult(
-        rt_spectrum=normalized_singular_values(rt, top_k=top_k),
-        tp_spectrum=normalized_singular_values(tp, top_k=top_k),
+        rt_spectrum=normalized_singular_values(rt, top_k=TOP_K),
+        tp_spectrum=normalized_singular_values(tp, top_k=TOP_K),
         rt_effective_rank=effective_rank(rt),
         tp_effective_rank=effective_rank(tp),
     )

@@ -64,21 +64,22 @@ class SpillStore:
         path: database file path, or ``":memory:"`` for an ephemeral store
               (non-durable servers and model-level tests), which commits
               every statement by itself.
-        compact_threshold_pages:
-              free-page count above which :meth:`maybe_compact` actually
-              runs ``PRAGMA incremental_vacuum``.  Deleted rows (revives,
-              mass forget, demotion churn) leave free pages behind;
-              without compaction a long churn run's spill file grows
-              without bound even when the live row count is stable.
+
+    ``compact_threshold_pages`` is the free-page count above which
+    :meth:`maybe_compact` actually runs ``PRAGMA incremental_vacuum``.
+    Deleted rows (revives, mass forget, demotion churn) leave free pages
+    behind; without compaction a long churn run's spill file grows without
+    bound even when the live row count is stable.
 
     Thread-safe: the server touches it from the ingest path, the predict
     path (a spilled entity's row is read where it lies, :meth:`get` only),
     and the ``/status`` handler concurrently.
     """
 
-    def __init__(self, path: str, compact_threshold_pages: int = 64) -> None:
+    compact_threshold_pages = 64
+
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.compact_threshold_pages = int(compact_threshold_pages)
         self.compactions = 0
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(
@@ -106,12 +107,6 @@ class SpillStore:
             ") WITHOUT ROWID"
         )
         self._conn.commit()
-
-    def freelist_pages(self) -> int:
-        """Pages currently on the database free list (reclaimable space)."""
-        with self._lock:
-            row = self._conn.execute("PRAGMA freelist_count").fetchone()
-        return int(row[0])
 
     def maybe_compact(self) -> bool:
         """Release free pages back to the OS if enough have accumulated.
@@ -183,9 +178,6 @@ class SpillStore:
                 "DELETE FROM entities WHERE kind = ? AND ext_id = ?",
                 (kind, int(ext_id)),
             )
-
-    def contains(self, kind: str, ext_id: int) -> bool:
-        return self.get(kind, ext_id) is not None
 
     def count(self, kind: "str | None" = None) -> int:
         with self._lock:

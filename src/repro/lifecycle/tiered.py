@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -157,45 +158,40 @@ class LifecycleConfig:
     Attributes:
         hot_users:          hot-tier capacity for users (slots).
         hot_services:       hot-tier capacity for services (slots).
-        low_watermark:      demotion target as a fraction of capacity: when
-                            the live population exceeds capacity, the
-                            coldest entities are demoted down to
-                            ``capacity * low_watermark`` in one batch
-                            (hysteresis — one sort-and-demote pass per
-                            overflow, not per arrival).
         memory_limit_bytes: resident-bytes ceiling the watchdog enforces;
                             ``None`` disables the watchdog.
         watchdog_interval:  seconds between watchdog polls.
-        tighten_at:         usage fraction above which capacities shrink.
-        critical_at:        usage fraction above which the pressure level
-                            reads ``critical`` (logged and reported; the
-                            tightening is the same as under ``tighten``).
         shrink_factor:      multiplicative capacity reduction per sustained
                             tighten poll.
         min_hot:            capacity floor tightening can never cross.
         sustain_polls:      consecutive over-threshold polls required
                             before acting (pressure must be *sustained*).
+
+    Three constants ride along: ``low_watermark``, the demotion target as a
+    fraction of capacity (when the live population exceeds capacity, the
+    coldest entities are demoted down to ``capacity * low_watermark`` in
+    one batch — hysteresis, one sort-and-demote pass per overflow, not per
+    arrival); ``tighten_at``, the usage fraction above which capacities
+    shrink; and ``critical_at``, the usage fraction above which the
+    pressure level reads ``critical`` (logged and reported; the tightening
+    is the same as under ``tighten``).
     """
 
     hot_users: int = 4096
     hot_services: int = 4096
-    low_watermark: float = 0.9
     memory_limit_bytes: "int | None" = None
     watchdog_interval: float = 0.5
-    tighten_at: float = 0.8
-    critical_at: float = 0.95
     shrink_factor: float = 0.7
     min_hot: int = 64
     sustain_polls: int = 2
+    low_watermark: ClassVar[float] = 0.9
+    tighten_at: ClassVar[float] = 0.8
+    critical_at: ClassVar[float] = 0.95
 
     def __post_init__(self) -> None:
         if self.hot_users < 2 or self.hot_services < 2:
             raise ValueError(
                 f"hot capacities must be >= 2, got {self.hot_users}/{self.hot_services}"
-            )
-        if not (0.0 < self.low_watermark <= 1.0):
-            raise ValueError(
-                f"low_watermark must be in (0, 1], got {self.low_watermark}"
             )
         if self.memory_limit_bytes is not None and self.memory_limit_bytes < 1:
             raise ValueError(
@@ -204,11 +200,6 @@ class LifecycleConfig:
         if self.watchdog_interval <= 0:
             raise ValueError(
                 f"watchdog_interval must be positive, got {self.watchdog_interval}"
-            )
-        if not (0.0 < self.tighten_at < self.critical_at):
-            raise ValueError(
-                f"need 0 < tighten_at < critical_at, got "
-                f"{self.tighten_at}/{self.critical_at}"
             )
         if not (0.0 < self.shrink_factor < 1.0):
             raise ValueError(
@@ -490,12 +481,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
 
     def knows_service(self, service_id: int) -> bool:
         return service_id in self._s_slot_of
-
-    def is_spilled_user(self, user_id: int) -> bool:
-        return user_id in self._spilled_users
-
-    def is_spilled_service(self, service_id: int) -> bool:
-        return service_id in self._spilled_services
 
     def holds_user(self, user_id: int) -> bool:
         return self._users.holds(user_id)
@@ -889,7 +874,7 @@ class TieredAMF(AdaptiveMatrixFactorization):
         """Apply one logged event to the model — the single dispatcher for
         all five kinds, whoever replays the log (the live server, recovery,
         a standby); the kinds and their ``data`` are tabulated in
-        :meth:`repro.server.wal.WriteAheadLog.append_event`."""
+        :meth:`repro.server.wal.WriteAheadLog.append_entries`."""
         if kind.startswith("revive_"):
             self.apply_revive(kind.removeprefix("revive_"), int(data["id"]), data["p"])
         elif kind == "pressure":
@@ -959,9 +944,6 @@ class TieredAMF(AdaptiveMatrixFactorization):
 
     def user_version(self, user_id: int) -> "int | None":
         return self._users.version_of(user_id)
-
-    def service_version(self, service_id: int) -> "int | None":
-        return self._services.version_of(service_id)
 
     def service_versions(self, service_ids: np.ndarray) -> np.ndarray:
         return super().service_versions(self._service_slots(service_ids))

@@ -8,7 +8,6 @@ from repro.metrics.errors import (
     mre,
     npre,
     relative_errors,
-    rmse,
     score_all,
 )
 from repro.metrics.lowrank import normalized_singular_values
@@ -20,7 +19,6 @@ from repro.metrics.selection import (
 
 __all__ = [
     "mae",
-    "rmse",
     "mre",
     "npre",
     "relative_errors",

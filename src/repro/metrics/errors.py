@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_shape_match
+from repro.utils.validation import check_shape_match
 
 
 def _as_pair(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -29,23 +29,16 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(np.abs(predicted - actual)))
 
 
-def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Root Mean Squared Error (not in the paper's tables; common companion)."""
+#: Actual values are clamped away from zero by this floor so a measured 0
+#: does not produce an infinite ratio (the paper's data has Rmin = 0).
+RELATIVE_FLOOR = 1e-9
+
+
+def relative_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Pairwise relative errors ``|pred - actual| / actual`` (``actual``
+    floored at :data:`RELATIVE_FLOOR`)."""
     predicted, actual = _as_pair(predicted, actual)
-    return float(np.sqrt(np.mean((predicted - actual) ** 2)))
-
-
-def relative_errors(
-    predicted: np.ndarray, actual: np.ndarray, floor: float = 1e-9
-) -> np.ndarray:
-    """Pairwise relative errors ``|pred - actual| / actual``.
-
-    Actual values are clamped away from zero by ``floor`` so a measured 0
-    does not produce an infinite ratio (the paper's data has Rmin = 0).
-    """
-    check_positive("floor", floor)
-    predicted, actual = _as_pair(predicted, actual)
-    return np.abs(predicted - actual) / np.maximum(np.abs(actual), floor)
+    return np.abs(predicted - actual) / np.maximum(np.abs(actual), RELATIVE_FLOOR)
 
 
 def mre(predicted: np.ndarray, actual: np.ndarray) -> float:

@@ -10,15 +10,14 @@ dependency-free metrics layer for all of that:
   bounded histograms in a get-or-create :class:`MetricsRegistry`, rendered
   in the Prometheus text exposition format (and strictly re-parsable via
   :func:`parse_prometheus_text`).
-* :mod:`repro.observability.timing` — ``with time_block(hist)`` /
-  ``@timed(hist)`` wall-clock helpers.
+* :mod:`repro.observability.timing` — the ``@timed(hist)`` wall-clock
+  decorator (``with hist.time(): ...`` times a block).
 * :mod:`repro.observability.drift` — :class:`StreamAccuracyMonitor`, the
   windowed live MAE/MRE/NPRE (Section V-B metrics computed online).
 
 Every instrumented module records into the shared default registry
 (:func:`get_registry`), which ``GET /metrics`` on the prediction server
-renders.  Recording is cheap enough to stay on by default;
-:func:`set_enabled` exists so benchmarks can quantify the overhead.
+renders.  Recording is cheap enough to stay on.
 """
 
 from repro._lazy import lazy_exports
@@ -28,11 +27,9 @@ from repro.observability.registry import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    is_enabled,
     parse_prometheus_text,
-    set_enabled,
 )
-from repro.observability.timing import time_block, timed
+from repro.observability.timing import timed
 
 # The drift monitor is the one export that needs numpy.
 __getattr__ = lazy_exports(
@@ -46,9 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "StreamAccuracyMonitor",
     "get_registry",
-    "is_enabled",
     "parse_prometheus_text",
-    "set_enabled",
-    "time_block",
     "timed",
 ]

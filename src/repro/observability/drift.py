@@ -29,24 +29,19 @@ _RELATIVE_FLOOR = 1e-9
 class StreamAccuracyMonitor:
     """Windowed MAE/MRE/NPRE of the live observation stream.
 
-    Args:
-        window:     how many most-recent ``(predicted, actual)`` pairs to
-                    score; bounds memory and makes the metrics *drift*
-                    metrics (old accuracy ages out).
-        percentile: the NPRE percentile (the paper uses 90).
+    ``window`` is how many most-recent ``(predicted, actual)`` pairs are
+    scored; it bounds memory and makes the metrics *drift* metrics (old
+    accuracy ages out).  ``percentile`` is the NPRE percentile (the paper
+    uses 90).
     """
 
-    def __init__(self, window: int = 512, percentile: float = 90.0) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not (0.0 < percentile < 100.0):
-            raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-        self.window = window
-        self.percentile = percentile
+    window = 512
+    percentile = 90.0
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._predicted: deque[float] = deque(maxlen=window)
-        self._actual: deque[float] = deque(maxlen=window)
-        self._recorded = 0
+        self._predicted: deque[float] = deque(maxlen=self.window)
+        self._actual: deque[float] = deque(maxlen=self.window)
 
     def record(self, predicted: float, actual: float) -> None:
         """Score one arrival against the prediction that preceded it.
@@ -61,13 +56,6 @@ class StreamAccuracyMonitor:
         with self._lock:
             self._predicted.append(predicted)
             self._actual.append(actual)
-            self._recorded += 1
-
-    @property
-    def recorded(self) -> int:
-        """Total pairs ever recorded (not just the current window)."""
-        with self._lock:
-            return self._recorded
 
     def snapshot(self) -> dict[str, float]:
         """Current windowed metrics: ``{window, mae, mre, npre}``.

@@ -23,10 +23,9 @@ Prometheus text exposition format (version 0.0.4); histograms render as
 is the matching strict parser, used by tests and the chaos drill to fail
 on malformed output.
 
-Instrumentation is designed to stay on in production; :func:`set_enabled`
-exists so a harness can measure its overhead (the budget is < 5% of replay
-throughput; the benchmark reports the traced share of a request as
-``bench.trace_overhead_share``).
+Instrumentation stays on: the budget is < 5% of replay throughput, and the
+benchmark reports the traced share of a request as
+``bench.trace_overhead_share``.
 """
 
 from __future__ import annotations
@@ -40,28 +39,6 @@ from collections.abc import Iterator
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-class _Switch:
-    """Process-wide instrumentation on/off flag (a plain attribute read in
-    the hot path, shared by every metric instance)."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-_SWITCH = _Switch()
-
-
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable metric recording (scrapes keep working)."""
-    _SWITCH.enabled = bool(enabled)
-
-
-def is_enabled() -> bool:
-    return _SWITCH.enabled
 
 
 def _format_value(value: float) -> str:
@@ -95,8 +72,6 @@ class Counter:
         """Add ``amount`` (must be non-negative) to the counter."""
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        if not _SWITCH.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -121,19 +96,12 @@ class Gauge:
         self._fn = None
 
     def set(self, value: float) -> None:
-        if not _SWITCH.enabled:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _SWITCH.enabled:
-            return
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def set_function(self, fn) -> None:
         """Compute the gauge lazily: ``fn()`` is called at every read.
@@ -181,33 +149,25 @@ class _Timer:
 class Histogram:
     """Exact count/sum plus bounded recent-window quantiles.
 
-    ``window`` bounds memory: quantiles summarize the most recent
-    observations only, which is the right semantics for drift-style
-    monitoring (old latencies should age out).  ``quantiles`` are the
-    summary points rendered on a scrape (nearest-rank over the window).
+    The window (``window`` observations) bounds memory: quantiles
+    summarize the most recent observations only, which is the right
+    semantics for drift-style monitoring (old latencies should age out).
+    ``quantiles`` are the summary points rendered on a scrape (nearest-rank
+    over the window).
     """
 
-    __slots__ = ("_lock", "_window", "_count", "_sum", "quantiles")
+    __slots__ = ("_lock", "_window", "_count", "_sum")
 
-    def __init__(
-        self,
-        window: int = 1024,
-        quantiles: tuple[float, ...] = (0.5, 0.9, 0.99),
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        for q in quantiles:
-            if not (0.0 < q < 1.0):
-                raise ValueError(f"quantiles must be in (0, 1), got {q}")
+    window = 1024
+    quantiles = (0.5, 0.9, 0.99)
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window: deque[float] = deque(maxlen=window)
+        self._window: deque[float] = deque(maxlen=self.window)
         self._count = 0
         self._sum = 0.0
-        self.quantiles = tuple(quantiles)
 
     def observe(self, value: float) -> None:
-        if not _SWITCH.enabled:
-            return
         value = float(value)
         with self._lock:
             self._window.append(value)
@@ -352,20 +312,9 @@ class MetricsRegistry:
         return self._get_or_create(name, help, "gauge", labelnames, Gauge)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames=(),
-        window: int = 1024,
-        quantiles: tuple[float, ...] = (0.5, 0.9, 0.99),
+        self, name: str, help: str = "", labelnames=()
     ) -> "Histogram | _Family":
-        return self._get_or_create(
-            name,
-            help,
-            "histogram",
-            labelnames,
-            lambda: Histogram(window=window, quantiles=quantiles),
-        )
+        return self._get_or_create(name, help, "histogram", labelnames, Histogram)
 
     def families(self) -> list[str]:
         with self._lock:

@@ -1,39 +1,15 @@
-"""Trace/timing helpers over the metric primitives.
+"""Timing helper over the metric primitives.
 
 Thin sugar so instrumented code reads as *what* is being timed rather than
-perf_counter arithmetic: ``with time_block(histogram): ...`` and the
-``@timed(histogram)`` decorator observe wall-clock durations into any
-object with an ``observe(seconds)`` method (normally a
-:class:`~repro.observability.registry.Histogram`).
+perf_counter arithmetic: the ``@timed(histogram)`` decorator observes every
+call's wall-clock duration into any object with an ``observe(seconds)``
+method (normally a :class:`~repro.observability.registry.Histogram`).
 """
 
 from __future__ import annotations
 
 import functools
 import time
-
-
-class time_block:  # noqa: N801 — used as `with time_block(...)`, reads as a verb
-    """Context manager observing the block's wall-clock duration.
-
-    ``metric`` is anything with ``observe(seconds)``.  The elapsed time is
-    also available afterwards as ``.elapsed``.
-    """
-
-    __slots__ = ("_metric", "_start", "elapsed")
-
-    def __init__(self, metric) -> None:
-        self._metric = metric
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "time_block":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        self._metric.observe(self.elapsed)
 
 
 def timed(metric):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.observability import get_registry
 from repro.server.http import ServiceError
@@ -130,15 +131,16 @@ class AdmissionConfig:
                      lock at once before new ones are shed with 503.
         deadline:    seconds an admitted request may wait for the ingest
                      lock before 503 (its per-request processing budget).
-        retry_after_floor: minimum ``Retry-After`` hint, so very small
-                     waits don't invite instant hammering.
+
+    ``retry_after_floor`` is the minimum ``Retry-After`` hint, so very
+    small waits don't invite instant hammering.
     """
 
     rate: float = 500.0
     burst: float = 100.0
     max_pending: int = 64
     deadline: float = 2.0
-    retry_after_floor: float = 0.05
+    retry_after_floor: ClassVar[float] = 0.05
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -149,10 +151,6 @@ class AdmissionConfig:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.retry_after_floor < 0:
-            raise ValueError(
-                f"retry_after_floor must be >= 0, got {self.retry_after_floor}"
-            )
 
 
 class AdmissionController:

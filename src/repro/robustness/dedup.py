@@ -14,11 +14,12 @@ that carried them, so a crash-recovered server rebuilds exactly the
 ledger it had, and the bounded size is enforced identically live and
 during replay — which keeps recovery deterministic.
 
-:class:`TimestampPolicy` is the companion hygiene filter: observations
-stamped too far in the future (clock skew) or too stale relative to the
-newest ingested sample (a replaying collector flushing an old queue) are
-rejected at the boundary before they can distort the model's
-time-decayed replay weights.  Both checks are off by default.
+:class:`TimestampPolicy` is a companion hygiene filter for a caller to
+apply in front of ingest: it refuses observations stamped too far in the
+future (clock skew) or too stale relative to the newest ingested sample (a
+replaying collector flushing an old queue), before they can distort the
+model's time-decayed replay weights.  The prediction server does not
+apply one.
 """
 
 from __future__ import annotations
@@ -43,11 +44,16 @@ _STALE = _METRICS.counter(
 _STALE_OLD = _STALE.labels(reason="stale")
 _STALE_FUTURE = _STALE.labels(reason="future")
 
+#: Keys a fresh ledger holds before it evicts the oldest.  A checkpointed
+#: ledger restores the capacity it was saved with.
+_CAPACITY = 65536
+
 
 class DedupLedger:
     """Bounded insertion-ordered set of idempotency keys.
 
-    ``capacity`` bounds memory: beyond it the oldest key is evicted, after
+    ``capacity`` (:data:`_CAPACITY` for a fresh ledger) bounds memory:
+    beyond it the oldest key is evicted, after
     which a *very* late retry of that observation would be re-applied —
     size the ledger to cover the client's maximum retry horizon
     (`docs/operations.md`).  Not thread-safe; the server drives it under
@@ -56,10 +62,8 @@ class DedupLedger:
 
     __slots__ = ("capacity", "_keys")
 
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = _CAPACITY
         self._keys: OrderedDict[str, None] = OrderedDict()
 
     def __len__(self) -> int:

@@ -42,6 +42,7 @@ Not thread-safe: the server drives it under its ingest lock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.datasets.schema import QoSRecord
 from repro.observability import get_registry
@@ -82,6 +83,9 @@ _QUARANTINE_SIZE = _METRICS.gauge(
 class GateConfig:
     """Tuning knobs for the :class:`SanitizerGate`.
 
+    ``warmup`` and ``ema`` are fields; the other six are class constants
+    (one value in use each).
+
     Attributes:
         warmup:          samples an entity must contribute before its band
                          participates in gating; colder entities admit
@@ -109,37 +113,18 @@ class GateConfig:
 
     warmup: int = 8
     ema: float = 0.05
-    clip_k: float = 4.0
-    quarantine_k: float = 8.0
-    min_spread: float = 0.02
-    quarantine_max: int = 256
-    corroborate: int = 3
-    corroborate_tol: float = 0.08
+    clip_k: ClassVar[float] = 4.0
+    quarantine_k: ClassVar[float] = 8.0
+    min_spread: ClassVar[float] = 0.02
+    quarantine_max: ClassVar[int] = 256
+    corroborate: ClassVar[int] = 3
+    corroborate_tol: ClassVar[float] = 0.08
 
     def __post_init__(self) -> None:
         if self.warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {self.warmup}")
         if not (0.0 < self.ema <= 1.0):
             raise ValueError(f"ema must be in (0, 1], got {self.ema}")
-        if self.clip_k <= 0:
-            raise ValueError(f"clip_k must be positive, got {self.clip_k}")
-        if self.quarantine_k < self.clip_k:
-            raise ValueError(
-                f"quarantine_k ({self.quarantine_k}) must be >= clip_k "
-                f"({self.clip_k})"
-            )
-        if self.min_spread <= 0:
-            raise ValueError(f"min_spread must be positive, got {self.min_spread}")
-        if self.quarantine_max < 1:
-            raise ValueError(
-                f"quarantine_max must be >= 1, got {self.quarantine_max}"
-            )
-        if self.corroborate < 2:
-            raise ValueError(f"corroborate must be >= 2, got {self.corroborate}")
-        if self.corroborate_tol <= 0:
-            raise ValueError(
-                f"corroborate_tol must be positive, got {self.corroborate_tol}"
-            )
 
 
 @dataclass(slots=True)

@@ -44,7 +44,7 @@ the one place an entry is appended (and a failed append handled) and
 :meth:`PredictionServer._apply` the one place an entry changes state; the
 live handlers, crash recovery and a standby differ only in where their
 entries come from.  The entry kinds are tabulated in
-:meth:`repro.server.wal.WriteAheadLog.append_event`.  A read is no entry:
+:meth:`repro.server.wal.WriteAheadLog.append_entries`.  A read is no entry:
 the prediction and credence handlers take neither the ingest lock nor the
 log, on a tiered shard included (a spilled entity's row is read where it
 lies), so every node answers reads the same way whatever its role.
@@ -65,7 +65,8 @@ Fault tolerance (``data_dir`` enables durability):
 * predictions degrade through :class:`~repro.core.fallback.FallbackPredictor`
   for unknown entities or an unhealthy model instead of erroring out;
 * unexpected handler exceptions return a JSON 500, never a dropped
-  connection, and oversized bodies are rejected with 413 before reading.
+  connection, and bodies over ``PredictionServer.max_body_bytes`` (1 MiB)
+  are rejected with 413 before reading.
 
 Untrusted-stream hardening (:mod:`repro.robustness`, all opt-in):
 
@@ -77,7 +78,6 @@ Untrusted-stream hardening (:mod:`repro.robustness`, all opt-in):
 * observations may carry an ``idempotency_key`` — a bounded dedup ledger
   (rebuilt from the WAL on recovery) acknowledges retries without
   re-applying the SGD step, making at-least-once client delivery safe;
-  ``timestamp_policy=`` additionally rejects too-stale/too-future samples;
 * ``admission=`` adds front-door load shedding on the ingest path —
   token-bucket rate limiting (429), a bounded ingest queue and per-request
   deadline budget (503), all with ``Retry-After``; predictions are never
@@ -129,8 +129,6 @@ from repro.robustness import (
     DedupLedger,
     GateConfig,
     SanitizerGate,
-    StaleObservation,
-    TimestampPolicy,
     apply_observation,
 )
 from repro.server.binary import (
@@ -142,7 +140,7 @@ from repro.server.binary import (
     BinaryTransportServer,
     set_transport_mode,
 )
-from repro.server.http import BadRequest, HttpListener, ServiceError
+from repro.server.http import BadRequest, HttpListener, ServiceError, check_id
 from repro.server.replication import (
     FencedWrite,
     ReplicationConfig,
@@ -197,6 +195,13 @@ _MIGRATION_DELETES = _METRICS.counter(
     "Source copies deleted on this shard after migration batch commit",
 )
 
+#: Capacity, in (user, service) pairs, of the version-stamped
+#: :class:`~repro.core.online.PredictionCache` fronting the batched predict
+#: path.  The cache is derived state: never checkpointed, and its version
+#: stamps make entries self-invalidating when SGD writes move the factors.
+_PREDICT_CACHE_PAIRS = 65536
+
+
 class _StorageUnavailable(ServiceError):
     """Durable ingest is impossible (WAL append failed) — HTTP 507.
 
@@ -244,8 +249,8 @@ def _require_observation(payload: dict) -> QoSRecord:
     try:
         return QoSRecord(
             timestamp=timestamp,
-            user_id=_require(payload, "user_id", int),
-            service_id=_require(payload, "service_id", int),
+            user_id=check_id(payload.get("user_id"), "user_id"),
+            service_id=check_id(payload.get("service_id"), "service_id"),
             value=value,
         )
     except ValueError as exc:
@@ -293,10 +298,6 @@ class PredictionServer:
       (or with different thresholds) reconstructs a different model.
     * ``admission`` — ``True`` for default :class:`AdmissionConfig` limits,
       or an :class:`AdmissionConfig`; enables ingest load shedding.
-    * ``timestamp_policy`` — a :class:`TimestampPolicy` bounding how
-      stale/future observation timestamps may be.
-    * ``dedup_capacity`` — idempotency-key ledger size (the ledger itself
-      is always on; it costs nothing until a client sends keys).
 
     Hot-path serving knobs:
 
@@ -304,12 +305,10 @@ class PredictionServer:
       transport (:mod:`repro.server.binary`); 0 (default) binds an
       ephemeral port next to the HTTP listener, ``None`` disables the
       binary transport entirely.  Read ``binary_address`` after ``start``.
-    * ``predict_cache_size`` — capacity, in (user, service) pairs, of the
-      version-stamped :class:`~repro.core.online.PredictionCache` fronting
-      the batched predict path; ``None`` or 0 disables caching.  The cache
-      is derived state: it is never checkpointed, and version stamps make
-      entries self-invalidating when SGD writes move the factors.
     """
+
+    #: Largest request body (HTTP) or frame body (binary) accepted; 413 beyond.
+    max_body_bytes = 1 << 20
 
     def __init__(
         self,
@@ -320,30 +319,22 @@ class PredictionServer:
         background_replay: bool = True,
         data_dir: "str | None" = None,
         checkpoint_interval: int = 1000,
-        supervise: bool = True,
-        max_body_bytes: int = 1 << 20,
         gate: "GateConfig | bool | None" = None,
         admission: "AdmissionConfig | bool | None" = None,
-        timestamp_policy: "TimestampPolicy | None" = None,
-        dedup_capacity: int = 65536,
         replication: "ReplicationConfig | None" = None,
         replication_link=None,
         binary_port: "int | None" = 0,
-        predict_cache_size: "int | None" = 65536,
         lifecycle: "LifecycleConfig | bool | None" = None,
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
-        if max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
         if replication is not None and data_dir is None:
             raise ValueError(
                 "replication requires data_dir: log shipping reads/writes the WAL"
             )
         self.checkpoint_interval = checkpoint_interval
-        self.max_body_bytes = max_body_bytes
 
         self._wal: "WriteAheadLog | None" = None
         self._checkpoints: "CheckpointStore | None" = None
@@ -403,8 +394,7 @@ class PredictionServer:
             if gate is not None and gate is not False
             else None
         )
-        self.ledger = DedupLedger(capacity=dedup_capacity)
-        self.timestamp_policy = timestamp_policy
+        self.ledger = DedupLedger()
         if admission is True:
             admission = AdmissionConfig()
         self.admission: "AdmissionController | None" = (
@@ -466,9 +456,7 @@ class PredictionServer:
                 )
             note_epoch(self.epoch)
 
-        self._predict_cache = (
-            PredictionCache(predict_cache_size) if predict_cache_size else None
-        )
+        self._predict_cache = PredictionCache(_PREDICT_CACHE_PAIRS)
         if self._tiered is not None:
             # Attached before the WAL tail replay on purpose: replayed
             # demotions must export gate statistics exactly as the original
@@ -531,9 +519,7 @@ class PredictionServer:
 
         self.trainer = BackgroundTrainer(self.model) if background_replay else None
         self.supervisor = (
-            TrainerSupervisor(self.trainer)
-            if (self.trainer is not None and supervise)
-            else None
+            TrainerSupervisor(self.trainer) if self.trainer is not None else None
         )
         self._host = host
         self._port = port
@@ -754,10 +740,6 @@ class PredictionServer:
         """Highest durably logged sequence (0 without durability)."""
         return self._wal.last_seq if self._wal is not None else 0
 
-    @property
-    def fenced(self) -> bool:
-        return self._fenced
-
     def note_cluster_epoch(self, epoch: int) -> None:
         """A standby learned the cluster epoch from a shipped batch."""
         if epoch > self.epoch:
@@ -918,9 +900,11 @@ class PredictionServer:
         }
 
     # -- request handling ------------------------------------------------------
-    def _parse_observation(self, payload: dict) -> "tuple[QoSRecord, str | None]":
+    def _parse_observation(self, payload) -> "tuple[QoSRecord, str | None]":
         """Validate one observation payload; counts rejections."""
         try:
+            if not isinstance(payload, dict):
+                raise BadRequest("observation must be an object")
             record = _require_observation(payload)
             key = _idempotency_key(payload)
         except BadRequest:
@@ -951,24 +935,16 @@ class PredictionServer:
         """Validate one parsed observation against this node's view, then
         commit it.  Caller holds the ingest lock.
 
-        Everything here runs *in front of* the log: a duplicate key or a
-        refused timestamp never reaches it, and a spilled party's revive
-        entry is put ahead of the observation in its commit group.  A
-        shipped entry passes none of it — see :meth:`apply_shipped`.
+        Everything here runs *in front of* the log: a duplicate key never
+        reaches it, and a spilled party's revive entry is put ahead of the
+        observation in its commit group.  A shipped entry passes none of
+        it — see :meth:`apply_shipped`.
         """
         if key is not None and self.ledger.seen(key):
             self.ledger.note_duplicate()
             with self._stats_lock:
                 self._observations_deduplicated += 1
             return {"sample_error": None, "action": "deduplicated"}
-        if self.timestamp_policy is not None:
-            try:
-                self.timestamp_policy.check(record.timestamp, self._latest_ingest_ts)
-            except StaleObservation as exc:
-                with self._stats_lock:
-                    self._observations_rejected += 1
-                _OBSERVATIONS_REJECTED.inc()
-                raise BadRequest(str(exc), code=f"{exc.reason}_timestamp") from exc
         # One commit group: the revive events (payload included) precede the
         # observation in the WAL, or recovery would replay an observe
         # against a still-cold entity — and all of them share one fsync.
@@ -1149,10 +1125,10 @@ class PredictionServer:
                 kind, ext_id, *rest = entry
                 if len(rest) != (1 if with_payload else 0):
                     raise ValueError(f"{len(rest) + 2} elements")
-                kind, ext_id = str(kind), int(ext_id)
             except (TypeError, ValueError) as exc:
                 raise BadRequest(f"entities must be {shape}") from exc
-            valid = kind in ("user", "service") and ext_id >= 0
+            kind, ext_id = str(kind), check_id(ext_id, "entities")
+            valid = kind in ("user", "service")
             if with_payload:
                 entity_payload = rest[0]
                 if not (
@@ -1314,13 +1290,6 @@ class PredictionServer:
         # a batch is one queue occupant but len(observations) tokens.
         with self._admit(len(observations)):
             for index, entry in enumerate(observations):
-                if not isinstance(entry, dict):
-                    with self._stats_lock:
-                        self._observations_rejected += 1
-                    rejected.append(
-                        {"index": index, "error": "observation must be an object"}
-                    )
-                    continue
                 try:
                     record, key = self._parse_observation(entry)
                     with self._acquire_ingest_lock():
@@ -1433,19 +1402,11 @@ class PredictionServer:
         return values, sources
 
     def _handle_prediction_batch(self, payload: dict) -> dict:
-        user_id = _require(payload, "user_id", int)
+        user_id = check_id(payload.get("user_id"), "user_id")
         raw_ids = payload.get("service_ids")
         if not isinstance(raw_ids, list) or not raw_ids:
             raise BadRequest("field 'service_ids' must be a non-empty list")
-        service_ids: list[int] = []
-        for raw in raw_ids:
-            try:
-                service_id = int(raw)
-            except (TypeError, ValueError) as exc:
-                raise BadRequest("service_ids must be integers") from exc
-            if user_id < 0 or service_id < 0:
-                raise BadRequest("ids must be non-negative")
-            service_ids.append(service_id)
+        service_ids = [check_id(raw, "service_ids") for raw in raw_ids]
         values, sources = self._predict_batch(user_id, service_ids)
         keys = [str(service_id) for service_id in service_ids]
         return {
@@ -1477,8 +1438,8 @@ class PredictionServer:
         and the binary ``CREDENCE`` opcode."""
         if not service_ids:
             raise BadRequest("service_ids must be non-empty")
-        if min(service_ids) < 0:
-            raise BadRequest("ids must be non-negative")
+        for service_id in service_ids:
+            check_id(service_id, "service_ids")
         return self.model.with_model(
             lambda m: [m.service_credence(sid) for sid in service_ids]
         )
@@ -1494,8 +1455,9 @@ class PredictionServer:
         ``(values, sources)``."""
         if not service_ids:
             raise BadRequest("service_ids must be non-empty")
-        if user_id < 0 or min(service_ids) < 0:
-            raise BadRequest("ids must be non-negative")
+        check_id(user_id, "user_id")
+        for service_id in service_ids:
+            check_id(service_id, "service_ids")
         return self._predict_batch(user_id, service_ids)
 
     def _arrival(self, handler):
@@ -1559,11 +1521,7 @@ class PredictionServer:
                 "transport": {
                     "binary_address": list(binary) if binary is not None else None,
                 },
-                "predict_cache": (
-                    self._predict_cache.stats()
-                    if self._predict_cache is not None
-                    else None
-                ),
+                "predict_cache": self._predict_cache.stats(),
             }
         )
         return counters
@@ -1575,14 +1533,6 @@ class PredictionServer:
         status: dict = {
             "gate": None,
             "dedup": {"ledger_size": len(self.ledger), "deduplicated": deduplicated},
-            "timestamp_policy": (
-                {
-                    "max_future_skew": self.timestamp_policy.max_future_skew,
-                    "max_staleness": self.timestamp_policy.max_staleness,
-                }
-                if self.timestamp_policy is not None
-                else None
-            ),
             "admission": None,
         }
         if self.gate is not None:

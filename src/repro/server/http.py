@@ -69,6 +69,15 @@ class BadRequest(ServiceError):
     status = 400
 
 
+def check_id(value, field: str) -> int:
+    """An entity id as a request may carry it: a JSON integer, not a
+    ``bool``, ``>= 0``.  Anything else — ``3.7``, ``"5"``, ``true`` — is a
+    400, never coerced to some other entity's id."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BadRequest(f"field {field!r} must be a non-negative integer")
+    return value
+
+
 class PayloadTooLarge(ServiceError):
     """Request body exceeds the configured limit."""
 

@@ -45,6 +45,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.observability import get_registry
 from repro.server.http import ServiceError
@@ -134,9 +135,11 @@ class EpochStore:
     standby.
     """
 
-    def __init__(self, path: str, lock_timeout: float = 5.0) -> None:
+    #: Seconds to wait for another process's lock before giving up.
+    lock_timeout = 5.0
+
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.lock_timeout = lock_timeout
         self._lock_path = self.path + ".lock"
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -219,15 +222,16 @@ class ReplicationConfig:
                             promotion (defaults to ``host:pid``).
         poll_interval:      seconds a standby sleeps between pulls when
                             caught up (bounds replication lag).
-        batch_limit:        max records per shipped batch.
         fetch_timeout:      socket timeout for one pull.
         auto_promote_after: seconds of consecutive failed pulls after which
                             a standby promotes itself (health-check
                             timeout); ``None`` leaves promotion to the
                             operator / harness calling ``promote()``.
-        fence_check_interval: how often (seconds) a live primary re-reads
-                            the epoch store on its write path to detect
-                            that it has been deposed.
+
+    Two constants ride along: ``batch_limit``, the most records one pull
+    asks for, and ``fence_check_interval``, how often (seconds) a live
+    primary re-reads the epoch store on its write path to detect that it
+    has been deposed.
     """
 
     epoch_store: "str | EpochStore"
@@ -235,10 +239,10 @@ class ReplicationConfig:
     primary_address: "tuple[str, int] | None" = None
     node_id: str = ""
     poll_interval: float = 0.05
-    batch_limit: int = 512
     fetch_timeout: float = 5.0
     auto_promote_after: "float | None" = None
-    fence_check_interval: float = 1.0
+    batch_limit: ClassVar[int] = 512
+    fence_check_interval: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.role not in ("primary", "standby"):
@@ -247,8 +251,6 @@ class ReplicationConfig:
             raise ValueError("standby replication requires primary_address")
         if self.poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, got {self.poll_interval}")
-        if self.batch_limit < 1:
-            raise ValueError(f"batch_limit must be >= 1, got {self.batch_limit}")
         if not self.node_id:
             self.node_id = f"node-{os.getpid()}"
 

@@ -56,6 +56,7 @@ _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".jsonl"
 _CHUNK = 1 << 20  # the active segment grows in preallocated steps of 1 MiB
 _READ_BLOCK = 1 << 16  # a scan reads at most this much of a zero tail
+_SEGMENT_RECORDS = 4096  # entries per segment before the log rotates
 
 # Durability observability: the fsync is the dominant per-observation cost
 # of the write path, so its latency distribution is the first thing an
@@ -154,26 +155,17 @@ class WriteAheadLog:
     path) must hold their own lock around the append+apply pair.
 
     Args:
-        directory:           where segment files live (created if missing).
-        segment_max_records: records per segment before rotating to a new
-                             file; bounds the cost of pruning and the size
-                             of any single file.
-        fsync:               fsync every commit group (the durability
-                             guarantee); disable only for tests/benchmarks.
+        directory: where segment files live (created if missing).
+        fsync:     fsync every commit group (the durability guarantee);
+                   disable only for tests/benchmarks.
+
+    A segment holds :data:`_SEGMENT_RECORDS` entries before the log rotates
+    to a new file, which bounds the cost of pruning and the size of any
+    single file.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        segment_max_records: int = 4096,
-        fsync: bool = True,
-    ) -> None:
-        if segment_max_records < 1:
-            raise ValueError(
-                f"segment_max_records must be >= 1, got {segment_max_records}"
-            )
+    def __init__(self, directory: str, fsync: bool = True) -> None:
         self.directory = str(directory)
-        self.segment_max_records = segment_max_records
         self.fsync = fsync
         self._lock = threading.Lock()
         self._handle = None
@@ -249,7 +241,7 @@ class WriteAheadLog:
             for entry, end in self._read_segment(name):
                 self._last_seq = entry[1]
             os.truncate(os.path.join(self.directory, name), end)
-            if self._last_seq - first + 1 < self.segment_max_records:
+            if self._last_seq - first + 1 < _SEGMENT_RECORDS:
                 self._activate(first, end)
                 return
         self._activate(self._last_seq + 1, 0)
@@ -301,70 +293,6 @@ class WriteAheadLog:
         An observation's ``key`` is the caller-supplied idempotency key, if
         any; it rides in the record (``"k"``) so crash recovery rebuilds the
         dedup ledger from the log itself.
-        """
-        bodies = [_entry_body(entry) for entry in entries]
-        if not bodies:
-            return []
-        with self._lock:
-            if self._closed:
-                raise ValueError("write-ahead log is closed")
-            if self._append_failed is not None:
-                raise WalAppendError(
-                    f"write-ahead log is in a failed state: {self._append_failed}"
-                )
-            first = self._last_seq + 1
-            seqs = list(range(first, first + len(bodies)))
-            lines: list[str] = []
-            try:
-                for seq, body in zip(seqs, bodies):
-                    if seq - self._active_first_seq >= self.segment_max_records:
-                        if lines:
-                            self._write("".join(lines))
-                            self._sync_active_segment()
-                            lines = []
-                        self._close_active_segment()
-                        self._activate(seq, 0)
-                        _WAL_SEGMENTS.set(self.segment_count())
-                    lines.append(json.dumps({"seq": seq, **body}) + "\n")
-                self._write("".join(lines))
-                self._sync_active_segment()
-            except OSError as exc:
-                # A failed write (or allocation) may have left part of the
-                # group — a partial line, or whole lines that were never
-                # fsync'd — in the active segment; freeze the log so the
-                # failure is sticky and the server can degrade to read-only
-                # instead of acknowledging entries that never became durable.
-                # None of the group is counted: ``last_seq`` has not moved.
-                self._append_failed = f"{type(exc).__name__}: {exc}"
-                _WAL_APPEND_ERRORS.inc()
-                span = f"{first}" if len(seqs) == 1 else f"{first}..{seqs[-1]}"
-                raise WalAppendError(
-                    f"WAL append of seq {span} failed: {exc}",
-                    errno=getattr(exc, "errno", None),
-                ) from exc
-            self._last_seq += len(seqs)
-            self.appended += len(seqs)
-            _WAL_APPENDS.inc(len(seqs))
-            return seqs
-
-    def _sync_active_segment(self) -> None:
-        """fsync the active segment's written lines."""
-        if self.fsync:
-            fsync_started = time.perf_counter()
-            os.fsync(self._handle.fileno())
-            _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
-
-    def append_entry(self, entry: tuple) -> int:
-        """Durably log one tagged entry — a commit group of one; returns its
-        sequence number."""
-        return self.append_entries((entry,))[0]
-
-    def append(self, record: QoSRecord, key: "str | None" = None) -> int:
-        """Durably log one observation; returns its sequence number."""
-        return self.append_entry(("obs", None, record, key))
-
-    def append_event(self, kind: str, data: dict) -> int:
-        """Durably log one event; returns its sequence number.
 
         Events share the observation sequence space, so recovery replays
         observations and events in their original interleaving.  Every kind
@@ -416,7 +344,66 @@ class WriteAheadLog:
         its members.  Every other committer (a read-path revive, a pressure
         change, a migration batch) logs a group of one.
         """
-        return self.append_entry(("ev", None, kind, data))
+        bodies = [_entry_body(entry) for entry in entries]
+        if not bodies:
+            return []
+        with self._lock:
+            if self._closed:
+                raise ValueError("write-ahead log is closed")
+            if self._append_failed is not None:
+                raise WalAppendError(
+                    f"write-ahead log is in a failed state: {self._append_failed}"
+                )
+            first = self._last_seq + 1
+            seqs = list(range(first, first + len(bodies)))
+            lines: list[str] = []
+            try:
+                for seq, body in zip(seqs, bodies):
+                    if seq - self._active_first_seq >= _SEGMENT_RECORDS:
+                        if lines:
+                            self._write("".join(lines))
+                            self._sync_active_segment()
+                            lines = []
+                        self._close_active_segment()
+                        self._activate(seq, 0)
+                        _WAL_SEGMENTS.set(self.segment_count())
+                    lines.append(json.dumps({"seq": seq, **body}) + "\n")
+                self._write("".join(lines))
+                self._sync_active_segment()
+            except OSError as exc:
+                # A failed write (or allocation) may have left part of the
+                # group — a partial line, or whole lines that were never
+                # fsync'd — in the active segment; freeze the log so the
+                # failure is sticky and the server can degrade to read-only
+                # instead of acknowledging entries that never became durable.
+                # None of the group is counted: ``last_seq`` has not moved.
+                self._append_failed = f"{type(exc).__name__}: {exc}"
+                _WAL_APPEND_ERRORS.inc()
+                span = f"{first}" if len(seqs) == 1 else f"{first}..{seqs[-1]}"
+                raise WalAppendError(
+                    f"WAL append of seq {span} failed: {exc}",
+                    errno=getattr(exc, "errno", None),
+                ) from exc
+            self._last_seq += len(seqs)
+            self.appended += len(seqs)
+            _WAL_APPENDS.inc(len(seqs))
+            return seqs
+
+    def _sync_active_segment(self) -> None:
+        """fsync the active segment's written lines."""
+        if self.fsync:
+            fsync_started = time.perf_counter()
+            os.fsync(self._handle.fileno())
+            _WAL_FSYNC_SECONDS.observe(time.perf_counter() - fsync_started)
+
+    def append_entry(self, entry: tuple) -> int:
+        """Durably log one tagged entry — a commit group of one; returns its
+        sequence number."""
+        return self.append_entries((entry,))[0]
+
+    def append(self, record: QoSRecord, key: "str | None" = None) -> int:
+        """Durably log one observation; returns its sequence number."""
+        return self.append_entry(("obs", None, record, key))
 
     # -- reading -------------------------------------------------------------
     def replay_entries(self, after_seq: int = 0) -> Iterator[tuple]:
@@ -478,11 +465,6 @@ class WriteAheadLog:
             and not self._handle.closed
             and os.access(self.directory, os.W_OK)
         )
-
-    @property
-    def append_failure(self) -> "str | None":
-        """Why the log is frozen (``None`` while healthy)."""
-        return self._append_failed
 
     def read_committed_entries(
         self, after_seq: int = 0, limit: int = 1024

@@ -1,15 +1,11 @@
-"""Simulation utilities: a slice-aware clock, churn schedules for the
-scalability experiment (users/services joining and leaving mid-run), the
-fault sources that harden the serving stack (hostile streams, faulty
-replica links, floods — :mod:`repro.simulation.faults`) and the chaos
-drills that prove its bit-exact contracts under them
-(:mod:`repro.simulation.drills`)."""
+"""Simulation utilities: the fault sources that harden the serving stack
+(hostile streams, faulty replica links, floods —
+:mod:`repro.simulation.faults`) and the chaos drills that prove its
+bit-exact contracts under them (:mod:`repro.simulation.drills`)."""
 
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.simulation.clock": ("SimClock",),
-    "repro.simulation.churn": ("ChurnEvent", "ChurnSchedule"),
     "repro.simulation.faults": (
         "CORE_METRIC_FAMILIES",
         "FaultConfig",
@@ -22,7 +18,7 @@ _EXPORTS = {
         "run_flood",
     ),
     # The drills import the whole serving stack; resolving them on first use
-    # keeps ``repro.simulation.churn`` importable without it.
+    # keeps ``repro.simulation.faults`` importable without it.
     "repro.simulation.drills": (
         "DrillReport",
         "Fleet",

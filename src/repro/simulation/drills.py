@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.cluster.placement import PlacementTable, ShardSpec
 from repro.cluster.router import ClusterRouter
-from repro.core.config import AMFConfig
 from repro.core.serialization import archive_digest
 from repro.datasets.schema import QoSRecord
 from repro.lifecycle import LifecycleConfig, SpillStore, TieredAMF
@@ -131,12 +130,6 @@ class DrillReport:
         would hit it: mid-drill, on whatever is serving right now."""
         ok, self.detail["metrics"] = check_metrics_exposition(client.metrics())
         self.metrics_ok = self.metrics_ok and ok
-
-    @property
-    def time_to_promote(self) -> float:
-        """Failover only: seconds from the primary's death to the standby
-        serving as primary (NaN for every other scenario)."""
-        return self.detail.get("time_to_promote", float("nan"))
 
     def summary(self) -> str:
         detail = dict(self.detail)
@@ -588,12 +581,9 @@ def run_crash_recovery(
     records: "list[QoSRecord]",
     crash_after: int,
     data_dir: str,
-    config: "AMFConfig | None" = None,
     rng: int = 0,
-    checkpoint_interval: int = 50,
     faults: "FaultConfig | None" = None,
     server_kwargs: "dict | None" = None,
-    baseline_data_dir: "str | None" = None,
 ) -> DrillReport:
     """Kill a durable server mid-stream, recover it, and diff against an
     uninterrupted baseline.
@@ -605,10 +595,11 @@ def run_crash_recovery(
     read.  ``faults`` optionally mangles the stream first (both runs then
     see the *same* mangled stream).
 
-    ``server_kwargs`` reaches every server in the drill — pass ``gate=``,
-    ``timestamp_policy=``, ``lifecycle=`` to drill those layers; their
-    state joins the equality.  ``baseline_data_dir`` makes the baseline
-    durable too and compares the final checkpoint *contents* of both runs.
+    ``server_kwargs`` reaches every server in the drill — pass ``gate=``
+    or ``lifecycle=`` to drill those layers (their state joins the
+    equality), or a ``checkpoint_interval`` other than 50.  The baseline is
+    durable too, in ``<data_dir>-baseline``, and the final checkpoint
+    *contents* of both runs must be equal.
     """
     if not (0 <= crash_after <= len(records)):
         raise ValueError(
@@ -623,12 +614,7 @@ def run_crash_recovery(
     )
     detail = report.detail
 
-    with Fleet(
-        config=config,
-        rng=rng,
-        checkpoint_interval=checkpoint_interval,
-        **(server_kwargs or {}),
-    ) as fleet:
+    with Fleet(rng=rng, **{"checkpoint_interval": 50, **(server_kwargs or {})}) as fleet:
         server = fleet.start("node", data_dir=data_dir)
         errors = feed(fleet.client(server.address), records[:crash_after])
         fleet.kill("node")
@@ -648,7 +634,7 @@ def run_crash_recovery(
             fleet,
             recovered_state,
             data_dir,
-            baseline_data_dir,
+            os.path.normpath(data_dir) + "-baseline",
             records,
             reads=reads,
             ignore=("drift",),
@@ -656,12 +642,11 @@ def run_crash_recovery(
     detail["updates_applied"] = baseline_state["updates_applied"]
     if recovered_state["gate"] is not None:
         detail["gate_counts"] = recovered_state["gate"]["counts"]
-    if digests is not None:
-        detail["checkpoint_digests"] = dict(zip(("recovered", "baseline"), digests))
+    detail["checkpoint_digests"] = dict(zip(("recovered", "baseline"), digests))
     return report
 
 
-def run_poison_flood(seed: int = 0, records: int = 300) -> DrillReport:
+def run_poison_flood(seed: int = 0) -> DrillReport:
     """Poison, then flood, a gated and admission-controlled server.
 
     The server is warmed over a stream in which 8% of the payloads are
@@ -687,6 +672,7 @@ def run_poison_flood(seed: int = 0, records: int = 300) -> DrillReport:
             timestamp=float(k), user_id=u, service_id=s, value=max(noisy, 1e-3)
         )
 
+    records = 300
     warm = [sample(k) for k in range(records)]
     flood_records = [sample(records + k) for k in range(records * 4)]
     pairs = [(u, s) for u in range(n_users) for s in range(n_services)]
@@ -781,6 +767,14 @@ def _probe_fence(fleet: Fleet, report: DrillReport, data_dir, epoch_store, recor
     fleet.kill("revived")
 
 
+#: Seconds of primary silence after which the failover drill's standby
+#: promotes itself.
+_AUTO_PROMOTE_AFTER = 0.25
+#: How long a drill waits for a state it expects (a standby caught up,
+#: pressure sustained) before it reports the miss.
+_WAIT_TIMEOUT = 30.0
+
+
 def run_failover(
     records: "list[QoSRecord]",
     kill_after: int,
@@ -788,14 +782,9 @@ def run_failover(
     standby_dir: str,
     baseline_dir: str,
     epoch_store: str,
-    config: "AMFConfig | None" = None,
     rng: int = 0,
-    checkpoint_interval: int = 50,
     server_kwargs: "dict | None" = None,
     link_faults: "LinkFaultConfig | None" = None,
-    auto_promote_after: "float | None" = 0.25,
-    catchup_timeout: float = 30.0,
-    key_prefix: str = "failover",
 ) -> DrillReport:
     """Kill the primary mid-stream and prove the promoted standby is exact.
 
@@ -812,12 +801,11 @@ def run_failover(
        standby, exactly like a dead primary, so on a slow disk it would
        promote before the drill kills anything.  What was not posted by
        then is posted after the heal; the drill waits for lag to reach 0.
-    3. The primary is killed (no final checkpoint).  With
-       ``auto_promote_after`` set the standby detects the silence and
-       promotes itself via the epoch CAS (the measured **time to
-       promote**, clocked from just before the kill: the standby's silence
-       timer runs from its last successful fetch); ``None`` promotes
-       explicitly, timing just the CAS + fencing checkpoint.
+    3. The primary is killed (no final checkpoint).  After
+       :data:`_AUTO_PROMOTE_AFTER` seconds of silence the standby promotes
+       itself via the epoch CAS (the measured **time to promote**, clocked
+       from just before the kill: the standby's silence timer runs from its
+       last successful fetch).
     4. The *same* client resends the last pre-kill record (same key — it
        must deduplicate on the new primary, proving at-least-once across
        promotion), then fails over and posts the remaining records.
@@ -828,6 +816,9 @@ def run_failover(
        :func:`snapshot` part, and its final checkpoint must be
        byte-identical with the ``replication`` extra (the necessarily
        higher epoch) excluded.
+
+    ``server_kwargs`` reaches every server, as in
+    :func:`run_crash_recovery` (``checkpoint_interval`` 50 by default).
     """
     if not (1 <= kill_after <= len(records)):
         raise ValueError(
@@ -835,19 +826,14 @@ def run_failover(
         )
     # The logical stream: every record once, plus the resend after the kill.
     stream = records[:kill_after] + records[kill_after - 1 :]
-    keys = [f"{key_prefix}:{index}" for index in range(len(records))]
+    keys = [f"failover:{index}" for index in range(len(records))]
     keys = keys[:kill_after] + keys[kill_after - 1 :]
     report = DrillReport.begin("failover", records=len(records), kill_after=kill_after)
     detail = report.detail
 
-    with Fleet(
-        config=config,
-        rng=rng,
-        checkpoint_interval=checkpoint_interval,
-        **(server_kwargs or {}),
-    ) as fleet:
+    with Fleet(rng=rng, **{"checkpoint_interval": 50, **(server_kwargs or {})}) as fleet:
         primary, standby, link, client = fleet.replicate(
-            primary_dir, standby_dir, epoch_store, link_faults, auto_promote_after, rng
+            primary_dir, standby_dir, epoch_store, link_faults, _AUTO_PROMOTE_AFTER, rng
         )
 
         def caught_up() -> bool:
@@ -855,9 +841,9 @@ def run_failover(
 
         posted = max(1, kill_after // 2)
         errors = feed(client, stream[:posted], keys)
-        wait_until(caught_up, catchup_timeout)
+        wait_until(caught_up, _WAIT_TIMEOUT)
         link.partition()
-        heal_by = time.monotonic() + (auto_promote_after or math.inf) / 2
+        heal_by = time.monotonic() + _AUTO_PROMOTE_AFTER / 2
         while posted < kill_after and time.monotonic() < heal_by:
             errors += feed(client, [stream[posted]], [keys[posted]])
             posted += 1
@@ -866,7 +852,7 @@ def run_failover(
         errors += feed(client, stream[posted:kill_after], keys[posted:])
         healed = time.perf_counter()
         report.expect(
-            wait_until(caught_up, catchup_timeout),
+            wait_until(caught_up, _WAIT_TIMEOUT),
             f"replication: standby never caught up (seq {standby.wal_last_seq} < "
             f"primary {primary.wal_last_seq}: {standby._replicator.status()})",
         )
@@ -875,12 +861,9 @@ def run_failover(
 
         killed = time.perf_counter()
         fleet.kill("primary")
-        if auto_promote_after is None:
-            standby.promote()
-        else:
-            wait_until(
-                lambda: standby.role == "primary", auto_promote_after + catchup_timeout
-            )
+        wait_until(
+            lambda: standby.role == "primary", _AUTO_PROMOTE_AFTER + _WAIT_TIMEOUT
+        )
         detail["time_to_promote"] = time.perf_counter() - killed
         detail["promoted_epoch"] = standby.epoch
 
@@ -922,15 +905,15 @@ def run_failover(
     return report
 
 
-def _unreachable_ceiling(config, rng: int, caps: dict, limit_fraction: float):
-    """The memory-pressure fault: a watchdog limit at ``limit_fraction`` of
+def _unreachable_ceiling(rng: int, caps: dict):
+    """The memory-pressure fault: a watchdog limit at half of
     what a full hot tier costs (measured by filling a throwaway
     :class:`TieredAMF` to the caps) — unreachable, so pressure is sustained.
     ``min_hot`` is floored at 70% of the caps so one tighten step exhausts
     the shrink headroom and the server sits in ``critical`` from then on.
     Returns ``(lifecycle config, full-tier bytes)``."""
     probe = TieredAMF(
-        config, rng=rng, lifecycle=LifecycleConfig(**caps), spill=SpillStore(":memory:")
+        rng=rng, lifecycle=LifecycleConfig(**caps), spill=SpillStore(":memory:")
     )
     for k in range(max(caps.values())):
         probe.observe(
@@ -944,7 +927,7 @@ def _unreachable_ceiling(config, rng: int, caps: dict, limit_fraction: float):
     full_resident = probe.resident_bytes()
     lifecycle = LifecycleConfig(
         **caps,
-        memory_limit_bytes=max(1, int(full_resident * limit_fraction)),
+        memory_limit_bytes=max(1, int(full_resident * 0.5)),
         watchdog_interval=0.02,
         sustain_polls=2,
         shrink_factor=0.7,
@@ -974,21 +957,17 @@ def _expect_cold_read(report: DrillReport, client, user_id: int, service_id: int
 def run_memory_pressure(
     records: "list[QoSRecord]",
     data_dir: str,
-    config: "AMFConfig | None" = None,
     rng: int = 0,
     checkpoint_interval: int = 200,
     hot_users: int = 48,
     hot_services: int = 48,
-    limit_fraction: float = 0.5,
-    pressure_deadline: float = 30.0,
-    server_kwargs: "dict | None" = None,
 ) -> DrillReport:
     """Squeeze a tiered server under an allocation ceiling and prove it
     degrades instead of dying, then recovers bit-exactly.
 
-    The ceiling is fault-injected: the watchdog limit is set to
-    ``limit_fraction`` of what a full hot tier costs — guaranteed
-    unreachable, so sustained pressure is certain.
+    The ceiling is fault-injected: the watchdog limit is set to half of
+    what a full hot tier costs — guaranteed unreachable, so sustained
+    pressure is certain.
 
     The drill then asserts the degradation contract from the outside:
 
@@ -1009,7 +988,7 @@ def run_memory_pressure(
     if not records:
         raise ValueError("memory-pressure drill needs a non-empty stream")
     caps = dict(hot_users=hot_users, hot_services=hot_services)
-    lifecycle, full_resident = _unreachable_ceiling(config, rng, caps, limit_fraction)
+    lifecycle, full_resident = _unreachable_ceiling(rng, caps)
     report = DrillReport.begin(
         "memory-pressure",
         records=len(records),
@@ -1021,11 +1000,7 @@ def run_memory_pressure(
     ticks = itertools.count(int(max(record.timestamp for record in records)) + 1)
 
     with Fleet(
-        config=config,
-        rng=rng,
-        checkpoint_interval=checkpoint_interval,
-        lifecycle=lifecycle,
-        **(server_kwargs or {}),
+        rng=rng, checkpoint_interval=checkpoint_interval, lifecycle=lifecycle
     ) as fleet:
         server = fleet.start("node", data_dir=data_dir)
         client = fleet.client(server.address, retries=0)
@@ -1043,7 +1018,7 @@ def run_memory_pressure(
             feed(client, [replace(sample, timestamp=float(next(ticks)))])
             return False
 
-        wait_until(squeezed, pressure_deadline, poll=0.01)
+        wait_until(squeezed, _WAIT_TIMEOUT, poll=0.01)
         detail["lifecycle_status"] = dict(status)
         report.expect(
             status["pressure_level"] == "critical",
@@ -1120,20 +1095,17 @@ def _drive_outage(send, read, owners, victim: str, start: int):
 def run_shard_kill(
     records: "list[QoSRecord]",
     data_root: str,
-    n_shards: int = 3,
-    kill_after: "int | None" = None,
     rng: int = 0,
-    checkpoint_interval: int = 50,
     server_kwargs: "dict | None" = None,
 ) -> DrillReport:
     """Kill one shard of a routed fleet mid-stream; prove the blast
     radius is bounded.
 
-    ``n_shards`` durable shards sit behind a
+    Three durable shards sit behind a
     :class:`~repro.cluster.router.ClusterRouter`; the stream goes through
     the router one observation at a time, and the shard owning the record
-    at ``kill_after`` (default: halfway — so the outage is guaranteed to
-    intersect live traffic) is killed.  While it is down:
+    halfway through (so the outage is guaranteed to intersect live
+    traffic) is killed.  While it is down:
 
     * requests for its users must fail with a structured
       ``503 shard_unavailable`` (counted, later replayed);
@@ -1152,25 +1124,17 @@ def run_shard_kill(
     ``server_kwargs`` reaches every shard and baseline (``lifecycle=`` puts
     the spill file, rolled back by the kill and replayed, in the equality).
     """
-    if n_shards < 2:
-        raise ValueError(f"n_shards must be >= 2, got {n_shards}")
-    if kill_after is None:
-        kill_after = len(records) // 2
-    if not (0 < kill_after < len(records)):
-        raise ValueError(
-            f"kill_after must be within (0, {len(records)}), got {kill_after}"
-        )
-    names = [f"shard-{index}" for index in range(n_shards)]
+    kill_after = len(records) // 2
+    if kill_after == 0:
+        raise ValueError("shard-kill drill needs at least two records")
+    names = [f"shard-{index}" for index in range(3)]
     report = DrillReport.begin(
-        "shard-kill", records=len(records), shards=n_shards, kill_after=kill_after
+        "shard-kill", records=len(records), shards=len(names), kill_after=kill_after
     )
     detail = report.detail
 
     with Fleet(
-        rng=rng,
-        checkpoint_interval=checkpoint_interval,
-        binary_port=None,
-        **(server_kwargs or {}),
+        rng=rng, checkpoint_interval=50, binary_port=None, **(server_kwargs or {})
     ) as fleet:
         for name in names:
             fleet.start(name, data_dir=os.path.join(data_root, name))
@@ -1270,15 +1234,16 @@ def _expect_migrated(report: DrillReport, label: str, router, coordinator, targe
     )
 
 
+#: How long a drill waits for a migration coordinator to finish.
+_MIGRATION_TIMEOUT = 120.0
+
+
 def _drain_s0(
     report: DrillReport,
     label: str,
     data_root: str,
     records,
     rng: int,
-    checkpoint_interval: int,
-    batch_entities: int,
-    join_timeout: float,
     kill_phase: "str | None" = None,
     victim: "str | None" = None,
     restart_delay: float = 0.0,
@@ -1292,9 +1257,7 @@ def _drain_s0(
     names, entity_kinds = ("s0", "s1"), ("user", "service")
     root = os.path.join(data_root, label)
     pairs = sorted({(record.user_id, record.service_id) for record in records})
-    with Fleet(
-        checkpoint_interval=checkpoint_interval, binary_port=None, lifecycle=SMALL_TIER
-    ) as fleet:
+    with Fleet(checkpoint_interval=50, binary_port=None, lifecycle=SMALL_TIER) as fleet:
         router, client = _tiered_fleet(fleet, root, names, rng)
         feed(client, records)
         pre = [client.predict(*pair) for pair in pairs]
@@ -1320,9 +1283,9 @@ def _drain_s0(
         coordinator = router.start_migration(
             target,
             on_phase=on_phase if kill_phase else None,
-            batch_entities=batch_entities,
+            batch_entities=6,
         )
-        coordinator.join(timeout=join_timeout)
+        coordinator.join(timeout=_MIGRATION_TIMEOUT)
         if kill_phase and victim is None:
             # The dead router's journal is the contract: a successor over
             # the same directory resumes the migration on start.
@@ -1330,7 +1293,7 @@ def _drain_s0(
             client = fleet.client(router.address, retries=0)
             coordinator = router.migration
             if coordinator is not None:
-                coordinator.join(timeout=join_timeout)
+                coordinator.join(timeout=_MIGRATION_TIMEOUT)
         _expect_migrated(report, label, router, coordinator, target)
         report.expect(
             not kill_phase or fired.is_set(),
@@ -1390,10 +1353,6 @@ def run_migration_kill(
     kill_target: str = "source",
     kill_phase: str = "transfer",
     rng: int = 0,
-    checkpoint_interval: int = 50,
-    batch_entities: int = 6,
-    restart_delay: float = 0.25,
-    join_timeout: float = 120.0,
 ) -> DrillReport:
     """Kill anything mid-migration; prove the resumed migration converges.
 
@@ -1403,8 +1362,8 @@ def run_migration_kill(
     uninterrupted.  The *faulted* fleet has ``kill_target`` (``source``,
     ``dest``, or ``router``) killed — no graceful shutdown, no final
     checkpoint — at the first occurrence of ``kill_phase`` (``export``,
-    ``transfer``, ``commit``, or ``pre-commit``), then restarted: a shard
-    restarts from its own checkpoint + WAL on the same port while the
+    ``transfer``, ``commit``, or ``pre-commit``), then restarted 0.25 s
+    later: a shard restarts from its own checkpoint + WAL on the same port while the
     coordinator retries against it; a killed router is replaced by a
     successor over the same journal, which resumes the migration on start.
 
@@ -1432,10 +1391,9 @@ def run_migration_kill(
         kill_phase=kill_phase,
         records=len(records),
     )
-    both = (records, rng, checkpoint_interval, batch_entities, join_timeout)
-    baseline = _drain_s0(report, "baseline", data_root, *both)
+    baseline = _drain_s0(report, "baseline", data_root, records, rng)
     faulted = _drain_s0(
-        report, "faulted", data_root, *both, kill_phase, victim, restart_delay
+        report, "faulted", data_root, records, rng, kill_phase, victim, 0.25
     )
 
     report.expect(
@@ -1518,24 +1476,14 @@ def _readers(fleet: Fleet, address, pairs, count: int):
             thread.join(timeout=10.0)
 
 
-def run_migration_live(
-    data_root: str,
-    n_users: int = 16,
-    per_user: int = 3,
-    rounds: int = 2,
-    rng: int = 0,
-    checkpoint_interval: int = 50,
-    batch_entities: int = 8,
-    readers: int = 2,
-    join_timeout: float = 120.0,
-) -> DrillReport:
+def run_migration_live(data_root: str, rng: int = 0) -> DrillReport:
     """Rebalance 3 -> 4 shards under live reads; prove accuracy never
     noticed.
 
     A 3-shard tiered fleet (the unkilled fleet of
     :func:`run_migration_kill`) ingests the first half of a stream, a
     fourth shard joins, and a live migration re-homes every entity whose
-    rendezvous owner changed while ``readers`` threads keep requesting
+    rendezvous owner changed while two reader threads keep requesting
     predictions through the router.  Writes pause for the migration; the
     second half of the stream then flows through the 4-shard table.
 
@@ -1543,7 +1491,7 @@ def run_migration_live(
     single tiered server fed the same stream with no migration at all —
     windowed MAE is derived from it, so this is parity at the strongest
     granularity.  That is engineered, not hoped for: the stream's users are
-    the first ``n_users`` ids the 3-shard table homes on ``s0`` (same
+    the first 16 ids the 3-shard table homes on ``s0`` (same
     entities in the same order as the single server, hence the same
     factor-initialisation draws), and each observes a disjoint service set
     so service rows co-move with their one observer.  The drill also
@@ -1551,10 +1499,9 @@ def run_migration_live(
     they did.
     """
     names = ["s0", "s1", "s2"]
+    n_users, per_user, rounds = 16, 3, 2
     report = DrillReport.begin("migration-live", users=n_users)
-    with Fleet(
-        checkpoint_interval=checkpoint_interval, binary_port=None, lifecycle=True
-    ) as fleet:
+    with Fleet(checkpoint_interval=50, binary_port=None, lifecycle=True) as fleet:
         router, client = _tiered_fleet(fleet, data_root, names, rng)
         table = router.placement
         homed_on_s0 = (
@@ -1570,10 +1517,10 @@ def run_migration_live(
         )
         target = table.with_shard(ShardSpec(name="s3", addresses=(joining.address,)))
         pairs = [(user_id, index * per_user) for index, user_id in enumerate(users)]
-        with _readers(fleet, router.address, pairs, readers) as tallies:
+        with _readers(fleet, router.address, pairs, 2) as tallies:
             before = sum(tally["ok"] for tally in tallies)
-            coordinator = router.start_migration(target, batch_entities=batch_entities)
-            coordinator.join(timeout=join_timeout)
+            coordinator = router.start_migration(target, batch_entities=8)
+            coordinator.join(timeout=_MIGRATION_TIMEOUT)
             during = sum(tally["ok"] for tally in tallies) - before
         _expect_migrated(report, "fleet", router, coordinator, target)
         result = coordinator.result or {}
@@ -1608,7 +1555,6 @@ def churn_phase(
     hot_services: int,
     spill_path: str,
     cap_bytes: "int | None" = None,
-    window: int = 10_000,
 ) -> dict:
     """One pass of a high-churn stream through a :class:`TieredAMF`; meant
     to run in a child interpreter (:func:`run_memory_cap`) so the peak it
@@ -1654,7 +1600,7 @@ def churn_phase(
             )
         )
         total += error
-        if (k + 1) % window == 0 or k + 1 == observations:
+        if (k + 1) % 10_000 == 0 or k + 1 == observations:
             window_errors.append(total)
             total = 0.0
     status = model.lifecycle_status()
@@ -1673,14 +1619,7 @@ def churn_phase(
     }
 
 
-def run_memory_cap(
-    data_root: str,
-    observations: int = 300_000,
-    seed: int = 0,
-    hot_users: int = 4_000,
-    hot_services: int = 1_500,
-    cap_headroom: float = 1.25,
-) -> DrillReport:
+def run_memory_cap(data_root: str, seed: int = 0) -> DrillReport:
     """The bounded model finishes under an address-space cap that kills
     the unbounded one — and loses no accuracy for it.
 
@@ -1688,7 +1627,7 @@ def run_memory_cap(
     (Linux only: the peak is read from ``/proc``):
 
     1. **bounded, uncapped** — small hot caps over an on-disk spill store;
-       its ``VmPeak`` times ``cap_headroom`` becomes the cap;
+       its ``VmPeak`` times 1.25 becomes the cap;
     2. **unbounded, capped** — the *same* tiered code path with caps above
        the population (nothing ever demotes), under ``RLIMIT_AS`` = the
        cap: it must die;
@@ -1702,6 +1641,7 @@ def run_memory_cap(
     headroom — which is why ``chaos_check.py --all`` leaves it out.
     """
     os.makedirs(data_root, exist_ok=True)
+    observations, hot_users, hot_services = 300_000, 4_000, 1_500
     unbounded = dict(
         hot_users=observations + 1, hot_services=observations + 1, spill_path=":memory:"
     )
@@ -1715,7 +1655,7 @@ def run_memory_cap(
         hot_services=hot_services,
         spill_path=os.path.join(data_root, "spill.sqlite"),
     )
-    cap_bytes = int(bounded["vm_peak_bytes"] * cap_headroom)
+    cap_bytes = int(bounded["vm_peak_bytes"] * 1.25)
     try:
         in_child(**unbounded, cap_bytes=cap_bytes)
         died_of = None

@@ -287,7 +287,6 @@ class FaultInjector:
 def drive_client(
     client,
     injector: FaultInjector,
-    sleep_on_stall: bool = True,
     idempotency_prefix: "str | None" = None,
 ) -> dict:
     """Feed an injector's event stream into a server through its client.
@@ -321,8 +320,7 @@ def drive_client(
             continue
         if event.record is None:
             stalls += 1
-            if sleep_on_stall:
-                time.sleep(injector.config.stall_seconds)
+            time.sleep(injector.config.stall_seconds)
             continue
         record = event.record
         delivery += 1

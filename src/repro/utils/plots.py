@@ -1,9 +1,9 @@
 """Terminal plots: render figure series as ASCII charts.
 
-The paper's figures are curves and histograms; the experiment harness
-prints their underlying series as tables (``utils.tables``), and these
-helpers additionally render them as quick terminal charts so the *shape*
-is visible at a glance in benchmark output.  Pure text, no dependencies.
+The paper's figures are curves; the experiment harness prints their
+underlying series as tables (``utils.tables``), and :func:`line_plot`
+additionally renders them as a quick terminal chart so the *shape* is
+visible at a glance in benchmark output.  Pure text, no dependencies.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-#: Characters from low to high for bar rendering.
-_BARS = " .:-=+*#%@"
-
 
 def line_plot(
     series: "dict[str, Sequence[float]]",
     height: int = 10,
     width: int = 60,
-    title: str | None = None,
     y_label: str = "",
 ) -> str:
     """Plot one or more equal-length series as an ASCII line chart.
@@ -61,8 +57,6 @@ def line_plot(
             grid[height - 1 - row][col] = marker
 
     lines: list[str] = []
-    if title:
-        lines.append(title)
     label_width = max(len(f"{high:.3g}"), len(f"{low:.3g}"))
     for row_index, row in enumerate(grid):
         if row_index == 0:
@@ -79,56 +73,3 @@ def line_plot(
     return "\n".join(lines)
 
 
-def bar_histogram(
-    centers: Sequence[float],
-    heights: Sequence[float],
-    width: int = 60,
-    title: str | None = None,
-) -> str:
-    """Render a histogram as one line of density glyphs per ~bin group.
-
-    Bins are resampled onto ``width`` columns; each column's glyph encodes
-    the (max-normalized) density, giving a compact one-line shape preview
-    plus the axis bounds.
-    """
-    centers = np.asarray(centers, dtype=float)
-    heights = np.asarray(heights, dtype=float)
-    if centers.shape != heights.shape or centers.size == 0:
-        raise ValueError("centers and heights must be equal-length, non-empty")
-    if np.any(heights < 0):
-        raise ValueError("histogram heights must be non-negative")
-    columns = np.interp(
-        np.linspace(0, centers.size - 1, width), np.arange(centers.size), heights
-    )
-    peak = columns.max()
-    if peak > 0:
-        glyphs = "".join(
-            _BARS[min(int(value / peak * (len(_BARS) - 1)), len(_BARS) - 1)]
-            for value in columns
-        )
-    else:
-        glyphs = " " * width
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"|{glyphs}|")
-    lines.append(f"{centers[0]:<12.4g}{' ' * max(width - 24, 0)}{centers[-1]:>12.4g}")
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line sparkline of a series (utility for status output)."""
-    values = np.asarray(values, dtype=float)
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        raise ValueError("no finite values")
-    low, high = float(finite.min()), float(finite.max())
-    span = (high - low) or 1.0
-    blocks = "▁▂▃▄▅▆▇█"
-    out = []
-    for value in values:
-        if not np.isfinite(value):
-            out.append(" ")
-        else:
-            out.append(blocks[min(int((value - low) / span * (len(blocks) - 1)), 7)])
-    return "".join(out)

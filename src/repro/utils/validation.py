@@ -40,8 +40,3 @@ def check_shape_match(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) ->
         )
 
 
-def check_nonnegative_int(name: str, value: int) -> int:
-    """Require ``value`` to be a non-negative integer; return it."""
-    if int(value) != value or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)

@@ -7,6 +7,19 @@ import pytest
 
 from repro.datasets import generate_dataset
 from repro.datasets.schema import QoSMatrix
+from repro.observability import get_registry
+
+
+def wal_counts() -> "tuple[int, float]":
+    """``(fsyncs, entries appended)`` by every write-ahead log of this
+    process so far: the ``qos_wal_fsync_seconds`` count and
+    ``qos_wal_appends_total``.  Tests diff two readings; a plain function,
+    not a fixture, so hypothesis state machines can call it too."""
+    registry = get_registry()
+    return (
+        registry.histogram("qos_wal_fsync_seconds").count,
+        registry.counter("qos_wal_appends_total").value,
+    )
 
 
 @pytest.fixture

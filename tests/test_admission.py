@@ -72,7 +72,7 @@ class TestAdmissionController:
     def test_rate_limit_sheds_with_hint(self):
         clock = FakeClock()
         controller = AdmissionController(
-            AdmissionConfig(rate=10.0, burst=2.0, retry_after_floor=0.05),
+            AdmissionConfig(rate=10.0, burst=2.0),
             clock=clock,
         )
         with controller.admit():
@@ -87,13 +87,13 @@ class TestAdmissionController:
 
     def test_retry_after_floor(self):
         controller = AdmissionController(
-            AdmissionConfig(rate=1e6, burst=1.0, retry_after_floor=0.25),
+            AdmissionConfig(rate=1e6, burst=1.0),
             clock=FakeClock(),
         )
         controller.admit().__exit__()
         with pytest.raises(RateLimited) as exc:
             controller.admit()
-        assert exc.value.retry_after == 0.25
+        assert exc.value.retry_after == AdmissionConfig.retry_after_floor
 
     def test_bounded_pending_sheds_503(self):
         controller = AdmissionController(
@@ -153,7 +153,7 @@ def observation(t, user=0, service=0, value=1.0):
 
 class TestServerShedding:
     def test_rate_limit_429_with_retry_after(self):
-        admission = AdmissionConfig(rate=0.5, burst=1.0, retry_after_floor=0.05)
+        admission = AdmissionConfig(rate=0.5, burst=1.0)
         with PredictionServer(
             rng=0, background_replay=False, admission=admission
         ) as server:
@@ -264,7 +264,7 @@ class TestClientRetryBehavior:
         assert _retry_after_hint(exc, None) is None
 
     def test_keyed_observation_post_is_retried_past_shedding(self):
-        admission = AdmissionConfig(rate=5.0, burst=1.0, retry_after_floor=0.05)
+        admission = AdmissionConfig(rate=5.0, burst=1.0)
         with PredictionServer(
             rng=0, background_replay=False, admission=admission
         ) as server:

@@ -43,11 +43,11 @@ from hypothesis.stateful import (
 )
 
 from repro.lifecycle import LifecycleConfig
-from repro.observability import get_registry
 from repro.robustness import GateConfig
 from repro.server import PredictionServer, ReplicationConfig
 from repro.server.http import ServiceError
 from repro.simulation.drills import diff_state, snapshot
+from tests.conftest import wal_counts
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 NODE_ARGS = dict(
@@ -131,14 +131,6 @@ def _assert_three_suppliers_agree(root: pathlib.Path, primary, standby) -> None:
         assert recovered._latest_ingest_ts == primary._latest_ingest_ts
 
 
-def _log_counts() -> "tuple[int, float]":
-    registry = get_registry()
-    return (
-        registry.histogram("qos_wal_fsync_seconds").count,
-        registry.counter("qos_wal_appends_total").value,
-    )
-
-
 CANDIDATES = list(range(7))  # services 5 and 6 are never observed
 
 
@@ -149,11 +141,11 @@ def _read(server: PredictionServer, user: int) -> list:
     rows, ``None`` where the fallback chain answered (its means belong to
     the process, not the log).  The read must move nothing: not the
     oracle's snapshot, not the log, not the fsync count."""
-    before = snapshot(server), server.wal_last_seq, _log_counts()
+    before = snapshot(server), server.wal_last_seq, wal_counts()
     values, sources = server._predict_batch(user, CANDIDATES)
     singles = [server._predict_one(user, service) for service in CANDIDATES]
     credence = server._credence(CANDIDATES)
-    assert (server.wal_last_seq, _log_counts()) == before[1:]
+    assert (server.wal_last_seq, wal_counts()) == before[1:]
     assert diff_state(before[0], snapshot(server)) == []
     for value, source, single in zip(values, sources, singles):
         if source == "model":  # the ranking is the single GET, candidate by candidate
@@ -340,10 +332,10 @@ def cold_pair(tmp_path):
 class TestOneRequestOneGroup:
     def test_an_observe_and_its_revives_share_one_fsync(self, cold_pair):
         root, primary, standby, body = cold_pair
-        fsyncs, appends = _log_counts()
+        fsyncs, appends = wal_counts()
         last_seq = primary.wal_last_seq
         assert primary._handle_observation(body)["action"] == "admit"
-        assert _log_counts() == (fsyncs + 1, appends + 3)
+        assert wal_counts() == (fsyncs + 1, appends + 3)
         assert primary.wal_last_seq == last_seq + 3
         kinds = [entry[2] for entry in primary._wal.replay_entries(last_seq)]
         assert kinds[:2] == ["revive_user", "revive_service"]
@@ -352,17 +344,17 @@ class TestOneRequestOneGroup:
         # One cold party: two entries, one fsync.  None: one and one.
         cold = primary.model.with_model(lambda m: sorted(m._spilled_users))[0]
         for user, expected in ((cold, 2), (0, 1)):
-            fsyncs, appends = _log_counts()
+            fsyncs, appends = wal_counts()
             primary._handle_observation({**body, "timestamp": 10.0, "user_id": user})
-            assert _log_counts() == (fsyncs + 1, appends + expected)
+            assert wal_counts() == (fsyncs + 1, appends + expected)
         _assert_three_suppliers_agree(root, primary, standby)
 
     def test_a_read_is_no_group_at_all(self, cold_pair):
         __, primary, __, __ = cold_pair
-        counts = _log_counts()
+        counts = wal_counts()
         assert primary._predict_one(0, 0)["source"] == "model"
         assert primary._predict_batch(0, [2, 3])[1] == ["model"] * 2
-        assert _log_counts() == counts
+        assert wal_counts() == counts
         pending = primary.model.with_model(lambda m: m.pending_revivals(0, 0))
         assert pending == [("user", 0), ("service", 0)]
 

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveMatrixFactorization, AMFConfig
-from repro.core.daemon import QUIET_SECONDS, BackgroundTrainer, ConcurrentModel
+from repro.core.daemon import (
+    QUIET_SECONDS,
+    SLICE_STEPS,
+    BackgroundTrainer,
+    ConcurrentModel,
+)
 from repro.datasets.schema import QoSRecord
 
 WAIT = 10.0  # bound on every Event wait / join below; none is expected to run out
@@ -143,13 +148,6 @@ class TestBackgroundTrainer:
         assert trainer.running
         trainer.stop()
 
-    def test_invalid_construction(self):
-        model = make_model()
-        with pytest.raises(ValueError):
-            BackgroundTrainer(model, batch_size=0)
-        with pytest.raises(ValueError):
-            BackgroundTrainer(model, idle_sleep=0.0)
-
     def test_observations_during_replay(self):
         """Arrivals and background replay interleave without corruption."""
         model = make_model()
@@ -193,7 +191,7 @@ class TestIdleRule:
     def assert_replays(self, trainer):
         replays, yields = trainer.replays_applied, trainer.yields
         trainer._step()
-        assert trainer.replays_applied == replays + trainer.batch_size
+        assert trainer.replays_applied == replays + SLICE_STEPS
         assert trainer.yields == yields
 
     def test_idle_stream_is_replayed_unprompted(self, clock):

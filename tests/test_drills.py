@@ -218,9 +218,7 @@ class TestFailoverOnASlowDisk:
             baseline_dir=str(tmp_path / "baseline"),
             epoch_store=str(tmp_path / "epoch.json"),
             rng=1,
-            checkpoint_interval=25,
-            server_kwargs={"gate": True},
-            auto_promote_after=0.25,
+            server_kwargs={"gate": True, "checkpoint_interval": 25},
         )
         assert report.matches, report.summary()
         assert report.metrics_ok
@@ -232,7 +230,7 @@ class TestFailoverOnASlowDisk:
 
 class TestMigrationLive:
     def test_rebalance_under_reads_leaves_the_error_stream_untouched(self, tmp_path):
-        report = run_migration_live(str(tmp_path), n_users=12, rng=0)
+        report = run_migration_live(str(tmp_path), rng=0)
         assert report.matches, report.summary()
         assert report.metrics_ok
         assert report.detail["migration"]["entities_moved"] > 0
@@ -259,7 +257,7 @@ class TestRegistry:
             [
                 sys.executable,
                 "-c",
-                "import sys, repro.simulation.churn, repro.simulation as s; "
+                "import sys, repro.simulation.faults, repro.simulation as s; "
                 "s.FaultInjector; print('repro.server.app' in sys.modules)",
             ],
             capture_output=True,

@@ -128,7 +128,7 @@ def bad_request_without_code(tmp_path):
             binary=(server.binary_address, pack_predict_request(0, [-1]),
                     OP_PREDICT_BATCH),
             status=400,
-            body={"error": "ids must be non-negative"},
+            body={"error": "field 'service_ids' must be a non-negative integer"},
         )
 
 
@@ -150,16 +150,18 @@ def bad_request_with_code(tmp_path):
 
 @contextlib.contextmanager
 def payload_too_large(tmp_path):
-    with plain_server(max_body_bytes=64) as server:
-        yield dict(
-            json=(server.address, "POST", "/observations",
-                  {**OBSERVATION, "idempotency_key": "k" * 100}),
-            binary=(server.binary_address,
-                    pack_observe_request(1.0, 0, 0, 1.0, "k" * 100), OP_OBSERVE),
-            status=413,
-            # The two encodings of one request differ in size, nothing else.
-            body={"error": re.compile(r"body of \d+ bytes exceeds limit of 64")},
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PredictionServer, "max_body_bytes", 64)
+        with plain_server() as server:
+            yield dict(
+                json=(server.address, "POST", "/observations",
+                      {**OBSERVATION, "idempotency_key": "k" * 100}),
+                binary=(server.binary_address,
+                        pack_observe_request(1.0, 0, 0, 1.0, "k" * 100), OP_OBSERVE),
+                status=413,
+                # The two encodings of one request differ in size, nothing else.
+                body={"error": re.compile(r"body of \d+ bytes exceeds limit of 64")},
+            )
 
 
 @contextlib.contextmanager
@@ -187,9 +189,8 @@ def fenced_not_primary(tmp_path):
 @contextlib.contextmanager
 def fenced_stale_epoch(tmp_path):
     store = EpochStore(str(tmp_path / "epoch.json"))
-    replication = ReplicationConfig(
-        store, role="primary", node_id="p", fence_check_interval=0.0
-    )
+    replication = ReplicationConfig(store, role="primary", node_id="p")
+    replication.fence_check_interval = 0.0
     with plain_server(data_dir=str(tmp_path / "p"), replication=replication) as server:
         assert store.cas(1, 2, owner="usurper")
         yield dict(
@@ -225,8 +226,11 @@ def storage_unavailable(tmp_path):
 
 @contextlib.contextmanager
 def shed_rate_limited(tmp_path):
-    admission = AdmissionConfig(rate=0.5, burst=1.0, retry_after_floor=30.0)
-    with plain_server(admission=admission) as server:
+    admission = AdmissionConfig(rate=0.5, burst=1.0)
+    with pytest.MonkeyPatch.context() as patch, plain_server(
+        admission=admission
+    ) as server:
+        patch.setattr(AdmissionConfig, "retry_after_floor", 30.0)
         http_call(server.address, "POST", "/observations", OBSERVATION)  # the burst
         yield dict(
             json=(server.address, "POST", "/observations", OBSERVATION),
@@ -274,7 +278,7 @@ def internal_error(tmp_path):
 
 
 @contextlib.contextmanager
-def routed(ghost=False, **router_kwargs):
+def routed(ghost=False):
     """A router over one live shard (plus one that refuses connections)."""
     with plain_server() as server:
         specs = [ShardSpec(name="live", addresses=(server.address,))]
@@ -283,7 +287,7 @@ def routed(ghost=False, **router_kwargs):
                 ShardSpec(name="ghost", addresses=(("127.0.0.1", closed_port()),))
             )
         table = PlacementTable(specs)
-        with ClusterRouter(table, timeout=2.0, **router_kwargs) as router:
+        with ClusterRouter(table) as router:
             yield router, table
 
 
@@ -415,7 +419,7 @@ def router_passes_fenced_write_through(tmp_path):
     with fenced_not_primary(tmp_path) as fenced:
         standby = fenced["json"][0]
         table = PlacementTable([ShardSpec(name="pair", addresses=(standby,))])
-        with ClusterRouter(table, timeout=2.0) as router:
+        with ClusterRouter(table) as router:
             yield dict(
                 fenced,
                 json=(router.address, "POST", "/observations", OBSERVATION),
@@ -437,15 +441,17 @@ def router_bad_request(tmp_path):
 
 @contextlib.contextmanager
 def router_payload_too_large(tmp_path):
-    with routed(max_body_bytes=64) as (router, table):
-        yield dict(
-            json=(router.address, "POST", "/observations",
-                  {**OBSERVATION, "idempotency_key": "k" * 100}),
-            binary=(router.binary_address,
-                    pack_observe_request(1.0, 0, 0, 1.0, "k" * 100), OP_OBSERVE),
-            status=413,
-            body={"error": re.compile(r"body of \d+ bytes exceeds limit of 64")},
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClusterRouter, "max_body_bytes", 64)
+        with routed() as (router, table):
+            yield dict(
+                json=(router.address, "POST", "/observations",
+                      {**OBSERVATION, "idempotency_key": "k" * 100}),
+                binary=(router.binary_address,
+                        pack_observe_request(1.0, 0, 0, 1.0, "k" * 100), OP_OBSERVE),
+                status=413,
+                body={"error": re.compile(r"body of \d+ bytes exceeds limit of 64")},
+            )
 
 
 @contextlib.contextmanager
@@ -616,3 +622,117 @@ def test_idle_servers_stop_in_milliseconds():
     # serve_forever's default 0.5 s poll made each of these >= 0.5 s.
     assert router_seconds < 0.25
     assert server_seconds < 0.25
+
+
+# -- ids are validated, never coerced ----------------------------------------
+BAD_IDS = [3.7, "5", True, -1, None]
+
+
+def _observation(**ids):
+    return {"timestamp": 1.0, "user_id": 0, "service_id": 0, "value": 1.0, **ids}
+
+
+#: (route, payload) per id-carrying field, for a node of either kind.
+ID_REQUESTS = {
+    "observe user": lambda bad: ("/observations", _observation(user_id=bad)),
+    "observe service": lambda bad: ("/observations", _observation(service_id=bad)),
+    "predict user": lambda bad: (
+        "/predictions/batch", {"user_id": bad, "service_ids": [0]}
+    ),
+    "predict service": lambda bad: (
+        "/predictions/batch", {"user_id": 0, "service_ids": [1, bad]}
+    ),
+}
+SHARD_ONLY = {
+    "migration entity": lambda bad: ("/migration/export", {"entities": [["user", bad]]}),
+}
+ROUTER_ONLY = {
+    "rank service": lambda bad: (
+        "/rank/candidates", {"user_id": 0, "service_ids": [bad]}
+    ),
+}
+
+
+class TestIdsAreValidatedNotCoerced:
+    """A JSON id is an integer that is not a ``bool`` and is ``>= 0``, on a
+    shard and through the router alike: ``3.7`` is not user 3, ``"5"`` is
+    not user 5, ``true`` is not user 1.  A bad id is refused before anything
+    is logged or trained."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        data_dir = str(tmp_path_factory.mktemp("ids"))
+        with plain_server(data_dir=data_dir, lifecycle=True) as server:
+            table = PlacementTable([ShardSpec(name="s", addresses=(server.address,))])
+            with ClusterRouter(table) as router:
+                http_call(server.address, "POST", "/observations", _observation())
+                yield server, router
+
+    @staticmethod
+    def _state(server):
+        status = http_call(server.address, "GET", "/status")[1]
+        return (
+            status["observations_handled"],
+            status["durability"]["wal_last_seq"],
+            server.model.with_model(lambda m: (m.n_users, m.n_services, m.updates_applied)),
+        )
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    @pytest.mark.parametrize(
+        "node, request_kind",
+        [(node, kind) for node in ("shard", "router") for kind in ID_REQUESTS]
+        + [("shard", kind) for kind in SHARD_ONLY]
+        + [("router", kind) for kind in ROUTER_ONLY],
+    )
+    def test_a_bad_id_is_a_400_and_changes_nothing(self, fleet, node, request_kind, bad):
+        server, router = fleet
+        path, payload = {**ID_REQUESTS, **SHARD_ONLY, **ROUTER_ONLY}[request_kind](bad)
+        before = self._state(server)
+        status, body, __ = http_call(
+            (server if node == "shard" else router).address, "POST", path, payload
+        )
+        assert status == 400, body
+        assert self._state(server) == before
+
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    @pytest.mark.parametrize("node", ["shard", "router"])
+    def test_a_bad_id_in_a_batch_rejects_its_item(self, fleet, node, bad):
+        server, router = fleet
+        before = self._state(server)
+        status, body, __ = http_call(
+            (server if node == "shard" else router).address,
+            "POST",
+            "/observations/batch",
+            {"observations": [_observation(user_id=bad), _observation(service_id=bad)]},
+        )
+        assert status == 200 and body["accepted"] == 0, body
+        assert [item["index"] for item in body["rejected"]] == [0, 1]
+        assert self._state(server) == before
+
+    def test_k_true_is_not_k_1(self, fleet):
+        __, router = fleet
+        status, body, __ = http_call(
+            router.address, "POST", "/rank/candidates",
+            {"user_id": 0, "service_ids": [0, 1], "k": True},
+        )
+        assert status == 400, body
+
+
+def test_every_rejected_batch_item_is_counted_in_the_metric():
+    """``/status`` ``observations_rejected`` and the
+    ``qos_observations_rejected_total`` counter move together, for a batch
+    item that is not an object too."""
+    rejected = get_registry().counter("qos_observations_rejected_total")
+    with plain_server() as server:
+        status_before = http_call(server.address, "GET", "/status")[1]
+        metric_before = rejected.value
+        status, body, __ = http_call(
+            server.address, "POST", "/observations/batch",
+            {"observations": [1, "x", {"value": -3}]},
+        )
+        assert status == 200 and len(body["rejected"]) == 3
+        status_after = http_call(server.address, "GET", "/status")[1]
+    counted = (
+        status_after["observations_rejected"] - status_before["observations_rejected"]
+    )
+    assert counted == rejected.value - metric_before == 3

@@ -5,6 +5,7 @@ produce a structurally valid result with the paper's qualitative shape.
 import numpy as np
 import pytest
 
+from repro.experiments import distributions, error_dist, runner, scalability, spectrum
 from repro.experiments.accuracy import Table1Result, run_table1
 from repro.experiments.data_stats import run_data_stats
 from repro.experiments.density_impact import run_density_impact
@@ -58,9 +59,10 @@ class TestRunnerHelpers:
         with pytest.raises(ValueError):
             average_results([])
 
-    def test_compare_on_slice_approach_filter(self):
+    def test_compare_on_slice_approach_filter(self, monkeypatch):
+        monkeypatch.setattr(runner, "APPROACHES", ("PMF",))
         matrix = TINY.dataset("response_time").slice(0)
-        results = compare_on_slice(matrix, "response_time", 0.3, rng=0, approaches=["PMF"])
+        results = compare_on_slice(matrix, "response_time", 0.3, rng=0)
         assert set(results) == {"PMF"}
 
 
@@ -80,8 +82,9 @@ class TestDataStats:
 
 
 class TestDistributions:
-    def test_rt_structure(self):
-        result = run_distributions(TINY, attribute="response_time", bins=20)
+    def test_rt_structure(self, monkeypatch):
+        monkeypatch.setattr(distributions, "BINS", 20)
+        result = run_distributions(TINY, attribute="response_time")
         assert result.raw_centers.shape == (20,)
         assert result.raw_density.sum() <= 1.0 + 1e-9
         assert 0 <= result.transformed_centers.min() <= 1
@@ -97,15 +100,17 @@ class TestDistributions:
 
 
 class TestSpectrum:
-    def test_structure(self):
-        result = run_spectrum(TINY, top_k=10)
+    def test_structure(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "TOP_K", 10)
+        result = run_spectrum(TINY)
         assert result.rt_spectrum[0] == pytest.approx(1.0)
         assert result.tp_spectrum[0] == pytest.approx(1.0)
         assert np.all(np.diff(result.rt_spectrum) <= 1e-12)
 
-    def test_low_rank_shape(self):
+    def test_low_rank_shape(self, monkeypatch):
         """Fig. 9: the tail of the spectrum is far below the head."""
-        result = run_spectrum(TINY, top_k=20)
+        monkeypatch.setattr(spectrum, "TOP_K", 20)
+        result = run_spectrum(TINY)
         assert result.rt_spectrum[-1] < 0.35
         assert result.rt_effective_rank <= 15
 
@@ -113,12 +118,9 @@ class TestSpectrum:
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self) -> Table1Result:
-        return run_table1(
-            TINY,
-            densities=(0.2, 0.4),
-            attributes=("response_time",),
-            approaches=["UIPCC", "PMF", "AMF"],
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "APPROACHES", ("UIPCC", "PMF", "AMF"))
+            return run_table1(TINY, densities=(0.2, 0.4), attributes=("response_time",))
 
     def test_structure(self, result):
         assert set(result.results["response_time"]) == {0.2, 0.4}
@@ -146,15 +148,17 @@ class TestTable1:
 
 
 class TestErrorDist:
-    def test_structure(self):
-        result = run_error_dist(TINY, density=0.3, bins=24)
+    def test_structure(self, monkeypatch):
+        monkeypatch.setattr(error_dist, "BINS", 24)
+        result = run_error_dist(TINY, density=0.3)
         assert set(result.densities) == {"UIPCC", "PMF", "AMF"}
         for histogram in result.densities.values():
             assert histogram.shape == (24,)
 
-    def test_fig10_shape(self):
+    def test_fig10_shape(self, monkeypatch):
         # Fig. 10 shape: AMF concentrates the most mass near zero error.
-        result = run_error_dist(MID, density=0.3, bins=24)
+        monkeypatch.setattr(error_dist, "BINS", 24)
+        result = run_error_dist(MID, density=0.3)
         assert result.central_mass["AMF"] >= max(
             result.central_mass["UIPCC"], result.central_mass["PMF"]
         )
@@ -180,26 +184,24 @@ class TestDensityImpact:
 
 class TestEfficiency:
     def test_structure(self):
-        result = run_efficiency(TINY, n_slices=3)
+        result = run_efficiency(TINY)  # all 3 slices
         assert set(result.seconds) == {"UIPCC", "PMF", "AMF (retrain)", "AMF"}
         for series in result.seconds.values():
             assert len(series) == 3
             assert all(s >= 0 for s in series)
 
     def test_text_rendering(self):
-        result = run_efficiency(TINY, n_slices=2)
+        result = run_efficiency(TINY)
         assert "Fig. 13" in result.to_text()
 
 
 class TestScalability:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scalability(
-            MID,
-            checkpoint_updates=5_000,
-            warmup_epochs=10,
-            post_join_epochs=10,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scalability, "WARMUP_EPOCHS", 10)
+            patch.setattr(scalability, "POST_JOIN_EPOCHS", 10)
+            return run_scalability(MID, checkpoint_updates=5_000)
 
     def test_checkpoints_recorded(self, result):
         assert len(result.checkpoints) >= 3

@@ -220,9 +220,8 @@ class TestDegenerateTraining:
     def test_everything_expires_mid_training(self):
         model = AdaptiveMatrixFactorization(AMFConfig(expiry_seconds=5.0), rng=0)
         trainer = StreamTrainer(model)
-        report = trainer.process(
-            [record(k % 3, k % 4, 1.0, t=0.0) for k in range(30)], now=1000.0
-        )
+        trainer.consume([record(k % 3, k % 4, 1.0, t=0.0) for k in range(30)])
+        report = trainer.replay_until_converged(now=1000.0)
         assert model.n_stored_samples == 0
         assert np.isfinite(report.final_error) or np.isnan(report.final_error)
 
@@ -269,9 +268,9 @@ class TestHostileRequests:
         assert status == 400
         assert "must be an object" in body["error"]
 
-    def test_oversized_body_rejected_with_413(self):
-        with PredictionServer(rng=0, background_replay=False,
-                              max_body_bytes=512) as srv:
+    def test_oversized_body_rejected_with_413(self, monkeypatch):
+        monkeypatch.setattr(PredictionServer, "max_body_bytes", 512)
+        with PredictionServer(rng=0, background_replay=False) as srv:
             big = json.dumps({"observations": [{"x": "y" * 600}]}).encode()
             status, body = _post_raw(srv.address, "/observations/batch", big)
             assert status == 413

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import generate_dataset
 from repro.datasets.wsdream import load_wsdream_directory
+from repro.experiments import runner
 from repro.experiments.runner import FixedDatasetScale
 from repro.experiments.accuracy import run_table1
 from repro.experiments.density_impact import run_density_impact
@@ -52,15 +53,11 @@ class TestConstruction:
 
 
 class TestExperimentsRunOnFixedData:
-    def test_table1(self, tensors):
+    def test_table1(self, tensors, monkeypatch):
         rt, __ = tensors
+        monkeypatch.setattr(runner, "APPROACHES", ("UIPCC", "AMF"))
         scale = FixedDatasetScale.from_tensors(response_time=rt, reruns=1, seed=1)
-        result = run_table1(
-            scale,
-            densities=(0.3,),
-            attributes=("response_time",),
-            approaches=["UIPCC", "AMF"],
-        )
+        result = run_table1(scale, densities=(0.3,), attributes=("response_time",))
         cell = result.results["response_time"][0.3]
         assert np.isfinite(cell["AMF"].metrics["MRE"])
 
@@ -70,7 +67,8 @@ class TestExperimentsRunOnFixedData:
         result = run_density_impact(scale, densities=(0.2, 0.4))
         assert len(result.metrics["MRE"]) == 2
 
-    def test_wsdream_files_through_experiments(self, tmp_path):
+    def test_wsdream_files_through_experiments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "APPROACHES", ("AMF",))
         """The real-format loader feeds the experiment pipeline end to end."""
         rng = np.random.default_rng(3)
         lines = []
@@ -82,9 +80,7 @@ class TestExperimentsRunOnFixedData:
         (tmp_path / "rtdata.txt").write_text("\n".join(lines))
         data = load_wsdream_directory(str(tmp_path))
         scale = FixedDatasetScale.from_tensors(response_time=data, reruns=1, seed=2)
-        result = run_table1(
-            scale, densities=(0.3,), attributes=("response_time",), approaches=["AMF"]
-        )
+        result = run_table1(scale, densities=(0.3,), attributes=("response_time",))
         assert np.isfinite(
             result.results["response_time"][0.3]["AMF"].metrics["MRE"]
         )

@@ -18,7 +18,7 @@ from repro.adaptation import (
 from repro.datasets import generate_dataset, train_test_split_matrix
 from repro.datasets.stream import stream_from_matrix, stream_from_slices
 from repro.metrics import mre, score_all, top_k_hit_rate
-from repro.simulation import ChurnSchedule, SimClock
+from tests.simkit import ChurnEvent, ChurnSchedule, SimClock
 
 
 class TestPredictionPipeline:
@@ -85,7 +85,7 @@ class TestAdaptationPipeline:
         # 5 services join later via the churn schedule.
         schedule = ChurnSchedule(
             [
-                __import__("repro.simulation.churn", fromlist=["ChurnEvent"]).ChurnEvent(
+                ChurnEvent(
                     timestamp=600.0, entity_kind="service", entity_id=sid, action="join"
                 )
                 for sid in range(15, 20)

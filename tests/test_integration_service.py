@@ -25,7 +25,7 @@ from repro.adaptation import (
 from repro.core import AMFConfig, AdaptiveMatrixFactorization, BackgroundTrainer, ConcurrentModel
 from repro.datasets import generate_dataset
 from repro.datasets.schema import QoSRecord
-from repro.simulation.workload import merge_workloads, poisson_arrivals, drive_engines
+from tests.simkit import drive_engines, merge_workloads, poisson_arrivals
 
 
 class TestWorkloadDrivenAdaptation:

@@ -38,6 +38,7 @@ from repro.robustness import GateConfig, SanitizerGate, apply_observation
 from repro.server.app import PredictionServer
 from repro.server.client import PredictionClient
 from repro.simulation.drills import diff_state, snapshot
+from tests.conftest import wal_counts
 
 
 def stream(n, seed=0, n_users=40, n_services=20):
@@ -64,6 +65,17 @@ def tiered(seed=0, hot_users=8, hot_services=8, **kwargs):
     )
     return TieredAMF(rng=seed, lifecycle=lifecycle, spill=SpillStore(":memory:"))
 
+
+
+class _NeverQuarantine(GateConfig):
+    """The shipped gate with no quarantine band: outliers clip."""
+
+    quarantine_k = math.inf
+
+
+def _free_pages(spill) -> int:
+    """Pages on the spill file's free list (reclaimable space)."""
+    return int(spill._conn.execute("PRAGMA freelist_count").fetchone()[0])
 
 class TestTieredModel:
     def test_hot_tier_never_exceeds_capacity(self):
@@ -241,12 +253,7 @@ class TestServerLifecycle:
 
     @staticmethod
     def _log_counts(server) -> tuple:
-        registry = get_registry()
-        return (
-            server.wal_last_seq,
-            registry.histogram("qos_wal_fsync_seconds").count,
-            registry.counter("qos_wal_appends_total").value,
-        )
+        return (server.wal_last_seq, *wal_counts())
 
     def test_a_cold_read_answers_from_the_model_and_an_observe_revives(self):
         lifecycle = LifecycleConfig(hot_users=8, hot_services=8)
@@ -275,7 +282,7 @@ class TestServerLifecycle:
                 assert single["prediction"] == pytest.approx(
                     result["predictions"][0], rel=1e-9
                 )
-                assert server.model.with_model(lambda m: m.is_spilled_user(cold))
+                assert server.model.with_model(lambda m: cold in m._spilled_users)
                 after = client.status()["lifecycle"]
                 assert after["revived_users"] == status["revived_users"]
                 assert after["cold_reads"] == status["cold_reads"] + 3
@@ -367,11 +374,10 @@ class TestServerLifecycle:
                 crash_after=190,
                 data_dir=data_dir,
                 rng=2,
-                checkpoint_interval=75,
                 server_kwargs={
-                    "lifecycle": LifecycleConfig(hot_users=16, hot_services=16)
+                    "lifecycle": LifecycleConfig(hot_users=16, hot_services=16),
+                    "checkpoint_interval": 75,
                 },
-                baseline_data_dir=os.path.join(root, "baseline"),
             )
             assert report.matches, report.summary()
             digests = report.detail["checkpoint_digests"]
@@ -455,7 +461,7 @@ class TestServerLifecycle:
                 after = client.status()["lifecycle"]
                 assert after["hot_users"] == before["hot_users"]
                 assert after["spilled_users"] == before["spilled_users"]
-                assert server.model.with_model(lambda m: m.is_spilled_user(cold))
+                assert server.model.with_model(lambda m: cold in m._spilled_users)
                 client.close()
 
 
@@ -489,7 +495,8 @@ class TestSpillCompaction:
         payload = b"x" * 2048
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "spill.sqlite")
-            spill = SpillStore(path, compact_threshold_pages=8)
+            spill = SpillStore(path)
+            spill.compact_threshold_pages = 8
             for ext_id in range(800):
                 spill.put("user", ext_id, payload)
             spill.commit()
@@ -498,11 +505,11 @@ class TestSpillCompaction:
             for ext_id in range(780):
                 spill.delete("user", ext_id)
             spill.commit()
-            assert spill.freelist_pages() > 8
+            assert _free_pages(spill) > 8
             assert spill.maybe_compact()
             shrunk = os.path.getsize(path)
             assert shrunk < grown / 4, (grown, shrunk)
-            assert spill.freelist_pages() == 0
+            assert _free_pages(spill) == 0
             # Surviving rows are untouched by the vacuum.
             assert spill.count("user") == 20
             assert spill.get("user", 799) == payload
@@ -538,7 +545,8 @@ class TestSpillCompaction:
             conn.commit()
             assert int(conn.execute("PRAGMA auto_vacuum").fetchone()[0]) == 0
             conn.close()
-            spill = SpillStore(path, compact_threshold_pages=1)
+            spill = SpillStore(path)
+            spill.compact_threshold_pages = 1
             assert spill.get("user", 7) == b"keep"
             for ext_id in range(200):
                 spill.put("user", ext_id, b"y" * 2048)
@@ -595,7 +603,7 @@ class TieringParityMachine(RuleBasedStateMachine):
         self.models = (self.small, self.twin, self.roomy)
         for model in self.models:
             model.gate = SanitizerGate(
-                GateConfig(warmup=2, quarantine_k=math.inf),
+                _NeverQuarantine(warmup=2),
                 model.normalize_value,
                 model.denormalize_value,
             )
@@ -615,7 +623,7 @@ class TieringParityMachine(RuleBasedStateMachine):
                 assert ours == pytest.approx(theirs, rel=1e-9, abs=0.0)
             else:  # a spilled candidate is left to the caller's fallback chain
                 assert ours is None
-        if small.is_spilled_user(user):  # no slot version to stamp: not cached
+        if user in small._spilled_users:  # no slot version to stamp: not cached
             assert len(self.cache) == cached
         ours, theirs = (cm.predict_known(user, service) for cm in (served, reference))
         assert theirs is not None or ours is None

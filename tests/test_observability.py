@@ -9,13 +9,11 @@ import pytest
 
 from repro.metrics.errors import mae, mre, npre
 from repro.observability import (
+    Histogram,
     MetricsRegistry,
     StreamAccuracyMonitor,
     get_registry,
-    is_enabled,
     parse_prometheus_text,
-    set_enabled,
-    time_block,
     timed,
 )
 
@@ -61,7 +59,7 @@ class TestGauge:
         gauge = registry.gauge("g")
         gauge.set(5.0)
         gauge.inc(2.0)
-        gauge.dec(3.0)
+        gauge.inc(-3.0)
         assert gauge.value == 4.0
 
     def test_set_function_reads_lazily(self, registry):
@@ -80,7 +78,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_quantiles_nearest_rank(self, registry):
-        hist = registry.histogram("h", quantiles=(0.5, 0.9, 0.99))
+        hist = registry.histogram("h")  # quantiles 0.5 / 0.9 / 0.99
         for v in range(1, 101):
             hist.observe(float(v))
         q = hist.quantile_values()
@@ -91,24 +89,19 @@ class TestHistogram:
         assert hist.sum == pytest.approx(5050.0)
 
     def test_window_bounds_memory_but_not_totals(self, registry):
-        hist = registry.histogram("h", window=10)
-        for v in range(100):
+        hist = registry.histogram("h")
+        n = 3 * Histogram.window
+        for v in range(n):
             hist.observe(float(v))
-        # Quantiles summarize the last 10 observations only...
-        assert hist.quantile_values()[0.5] >= 90.0
+        # Quantiles summarize the last ``window`` observations only...
+        assert hist.quantile_values()[0.5] >= n - Histogram.window
         # ...while count/sum stay exact over everything observed.
-        assert hist.count == 100
-        assert hist.sum == pytest.approx(sum(range(100)))
+        assert hist.count == n
+        assert hist.sum == pytest.approx(sum(range(n)))
 
     def test_empty_histogram_quantiles_are_nan(self, registry):
         hist = registry.histogram("h")
         assert all(math.isnan(v) for v in hist.quantile_values().values())
-
-    def test_invalid_parameters_rejected(self, registry):
-        with pytest.raises(ValueError, match="window"):
-            registry.histogram("h_bad_window", window=0)
-        with pytest.raises(ValueError, match="quantiles"):
-            registry.histogram("h_bad_q", quantiles=(1.5,))
 
     def test_time_context_manager_observes_duration(self, registry):
         hist = registry.histogram("h")
@@ -241,33 +234,8 @@ class TestRegistryLifecycle:
     def test_default_registry_is_shared(self):
         assert get_registry() is get_registry()
 
-    def test_set_enabled_false_makes_recording_a_no_op(self, registry):
-        counter = registry.counter("c_total")
-        hist = registry.histogram("h")
-        gauge = registry.gauge("g")
-        assert is_enabled()
-        set_enabled(False)
-        try:
-            counter.inc()
-            hist.observe(1.0)
-            gauge.set(9.0)
-            assert counter.value == 0.0
-            assert hist.count == 0
-            assert gauge.value == 0.0
-        finally:
-            set_enabled(True)
-        counter.inc()
-        assert counter.value == 1.0
-
 
 class TestTimingHelpers:
-    def test_time_block_observes_and_exposes_elapsed(self, registry):
-        hist = registry.histogram("h")
-        with time_block(hist) as block:
-            pass
-        assert hist.count == 1
-        assert block.elapsed >= 0.0
-
     def test_timed_decorator(self, registry):
         hist = registry.histogram("h")
 
@@ -285,7 +253,7 @@ class TestStreamAccuracyMonitor:
         rng = np.random.default_rng(0)
         actual = rng.uniform(0.1, 5.0, size=200)
         predicted = actual * rng.uniform(0.8, 1.2, size=200)
-        monitor = StreamAccuracyMonitor(window=500, percentile=90.0)
+        monitor = StreamAccuracyMonitor()  # window 512, NPRE at the 90th
         for p, a in zip(predicted, actual):
             monitor.record(float(p), float(a))
         snap = monitor.snapshot()
@@ -295,13 +263,14 @@ class TestStreamAccuracyMonitor:
         assert snap["npre"] == pytest.approx(npre(predicted, actual, 90.0))
 
     def test_window_evicts_old_pairs(self):
-        monitor = StreamAccuracyMonitor(window=10)
+        monitor = StreamAccuracyMonitor()
+        window = StreamAccuracyMonitor.window
         for __ in range(50):
             monitor.record(2.0, 1.0)  # absolute error 1
-        for __ in range(10):
+        for __ in range(window):
             monitor.record(1.0, 1.0)  # absolute error 0 fills the window
         snap = monitor.snapshot()
-        assert snap["window"] == 10
+        assert snap["window"] == window
         assert snap["mae"] == 0.0
 
     def test_empty_snapshot_is_nan(self):
@@ -315,7 +284,7 @@ class TestStreamAccuracyMonitor:
         monitor = StreamAccuracyMonitor()
         monitor.record(float("nan"), 1.0)
         monitor.record(1.0, float("inf"))
-        assert monitor.recorded == 0
+        assert monitor.snapshot()["window"] == 0
 
     def test_bind_registers_gauges(self):
         registry = MetricsRegistry()

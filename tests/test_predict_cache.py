@@ -161,18 +161,22 @@ class TestCacheUnit:
         assert cache.stats()["evictions"] > 0
 
 
+def _service_version(model, service_id):
+    return int(model.service_versions(np.array([service_id]))[0])
+
+
 class TestVersionStamps:
     def test_observe_bumps_both_entities(self):
         model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=0)
         _feed(model, n=50)
         user_before = model.user_version(3)
-        service_before = model.service_version(4)
+        service_before = _service_version(model, 4)
         other_user = model.user_version(5)
         model.observe(
             QoSRecord(timestamp=100.0, user_id=3, service_id=4, value=2.0)
         )
         assert model.user_version(3) == user_before + 1
-        assert model.service_version(4) == service_before + 1
+        assert _service_version(model, 4) == service_before + 1
         assert model.user_version(5) == other_user
 
     @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
@@ -191,11 +195,11 @@ class TestVersionStamps:
         model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=0)
         _feed(model, n=100)
         user_before = model.user_version(2)
-        service_before = model.service_version(2)
+        service_before = _service_version(model, 2)
         model.forget_user(2)
         model.forget_service(2)
         assert model.user_version(2) > user_before
-        assert model.service_version(2) > service_before
+        assert _service_version(model, 2) > service_before
 
 
 class TestBatchPathAgainstCache:
@@ -446,18 +450,6 @@ class TestServerCacheInvalidation:
                 assert after[sid] == pytest.approx(before[sid], abs=0.0)
             client.close()
 
-    def test_cache_disabled_server_still_serves(self):
-        with PredictionServer(
-            rng=0, background_replay=False, predict_cache_size=None
-        ) as server:
-            client = PredictionClient(server.address)
-            client.report_observation(0, 0, value=2.0, timestamp=0.0)
-            predictions = self._predictions(client, 0, [0, 1])
-            assert set(predictions) == {0, 1}
-            assert server._predict_cache is None
-            assert client.status()["predict_cache"] is None
-            client.close()
-
 
 class TestStandbyCatchUp:
     def test_standby_cache_invalidated_by_replication(self, tmp_path):
@@ -520,9 +512,12 @@ class TestStandbyCatchUp:
 
 
 class TestEvictionMetricsUnderChurn:
-    def test_demote_revive_churn_tracks_counter_and_size_gauge(self):
+    def test_demote_revive_churn_tracks_counter_and_size_gauge(self, monkeypatch):
         from repro.lifecycle import LifecycleConfig
         from repro.observability import get_registry
+        from repro.server import app
+
+        monkeypatch.setattr(app, "_PREDICT_CACHE_PAIRS", 48)
 
         registry = get_registry()
         evictions = registry.counter("qos_predict_cache_evictions_total")
@@ -531,7 +526,6 @@ class TestEvictionMetricsUnderChurn:
         with PredictionServer(
             rng=0,
             background_replay=False,
-            predict_cache_size=48,
             lifecycle=LifecycleConfig(hot_users=8, hot_services=8),
         ) as server:
             client = PredictionClient(server.address, transport="json")

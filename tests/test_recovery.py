@@ -209,7 +209,10 @@ class TestServerCrashRecovery:
     def test_kill_and_restart_matches_baseline(self, tmp_path):
         records = make_stream(120, seed=0)
         report = run_crash_recovery(
-            records, crash_after=70, data_dir=str(tmp_path), checkpoint_interval=25
+            records,
+            crash_after=70,
+            data_dir=str(tmp_path / "node"),
+            server_kwargs={"checkpoint_interval": 25},
         )
         assert report.matches, report.summary()
         assert report.detail["updates_applied"] == 120
@@ -224,8 +227,8 @@ class TestServerCrashRecovery:
         report = run_crash_recovery(
             records,
             crash_after=60,
-            data_dir=str(tmp_path),
-            checkpoint_interval=20,
+            data_dir=str(tmp_path / "node"),
+            server_kwargs={"checkpoint_interval": 20},
             faults=FaultConfig(
                 drop_rate=0.1, duplicate_rate=0.05, reorder_rate=0.05,
                 corrupt_rate=0.05, corrupt_factor=100.0,
@@ -237,8 +240,9 @@ class TestServerCrashRecovery:
         report = run_crash_recovery(
             records=make_stream(40, seed=2),
             crash_after=15,
-            data_dir=str(tmp_path),
-            checkpoint_interval=1000,  # never reached: recovery is WAL-only
+            data_dir=str(tmp_path / "node"),
+            # never reached: recovery is WAL-only
+            server_kwargs={"checkpoint_interval": 1000},
         )
         assert report.matches, report.summary()
         assert report.detail["recovery"]["checkpoint_seq"] == 0
@@ -254,10 +258,8 @@ class TestServerCrashRecovery:
             records,
             crash_after=70,
             data_dir=str(tmp_path / "crash"),
-            checkpoint_interval=25,
             faults=FaultConfig(corrupt_rate=0.1, corrupt_factor=500.0),
-            server_kwargs=dict(gate=GateConfig(warmup=4)),
-            baseline_data_dir=str(tmp_path / "baseline"),
+            server_kwargs=dict(gate=GateConfig(warmup=4), checkpoint_interval=25),
         )
         assert report.matches, report.summary()
         digests = report.detail["checkpoint_digests"]
@@ -299,6 +301,12 @@ class TestServerCrashRecovery:
         restarted.kill()
 
 
+def _fast(supervisor):
+    """Test-time supervision: check and first restart after 10 ms."""
+    supervisor.check_interval = supervisor.backoff_base = 0.01
+    return supervisor
+
+
 def _flaky_replay(model, crashes):
     """Wrap a ConcurrentModel's replay so its first ``crashes`` calls die —
     the moral equivalent of a faulty retained sample poisoning the replay
@@ -338,9 +346,8 @@ class TestTrainerSupervision:
         model = self._shared_model()
         _flaky_replay(model, crashes=2)
         trainer = BackgroundTrainer(model)
-        supervisor = TrainerSupervisor(
-            trainer, check_interval=0.01, backoff_base=0.01, backoff_max=0.05
-        )
+        supervisor = _fast(TrainerSupervisor(trainer))
+        supervisor.backoff_max = 0.05
         with supervisor:
             assert _wait_for(
                 lambda: trainer.crash_count == 2
@@ -357,11 +364,9 @@ class TestTrainerSupervision:
     def test_stop_does_not_resurrect(self):
         model = self._shared_model()
         _flaky_replay(model, crashes=1)
-        supervisor = TrainerSupervisor(
-            BackgroundTrainer(model), check_interval=0.01, backoff_base=0.01
-        )
+        supervisor = _fast(TrainerSupervisor(BackgroundTrainer(model)))
         supervisor.start()
-        assert _wait_for(lambda: supervisor.restarts >= 1)
+        assert _wait_for(lambda: supervisor.health()["restarts"] >= 1)
         supervisor.stop()
         assert not supervisor.running
         assert not supervisor.trainer.running
@@ -419,11 +424,9 @@ class TestTrainerCrashOverHTTP:
     def test_crash_surfaces_in_status_and_health_and_recovers(self):
         """Acceptance scenario: a trainer-thread crash is auto-restarted,
         and the failure is visible through /status and /health."""
-        server = PredictionServer(rng=0, background_replay=True, supervise=True)
+        server = PredictionServer(rng=0, background_replay=True)
         # Fast supervision for test time; production defaults are larger.
-        server.supervisor = TrainerSupervisor(
-            server.trainer, check_interval=0.01, backoff_base=0.01
-        )
+        server.supervisor = _fast(TrainerSupervisor(server.trainer))
         _flaky_replay(server.model, crashes=1)
         with server:
             client = PredictionClient(server.address)
@@ -446,7 +449,8 @@ class TestTrainerCrashOverHTTP:
             assert _wait_for(lambda: server.trainer.replays_applied > 0)
 
     def test_dead_unsupervised_trainer_fails_health(self):
-        server = PredictionServer(rng=0, background_replay=True, supervise=False)
+        server = PredictionServer(rng=0, background_replay=True)
+        server.supervisor = None  # nothing restarts the trainer
         _flaky_replay(server.model, crashes=10**9)  # every replay dies
         with server:
             client = PredictionClient(server.address)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.datasets.schema import QoSRecord
 from repro.lifecycle import LifecycleConfig
-from repro.observability import get_registry
 from repro.server import (
     DeadlineExceeded,
     EpochStore,
@@ -25,6 +24,7 @@ from repro.server import (
 from repro.server.http import ServiceError
 from repro.server.replication import HttpReplicaLink
 from repro.simulation import FaultyReplicaLink, LinkFaultConfig, run_failover
+from tests.conftest import wal_counts
 
 SERVER_ARGS = dict(rng=0, background_replay=False, checkpoint_interval=20)
 
@@ -184,17 +184,20 @@ class TestStandbyCatchUp:
             records = [record(k) for k in range(60)]
             post(PredictionClient(primary.address), records)
             wait_until(lambda: standby.wal_last_seq >= primary.wal_last_seq)
-            assert np.array_equal(
-                standby.model.user_factors(), primary.model.user_factors()
-            )
-            assert np.array_equal(
-                standby.model.service_factors(), primary.model.service_factors()
-            )
-            assert standby.model.updates_applied == primary.model.updates_applied
-            assert standby.ledger.state_dict() == primary.ledger.state_dict()
-            assert standby.gate.state_dict() == primary.gate.state_dict()
-            # The standby's windowed accuracy tracked the same stream.
-            assert standby.drift.snapshot() == primary.drift.snapshot()
+            # A pull logs its group, then applies it, all under the ingest
+            # lock: holding the lock reads the state after the last apply.
+            with standby._ingest_lock:
+                assert np.array_equal(
+                    standby.model.user_factors(), primary.model.user_factors()
+                )
+                assert np.array_equal(
+                    standby.model.service_factors(), primary.model.service_factors()
+                )
+                assert standby.model.updates_applied == primary.model.updates_applied
+                assert standby.ledger.state_dict() == primary.ledger.state_dict()
+                assert standby.gate.state_dict() == primary.gate.state_dict()
+                # The standby's windowed accuracy tracked the same stream.
+                assert standby.drift.snapshot() == primary.drift.snapshot()
         finally:
             primary.stop()
             standby.stop()
@@ -278,10 +281,6 @@ class _InProcessLink:
         )
 
 
-def _wal_fsyncs() -> int:
-    return get_registry().histogram("qos_wal_fsync_seconds").count
-
-
 class TestStandbyCommitsEachPullAsOneGroup:
     @pytest.fixture
     def pair(self, tmp_path):
@@ -299,12 +298,13 @@ class TestStandbyCommitsEachPullAsOneGroup:
                 {"timestamp": rec.timestamp, "user_id": rec.user_id,
                  "service_id": rec.service_id, "value": rec.value}
             )
+        replication = ReplicationConfig(
+            store, role="standby", primary_address=("127.0.0.1", 1), node_id="s"
+        )
+        replication.batch_limit = 16
         standby = PredictionServer(
             data_dir=str(tmp_path / "standby"),
-            replication=ReplicationConfig(
-                store, role="standby", primary_address=("127.0.0.1", 1),
-                node_id="s", batch_limit=16,
-            ),
+            replication=replication,
             replication_link=_InProcessLink(primary),
             **SERVER_ARGS,
         )
@@ -314,12 +314,12 @@ class TestStandbyCommitsEachPullAsOneGroup:
 
     def test_catching_up_costs_one_fsync_per_pull(self, pair, tmp_path):
         primary, standby = pair
-        before = _wal_fsyncs()
+        before = wal_counts()[0]
         pulls = []
         while applied := standby._replicator.poll_once():
             pulls.append(applied)
         assert pulls == [16, 16, 16, 2]
-        assert _wal_fsyncs() - before == 4  # ceil(50 / 16), not 50
+        assert wal_counts()[0] - before == 4  # ceil(50 / 16), not 50
         assert standby._replicator.records_applied == 50
         assert np.array_equal(standby.model.user_factors(), primary.model.user_factors())
         assert standby.model.updates_applied == primary.model.updates_applied
@@ -330,12 +330,12 @@ class TestStandbyCommitsEachPullAsOneGroup:
         primary, standby = pair
         entries = primary._wal.read_committed_entries()
         assert standby.apply_shipped(entries[:5]) == ["applied"] * 5
-        before = _wal_fsyncs()
+        before = wal_counts()[0]
         assert standby.apply_shipped(entries[:5]) == ["skipped"] * 5
-        assert _wal_fsyncs() == before  # an all-skipped batch logs nothing
+        assert wal_counts()[0] == before  # an all-skipped batch logs nothing
         holed = entries[2:7] + entries[8:12]
         assert standby.apply_shipped(holed) == ["skipped"] * 3 + ["applied"] * 2 + ["gap"]
-        assert _wal_fsyncs() == before + 1
+        assert wal_counts()[0] == before + 1
         assert standby.wal_last_seq == 7
         assert standby.model.updates_applied == 7
 
@@ -366,12 +366,10 @@ class TestEveryNodeAnswersFromTheRowItHolds:
         spilled and ``expected`` the healthy primary's answers for him."""
         store = str(tmp_path / "epoch.json")
         tiered = {**SERVER_ARGS, "lifecycle": self.TIER}
+        replication = ReplicationConfig(store, role="primary", node_id="p")
+        replication.fence_check_interval = 0.0
         primary = PredictionServer(
-            data_dir=str(tmp_path / "primary"),
-            replication=ReplicationConfig(
-                store, role="primary", node_id="p", fence_check_interval=0.0
-            ),
-            **tiered,
+            data_dir=str(tmp_path / "primary"), replication=replication, **tiered
         )
         for k in range(30):
             primary._handle_observation(
@@ -389,18 +387,18 @@ class TestEveryNodeAnswersFromTheRowItHolds:
         while standby._replicator.poll_once():
             pass
         cold = primary.model.with_model(lambda m: min(m._spilled_users))
-        assert standby.model.with_model(lambda m: m.is_spilled_user(cold))
+        assert standby.model.with_model(lambda m: cold in m._spilled_users)
         yield primary, standby, cold, self._answers(primary, cold)
         primary.kill()
         standby.kill()
 
     def _answers(self, server, user):
         """A ranking and a single GET, which must leave the log alone."""
-        before = server.wal_last_seq, _wal_fsyncs()
+        before = server.wal_last_seq, wal_counts()[0]
         ranking = server._predict_batch(user, self.CANDIDATES)
         single = server._predict_one(user, self.CANDIDATES[0])
-        assert (server.wal_last_seq, _wal_fsyncs()) == before
-        assert server.model.with_model(lambda m: m.is_spilled_user(user))
+        assert (server.wal_last_seq, wal_counts()[0]) == before
+        assert server.model.with_model(lambda m: user in m._spilled_users)
         return ranking, single
 
     def _assert_answers_like_the_primary(self, server, cold, expected):
@@ -424,7 +422,7 @@ class TestEveryNodeAnswersFromTheRowItHolds:
             primary._handle_observation(
                 {"timestamp": 99.0, "user_id": cold, "service_id": 0, "value": 1.0}
             )
-        assert excinfo.value.code == "stale_epoch" and primary.fenced
+        assert excinfo.value.code == "stale_epoch" and primary._fenced
         self._assert_answers_like_the_primary(primary, cold, expected)
 
     def test_a_read_only_degraded_primary(self, trio, monkeypatch):
@@ -477,7 +475,7 @@ class TestPromotionAndFencing:
             assert excinfo.value.status == 409
             assert excinfo.value.body["code"] == "stale_epoch"
             assert excinfo.value.body["cluster_epoch"] == 2
-            assert primary.fenced
+            assert primary._fenced
             # Reads still work on the fenced node.
             assert PredictionClient(primary.address).predict(0, 0) > 0
         finally:
@@ -532,7 +530,7 @@ class TestPromotionAndFencing:
         )
         revived.start()
         try:
-            assert revived.fenced
+            assert revived._fenced
             with pytest.raises(TerminalServiceError) as excinfo:
                 PredictionClient(revived.address, retries=0).report_observation(
                     0, 0, 1.0, 300.0
@@ -552,12 +550,10 @@ class TestStandbyDiskFailure:
         a degraded standby — not grounds to fence a primary that answers
         every fetch, which would leave the cluster with no writable node."""
         store = str(tmp_path / "epoch.json")
+        replication = ReplicationConfig(store, role="primary", node_id="p")
+        replication.fence_check_interval = 0.01
         primary = PredictionServer(
-            data_dir=str(tmp_path / "primary"),
-            replication=ReplicationConfig(
-                store, role="primary", node_id="p", fence_check_interval=0.01
-            ),
-            **SERVER_ARGS,
+            data_dir=str(tmp_path / "primary"), replication=replication, **SERVER_ARGS
         )
         primary.start()
         standby = PredictionServer(
@@ -588,7 +584,7 @@ class TestStandbyDiskFailure:
             assert standby._replicator.running  # still a standby, still pulling
             # The primary still accepts writes, at the epoch it always had.
             client.report_observation(1, 1, 0.5, 100.0)
-            assert primary.wal_last_seq == 11 and not primary.fenced
+            assert primary.wal_last_seq == 11 and not primary._fenced
             # The standby says what is wrong with it, and keeps serving reads.
             standby_client = PredictionClient(standby.address, retries=0)
             status = standby_client.status()
@@ -720,17 +716,15 @@ class TestFailoverDrill:
             baseline_dir=str(tmp_path / "baseline"),
             epoch_store=str(tmp_path / "epoch.json"),
             rng=0,
-            checkpoint_interval=10,
-            server_kwargs={"gate": True},
-            auto_promote_after=0.15,
+            server_kwargs={"gate": True, "checkpoint_interval": 10},
         )
         assert report.matches, report.summary()
         assert report.metrics_ok, report.detail["metrics"]
         # The silence timer is armed from the standby's last successful
         # fetch, which may precede the kill by up to one poll interval —
         # allow that much undercount; the floor still proves the standby
-        # waited out auto_promote_after instead of promoting instantly.
-        assert report.time_to_promote >= 0.15 - 0.02
+        # waited out its 0.25 s silence window instead of promoting instantly.
+        assert report.detail["time_to_promote"] >= 0.25 - 0.02
         assert report.detail["promoted_epoch"] == 2
         assert report.detail["fence_probe"]["code"] == "stale_epoch"
         digests = report.detail["checkpoint_digests"]

@@ -10,9 +10,8 @@ Four layers:
   beats the ungated model against clean ground truth, and costs nothing
   on a clean one;
 * server boundary over HTTP — NaN/±inf/negative values bounce with a
-  structured 400 in both observation handlers, idempotency keys
-  deduplicate, and the timestamp policy rejects with machine-readable
-  codes.
+  structured 400 in both observation handlers, and idempotency keys
+  deduplicate.
 """
 
 import json
@@ -32,19 +31,23 @@ from repro.robustness import (
     TimestampPolicy,
     apply_observation,
 )
+from repro.robustness import dedup
 from repro.server import PredictionClient, PredictionServer
 from repro.server.client import TerminalServiceError
 
 
-def identity_gate(**overrides) -> SanitizerGate:
+class _TightGate(GateConfig):
+    """Narrower bands than the shipped constants, so a handful of test
+    samples reaches every decision."""
+
+    clip_k, quarantine_k, min_spread, corroborate_tol = 2.0, 4.0, 0.1, 0.05
+
+
+def identity_gate(warmup=2, quarantine_max=GateConfig.quarantine_max) -> SanitizerGate:
     """Gate over the identity normalization: test values ARE normalized
     values, so thresholds can be reasoned about directly."""
-    defaults = dict(
-        warmup=2, ema=0.5, clip_k=2.0, quarantine_k=4.0, min_spread=0.1,
-        quarantine_max=256, corroborate=3, corroborate_tol=0.05,
-    )
-    defaults.update(overrides)
-    return SanitizerGate(GateConfig(**defaults), lambda v: v, lambda v: v)
+    config_class = type("_Gate", (_TightGate,), {"quarantine_max": quarantine_max})
+    return SanitizerGate(config_class(warmup=warmup, ema=0.5), lambda v: v, lambda v: v)
 
 
 def rec(value, user=0, service=0, t=0.0) -> QoSRecord:
@@ -132,14 +135,10 @@ class TestGateDecisions:
         assert gate.counts["quarantined"] == 3
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="quarantine_k"):
-            GateConfig(clip_k=4.0, quarantine_k=2.0)
         with pytest.raises(ValueError, match="warmup"):
             GateConfig(warmup=0)
         with pytest.raises(ValueError, match="ema"):
             GateConfig(ema=0.0)
-        with pytest.raises(ValueError, match="corroborate"):
-            GateConfig(corroborate=1)
 
     def test_single_sample_influence_is_bounded(self):
         """One clipped extreme moves the center by at most
@@ -179,25 +178,34 @@ class TestGateStateRoundTrip:
         assert restored.state_dict() == original.state_dict()
 
 
+@pytest.fixture
+def ledger_capacity(monkeypatch):
+    """``ledger_capacity(n)``: fresh dedup ledgers hold ``n`` keys."""
+    return lambda n: monkeypatch.setattr(dedup, "_CAPACITY", n)
+
+
 class TestDedupLedger:
     def test_seen_and_add(self):
-        ledger = DedupLedger(capacity=8)
+        ledger = DedupLedger()
         assert not ledger.seen("a")
         ledger.add("a")
         assert ledger.seen("a")
         assert len(ledger) == 1
 
-    def test_bounded_eviction_is_fifo(self):
-        ledger = DedupLedger(capacity=2)
+    def test_bounded_eviction_is_fifo(self, ledger_capacity):
+        ledger_capacity(2)
+        ledger = DedupLedger()
         for key in ("a", "b", "c"):
             ledger.add(key)
         assert not ledger.seen("a")  # evicted: a very late retry re-applies
         assert ledger.seen("b") and ledger.seen("c")
 
-    def test_state_round_trip(self):
-        ledger = DedupLedger(capacity=4)
+    def test_state_round_trip(self, ledger_capacity):
+        ledger_capacity(4)
+        ledger = DedupLedger()
         for key in ("x", "y", "z"):
             ledger.add(key)
+        ledger_capacity(65536)
         clone = DedupLedger()
         clone.restore(json.loads(json.dumps(ledger.state_dict())))
         assert clone.capacity == 4
@@ -205,10 +213,6 @@ class TestDedupLedger:
         clone.add("w")
         clone.add("v")  # eviction order survived the round trip
         assert not clone.seen("x")
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            DedupLedger(capacity=0)
 
 
 class TestDedupEvictionVsWalTail:
@@ -218,13 +222,14 @@ class TestDedupEvictionVsWalTail:
     (eviction applied in the same order during replay as it was live)."""
 
     def _keyed_server(self, data_dir, capacity=16, interval=8):
-        server = PredictionServer(
-            data_dir=str(data_dir),
-            rng=0,
-            background_replay=False,
-            checkpoint_interval=interval,
-            dedup_capacity=capacity,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dedup, "_CAPACITY", capacity)
+            server = PredictionServer(
+                data_dir=str(data_dir),
+                rng=0,
+                background_replay=False,
+                checkpoint_interval=interval,
+            )
         server.start()
         return server
 
@@ -344,14 +349,21 @@ class TestGatedTraining:
     """The accuracy claim behind the gate, at test scale."""
 
     def train(self, records, gate_on, seed=0):
+        """Every arrival through the gate (or none), then replay to
+        convergence; returns the model and how many arrivals the gate
+        quarantined."""
         model = AdaptiveMatrixFactorization(AMFConfig.for_response_time(), rng=seed)
         gate = (
             SanitizerGate(GateConfig(), model.normalize_value, model.denormalize_value)
             if gate_on
             else None
         )
-        report = StreamTrainer(model, gate=gate).process(records)
-        return model, report
+        quarantined = sum(
+            apply_observation(model, gate, record)[0] == "quarantine"
+            for record in records
+        )
+        StreamTrainer(model).replay_until_converged(records[-1].timestamp)
+        return model, quarantined
 
     def score(self, model, truth):
         predicted = model.predict_matrix()[: truth.shape[0], : truth.shape[1]]
@@ -364,10 +376,10 @@ class TestGatedTraining:
         rng = np.random.default_rng(0)
         truth = make_truth(rng)
         records = make_stream(truth, 3000, corruption=0.1, rng=rng)
-        ungated_model, ungated_report = self.train(records, gate_on=False)
-        gated_model, gated_report = self.train(records, gate_on=True)
-        assert ungated_report.quarantined == 0
-        assert gated_report.quarantined > 0
+        ungated_model, ungated_quarantined = self.train(records, gate_on=False)
+        gated_model, gated_quarantined = self.train(records, gate_on=True)
+        assert ungated_quarantined == 0
+        assert gated_quarantined > 0
         assert self.score(gated_model, truth) < self.score(ungated_model, truth)
 
     def test_gate_is_free_on_a_clean_stream(self):
@@ -458,22 +470,6 @@ class TestServerBoundary:
             post_observation(client, idempotency_key=key)
         assert exc.value.body["code"] == "invalid_idempotency_key"
 
-    def test_timestamp_policy_over_http(self):
-        policy = TimestampPolicy(max_future_skew=5.0, max_staleness=10.0)
-        with PredictionServer(
-            rng=0, background_replay=False, timestamp_policy=policy
-        ) as server:
-            client = PredictionClient(server.address)
-            client.report_observation(0, 0, 1.0, 100.0)
-            with pytest.raises(TerminalServiceError) as exc:
-                post_observation(client, timestamp=80.0)
-            assert exc.value.body["code"] == "stale_timestamp"
-            with pytest.raises(TerminalServiceError) as exc:
-                post_observation(client, timestamp=200.0)
-            assert exc.value.body["code"] == "future_timestamp"
-            # Rejections must not advance the stream head.
-            client.report_observation(0, 1, 1.0, 99.0)
-
     def test_status_exposes_robustness_block(self, server):
         client = PredictionClient(server.address)
         client.report_observation(0, 0, 1.0, 0.0)
@@ -481,5 +477,4 @@ class TestServerBoundary:
         assert robustness["gate"]["admitted"] == 1
         assert robustness["gate"]["quarantine_size"] == 0
         assert robustness["dedup"]["ledger_size"] == 0
-        assert robustness["timestamp_policy"] is None
         assert robustness["admission"] is None

@@ -1,5 +1,7 @@
 """Tests for density masking and train/test splitting (+ hypothesis)."""
 
+from __future__ import annotations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,35 @@ from hypothesis import strategies as st
 from repro.datasets.sampling import (
     mask_matrix_to_density,
     split_entities,
-    split_observed,
     train_test_split_matrix,
 )
 from repro.datasets.schema import QoSMatrix
+from repro.utils.rng import spawn_rng
+from repro.utils.validation import check_fraction
+
+
+def split_observed(
+    matrix: QoSMatrix,
+    fraction: float,
+    rng: "int | np.random.Generator | None" = None,
+) -> tuple[QoSMatrix, QoSMatrix]:
+    """Split observed entries by a fraction *of the observed entries*
+    (rather than of the full matrix size).  Useful for generic holdout."""
+    check_fraction("fraction", fraction)
+    rng = spawn_rng(rng)
+    rows, cols = matrix.observed_indices()
+    n_first = int(round(fraction * rows.size))
+    order = rng.permutation(rows.size)
+    first_mask = np.zeros(matrix.shape, dtype=bool)
+    second_mask = np.zeros(matrix.shape, dtype=bool)
+    first_idx = order[:n_first]
+    second_idx = order[n_first:]
+    first_mask[rows[first_idx], cols[first_idx]] = True
+    second_mask[rows[second_idx], cols[second_idx]] = True
+    return (
+        QoSMatrix(values=matrix.values.copy(), mask=first_mask),
+        QoSMatrix(values=matrix.values.copy(), mask=second_mask),
+    )
 
 
 def full_matrix(n_users=20, n_services=30, seed=0):

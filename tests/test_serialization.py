@@ -118,7 +118,8 @@ class TestRoundTrip:
 
 
 def ledger_extra(keys, wal_seq=7) -> dict:
-    ledger = DedupLedger(capacity=max(len(keys), 1))
+    ledger = DedupLedger()
+    ledger.capacity = max(len(keys), 1)
     for key in keys:
         ledger.add(key)
     return {

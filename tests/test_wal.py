@@ -37,6 +37,12 @@ def seqs(entries):
     return [entry[1] for entry in entries]
 
 
+@pytest.fixture
+def segment_records(monkeypatch):
+    """``segment_records(n)`` makes every log rotate after ``n`` entries."""
+    return lambda limit: monkeypatch.setattr(wal_module, "_SEGMENT_RECORDS", limit)
+
+
 class TestAppendReplay:
     def test_roundtrip(self, tmp_path):
         with WriteAheadLog(str(tmp_path), fsync=False) as wal:
@@ -79,15 +85,19 @@ class TestAppendReplay:
 
 
 class TestSegments:
+    @pytest.fixture(autouse=True)
+    def _ten_per_segment(self, segment_records):
+        segment_records(10)
+
     def test_rotation(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_records=10, fsync=False)
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(35):
             wal.append(record(k))
         assert wal.segment_count() == 4
         assert len(list(wal.replay_entries())) == 35
 
     def test_prune_keeps_uncovered_and_active(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_records=10, fsync=False)
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(35):
             wal.append(record(k))
         removed = wal.prune(up_to_seq=25)
@@ -95,15 +105,11 @@ class TestSegments:
         assert seqs(wal.replay_entries(after_seq=25)) == list(range(26, 36))
 
     def test_prune_never_deletes_active_segment(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_records=10, fsync=False)
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(10):
             wal.append(record(k))
         assert wal.prune(up_to_seq=10) == 0
         assert wal.segment_count() == 1
-
-    def test_invalid_segment_size(self, tmp_path):
-        with pytest.raises(ValueError, match="segment_max_records"):
-            WriteAheadLog(str(tmp_path), segment_max_records=0)
 
 
 class TestTornTail:
@@ -193,7 +199,7 @@ class TestAppendFailure:
         assert excinfo.value.errno == errno.ENOSPC
         assert wal.last_seq == 3  # the failed append assigned no sequence
         assert not wal.writable
-        assert "No space left" in wal.append_failure
+        assert "No space left" in wal._append_failed
 
     def test_failure_is_sticky_even_if_disk_recovers(self, tmp_path, disk):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
@@ -239,8 +245,9 @@ class TestAppendFailure:
 
 
 class TestReadCommitted:
-    def test_windows_by_after_seq_and_limit(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path), segment_max_records=4, fsync=False)
+    def test_windows_by_after_seq_and_limit(self, tmp_path, segment_records):
+        segment_records(4)
+        wal = WriteAheadLog(str(tmp_path), fsync=False)
         for k in range(10):
             wal.append(record(k), key=f"k:{k}")
         batch = wal.read_committed_entries(after_seq=3, limit=4)
@@ -268,12 +275,17 @@ class TestEntries:
 
     EVENT = ("ev", None, "pressure", {"hu": 3, "hs": 4, "level": "tighten"})
 
+    @pytest.fixture(autouse=True)
+    def _three_per_segment(self, segment_records):
+        segment_records(3)
+
     def _mixed_log(self, directory):
-        wal = WriteAheadLog(str(directory), segment_max_records=3, fsync=False)
+        wal = WriteAheadLog(str(directory), fsync=False)
         assert wal.append(record(0), key="k:0") == 1
         assert wal.append_entry(self.EVENT) == 2
         assert wal.append_entry(("obs", None, record(1, value=2.5), None)) == 3
-        assert wal.append_event("revive_user", {"id": 7, "p": {"row": [0.5]}}) == 4
+        revive = ("ev", None, "revive_user", {"id": 7, "p": {"row": [0.5]}})
+        assert wal.append_entry(revive) == 4
         return wal
 
     def test_both_tags_replay_in_their_logged_interleaving(self, tmp_path):
@@ -289,13 +301,13 @@ class TestEntries:
     def test_event_data_must_be_an_object(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path), fsync=False)
         with pytest.raises(TypeError, match="dict"):
-            wal.append_event("pressure", [3, 4])
+            wal.append_entry(("ev", None, "pressure", [3, 4]))
         assert wal.last_seq == 0
 
     def test_a_log_copied_entry_by_entry_is_byte_identical(self, tmp_path):
         """What a standby relies on: the entry, not the caller, fixes the bytes."""
         source = self._mixed_log(tmp_path / "a")
-        copy = WriteAheadLog(str(tmp_path / "b"), segment_max_records=3, fsync=False)
+        copy = WriteAheadLog(str(tmp_path / "b"), fsync=False)
         for entry in source.read_committed_entries():
             wire = json.loads(json.dumps(entry_to_wire(entry)))
             assert copy.append_entry(entry_from_wire(wire)) == entry[1]
@@ -365,13 +377,14 @@ class TestCommitGroups:
 
     @pytest.mark.parametrize("before", [0, 1, 2, 3])
     def test_a_group_straddling_a_rotation_leaves_both_segments_whole(
-        self, tmp_path, fsyncs, before
+        self, tmp_path, fsyncs, before, segment_records
     ):
         """Segment boundaries fall where single appends put them, and the
         segment a group leaves is fsync'd before it is closed."""
+        segment_records(3)
         logs = {}
         for name in ("singles", "grouped"):
-            logs[name] = wal = WriteAheadLog(str(tmp_path / name), segment_max_records=3)
+            logs[name] = wal = WriteAheadLog(str(tmp_path / name))
             for k in range(before):
                 wal.append(record(k))
         for entry in self.GROUP:
@@ -399,7 +412,7 @@ class TestCommitGroups:
             wal.append_entries(self.GROUP)
         assert excinfo.value.errno == errno.EIO
         assert (wal.last_seq, wal.appended) == (1, 1)
-        assert not wal.writable and "Input/output" in wal.append_failure
+        assert not wal.writable and "Input/output" in wal._append_failed
         monkeypatch.undo()
         with pytest.raises(WalAppendError, match="failed state"):
             wal.append(record(1))  # frozen, whatever the disk does next
@@ -523,11 +536,12 @@ def _logged(entries) -> list:
 
 
 @contextlib.contextmanager
-def _writer(call: str, chunk: int):
-    """Patches for one example: the chunk size, and, for ``ftruncate``, no
-    ``os.posix_fallocate`` at all."""
+def _writer(call: str, chunk: int, limit: int):
+    """Patches for one example: the chunk size, the entries per segment,
+    and, for ``ftruncate``, no ``os.posix_fallocate`` at all."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wal_module, "_CHUNK", chunk)
+        patch.setattr(wal_module, "_SEGMENT_RECORDS", limit)
         if call == "ftruncate":
             patch.delattr(os, "posix_fallocate", raising=False)
         yield
@@ -569,8 +583,8 @@ class TestPreallocatedSegments:
         torn = int(bool(garbage) or damaged not in ends)
 
         directory = tmp_path_factory.mktemp("crash")
-        with _writer(call, chunk):
-            wal = WriteAheadLog(str(directory), segment_max_records=limit)
+        with _writer(call, chunk, limit):
+            wal = WriteAheadLog(str(directory))
             for group in groups[: crash_at + 1]:
                 wal.append_entries(group)
             wal._handle.close()  # the crash: the writer never closes
@@ -581,14 +595,14 @@ class TestPreallocatedSegments:
             blob[start + at : start + at + len(garbage)] = garbage
             path.write_bytes(bytes(blob))
 
-            reopened = WriteAheadLog(str(directory), segment_max_records=limit)
+            reopened = WriteAheadLog(str(directory))
             assert reopened.torn_lines == torn
             assert list(reopened.replay_entries()) == _logged(survivors)
             tail = [("obs", None, record(7), "after the crash")]
             assert reopened.append_entries(tail) == [len(survivors) + 1]
             reopened.close()
             assert _directory(directory) == _reference(survivors + tail, limit)
-            final = WriteAheadLog(str(directory), segment_max_records=limit)
+            final = WriteAheadLog(str(directory))
             assert final.torn_lines == 0
             assert list(final.replay_entries()) == _logged(survivors + tail)
             final.close()
@@ -605,9 +619,9 @@ class TestPreallocatedSegments:
         writer's files."""
         groups, limit = data.draw(_GROUPS), data.draw(st.integers(1, 5))
         root = tmp_path_factory.mktemp("copy")
-        with _writer(call, data.draw(_CHUNKS)):
-            source = WriteAheadLog(str(root / "source"), segment_max_records=limit)
-            copy = WriteAheadLog(str(root / "copy"), segment_max_records=limit)
+        with _writer(call, data.draw(_CHUNKS), limit):
+            source = WriteAheadLog(str(root / "source"))
+            copy = WriteAheadLog(str(root / "copy"))
             for group in groups:
                 source.append_entries(group)
                 for entry in source.read_committed_entries(after_seq=copy.last_seq):

@@ -45,7 +45,7 @@ class TestGrowableErrors:
         assert tracker.get(3) == 0.25
 
     def test_growth_preserves_existing(self):
-        tracker = _GrowableErrors(capacity=2)
+        tracker = _GrowableErrors()
         tracker.set(0, 0.5)
         tracker.ensure(500)
         assert tracker.get(0) == 0.5

